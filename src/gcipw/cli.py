@@ -139,6 +139,10 @@ def _emit(rows: List[List[str]], header: List[str], fh) -> None:
 
 
 def cmd_decompose(cfg: RunConfig) -> int:
+    if cfg.max_twist < 1:
+        raise ValueError(f"--max-twist must be >= 1, got {cfg.max_twist}")
+    if cfg.max_spin < 0:
+        raise ValueError(f"--max-spin must be >= 0, got {cfg.max_spin}")
     order = cfg.order()
     tower = partialwave.twist_extract(cfg.params, cfg.max_twist, order)
     header = ["kappa", "ell", "B_exact", "B_decimal", "closed_form", "match"]
@@ -206,6 +210,8 @@ def build_grid(cfg: RunConfig, axis: str, lo: Fraction, hi: Fraction, steps: int
 
 
 def cmd_oracle(cfg: RunConfig, count: int, inject_error: bool) -> int:
+    if count < 1:
+        raise ValueError(f"--count must be >= 1, got {count}")
     rng = random.Random(cfg.seed)
     from .fourpoint import basis_j_small
     from .kinematics import cross_ratios, random_config
@@ -256,6 +262,8 @@ def cmd_oracle(cfg: RunConfig, count: int, inject_error: bool) -> int:
 
 
 def cmd_thermal(cfg: RunConfig, sub: str, model: str, order: int, k_weight: int) -> int:
+    if order < 1:
+        raise ValueError(f"--order must be >= 1, got {order}")
     tol = cfg.tolerances.get("modular", 1e-10)
     if sub == "energy":
         if model == "scalar4":
@@ -381,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="free-field trace and Wick-structure oracles")
     common(p)
     p.add_argument("--count", type=int, default=100, help="number of j1-oracle configs")
-    p.add_argument("--n", type=int, default=3, help="(accepted for compatibility)")
     p.add_argument(
         "--inject-error", action="store_true", help="self-test: corrupt one value"
     )
@@ -418,9 +425,8 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, args.count, args.inject_error)
         if args.command == "thermal":
-            return cmd_thermal(
-                cfg, args.kind, args.model, args.order or 100, args.k_weight
-            )
+            order = cfg.series_order if cfg.series_order is not None else 100
+            return cmd_thermal(cfg, args.kind, args.model, order, args.k_weight)
         if args.command == "verify-all":
             return cmd_verify_all(cfg)
     except ValueError as err:

@@ -1,14 +1,14 @@
 """Exact arithmetic substrate: rationals, polynomials, rational functions,
-truncated power series and half-integer q-series.
+truncated power series, half-integer q-series and quaternions.
 
 Plain `fractions.Fraction` is the rational scalar type throughout.
 """
 
 from fractions import Fraction as Rat
 
-from .gauss import GaussRat, I_UNIT
 from .mpoly import MPoly, divide_exact
 from .qseries import QSeries, geometric_block
+from .quaternion import Quaternion, chain_trace
 from .ratfn import RatFn
 from .series import (
     PSeries,
@@ -20,8 +20,6 @@ from .series import (
 
 __all__ = [
     "Rat",
-    "GaussRat",
-    "I_UNIT",
     "MPoly",
     "divide_exact",
     "RatFn",
@@ -32,4 +30,6 @@ __all__ = [
     "series2_outer",
     "QSeries",
     "geometric_block",
+    "Quaternion",
+    "chain_trace",
 ]

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-Coefficients are Fractions by default but any field-like type works
-(e.g. GaussRat), as long as it supports +, -, *, == 0 and bool().
+Coefficients are Fractions by default but any ring type works (e.g. plain
+ints), as long as it supports +, -, *, == 0 and bool().
 """
 
 from __future__ import annotations

@@ -203,10 +203,3 @@ class RatFn:
 
     def __repr__(self):
         return f"RatFn({self.num!r} / {self.den!r})"
-
-
-def ratfn_eq(a: RatFn, b: RatFn) -> bool:
-    """Equality by cross-multiplication: a.num b.den == b.num a.den."""
-    if a.arity != b.arity:
-        raise ValueError("arity mismatch")
-    return a == b

@@ -1,9 +1,11 @@
-"""Quaternion-matrix realization of 4-vectors and exact correlator oracles
-for the scalar and Weyl bilocal fields.
+"""Quaternion realization of 4-vectors and exact correlator oracles for
+the scalar and Weyl bilocal fields.
 
-All traces are taken over 2x2 matrices with Gaussian-rational (or, for
-the symbolic identity checks, polynomial-valued) entries, so every value
-here is an exact rational number.
+slash(z) = z4 + z.Q with Q_j = -i sigma_j is the quaternion
+z4 + z1 i + z2 j + z3 k, and the trace of a product of slash matrices is
+2 Re of the quaternion product.  Components are rationals (or, for the
+symbolic identity checks, integer polynomials), so every value here is an
+exact rational number.
 """
 
 from __future__ import annotations
@@ -12,63 +14,16 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .exact import GaussRat, I_UNIT, MPoly
-from .exact.gauss import GaussInt, I_INT
+from .exact import MPoly, Quaternion, chain_trace
 from .kinematics import DegenerateConfiguration, PointConfig, Vec4, dot4, vsub
-
-Mat2 = Tuple[Tuple[object, object], Tuple[object, object]]
-
-
-# -- small matrix helpers (ring-generic) ---------------------------------------
+from .symmetrize import _all_partitions_min2
 
 
-def mat_mul(a: Mat2, b: Mat2) -> Mat2:
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
-def mat_add(a: Mat2, b: Mat2) -> Mat2:
-    return (
-        (a[0][0] + b[0][0], a[0][1] + b[0][1]),
-        (a[1][0] + b[1][0], a[1][1] + b[1][1]),
-    )
-
-
-def mat_trace(a: Mat2):
-    return a[0][0] + a[1][1]
-
-
-def mat_chain(mats: Sequence[Mat2]) -> Mat2:
-    out = mats[0]
-    for m in mats[1:]:
-        out = mat_mul(out, m)
-    return out
-
-
-# -- slash matrices -------------------------------------------------------------
-
-
-def slash_generic(z: Sequence, conjugate: bool, i_unit) -> Mat2:
-    """z-slash (or its quaternion conjugate) for entries of any ring.
-
-    slash(z) = z4 + z.Q with Q_j = -i sigma_j; the conjugate flips the
-    sign of the imaginary-quaternion part.
-    """
+def slash(z: Sequence, conjugate: bool = False) -> Quaternion:
+    """z-slash (or its quaternion conjugate) for entries of any ring."""
     z1, z2, z3, z4 = z
-    s = -1 if conjugate else 1
-    iz1 = i_unit * z1
-    iz3 = i_unit * z3
-    return (
-        (z4 - s * iz3, -s * (z2 + iz1)),
-        (s * (z2 - iz1), z4 + s * iz3),
-    )
-
-
-def slash(z: Vec4, conjugate: bool = False) -> Mat2:
-    """Exact 2x2 Gaussian-rational matrix for a rational 4-vector."""
-    return slash_generic([GaussRat(c) for c in z], conjugate, I_UNIT)
+    q = Quaternion(z4, z1, z2, z3)
+    return q.conj() if conjugate else q
 
 
 def det4(a: Vec4, b: Vec4, c: Vec4, d: Vec4):
@@ -96,8 +51,7 @@ def _perm_sign(perm: Sequence[int]) -> int:
 
 def trace4(a: Vec4, b: Vec4, c: Vec4, d: Vec4) -> Fraction:
     """tr(slash(a) slash+(b) slash(c) slash+(d)) as an exact rational."""
-    m = mat_chain([slash(a), slash(b, True), slash(c), slash(d, True)])
-    return mat_trace(m).as_fraction()
+    return chain_trace([slash(a), slash(b, True), slash(c), slash(d, True)])
 
 
 def trace4_identity_check(a: Vec4, b: Vec4, c: Vec4, d: Vec4) -> bool:
@@ -134,9 +88,9 @@ def interval_identities(config: PointConfig) -> bool:
 def _sym_points(n_points: int) -> List[List[MPoly]]:
     """n_points symbolic 4-vectors over 4*n_points coordinate variables.
 
-    Coefficients are plain integers (Gaussian integers after the slash
-    matrices enter), which keeps the trace expansions fast; the results
-    are mapped back to Fraction coefficients at the boundary.
+    Coefficients are plain integers, which keeps the trace expansions
+    fast; the results are mapped back to Fraction coefficients at the
+    boundary.
     """
     arity = 4 * n_points
 
@@ -157,38 +111,21 @@ def _sym_sub(z, w):
 
 
 def _to_fraction_poly(p: MPoly) -> MPoly:
-    """Check all coefficients are real and strip them to Fractions."""
-    return p.map_coeff(
-        lambda c: c.as_fraction() if isinstance(c, (GaussRat, GaussInt)) else Fraction(c)
-    )
+    return p.map_coeff(Fraction)
 
 
 def anticommutation_symbolic() -> bool:
     """slash(z) slash+(w) + slash(w) slash+(z) = 2 (z.w) * 1, symbolically."""
     z, w = _sym_points(2)
-    zs = slash_generic(z, False, I_INT)
-    ws = slash_generic(w, False, I_INT)
-    zc = slash_generic(z, True, I_INT)
-    wc = slash_generic(w, True, I_INT)
-    lhs = mat_add(mat_mul(zs, wc), mat_mul(ws, zc))
-    d2 = 2 * _sym_dot(z, w)
+    lhs = slash(z) * slash(w, True) + slash(w) * slash(z, True)
     zero = MPoly.zero(8)
-    rhs = ((d2, zero), (zero, d2))
-    return all(lhs[i][j] == rhs[i][j] for i in range(2) for j in range(2))
+    return lhs == Quaternion(2 * _sym_dot(z, w), zero, zero, zero)
 
 
 def trace4_identity_symbolic() -> bool:
     """The four-slash trace formula as a polynomial identity in 16 variables."""
     a, b, c, d = _sym_points(4)
-    m = mat_chain(
-        [
-            slash_generic(a, False, I_INT),
-            slash_generic(b, True, I_INT),
-            slash_generic(c, False, I_INT),
-            slash_generic(d, True, I_INT),
-        ]
-    )
-    lhs = _to_fraction_poly(mat_trace(m))
+    lhs = _to_fraction_poly(chain_trace([slash(a), slash(b, True), slash(c), slash(d, True)]))
     rhs = 2 * (
         _sym_dot(a, b) * _sym_dot(c, d)
         - _sym_dot(a, c) * _sym_dot(b, d)
@@ -277,8 +214,7 @@ def cycle_trace_numerator(seq: CycleSeq, points: Sequence[Vec4]) -> Fraction:
         diffs.append(vsub(points[a], points[b]))
     fwd = [slash(d, conjugate=(i % 2 == 1)) for i, d in enumerate(diffs)]
     rev = [fwd[0]] + fwd[1:][::-1]
-    total = mat_trace(mat_add(mat_chain(fwd), mat_chain(rev)))
-    return -total.as_fraction()
+    return -(chain_trace(fwd) + chain_trace(rev))
 
 
 def cycle_trace_2n(config: PointConfig, seq: CycleSeq) -> Fraction:
@@ -378,9 +314,9 @@ def cycle_trace_numerator_symbolic(seq: CycleSeq, n_points: int) -> MPoly:
     for i in range(n2):
         a, b = seq[i], seq[(i + 1) % n2]
         diffs.append(_sym_sub(pts[a], pts[b]))
-    fwd = [slash_generic(d, i % 2 == 1, I_INT) for i, d in enumerate(diffs)]
+    fwd = [slash(d, conjugate=(i % 2 == 1)) for i, d in enumerate(diffs)]
     rev = [fwd[0]] + fwd[1:][::-1]
-    return -_to_fraction_poly(mat_trace(mat_add(mat_chain(fwd), mat_chain(rev))))
+    return -_to_fraction_poly(chain_trace(fwd) + chain_trace(rev))
 
 
 def fit_cycle_constant(n: int, config: PointConfig) -> Fraction:
@@ -416,10 +352,8 @@ def v1_weyl_4pt(config: PointConfig) -> Fraction:
         z2a = slash(vsub(pts[1], pts[p3]), True)
         zab = slash(vsub(pts[p3], pts[p4]))
         z1b = slash(vsub(pts[0], pts[p4]), True)
-        m = mat_add(
-            mat_chain([z12, z2a, zab, z1b]), mat_chain([z12, z1b, zab, z2a])
-        )
-        return mat_trace(m).as_fraction() / (r(0, p4) * r(1, p3)) ** 2
+        trace = chain_trace([z12, z2a, zab, z1b]) + chain_trace([z12, z1b, zab, z2a])
+        return trace / (r(0, p4) * r(1, p3)) ** 2
 
     # the second displayed term is the z3 <-> z4 image of the first (the
     # relative minus sign is absorbed by the reversed difference vector)
@@ -458,20 +392,6 @@ def v1_weyl_connected(config: PointConfig, structures=None) -> Fraction:
     return sum(cycle_trace_2n(config, seq) for seq in structures) / 2
 
 
-def _block_partitions(blocks: List[int]):
-    """Set partitions of the blocks with every part of size >= 2."""
-    if not blocks:
-        yield []
-        return
-    first, rest = blocks[0], blocks[1:]
-    for k in range(1, len(rest) + 1):
-        for mates in itertools.combinations(rest, k):
-            part = [first, *mates]
-            remaining = [b for b in rest if b not in mates]
-            for tail in _block_partitions(remaining):
-                yield [part] + tail
-
-
 def full_from_connected(conn_eval, config: PointConfig) -> Fraction:
     """Full 2n-point function of a bilocal with vanishing 1-point part:
     sum over partitions of the blocks into groups of >= 2, of products of
@@ -479,7 +399,7 @@ def full_from_connected(conn_eval, config: PointConfig) -> Fraction:
     n = len(config) // 2
     blocks = list(range(n))
     total = Fraction(0)
-    for partition in _block_partitions(blocks):
+    for partition in _all_partitions_min2(blocks):
         prod = Fraction(1)
         for part in partition:
             idx = [p for b in part for p in (2 * b, 2 * b + 1)]
@@ -516,22 +436,10 @@ def _fermion_edge(pts, kind: str, fv: int, cv: int, f_slot: int, c_slot: int):
     if r == 0:
         raise DegenerateConfiguration("coincident points in a propagator")
     weight = r**2 if kind == "psi" else r**3
-    m = slash(z, conjugate=(kind == "psi"))
+    m = slash(z, conjugate=(kind == "psi")) * (1 / weight)
     if f_slot < c_slot:
-        mat = tuple(tuple(e / weight for e in row) for row in m)
-        return mat, fv, cv
-    mat = tuple(tuple(-m[b][a] / weight for b in range(2)) for a in range(2))
-    return mat, cv, fv
-
-
-def _chord_parity(chords: List[Tuple[int, int]]) -> int:
-    crossings = 0
-    for (a, b), (c, d) in itertools.combinations(chords, 2):
-        lo, hi = (a, b) if a < c else (c, d)
-        other = (c, d) if a < c else (a, b)
-        if lo < other[0] < hi < other[1]:
-            crossings += 1
-    return -1 if crossings % 2 else 1
+        return m, fv, cv
+    return -m.transpose(), cv, fv
 
 
 def _is_single_alternating_loop(pair_a: Dict[int, int], pair_b: Dict[int, int], m: int) -> bool:
@@ -561,17 +469,15 @@ def _contract_loop(mats, m: int) -> Fraction:
     oriented = {(ev, lv): mat for mat, ev, lv in mats}
     cur = 0
     prev = None
-    chain = None
+    steps = []
     for _ in range(m):
         nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
         if (cur, nxt) in oriented:
-            step = oriented[(cur, nxt)]
+            steps.append(oriented[(cur, nxt)])
         else:
-            t = oriented[(nxt, cur)]
-            step = ((t[0][0], t[1][0]), (t[0][1], t[1][1]))
-        chain = step if chain is None else mat_mul(chain, step)
+            steps.append(oriented[(nxt, cur)].transpose())
         prev, cur = cur, nxt
-    return mat_trace(chain).as_fraction()
+    return chain_trace(steps)
 
 
 def l1_truncated_npoint(config: PointConfig) -> Fraction:
@@ -615,13 +521,13 @@ def l1_truncated_npoint(config: PointConfig) -> Fraction:
                 chords = []
                 for v, w in zip(psi_vertices, psi_match):
                     s1, s2 = psi_slot[v], psiplus_slot[w]
-                    chords.append(tuple(sorted((s1, s2))))
+                    chords.append((s1, s2))
                     mats.append(_fermion_edge(pts, "psi", v, w, s1, s2))
                 for v, w in zip(chi_vertices, chi_match):
                     s1, s2 = chi_slot[v], chiplus_slot[w]
-                    chords.append(tuple(sorted((s1, s2))))
+                    chords.append((s1, s2))
                     mats.append(_fermion_edge(pts, "chi", v, w, s1, s2))
-                total += _chord_parity(chords) * _contract_loop(mats, m)
+                total += crossing_sign(chords, range(2 * m)) * _contract_loop(mats, m)
     return total
 
 

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
-from .kinematics import DegenerateConfiguration, PointConfig
+from .kinematics import DegenerateConfiguration, PointConfig, _rat_sqrt
 
 Pattern = Tuple[Tuple[int, int], ...]
 Evaluator = Callable[[PointConfig], Fraction]
@@ -183,7 +183,7 @@ def twist2_consistency(
     values = []
     for eps in epsilons:
         eps = Fraction(eps)
-        eta = _sqrt_exact(eps)
+        eta = _rat_sqrt(eps)
         if eta is None:
             raise ValueError("epsilons must be squares of rationals")
         moved = list(pts)
@@ -196,14 +196,12 @@ def twist2_consistency(
         values.append((eps, eps**3 * (wt - w1)))
     if all(v == 0 for _, v in values):
         return {"exponent": float("inf"), "passed": True, "values": values}
-    import math as _m
-
     pairs = [(float(e), abs(float(v))) for e, v in values if v != 0]
     if len(pairs) < 2:
         return {"exponent": float("nan"), "passed": False, "values": values}
     slopes = [
-        (_m.log(pairs[i + 1][1]) - _m.log(pairs[i][1]))
-        / (_m.log(pairs[i + 1][0]) - _m.log(pairs[i][0]))
+        (math.log(pairs[i + 1][1]) - math.log(pairs[i][1]))
+        / (math.log(pairs[i + 1][0]) - math.log(pairs[i][0]))
         for i in range(len(pairs) - 1)
     ]
     exponent = slopes[-1]
@@ -213,14 +211,3 @@ def twist2_consistency(
         "values": values,
         "slopes": slopes,
     }
-
-
-def _sqrt_exact(x: Fraction):
-    import math as _m
-
-    if x < 0:
-        return None
-    a, b = _m.isqrt(x.numerator), _m.isqrt(x.denominator)
-    if a * a == x.numerator and b * b == x.denominator:
-        return Fraction(a, b)
-    return None

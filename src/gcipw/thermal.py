@@ -141,11 +141,6 @@ def theta_form_F(order: int) -> QSeries:
     return Fraction(2) * g2.truncate(order) - g2.halfperiod_substitute()
 
 
-def qseries_eval(series: QSeries, tau: complex) -> Tuple[complex, float]:
-    """Numeric value at q = exp(2 pi i tau) with a reported tail bound."""
-    return series.eval(tau)
-
-
 # -- numeric modular checks -------------------------------------------------------
 
 
@@ -305,7 +300,7 @@ def solve_isotropic(u1: Sequence[float], u2: Sequence[float], alpha: float):
 
 
 def _slash_c(z: Sequence[complex], conjugate: bool):
-    """Complex slash matrix (same layout as the exact one)."""
+    """Complex 2x2 slash matrix z4 + z.Q with Q_j = -i sigma_j."""
     z1, z2, z3, z4 = z
     s = -1 if conjugate else 1
     return (

@@ -33,7 +33,7 @@ def _positive_params(rng: random.Random) -> PWParams:
 
 def check_structure_constants(seed: int) -> dict:
     """Criterion 1: solver B's equal the closed forms, exactly."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     params = [PWParams.unit(k) for k in ("a0", "a1", "a2", "b", "c")]
     params += [random_params(rng) for _ in range(20)]
@@ -46,7 +46,7 @@ def check_structure_constants(seed: int) -> dict:
             clo = [partialwave.closed_form_B(kappa, l, p) for l in range(max_ell + 1)]
             if sol != clo:
                 failures.append((i, kappa))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     return {
         "id": "c01_structure_constants",
         "passed": not failures and elapsed < 60,
@@ -57,7 +57,7 @@ def check_structure_constants(seed: int) -> dict:
 
 def check_harmonicity(seed: int) -> dict:
     """Criterion 2: conformal Laplace equation and the palindromic profile."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed + 1)
     problems = []
     for nu in range(3):
@@ -73,7 +73,7 @@ def check_harmonicity(seed: int) -> dict:
             problems.append(("degree", i))
         if {(5 - e[0],): c for e, c in prof.terms.items()} != prof.terms:
             problems.append(("palindrome", i))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     return {
         "id": "c02_harmonicity",
         "passed": not problems and elapsed < 10,
@@ -93,7 +93,7 @@ def _boundary_profile(p: PWParams):
 
 def check_eigenfunction(_seed: int) -> dict:
     """Criterion 3: the weighted symmetrization eigen-relations."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     expected = [(Fraction(1), 2), (Fraction(1), 1), (Fraction(1, 2), 3)]
     ok = True
     detail = []
@@ -102,7 +102,7 @@ def check_eigenfunction(_seed: int) -> dict:
         detail.append((nu, str(lam), sigma))
         if (lam, sigma) != expected[nu]:
             ok = False
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     return {
         "id": "c03_eigenfunction",
         "passed": ok and elapsed < 5,
@@ -113,7 +113,7 @@ def check_eigenfunction(_seed: int) -> dict:
 
 def check_crossing(seed: int) -> dict:
     """Criterion 4: crossing symmetry of the family and the dimension count."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed + 2)
     ok = all(fourpoint.crossing_check(fourpoint.basis_J(nu), 4) for nu in range(3))
     for _ in range(5):
@@ -127,13 +127,13 @@ def check_crossing(seed: int) -> dict:
         "id": "c04_crossing",
         "passed": ok,
         "detail": f"dims(2,4,5)={dims}",
-        "elapsed": time.time() - t0,
+        "elapsed": time.perf_counter() - t0,
     }
 
 
 def check_appendix_oracle(seed: int) -> dict:
     """Criterion 5: the quaternion-trace realization of the j1 channel."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed + 3)
     j1 = fourpoint.basis_j_small(1)
     bad = 0
@@ -152,7 +152,7 @@ def check_appendix_oracle(seed: int) -> dict:
         "id": "c05_appendix_oracle",
         "passed": bad == 0 and sym_ok,
         "detail": f"mismatches={bad}/100, symbolic identities={sym_ok}",
-        "elapsed": time.time() - t0,
+        "elapsed": time.perf_counter() - t0,
     }
 
 
@@ -170,7 +170,7 @@ def _w_sixpoint_braces(c) -> Fraction:
 
 def check_sixpoint_oracle(seed: int) -> dict:
     """Criterion 6: elementary contributions and the Wick pairing structure."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed + 4)
     bad = 0
     for _ in range(25):
@@ -207,13 +207,13 @@ def check_sixpoint_oracle(seed: int) -> dict:
             f"braces mismatches={bad}/25, c2={c2}, c3={c3}, c4={c4}, "
             f"symbolic(n=2,3)=({sym2},{sym3}), numeric n=4: {num_ok}/10"
         ),
-        "elapsed": time.time() - t0,
+        "elapsed": time.perf_counter() - t0,
     }
 
 
 def check_combinatorics(_seed: int) -> dict:
     """Criterion 7: pairing and orbit counting."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = all(
         len(symmetrize.enumerate_patterns(n)) == symmetrize.double_factorial_odd(n)
         for n in range(1, 7)
@@ -226,13 +226,13 @@ def check_combinatorics(_seed: int) -> dict:
         "id": "c07_combinatorics",
         "passed": ok,
         "detail": f"orbits={orbit_sizes}, n=3 elementary contributions={n3}",
-        "elapsed": time.time() - t0,
+        "elapsed": time.perf_counter() - t0,
     }
 
 
 def check_symmetrizability(seed: int) -> dict:
     """Criterion 8: fitted lambdas and the n = 3 ratio constancy."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed + 5)
     configs = [kinematics.random_config(rng, 4) for _ in range(6)]
 
@@ -266,13 +266,13 @@ def check_symmetrizability(seed: int) -> dict:
         "id": "c08_symmetrizability",
         "passed": lam_ok and ratio_ok,
         "detail": f"lambda2=({lam0},{lam1},{lam2}), n=3 weyl ratio={lam3}",
-        "elapsed": time.time() - t0,
+        "elapsed": time.perf_counter() - t0,
     }
 
 
 def check_thermal_series(_seed: int) -> dict:
     """Criterion 9: energy mean values as exact q-series."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     e4 = thermal.energy_mean_scalar(4, 100)
     if e4 != thermal.eisenstein_G(2, 100) or e4[0] != Fraction(1, 240):
@@ -295,7 +295,7 @@ def check_thermal_series(_seed: int) -> dict:
     printed = thermal.weyl_modular_combination(50, as_printed=True)
     if printed != -combo or printed[0] != Fraction(-17, 960):
         problems.append("printed-form sign-flip documentation")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     return {
         "id": "c09_thermal_series",
         "passed": not problems and elapsed < 30,
@@ -310,13 +310,13 @@ def check_thermal_series(_seed: int) -> dict:
 
 def check_modular_numerics(_seed: int) -> dict:
     """Criterion 10: weight-4 law, weight-2 anomaly, theta-group form."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     r1 = thermal.modular_check_G(2, 1.1j, 200)
     r2 = thermal.modular_check_G(2, 0.3 + 1.2j, 200)
     r3 = thermal.g2_anomaly_check(1.3j, 300)
     r4 = thermal.theta_form_checks(1.3j, 300)["S"]
     passed = r1 < 1e-10 and r2 < 1e-10 and r3 < 1e-10 and r4 < 1e-8
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     return {
         "id": "c10_modular_numerics",
         "passed": passed and elapsed < 10,
@@ -328,7 +328,7 @@ def check_modular_numerics(_seed: int) -> dict:
 
 def check_gibbs(_seed: int) -> dict:
     """Criterion 11: Gibbs two-point representations and KMS residuals."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     za, aa, ta = 0.13, 0.37, 1.5j
     rep_diff = abs(
         thermal.gibbs_scalar_2pt(za, aa, ta, 60) - thermal.gibbs_scalar_modes(za, aa, ta, 60)
@@ -356,13 +356,13 @@ def check_gibbs(_seed: int) -> dict:
         "detail": f"p1-vs-modes={rep_diff:.2e}, scalar KMS residual={kms['residual']:.2e} "
         f"(bound {kms['edge_bound']:.2e}), weyl antiperiodicity={anti:.2e}, "
         f"weyl vacuum match={vac:.2e}",
-        "elapsed": time.time() - t0,
+        "elapsed": time.perf_counter() - t0,
     }
 
 
 def check_kernel(_seed: int) -> dict:
     """Criterion 12: kernel Taylor coefficients against quadrature."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for kappa, ell in ((1, 0), (1, 1), (2, 0)):
         for m in range(4):
@@ -374,13 +374,13 @@ def check_kernel(_seed: int) -> dict:
         "id": "c12_kernel",
         "passed": worst < 1e-12,
         "detail": f"worst |exact - quadrature| = {worst:.2e}",
-        "elapsed": time.time() - t0,
+        "elapsed": time.perf_counter() - t0,
     }
 
 
 def check_positivity(seed: int) -> dict:
     """Criterion 13: the admissibility box and the positivity of the scans."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     # boundary flips along b at a1 = 1, a2 = 0, a0 = c = 0
     for b, expect in [
@@ -407,7 +407,7 @@ def check_positivity(seed: int) -> dict:
         "id": "c13_positivity",
         "passed": not problems,
         "detail": f"problems={problems}",
-        "elapsed": time.time() - t0,
+        "elapsed": time.perf_counter() - t0,
     }
 
 

@@ -151,6 +151,24 @@ class TestThermal:
         assert code == 2
 
 
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["thermal", "energy", "--order", "0"],
+            ["oracle", "--count", "-3"],
+            ["decompose", "--max-twist", "0"],
+            ["decompose", "--max-spin", "-1"],
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, args, capsys):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
+
 class TestConfigAndOutput:
     def test_json_config(self, tmp_path, capsys):
         cfg = {

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcipw.exact import (
-    GaussRat,
     MPoly,
     PSeries,
     QSeries,
@@ -50,22 +49,6 @@ class TestRationals:
         x = F(6, -4)
         assert x.denominator > 0
         assert x == F(-3, 2)
-
-
-class TestGaussRat:
-    def test_i_squared(self):
-        i = GaussRat(0, 1)
-        assert i * i == GaussRat(-1, 0)
-
-    @given(rationals, rationals, rationals, rationals)
-    def test_conjugation_automorphism(self, a, b, c, d):
-        x, y = GaussRat(a, b), GaussRat(c, d)
-        assert (x * y).conj() == x.conj() * y.conj()
-        assert x.conj().conj() == x
-
-    def test_as_fraction_rejects_nonreal(self):
-        with pytest.raises(ValueError):
-            GaussRat(1, 2).as_fraction()
 
 
 class TestMPoly:

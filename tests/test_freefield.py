@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gcipw.exact import GaussRat
+from gcipw.exact import Quaternion, chain_trace
 from gcipw.fourpoint import basis_J, basis_j_small, truncated_4pt_value
 from gcipw.freefield import (
     anticommutation_symbolic,
@@ -20,9 +20,6 @@ from gcipw.freefield import (
     l0_truncated_npoint,
     l1_truncated_npoint,
     links_of,
-    mat_add,
-    mat_chain,
-    mat_trace,
     orbit_enumerate,
     rho_point,
     rho_symbolic,
@@ -50,20 +47,47 @@ E3 = (F(0), F(0), F(1), F(0))
 E4 = (F(0), F(0), F(0), F(1))
 
 
+def paper_slash(z, conjugate=False):
+    """The paper's slash(z) = z4 + z.Q, Q_j = -i sigma_j, as a 2x2 matrix of
+    exact Gaussian integers (re, im)."""
+    z1, z2, z3, z4 = z
+    s = -1 if conjugate else 1
+    return (
+        ((z4, -s * z3), (-s * z2, -s * z1)),
+        ((s * z2, -s * z1), (z4, s * z3)),
+    )
+
+
+def as_matrix(q):
+    return paper_slash((q.b, q.c, q.d, q.a))
+
+
+def gauss_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def gauss_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def matrix_product(m, n):
+    return tuple(
+        tuple(gauss_add(gauss_mul(m[i][0], n[0][j]), gauss_mul(m[i][1], n[1][j])) for j in range(2))
+        for i in range(2)
+    )
+
+
 class TestSlash:
     def test_e4_is_identity(self):
-        m = slash(E4)
-        assert m[0][0] == 1 and m[1][1] == 1 and m[0][1] == 0 and m[1][0] == 0
+        assert slash(E4) == Quaternion(1, 0, 0, 0)
 
     def test_e3_is_minus_i_sigma3(self):
-        m = slash(E3)
-        assert m[0][0] == GaussRat(0, -1) and m[1][1] == GaussRat(0, 1)
-        assert m[0][1] == 0 and m[1][0] == 0
+        assert paper_slash(E3) == (((0, -1), (0, 0)), ((0, 0), (0, 1)))
+        assert as_matrix(slash(E3)) == paper_slash(E3)
 
     def test_anticommutation_unit(self):
         zs, zc = slash(E1), slash(E1, True)
-        total = mat_add(mat_chain([zs, zc]), mat_chain([zs, zc]))
-        assert total[0][0] == 2 and total[1][1] == 2
+        assert zs * zc + zs * zc == Quaternion(2, 0, 0, 0)
 
     def test_anticommutation_symbolic(self):
         assert anticommutation_symbolic()
@@ -73,9 +97,26 @@ class TestSlash:
         z = tuple(F(rng.randint(-5, 5)) for _ in range(4))
         w = tuple(F(rng.randint(-5, 5)) for _ in range(4))
         zw = tuple(a + b for a, b in zip(z, w))
-        lhs = slash(zw)
-        rhs = mat_add(slash(z), slash(w))
-        assert lhs == rhs
+        assert slash(zw) == slash(z) + slash(w)
+
+    def test_realizes_the_2x2_slash_matrices(self):
+        # product, trace and transpose of the paper's matrices map to the
+        # Hamilton product, 2 Re and the j-flip
+        rng = random.Random(18)
+        vecs = [E1, E2, E3, E4] + [
+            tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(12)
+        ]
+        for z in vecs:
+            for conjugate in (False, True):
+                q = slash(z, conjugate)
+                assert as_matrix(q) == paper_slash(z, conjugate)
+                assert as_matrix(q.transpose()) == tuple(zip(*as_matrix(q)))
+            for w in vecs:
+                p, q = slash(z), slash(w, True)
+                pq = matrix_product(as_matrix(p), as_matrix(q))
+                assert as_matrix(p * q) == pq
+                assert gauss_add(pq[0][0], pq[1][1]) == (2 * (p * q).a, 0)
+                assert chain_trace([p, q]) == 2 * (p * q).a
 
 
 class TestDet4:
@@ -115,11 +156,9 @@ class TestTrace4:
         z23 = vsub(pts[1], pts[2])
         z34 = vsub(pts[2], pts[3])
         z14 = vsub(pts[0], pts[3])
-        m = mat_add(
-            mat_chain([slash(z12), slash(z23, True), slash(z34), slash(z14, True)]),
-            mat_chain([slash(z12), slash(z14, True), slash(z34), slash(z23, True)]),
-        )
-        lhs = mat_trace(m).as_fraction()
+        lhs = chain_trace(
+            [slash(z12), slash(z23, True), slash(z34), slash(z14, True)]
+        ) + chain_trace([slash(z12), slash(z14, True), slash(z34), slash(z23, True)])
         rhs = 4 * (
             dot4(z12, z23) * dot4(z34, z14)
             - dot4(z12, z34) * dot4(z14, z23)

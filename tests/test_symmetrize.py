@@ -91,10 +91,10 @@ class TestW1:
             n = len(c) // 2
             if n == 2:
                 return v1_scalar_connected(c)
-            from gcipw.freefield import _block_partitions
+            from gcipw.symmetrize import _all_partitions_min2
 
             total = F(0)
-            for partition in _block_partitions(list(range(n))):
+            for partition in _all_partitions_min2(list(range(n))):
                 if any(len(part) != 2 for part in partition):
                     continue
                 prod = F(1)
