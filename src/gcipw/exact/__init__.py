@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: rationals, polynomials, rational functions,
-truncated power series, half-integer q-series and quaternions.
+truncated power series (univariate, and bivariate held by v-slices),
+half-integer q-series and quaternions.
 
 Plain `fractions.Fraction` is the rational scalar type throughout.
 """
@@ -10,13 +11,7 @@ from .mpoly import MPoly, divide_exact
 from .qseries import QSeries, geometric_block
 from .quaternion import Quaternion, chain_trace
 from .ratfn import RatFn
-from .series import (
-    PSeries,
-    Series2,
-    series2_div_antisym,
-    series2_div_unit,
-    series2_outer,
-)
+from .series import PSeries, Series2, div_u_minus_v, unit_power
 
 __all__ = [
     "Rat",
@@ -25,9 +20,8 @@ __all__ = [
     "RatFn",
     "PSeries",
     "Series2",
-    "series2_div_antisym",
-    "series2_div_unit",
-    "series2_outer",
+    "div_u_minus_v",
+    "unit_power",
     "QSeries",
     "geometric_block",
     "Quaternion",

@@ -1,18 +1,37 @@
 """Chiral-variable bridge: s = u*v, t = (1-u)(1-v).
 
-symmetric_reduce rewrites a symmetric polynomial in (u, v) through the
-elementary symmetric functions e1 = u+v, e2 = uv; expand_to_chiral turns
-a rational function of the cross-ratios (s, t) into a truncated (u, v)
-series about the origin.
+chiral_slices expands a polynomial in s and t^(+-1) as a v-graded series
+in (u, v) about the origin; symmetric_reduce rewrites a symmetric
+polynomial in (u, v) through the elementary symmetric functions
+e1 = u+v, e2 = uv.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Dict, Tuple
 
 from .mpoly import MPoly
-from .ratfn import RatFn
-from .series import Series2, series2_div_unit
+from .series import PSeries, Series2, unit_power
+
+
+def chiral_slices(terms: Dict[Tuple[int, int], Fraction], order: int, depth: int) -> Series2:
+    """Expand sum c s^a t^b, given as {(a, b): c}, in the chiral variables.
+
+    s^a t^b = [u^a (1-u)^b] [v^a (1-v)^b] for any integer b, so a term adds
+    c u^a (1-u)^b, times the v^j coefficient of v^a (1-v)^b, to slice j.
+    The first `depth` v-slices are kept, slice j to u-degree order - j.
+    """
+    slices = [PSeries([Fraction(0)] * (order - j + 1)) for j in range(depth)]
+    for (a, b), c in terms.items():
+        if a < 0:
+            raise ZeroDivisionError("a negative power of s has a pole at the chiral origin")
+        w = unit_power(b, order)
+        row = (c * w).shift(a)
+        for j in range(a, depth):
+            if w[j - a]:
+                slices[j] = slices[j] + w[j - a] * row
+    return Series2(slices)
 
 
 def is_symmetric_uv(p: MPoly) -> bool:
@@ -41,45 +60,3 @@ def symmetric_reduce(p: MPoly) -> MPoly:
         out = out + MPoly(2, {(a - b, b): c})
         work = work - c * e1uv ** (a - b) * e2uv**b
     return out
-
-
-def back_substitute(p_e: MPoly) -> MPoly:
-    """Inverse of symmetric_reduce: substitute e1 = u+v, e2 = uv."""
-    u, v = MPoly.variables(2)
-    return p_e.subs_poly([u + v, u * v])
-
-
-ST_IMAGES = None
-
-
-def _st_images() -> tuple[MPoly, MPoly]:
-    global ST_IMAGES
-    if ST_IMAGES is None:
-        u, v = MPoly.variables(2)
-        one = MPoly.const(2, 1)
-        ST_IMAGES = (u * v, (one - u) * (one - v))
-    return ST_IMAGES
-
-
-def expand_to_chiral(f: RatFn, order: int) -> Series2:
-    """Expand f(s, t) as a series in (u, v) about u = v = 0.
-
-    The denominator must be a unit at the origin after the substitution
-    (t -> 1 there, so any denominator of the form t^k qualifies).
-    """
-    if f.arity != 2:
-        raise ValueError("expand_to_chiral needs a function of (s, t)")
-    s_img, t_img = _st_images()
-    num_uv = f.num.subs_poly([s_img, t_img])
-    den_uv = f.den.subs_poly([s_img, t_img])
-    if den_uv.constant_term() == 0:
-        raise ZeroDivisionError("denominator vanishes at the chiral origin")
-    num_s = Series2.from_poly(num_uv, order)
-    den_s = Series2.from_poly(den_uv, order)
-    return series2_div_unit(num_s, den_s)
-
-
-def poly_to_chiral(p: MPoly, order: int) -> Series2:
-    """Expand a polynomial in (s, t) exactly (then truncate) in (u, v)."""
-    s_img, t_img = _st_images()
-    return Series2.from_poly(p.subs_poly([s_img, t_img]), order)

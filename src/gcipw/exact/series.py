@@ -1,16 +1,18 @@
-"""Truncated power series: univariate (PSeries) and bivariate (Series2).
+"""Truncated power series: univariate (PSeries) and v-graded bivariate
+(Series2).
 
-Series2 uses total-degree truncation: coefficients are stored for
-exponent pairs (i, j) with i + j <= order, and products are truncated
-back to the same total order.  All coefficients are exact Fractions.
+A Series2 holds a series in (u, v) by its first v-slices, each a PSeries
+in u of its own length.  The partial-wave layer keeps slice j to u-degree
+order - j, the entries a total-degree truncation at `order` keeps, and
+only as many slices as the twist recursion reads.  All coefficients are
+exact Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
-
-from .mpoly import MPoly
 
 
 class PSeries:
@@ -77,193 +79,56 @@ class PSeries:
         return f"PSeries({self.coeffs!r})"
 
 
+def unit_power(m: int, order: int) -> PSeries:
+    """(1 - x)^m to the given order, for any integer m."""
+    if m >= 0:
+        return PSeries([Fraction((-1) ** a * math.comb(m, a)) for a in range(order + 1)])
+    return PSeries([Fraction(math.comb(a - m - 1, a)) for a in range(order + 1)])
+
+
 Key = Tuple[int, int]
 
 
 class Series2:
-    """Bivariate series in (u, v), truncated at total degree `order`."""
+    """Bivariate series in (u, v) held by its first v-slices: slices[j] is
+    the coefficient of v^j, a PSeries in u."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("slices",)
 
-    def __init__(self, order: int, coeffs: Dict[Key, Fraction] | None = None):
-        self.order = order
-        self.coeffs: Dict[Key, Fraction] = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                if i < 0 or j < 0:
-                    raise ValueError("negative exponent")
-                if i + j <= order and c:
-                    self.coeffs[(i, j)] = Fraction(c)
-
-    @classmethod
-    def zero(cls, order: int) -> "Series2":
-        return cls(order)
-
-    @classmethod
-    def const(cls, order: int, c) -> "Series2":
-        return cls(order, {(0, 0): Fraction(c)})
-
-    @classmethod
-    def from_poly(cls, p: MPoly, order: int) -> "Series2":
-        """Truncate a 2-variable polynomial to a Series2."""
-        if p.arity != 2:
-            raise ValueError("from_poly needs a bivariate polynomial")
-        return cls(order, {e: c for e, c in p.terms.items() if sum(e) <= order})
+    def __init__(self, slices: List[PSeries]):
+        self.slices = list(slices)
 
     def __getitem__(self, key: Key) -> Fraction:
-        return self.coeffs.get(key, Fraction(0))
+        i, j = key
+        return self.slices[j][i] if 0 <= j < len(self.slices) else Fraction(0)
 
-    def truncate(self, order: int) -> "Series2":
-        return Series2(order, {e: c for e, c in self.coeffs.items() if sum(e) <= order})
-
-    def _merge(self, other: "Series2", sign: int) -> "Series2":
-        order = min(self.order, other.order)
-        coeffs = {e: c for e, c in self.coeffs.items() if sum(e) <= order}
-        for e, c in other.coeffs.items():
-            if sum(e) > order:
-                continue
-            s = coeffs.get(e, Fraction(0)) + sign * c
-            if s:
-                coeffs[e] = s
-            else:
-                coeffs.pop(e, None)
-        return Series2(order, coeffs)
-
-    def __add__(self, other: "Series2") -> "Series2":
-        return self._merge(other, 1)
-
-    def __sub__(self, other: "Series2") -> "Series2":
-        return self._merge(other, -1)
-
-    def __neg__(self) -> "Series2":
-        return Series2(self.order, {e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, Series2):
-            return Series2(
-                self.order, {e: c * other for e, c in self.coeffs.items()}
-            )
-        order = min(self.order, other.order)
-        out: Dict[Key, Fraction] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            if i1 + j1 > order:
-                continue
-            for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > order:
-                    continue
-                key = (i, j)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Series2(order, out)
-
-    __rmul__ = __mul__
-
-    def shift(self, a: int, b: int) -> "Series2":
-        """Multiply by u^a v^b; the valid order grows by a + b."""
-        return Series2(
-            self.order + a + b,
-            {(i + a, j + b): c for (i, j), c in self.coeffs.items()},
-        )
+    @property
+    def coeffs(self) -> Dict[Key, Fraction]:
+        """The nonzero coefficients, {(i, j): coefficient of u^i v^j}."""
+        return {
+            (i, j): c
+            for j, sl in enumerate(self.slices)
+            for i, c in enumerate(sl.coeffs)
+            if c
+        }
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, Series2):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return self.truncate(order).coeffs == other.truncate(order).coeffs
-
-    def __hash__(self):
-        raise TypeError("Series2 is unhashable")
-
-    def v_slice(self, j: int) -> PSeries:
-        """Coefficient of v^j as a series in u (valid to degree order - j)."""
-        n = self.order - j
-        out = [Fraction(0)] * (n + 1)
-        for (a, b), c in self.coeffs.items():
-            if b == j and a <= n:
-                out[a] = c
-        return PSeries(out)
-
-    def swap(self) -> "Series2":
-        """Exchange u and v."""
-        return Series2(self.order, {(j, i): c for (i, j), c in self.coeffs.items()})
+        return all(sl.is_zero() for sl in self.slices)
 
     def __repr__(self):
-        items = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        return f"Series2(order={self.order}, {dict(items)!r})"
+        return f"Series2({self.slices!r})"
 
 
-def series2_div_unit(num: Series2, den: Series2) -> Series2:
-    """Divide by a series with nonzero constant term, order by order."""
-    d0 = den[(0, 0)]
-    if d0 == 0:
-        raise ZeroDivisionError("series division by non-unit (zero constant term)")
-    order = min(num.order, den.order)
-    out: Dict[Key, Fraction] = {}
-    # solve num = out * den for out, by increasing total degree then lex
-    for deg in range(order + 1):
-        for i in range(deg, -1, -1):
-            j = deg - i
-            acc = num[(i, j)]
-            for (a, b), c in out.items():
-                da, db = i - a, j - b
-                if da >= 0 and db >= 0 and (da, db) != (0, 0):
-                    dc = den[(da, db)]
-                    if dc:
-                        acc -= c * dc
-            if acc:
-                out[(i, j)] = acc / d0
-    return Series2(order, out)
+def div_u_minus_v(num: Series2) -> Series2:
+    """The exact quotient of a v-graded series by (u - v).
 
-
-def series2_outer(fu: PSeries, gv: PSeries, order: int) -> "Series2":
-    """The product f(u) * g(v) as a Series2."""
-    coeffs: Dict[Key, Fraction] = {}
-    for i, a in enumerate(fu.coeffs):
-        if not a or i > order:
-            continue
-        for j, b in enumerate(gv.coeffs):
-            if j > order - i:
-                break
-            if b:
-                coeffs[(i, j)] = a * b
-    return Series2(order, coeffs)
-
-
-def series2_div_antisym(f: Series2) -> Series2:
-    """Exact division of an antisymmetric series by (u - v).
-
-    The input must satisfy f(u, v) = -f(v, u) on all stored coefficients;
-    the result g satisfies (u - v) * g = f through the input's order and
-    is returned with order reduced by one.
-
-    Raises ValueError if f is not antisymmetric or the division leaves a
-    residue (which signals a malformed partial-wave numerator).
+    (u - v) f = num reads f_j = (num_j + f_{j-1}) / u slice by slice, so
+    quotient slice j is one u-degree shorter than slice j of num.  Each
+    division by u must leave no remainder (PSeries.shift raises ValueError
+    otherwise), which makes (u - v) f = num hold exactly on every retained
+    slice.
     """
-    for (i, j), c in f.coeffs.items():
-        if f[(j, i)] != -c:
-            raise ValueError("input is not antisymmetric under u <-> v")
-    order = f.order - 1
-    g: Dict[Key, Fraction] = {}
-
-    def gval(i: int, j: int) -> Fraction:
-        return g.get((i, j), Fraction(0))
-
-    # from f[a][b] = g[a-1][b] - g[a][b-1]: fill columns in increasing v-degree
-    for b in range(order + 1):
-        for a in range(order - b, -1, -1):
-            val = f[(a + 1, b)] + (gval(a + 1, b - 1) if b else Fraction(0))
-            if val:
-                g[(a, b)] = val
-    result = Series2(order, g)
-    umv = Series2(f.order, {(1, 0): Fraction(1), (0, 1): Fraction(-1)})
-    check = umv * Series2(f.order, dict(result.coeffs))
-    if check != f:
-        raise ValueError("division by (u - v) left a residue")
-    return result
+    out: List[PSeries] = []
+    for nj in num.slices:
+        out.append((nj + out[-1] if out else nj).shift(-1))
+    return Series2(out)

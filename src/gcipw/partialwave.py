@@ -1,10 +1,18 @@
 """Conformal partial-wave machinery for the d=4 family.
 
-The expansion  t^-3 P4(s,t) + B^2 s^4 (1 + t^-4) = sum_k s^(k-1) f_k(s,t)
-is driven in the chiral variables (u, v); each twist sector contributes
-through a one-variable profile g_k(u) = u f_k(0, 1-u) whose coefficients
-carry the structure constants, with the universal hypergeometric kernels
-F(2l+k, 2l+k; 4l+2k; u).
+The expansion  t^-3 P4(s,t) + B^2 s^3 (1 + t^-4) = sum_k s^(k-1) f_k(s,t)
+is driven in the chiral variables (u, v), held by its first max_twist
+v-slices; each twist sector contributes through a one-variable profile
+g_k(u) = u f_k(0, 1-u) whose coefficients carry the structure constants,
+with the universal hypergeometric kernels F(2l+k, 2l+k; 4l+2k; u).
+
+The 2-point tail is derived, not read off a displayed formula: with the
+normalization of fourpoint.truncated_4pt_value, (rho12 rho34)^4 times the
+full 4-point function is B^2 (1 + s^4 + s^4 t^-4) + s t^-3 P4, and the
+common factor s leaves B^2 s^3 (1 + t^-4).  The tail therefore enters at
+kappa = 4 (twist 8, the double-trace twist of the dimension-4 field),
+where the structure constants are the generalized-free-field ones,
+2 (4)_L^2 / (L! (L+7)_L) at even spin L.
 """
 
 from __future__ import annotations
@@ -14,16 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .exact import (
-    MPoly,
-    PSeries,
-    RatFn,
-    Series2,
-    divide_exact,
-    series2_div_antisym,
-    series2_outer,
-)
-from .exact.chiral import poly_to_chiral, symmetric_reduce
+from .exact import MPoly, PSeries, RatFn, Series2, div_u_minus_v, divide_exact
+from .exact.chiral import chiral_slices, symmetric_reduce
 from .fourpoint import PWParams, assemble_P4
 
 
@@ -64,26 +64,22 @@ def hypergeom_series(a: int, b: int, c: int, order: int) -> PSeries:
     return PSeries(coeffs[: order + 1])
 
 
-def inv_unit_power(k: int, order: int) -> PSeries:
-    """(1 - x)^(-k) = sum C(a+k-1, k-1) x^a."""
-    return PSeries([Fraction(math.comb(a + k - 1, k - 1)) for a in range(order + 1)])
-
-
-def lhs_series(p: PWParams, order: int) -> Series2:
-    """t^-3 P4 + B^2 s^4 (1 + t^-4) expanded in the chiral variables."""
-    p4_uv = poly_to_chiral(assemble_P4(p), order)
-    inv3 = inv_unit_power(3, order)
-    out = p4_uv * series2_outer(inv3, inv3, order)
+def lhs_series(p: PWParams, order: int, depth: int) -> Series2:
+    """t^-3 P4 + B^2 s^3 (1 + t^-4) in the chiral variables, by its first
+    `depth` v-slices (slice j to u-degree order - j)."""
+    terms = {(a, b - 3): c for (a, b), c in assemble_P4(p).terms.items()}
     if p.B:
-        inv4 = inv_unit_power(4, order)
-        tail = series2_outer(inv4, inv4, order) + Series2.const(order, 1)
-        out = out + (p.B * p.B) * tail.shift(4, 4)
-    return out
+        for key in ((3, 0), (3, -4)):
+            terms[key] = terms.get(key, 0) + p.B * p.B
+    return chiral_slices(terms, order, depth)
 
 
 @dataclass
 class TwistTower:
-    """Per-twist profiles extracted from a 4-point parameter set."""
+    """Per-twist profiles extracted from a 4-point parameter set.
+
+    f[k] keeps the v-slices j <= max_twist - k, the ones later steps read.
+    """
 
     params: PWParams
     order: int
@@ -98,39 +94,45 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
 
     The remainder after removing the first k-1 sectors must vanish below
     v^(k-1); its v^(k-1) slice, divided by u^(k-1), is the boundary value
-    f_k(0, 1-u), from which the full f_k is rebuilt hypergeometrically.
+    f_k(0, 1-u).  The retained slices of f_k follow from
+    (u - v) f_k = g_k(u) F(v) - F(u) g_k(v), F = F(k-1, k-1; 2k-2; x).
     """
     if order < 2 * max_twist + 4:
         raise ValueError("series order too small for the requested twist depth")
     tower = TwistTower(p, order, max_twist)
-    remainder = lhs_series(p, order)
+    remainder = lhs_series(p, order, max_twist).slices
     for k in range(1, max_twist + 1):
         for j in range(k - 1):
-            if not remainder.v_slice(j).is_zero():
+            if not remainder[j].is_zero():
                 raise InconsistentExpansion(
                     f"remainder has a nonzero v^{j} slice at twist step {k}"
                 )
-        sl = remainder.v_slice(k - 1)
         try:
-            phi = sl.shift(-(k - 1))
+            phi = remainder[k - 1].shift(-(k - 1))
         except ValueError as err:
             raise InconsistentExpansion(
                 f"v^{k - 1} slice not divisible by u^{k - 1}"
             ) from err
-        g_k = phi.shift(1)
         work = order - 2 * k + 3
-        g_k = g_k.truncate(work)
-        f_series = hypergeom_series(k - 1, k - 1, 2 * k - 2, work)
-        numerator = series2_outer(g_k, f_series, work) - series2_outer(
-            f_series, g_k, work
-        )
-        f_k = series2_div_antisym(numerator)
+        g_k = phi.shift(1).truncate(work)
         if g_k[0] != 0:
             raise InconsistentExpansion(f"g_{k}(0) != 0")
+        f_series = hypergeom_series(k - 1, k - 1, 2 * k - 2, work)
+        numerator = Series2(
+            [
+                (g_k * f_series[i] - f_series * g_k[i]).truncate(work - i)
+                for i in range(max_twist - k + 1)
+            ]
+        )
+        try:
+            f_k = div_u_minus_v(numerator)
+        except ValueError as err:
+            raise InconsistentExpansion(f"(u - v) does not divide the f_{k} numerator") from err
         tower.g[k] = g_k
         tower.boundary[k] = phi
         tower.f[k] = f_k
-        remainder = remainder - f_k.shift(k - 1, k - 1)
+        for j, sl in enumerate(f_k.slices):
+            remainder[j + k - 1] = remainder[j + k - 1] - sl.shift(k - 1)
     return tower
 
 

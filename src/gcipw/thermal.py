@@ -20,6 +20,11 @@ pin the correction down kept in the test suite:
   normalizations p1^{11}/pi and p2^{11}/pi^2 (the printed form underweights
   the p1 terms by pi relative to p2), fixed by requiring the q -> 0 limit
   to reproduce the vacuum two-point function.
+
+A third correction is derived rather than read off a display, and lives in
+the partial-wave layer: the disconnected 2-point tail of the twist
+expansion is B^2 s^3 (1 + t^-4), entering at twist 8, pinned by a
+generalized-free-field oracle test (see the partialwave module docstring).
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence, Tuple
@@ -246,14 +250,6 @@ def elliptic_p2_11(zeta: complex, tau: complex, window: int) -> complex:
     return total
 
 
-def elliptic_p_k11(k: int, zeta: complex, tau: complex, window: int) -> complex:
-    if k == 1:
-        return elliptic_p1_11(zeta, tau, window)
-    if k == 2:
-        return elliptic_p2_11(zeta, tau, window)
-    raise ValueError("only k = 1, 2 are provided")
-
-
 # -- Gibbs two-point functions ---------------------------------------------------------
 
 
@@ -353,38 +349,6 @@ def gibbs_weyl_2pt(
 
 
 # -- KMS translate-sum checks ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TauPoint:
-    """A modular parameter with Im tau > 0 (and a working precision hint)."""
-
-    tau: complex
-    precision: int = 53
-
-    def __post_init__(self):
-        if complex(self.tau).imag <= 0:
-            raise ValueError("need Im tau > 0")
-
-    @property
-    def q(self) -> complex:
-        return cmath.exp(2j * math.pi * complex(self.tau))
-
-
-@dataclass(frozen=True)
-class ThermalModel:
-    """A free-field thermal model: scalar in even D, or the 4d Weyl field."""
-
-    kind: str  # "scalar" or "weyl4"
-    D: int = 4
-    vacuum_constant: Fraction | None = None
-
-    def energy_series(self, order: int) -> QSeries:
-        if self.kind == "scalar":
-            return energy_mean_scalar(self.D, order, self.vacuum_constant)
-        if self.kind == "weyl4":
-            return energy_mean_weyl(2 * order)
-        raise ValueError(f"unknown model kind {self.kind!r}")
 
 
 def kms_translate_sum_check(

@@ -54,6 +54,14 @@ class TestDecompose:
         assert rows[("2", "0")] == "1/1"
 
 
+    def test_B_above_twist_eight(self, capsys):
+        # the B^2 tail enters at kappa = 4 and decomposes at every higher twist
+        code, out = run(["decompose", "--B", "1", "--max-twist", "5", "--max-spin", "2"], capsys)
+        assert code == 0
+        rows = {(r[0], r[1]): r[2] for r in list(csv.reader(out.strip().splitlines()))[1:]}
+        assert rows[("4", "0")] == "2/1" and rows[("1", "0")] == "0/1"
+
+
 class TestPositivity:
     def test_boundary_flips(self, capsys):
         code, out = run(
@@ -159,6 +167,7 @@ class TestBoundary:
             ["oracle", "--count", "-3"],
             ["decompose", "--max-twist", "0"],
             ["decompose", "--max-spin", "-1"],
+            ["positivity", "--max-spin", "-1", "--steps", "1"],
         ],
     )
     def test_out_of_range_is_a_usage_error(self, args, capsys):
@@ -167,6 +176,28 @@ class TestBoundary:
         assert code == 2
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+
+class TestVerifyAll:
+    @pytest.fixture
+    def numeric_checks(self, monkeypatch):
+        from gcipw import verify
+
+        ids = ("c10_modular_numerics", "c11_gibbs", "c12_kernel")
+        monkeypatch.setattr(verify, "CHECKS", {k: verify.CHECKS[k] for k in ids})
+
+    def test_numeric_override_judges_residuals(self, numeric_checks, tmp_path, capsys):
+        # every residual of c10-c12 is far below 1e-14; c11's KMS bound
+        # (1e-13) is not a residual and must not be judged
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps({"tolerances": {"numeric": 1e-14}}))
+        code, out = run(["verify-all", "--config", str(path)], capsys)
+        assert code == 0, out
+        assert out.count(": PASS") == 3
+        path.write_text(json.dumps({"tolerances": {"numeric": 1e-20}}))
+        code, out = run(["verify-all", "--config", str(path)], capsys)
+        assert code == 1
+        assert "c11_gibbs: FAIL" in out and "tolerance override" in out
 
 
 class TestConfigAndOutput:

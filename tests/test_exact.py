@@ -1,5 +1,5 @@
 """Exact-arithmetic substrate tests: ring/field axioms, normalized
-rational functions, truncated series, chiral expansion and q-series."""
+rational functions, v-graded series, chiral expansion and q-series."""
 
 from fractions import Fraction as F
 
@@ -12,17 +12,11 @@ from gcipw.exact import (
     QSeries,
     RatFn,
     Series2,
+    div_u_minus_v,
     divide_exact,
     geometric_block,
-    series2_div_antisym,
-    series2_div_unit,
 )
-from gcipw.exact.chiral import (
-    back_substitute,
-    expand_to_chiral,
-    poly_to_chiral,
-    symmetric_reduce,
-)
+from gcipw.exact.chiral import chiral_slices, symmetric_reduce
 
 rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 9))
 
@@ -104,46 +98,37 @@ class TestRatFn:
             assert (f / g) * g == f
 
 
+def graded(p, order, depth):
+    """The first `depth` v-slices of a polynomial, slice j to u-degree order - j."""
+    return Series2(
+        [PSeries([p.coeff((i, j)) for i in range(order - j + 1)]) for j in range(depth)]
+    )
+
+
 class TestSeries2:
     def test_div_antisym_difference_of_squares(self):
         u, v = MPoly.variables(2)
-        g = series2_div_antisym(Series2.from_poly(u**2 - v**2, 6))
-        assert g == Series2.from_poly(u + v, 5)
+        g = div_u_minus_v(graded(u**2 - v**2, 6, 4))
+        assert g.coeffs == (u + v).terms
+        assert [len(sl.coeffs) for sl in g.slices] == [6, 5, 4, 3]
 
     def test_div_antisym_linear(self):
         u, v = MPoly.variables(2)
-        g = series2_div_antisym(Series2.from_poly(u - v, 6))
-        assert g == Series2.const(5, 1)
+        g = div_u_minus_v(graded(u - v, 6, 7))
+        assert g.coeffs == {(0, 0): 1}
 
     def test_div_antisym_cubic(self):
         # direct long division oracle: (u^3 v - u v^3)/(u - v) = uv(u + v)
         u, v = MPoly.variables(2)
         oracle = divide_exact(u**3 * v - u * v**3, u - v, 0)
         assert oracle == u * v * (u + v)
-        g = series2_div_antisym(Series2.from_poly(u**3 * v - u * v**3, 8))
-        assert g == Series2.from_poly(oracle, 7)
+        g = div_u_minus_v(graded(u**3 * v - u * v**3, 8, 5))
+        assert g.coeffs == oracle.terms
 
     def test_div_antisym_rejects_symmetric(self):
         u, v = MPoly.variables(2)
         with pytest.raises(ValueError):
-            series2_div_antisym(Series2.from_poly(u + v, 6))
-
-    @given(small_polys, small_polys)
-    @settings(max_examples=30)
-    def test_product_truncation_consistent(self, p, q):
-        order = 5
-        exact = Series2.from_poly(p * q, order)
-        truncated = Series2.from_poly(p, order) * Series2.from_poly(q, order)
-        assert exact == truncated
-
-    def test_div_unit(self):
-        u, v = MPoly.variables(2)
-        one = MPoly.const(2, 1)
-        f = Series2.from_poly(one - u * v, 8)
-        g = series2_div_unit(Series2.const(8, 1), f)
-        assert (g * f) == Series2.const(8, 1)
-        with pytest.raises(ZeroDivisionError):
-            series2_div_unit(Series2.const(4, 1), Series2.from_poly(u, 4))
+            div_u_minus_v(graded(u + v, 6, 3))
 
 
 class TestSymmetricReduce:
@@ -161,7 +146,7 @@ class TestSymmetricReduce:
         u, v = MPoly.variables(2)
         e1, e2 = MPoly.variables(2)
         candidate = e1**3 - 3 * e1 * e2
-        assert back_substitute(candidate) == u**3 + v**3
+        assert candidate.subs_poly([u + v, u * v]) == u**3 + v**3
         assert symmetric_reduce(u**3 + v**3) == candidate
 
     def test_rejects_asymmetric(self):
@@ -172,44 +157,41 @@ class TestSymmetricReduce:
     @given(small_polys)
     @settings(max_examples=30)
     def test_roundtrip(self, p):
+        u, v = MPoly.variables(2)
         sym = p + MPoly(2, {(b, a): c for (a, b), c in p.terms.items()})
-        assert back_substitute(symmetric_reduce(sym)) == sym
+        assert symmetric_reduce(sym).subs_poly([u + v, u * v]) == sym
 
 
 class TestExpandToChiral:
     def test_s_becomes_uv(self):
-        f = RatFn.var(2, 0)
-        assert expand_to_chiral(f, 6) == Series2.from_poly(
-            MPoly.var(2, 0) * MPoly.var(2, 1), 6
-        )
+        assert chiral_slices({(1, 0): F(1)}, 6, 7).coeffs == {(1, 1): 1}
 
     def test_inverse_t_geometric(self):
         # geometric-series product oracle: 1/t = sum_{a,b} u^a v^b
-        f = 1 / RatFn.var(2, 1)
-        expected = Series2(
-            6, {(a, b): F(1) for a in range(7) for b in range(7 - a)}
-        )
-        assert expand_to_chiral(f, 6) == expected
+        expected = {(a, b): F(1) for a in range(7) for b in range(7 - a)}
+        assert chiral_slices({(0, -1): F(1)}, 6, 7).coeffs == expected
 
     def test_t_polynomial(self):
-        f = RatFn.var(2, 1)
         u, v = MPoly.variables(2)
-        assert expand_to_chiral(f, 5) == Series2.from_poly((1 - u) * (1 - v), 5)
+        assert chiral_slices({(0, 1): F(1)}, 5, 6).coeffs == ((1 - u) * (1 - v)).terms
 
     def test_pole_at_origin(self):
         with pytest.raises(ZeroDivisionError):
-            expand_to_chiral(1 / RatFn.var(2, 0), 4)
+            chiral_slices({(-1, 0): F(1)}, 4, 5)
 
     @given(small_polys, small_polys)
     @settings(max_examples=20)
     def test_respects_products(self, p, q):
-        s, t = MPoly.variables(2)
-        f = RatFn(p, t**2)
-        g = RatFn(q, t)
-        order = 6
-        lhs = expand_to_chiral(f * g, order)
-        rhs = expand_to_chiral(f, order) * expand_to_chiral(g, order)
-        assert lhs == rhs
+        # f = p / t^2 and g = q / t: the product of the two expansions, as
+        # polynomials, agrees with the expansion of f g on its entries
+        order, depth = 6, 4
+        f = chiral_slices({(a, b - 2): c for (a, b), c in p.terms.items()}, order, depth)
+        g = chiral_slices({(a, b - 1): c for (a, b), c in q.terms.items()}, order, depth)
+        fg = chiral_slices({(a, b - 3): c for (a, b), c in (p * q).terms.items()}, order, depth)
+        product = MPoly(2, f.coeffs) * MPoly(2, g.coeffs)
+        for j, sl in enumerate(fg.slices):
+            for i in range(len(sl.coeffs)):
+                assert fg[(i, j)] == product.coeff((i, j))
 
 
 class TestQSeries:

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gcipw.exact import MPoly, PSeries, RatFn, Series2
+from gcipw.exact import MPoly, PSeries, RatFn, unit_power
 from gcipw.fourpoint import PWParams, assemble_P4, basis_j_small
 from gcipw.partialwave import (
     InconsistentExpansion,
@@ -15,11 +15,11 @@ from gcipw.partialwave import (
     closed_form_B,
     f1_rational,
     hypergeom_series,
-    inv_unit_power,
     kernel_coeff,
     kernel_coeff_quadrature,
     laplace_st,
     lhs_series,
+    pochhammer,
     positivity_check,
     solve_structure_constants,
     twist_extract,
@@ -48,35 +48,44 @@ class TestHypergeom:
             hypergeom_series(1, 1, 0, 4)
 
 
+def retained(series):
+    """The (i, j) entries a v-graded series keeps, zero or not."""
+    return [(i, j) for j, sl in enumerate(series.slices) for i in range(len(sl.coeffs))]
+
+
+def as_poly(series):
+    return MPoly(2, series.coeffs)
+
+
+def in_var(series, var):
+    """A univariate series as a polynomial in u (var 0) or v (var 1)."""
+    return MPoly(2, {(i, 0) if var == 0 else (0, i): c for i, c in enumerate(series.coeffs)})
+
+
 class TestLhsSeries:
     def test_zero_params(self):
-        assert lhs_series(PWParams(), 8).is_zero()
+        assert lhs_series(PWParams(), 8, 4).is_zero()
 
     def test_constant_term_j0(self):
-        assert lhs_series(PWParams(a0=1), 8)[(0, 0)] == 2
+        assert lhs_series(PWParams(a0=1), 8, 4)[(0, 0)] == 2
 
     def test_substitution_oracle_order6(self):
         # independent oracle: expand 1/t^3 as a geometric series in
-        # w = u + v - uv instead of solving the division order by order
+        # w = u + v - uv with polynomial arithmetic, no series division
         rng = random.Random(11)
         p = rand_params(rng, with_B=True)
-        order = 6
+        order, depth = 6, 5
         u, v = MPoly.variables(2)
         w = u + v - u * v
-        inv_t3 = Series2.zero(order)
-        for m in range(order + 1):
-            inv_t3 = inv_t3 + Series2.from_poly(
-                math.comb(m + 2, 2) * w**m, order
-            )
-        p4uv = Series2.from_poly(assemble_P4(p).subs_poly([u * v, (1 - u) * (1 - v)]), order)
-        expected = p4uv * inv_t3
+        inv_t3 = sum((math.comb(m + 2, 2) * w**m for m in range(order + 1)), MPoly.zero(2))
+        expected = assemble_P4(p).subs_poly([u * v, (1 - u) * (1 - v)]) * inv_t3
         if p.B:
-            inv_t4 = Series2.zero(order)
-            for m in range(order + 1):
-                inv_t4 = inv_t4 + Series2.from_poly(math.comb(m + 3, 3) * w**m, order)
-            tail = (Series2.const(order, 1) + inv_t4).shift(4, 4).truncate(order)
-            expected = expected + (p.B * p.B) * tail
-        assert lhs_series(p, order) == expected
+            inv_t4 = sum((math.comb(m + 3, 3) * w**m for m in range(order + 1)), MPoly.zero(2))
+            expected = expected + (p.B * p.B) * (u * v) ** 3 * (1 + inv_t4)
+        series = lhs_series(p, order, depth)
+        assert [len(sl.coeffs) for sl in series.slices] == [order - j + 1 for j in range(depth)]
+        for key in retained(series):
+            assert series[key] == expected.coeff(key)
 
 
 class TestTwistExtract:
@@ -94,17 +103,39 @@ class TestTwistExtract:
         tower = twist_extract(PWParams(c=1), 2, 14)
         assert tower.f[1].is_zero()
         # f2(0, 1-u) = 1/(1-u)
-        geo = inv_unit_power(1, tower.boundary[2].order)
+        geo = unit_power(-1, tower.boundary[2].order)
         assert tower.boundary[2].coeffs == geo.coeffs[: len(tower.boundary[2].coeffs)]
 
     def test_f1_matches_rational_route(self):
+        # D(uv, (1-u)(1-v)) f1 = N(uv, (1-u)(1-v)) on every retained entry
         rng = random.Random(12)
+        u, v = MPoly.variables(2)
+        chiral = [u * v, (1 - u) * (1 - v)]
         for _ in range(3):
             p = rand_params(rng)
-            tower = twist_extract(p, 1, 10)
-            from gcipw.exact.chiral import expand_to_chiral
+            f1 = twist_extract(p, 4, 16).f[1]
+            assert len(f1.slices) == 4
+            rat = f1_rational(p)
+            lhs = rat.den.subs_poly(chiral) * as_poly(f1)
+            rhs = rat.num.subs_poly(chiral)
+            for key in retained(f1):
+                assert lhs.coeff(key) == rhs.coeff(key)
 
-            assert tower.f[1] == expand_to_chiral(f1_rational(p), tower.f[1].order)
+    def test_fk_antisymmetric_quotient(self):
+        # (u - v) f_k = g_k(u) F(v) - F(u) g_k(v) on the retained slices
+        rng = random.Random(16)
+        tower = twist_extract(rand_params(rng, with_B=True), 4, 20)
+        u, v = MPoly.variables(2)
+        for k in (2, 3):
+            g, f_k = tower.g[k], tower.f[k]
+            hyp = hypergeom_series(k - 1, k - 1, 2 * k - 2, g.order)
+            rhs = in_var(g, 0) * in_var(hyp, 1) - in_var(hyp, 0) * in_var(g, 1)
+            lhs = (u - v) * as_poly(f_k)
+            assert len(f_k.slices) == 4 - k + 1
+            keys = [(i, j) for j in range(len(f_k.slices)) for i in range(g.order + 1 - j)]
+            assert any(rhs.coeff(key) for key in keys)
+            for key in keys:
+                assert lhs.coeff(key) == rhs.coeff(key)
 
     def test_f2_log_reconstruction(self):
         # f2 series equals [F(1,1;2;v) g2(u) - F(1,1;2;u) g2(v)]/(u - v)
@@ -114,9 +145,9 @@ class TestTwistExtract:
         tower = twist_extract(p, 2, 16)
         order = tower.g[2].order
         one = PSeries([F(1)] + [F(0)] * order)
-        inv1 = inv_unit_power(1, order)
-        inv2 = inv_unit_power(2, order)
-        inv3 = inv_unit_power(3, order)
+        inv1 = unit_power(-1, order)
+        inv2 = unit_power(-2, order)
+        inv3 = unit_power(-3, order)
         g2_closed = (
             (p.a1 * (inv3 - one)).shift(1)
             + (p.b * inv2).shift(2).truncate(order + 1)
@@ -130,17 +161,16 @@ class TestTwistExtract:
         with pytest.raises(ValueError):
             twist_extract(PWParams(a0=1), 5, 8)
 
-    def test_B_enters_only_above_twist_eight(self):
-        # the 2-point tail starts at s^4: the first four profiles agree
+    def test_B_enters_at_twist_eight(self):
+        # the 2-point tail B^2 s^3 (1 + t^-4) starts at kappa = 4: the first
+        # three profiles agree, the fourth differs
         p0 = PWParams(a0=1, a1=1, c=1)
         p1 = PWParams(a0=1, a1=1, c=1, B=3)
         t0 = twist_extract(p0, 4, 18)
         t1 = twist_extract(p1, 4, 18)
-        for k in range(1, 5):
+        for k in range(1, 4):
             assert t0.g[k].coeffs == t1.g[k].coeffs
-        t0 = twist_extract(p0, 5, 20)
-        t1 = twist_extract(p1, 5, 20)
-        assert t0.g[5].coeffs != t1.g[5].coeffs
+        assert t0.g[4].coeffs != t1.g[4].coeffs
 
 
 class TestF1Rational:
@@ -197,6 +227,26 @@ class TestSolver:
             for kappa, top in ((1, 10), (2, 10), (3, 8)):
                 sol = solve_structure_constants(tower.g[kappa], kappa, top)
                 assert sol == [closed_form_B(kappa, l, p) for l in range(top + 1)]
+
+
+class TestMeanField:
+    def test_B_tail_is_the_generalized_free_field(self):
+        # PWParams(B=1) is the disconnected B^2 term alone.  At kappa = 4 its
+        # constants are the generalized-free-field ones 2 (4)_L^2/(L! (L+7)_L)
+        # at spin L = 2l (Fitzpatrick-Kaplan, arXiv:1111.6972)
+        tower = twist_extract(PWParams(B=1), 8, 2 * 10 + 2 * 8 + 8)
+        assert all(tower.g[k].is_zero() for k in (1, 2, 3))
+        sol = solve_structure_constants(tower.g[4], 4, 10)
+        assert sol[:4] == [2, F(40, 9), F(350, 143), F(168, 221)]
+        assert sol == [
+            2 * pochhammer(4, 2 * l) ** 2 / (math.factorial(2 * l) * pochhammer(2 * l + 7, 2 * l))
+            for l in range(11)
+        ]
+        for kappa in range(5, 9):
+            assert all(x >= 0 for x in solve_structure_constants(tower.g[kappa], kappa, 10))
+
+    def test_positivity_through_twist_eight(self):
+        assert positivity_check(PWParams(B=1), solver_twist=8).admissible
 
 
 class TestClosedForms:

@@ -11,14 +11,11 @@ from gcipw.exact import QSeries
 from gcipw.thermal import (
     SCALAR_VACUUM_CONSTANTS,
     WEYL_VACUUM_ENERGY,
-    ThermalModel,
-    TauPoint,
     bernoulli,
     eisenstein_G,
     elliptic_p1,
     elliptic_p1_11,
     elliptic_p2_11,
-    elliptic_p_k11,
     energy_mean_scalar,
     energy_mean_weyl,
     g2_anomaly_check,
@@ -116,13 +113,6 @@ class TestEnergyMeans:
         assert printed[0] == F(-17, 960)
         assert energy_mean_weyl(50) != printed
 
-    def test_model_wrapper(self):
-        m = ThermalModel("scalar", D=4)
-        assert m.energy_series(20) == energy_mean_scalar(4, 20)
-        w = ThermalModel("weyl4")
-        assert w.energy_series(10)[0] == WEYL_VACUUM_ENERGY
-
-
 class TestThetaForm:
     def test_constant(self):
         assert theta_form_F(20)[0] == F(-1, 24)
@@ -157,12 +147,6 @@ class TestModular:
         g2 = eisenstein_G(1, 200)
         val, _ = g2.eval(1j)
         assert abs(val - (-1 / (8 * math.pi))) < 1e-12
-
-    def test_tau_point_validation(self):
-        with pytest.raises(ValueError):
-            TauPoint(0.5 - 1j)
-        assert abs(TauPoint(1.5j).q - cmath.exp(-3 * math.pi)) < 1e-15
-
 
 class TestEllipticP1:
     def test_odd(self):
@@ -207,12 +191,6 @@ class TestEllipticP11:
         fd = -(elliptic_p1_11(z + h, tau, 40) - elliptic_p1_11(z - h, tau, 40)) / (2 * h)
         p2 = elliptic_p2_11(z, tau, 40)
         assert abs(fd - p2) / abs(p2) < 1e-6
-
-    def test_dispatch(self):
-        assert elliptic_p_k11(1, 0.2, 2j, 10) == elliptic_p1_11(0.2, 2j, 10)
-        with pytest.raises(ValueError):
-            elliptic_p_k11(3, 0.2, 2j, 10)
-
 
 class TestGibbsScalar:
     def test_vacuum_limit(self):
