@@ -25,6 +25,8 @@ from .fourpoint import PWParams
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+# `thermal modular` doubles its truncation order up to this ceiling
+MODULAR_MAX_ORDER = 12800
 
 
 def parse_rat(text: str) -> Fraction:
@@ -263,6 +265,23 @@ def cmd_oracle(cfg: RunConfig, count: int, inject_error: bool) -> int:
     return 0
 
 
+def modular_order(k: int, tau: complex, order: int, tol: float) -> int:
+    """Truncation order for `thermal modular`: max(order, 200), doubled
+    until the G_2k tail bound is at most tol at tau, -1/tau and tau + 1,
+    the points `modular_check_G` evaluates.  ValueError at the ceiling
+    MODULAR_MAX_ORDER."""
+    n = max(order, 200)
+    while True:
+        g = thermal.eisenstein_G(k, n)
+        if all(g.eval(t)[1] <= tol for t in (tau, -1 / tau, tau + 1)):
+            return n
+        if n >= MODULAR_MAX_ORDER:
+            raise ValueError(
+                f"tau={tau}: the series tail bound exceeds {tol} at order {n}"
+            )
+        n *= 2
+
+
 def cmd_thermal(cfg: RunConfig, sub: str, model: str, order: int, k_weight: int) -> int:
     if order < 1:
         raise ValueError(f"--order must be >= 1, got {order}")
@@ -296,7 +315,8 @@ def cmd_thermal(cfg: RunConfig, sub: str, model: str, order: int, k_weight: int)
         failures = []
         rows = []
         for tau in cfg.tau_points:
-            r = thermal.modular_check_G(k_weight, tau, max(order, 200))
+            n = modular_order(k_weight, tau, order, tol)
+            r = thermal.modular_check_G(k_weight, tau, n)
             rows.append([k_weight, str(tau), f"{r:.3e}", tol])
             if r > tol:
                 failures.append(str(tau))

@@ -8,7 +8,7 @@ Plain `fractions.Fraction` is the rational scalar type throughout.
 from fractions import Fraction as Rat
 
 from .mpoly import MPoly, divide_exact
-from .qseries import QSeries, geometric_block
+from .qseries import QSeries, lambert_series
 from .quaternion import Quaternion, chain_trace
 from .ratfn import RatFn
 from .series import PSeries, Series2, div_u_minus_v, unit_power
@@ -23,7 +23,7 @@ __all__ = [
     "div_u_minus_v",
     "unit_power",
     "QSeries",
-    "geometric_block",
+    "lambert_series",
     "Quaternion",
     "chain_trace",
 ]

@@ -21,20 +21,11 @@ class QSeries:
     def __init__(self, coeffs: Dict[int, Fraction], max_exp: int, min_exp: int = 0):
         self.min_exp = min_exp
         self.max_exp = max_exp
-        self.coeffs: Dict[int, Fraction] = {}
-        for k, c in coeffs.items():
-            if k < min_exp or k > max_exp:
-                continue
-            if c:
-                self.coeffs[k] = Fraction(c)
-
-    @classmethod
-    def zero(cls, max_exp: int) -> "QSeries":
-        return cls({}, max_exp)
-
-    @classmethod
-    def const(cls, c, max_exp: int) -> "QSeries":
-        return cls({0: Fraction(c)}, max_exp)
+        self.coeffs: Dict[int, Fraction] = {
+            k: c if isinstance(c, Fraction) else Fraction(c)
+            for k, c in coeffs.items()
+            if c and min_exp <= k <= max_exp
+        }
 
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs.get(k, Fraction(0))
@@ -55,7 +46,7 @@ class QSeries:
         min_exp = max(self.min_exp, other.min_exp)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + sign * c
+            s = out.get(k, 0) + (c if sign > 0 else -c)
             if s:
                 out[k] = s
             else:
@@ -145,19 +136,20 @@ class QSeries:
         return f"QSeries({items!r}, max q^{Fraction(self.max_exp, 2)})"
 
 
-def geometric_block(n2: int, sign: int, weight: Fraction, max_exp: int) -> QSeries:
-    """weight * q^(n2/2) / (1 - sign * q^(n2/2)) expanded to the window.
+def lambert_series(const, terms, sign: int, max_exp: int, den: int = 1) -> QSeries:
+    """const + sum (w/den) q^(n2/2) / (1 - sign q^(n2/2)) over the pairs (n2, w).
 
-    n2 is the doubled exponent of the leading power.
+    n2 is the doubled exponent of a term's leading power and w an integer
+    weight.  The numerators are summed as integers over the window (w at
+    key n2, sign*w at 2*n2, ...), then divided by den once per key.
     """
-    if n2 <= 0:
-        raise ValueError("need a positive leading exponent")
-    out: Dict[int, Fraction] = {}
-    k = n2
-    s = Fraction(weight)
-    while k <= max_exp:
-        if s:
-            out[k] = out.get(k, Fraction(0)) + s
-        s = s * sign
-        k += n2
-    return QSeries(out, max_exp)
+    acc: Dict[int, int] = {}
+    for n2, w in terms:
+        if n2 <= 0:
+            raise ValueError("need a positive leading exponent")
+        for k in range(n2, max_exp + 1, n2):
+            acc[k] = acc.get(k, 0) + w
+            w *= sign
+    coeffs = {k: Fraction(c, den) for k, c in acc.items() if c}
+    coeffs[0] = const
+    return QSeries(coeffs, max_exp)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence, Tuple
 
-from .exact import QSeries, geometric_block
+from .exact import QSeries, lambert_series
 
 TWO_PI = 2 * math.pi
 
@@ -61,10 +61,8 @@ def eisenstein_G(k: int, order: int) -> QSeries:
     """G_{2k} = -B_{2k}/(4k) + sum_{n>=1} n^(2k-1) q^n/(1-q^n), to q^order."""
     if k < 1 or order < 1:
         raise ValueError("need k >= 1 and order >= 1")
-    out = QSeries.const(-bernoulli(2 * k) / (4 * k), 2 * order)
-    for n in range(1, order + 1):
-        out = out + geometric_block(2 * n, 1, Fraction(n ** (2 * k - 1)), 2 * order)
-    return out
+    terms = ((2 * n, n ** (2 * k - 1)) for n in range(1, order + 1))
+    return lambert_series(-bernoulli(2 * k) / (4 * k), terms, 1, 2 * order)
 
 
 SCALAR_VACUUM_CONSTANTS = {
@@ -93,15 +91,11 @@ def energy_mean_scalar(
         else:
             warnings.warn(f"no tabulated vacuum constant for D={D}; using 0")
             vacuum_constant = Fraction(0)
-    out = QSeries.const(vacuum_constant, 2 * order)
-    norm = Fraction(2, math.factorial(2 * d0))
-    for n in range(d0, order + 1):
-        w = norm * n
-        for i in range(d0):
-            w *= n * n - i * i
-        if w:
-            out = out + geometric_block(2 * n, 1, w, 2 * order)
-    return out
+    terms = (
+        (2 * n, 2 * n * math.prod(n * n - i * i for i in range(d0)))
+        for n in range(d0, order + 1)
+    )
+    return lambert_series(vacuum_constant, terms, 1, 2 * order, math.factorial(2 * d0))
 
 
 def energy_mean_weyl(order2: int) -> QSeries:
@@ -112,13 +106,8 @@ def energy_mean_weyl(order2: int) -> QSeries:
     (equivalently by zeta regularization of the mode sum).  `order2` is
     the doubled exponent window (coefficients through q^(order2/2)).
     """
-    out = QSeries.const(WEYL_VACUUM_ENERGY, order2)
-    n = 1
-    while 2 * n + 1 <= order2:
-        w = Fraction((2 * n + 1) * n * (n + 1))
-        out = out + geometric_block(2 * n + 1, -1, w, order2)
-        n += 1
-    return out
+    terms = ((2 * n + 1, (2 * n + 1) * n * (n + 1)) for n in range(1, (order2 + 1) // 2))
+    return lambert_series(WEYL_VACUUM_ENERGY, terms, -1, order2)
 
 
 def weyl_modular_combination(order2: int, as_printed: bool = False) -> QSeries:

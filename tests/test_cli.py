@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gcipw import thermal
 from gcipw.cli import main, parse_rat, parse_tau
 
 
@@ -168,6 +169,8 @@ class TestBoundary:
             ["decompose", "--max-twist", "0"],
             ["decompose", "--max-spin", "-1"],
             ["positivity", "--max-spin", "-1", "--steps", "1"],
+            # no truncation up to the ceiling meets the tolerance
+            ["thermal", "modular", "--tau", "0.0001i"],
         ],
     )
     def test_out_of_range_is_a_usage_error(self, args, capsys):
@@ -176,6 +179,20 @@ class TestBoundary:
         assert code == 2
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_modular_default_window_is_order_200(self, capsys):
+        # inside the window the truncation stays at max(order, 200)
+        code, out = run(["thermal", "modular", "--tau", "1.1i"], capsys)
+        r = thermal.modular_check_G(2, 1.1j, 200)
+        assert code == 0
+        assert out.splitlines() == ["k,tau,residual,tolerance", f"2,1.1j,{r:.3e},1e-10"]
+
+    def test_modular_window_grows_for_small_im_minus_inverse_tau(self, capsys):
+        # -1/tau has Im 1/101: order 200 leaves a tail bound near 1e3
+        code, out = run(["thermal", "modular", "--tau", "10+1i"], capsys)
+        assert code == 0
+        rows = list(csv.reader(out.strip().splitlines()))[1:]
+        assert float(rows[0][2]) < 1e-10
 
 
 class TestVerifyAll:

@@ -14,7 +14,7 @@ from gcipw.exact import (
     Series2,
     div_u_minus_v,
     divide_exact,
-    geometric_block,
+    lambert_series,
 )
 from gcipw.exact.chiral import chiral_slices, symmetric_reduce
 
@@ -208,13 +208,13 @@ class TestQSeries:
             QSeries({1: F(1)}, 10).halfperiod_substitute()
 
     def test_geometric_block(self):
-        g = geometric_block(2, 1, F(1), 8)
+        g = lambert_series(0, [(2, 1)], 1, 8)
         assert g.coeffs == {2: F(1), 4: F(1), 6: F(1), 8: F(1)}
-        h = geometric_block(3, -1, F(1), 12)
+        h = lambert_series(0, [(3, 1)], -1, 12)
         assert h.coeffs == {3: F(1), 6: F(-1), 9: F(1), 12: F(-1)}
 
     def test_eval_constant(self):
-        val, bound = QSeries.const(F(1, 3), 10).eval(1.5j)
+        val, bound = QSeries({0: F(1, 3)}, 10).eval(1.5j)
         assert abs(val - 1 / 3) < 1e-15
 
     def test_eval_geometric_closed_form(self):
@@ -222,6 +222,6 @@ class TestQSeries:
 
         tau = 1j
         q = cmath.exp(2j * cmath.pi * tau)
-        series = geometric_block(2, 1, F(1), 80)  # q/(1-q)
+        series = lambert_series(0, [(2, 1)], 1, 80)  # q/(1-q)
         val, bound = series.eval(tau)
         assert abs(val - q / (1 - q)) <= max(bound, 1e-15)

@@ -113,6 +113,34 @@ class TestEnergyMeans:
         assert printed[0] == F(-17, 960)
         assert energy_mean_weyl(50) != printed
 
+
+class TestLambertOracle:
+    """The one-pass Lambert builder against brute-force divisor sums.
+
+    The builder feeds both sides of the energy/Eisenstein identities, so
+    these expected coefficients come from divisor loops instead.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_eisenstein_divisor_sums(self, k):
+        g = eisenstein_G(k, 2000)
+        assert g.max_exp == 4000
+        for m in list(range(1, 301)) + [1024, 1999, 2000]:
+            sigma = sum(d ** (2 * k - 1) for d in range(1, m + 1) if m % d == 0)
+            assert g.coeff_q(m) == sigma, m
+
+    def test_weyl_odd_divisor_sums(self):
+        w = energy_mean_weyl(601)
+        assert w.max_exp == 601 and w[0] == WEYL_VACUUM_ENERGY
+        for m in range(1, 602):
+            want = sum(
+                (-1) ** (m // d - 1) * d * (d * d - 1) // 4
+                for d in range(3, m + 1, 2)
+                if m % d == 0
+            )
+            assert w[m] == want, m
+
+
 class TestThetaForm:
     def test_constant(self):
         assert theta_form_F(20)[0] == F(-1, 24)
