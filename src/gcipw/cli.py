@@ -12,21 +12,23 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
-import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from . import freefield, kinematics, partialwave, symmetrize, thermal, verify
+from . import partialwave, thermal, verify
 from .fourpoint import PWParams
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 # `thermal modular` doubles its truncation order up to this ceiling
 MODULAR_MAX_ORDER = 12800
+# `thermal kms` doubles its translate window up to this ceiling
+KMS_MAX_WINDOW = 4096
+# the checks `gcipw oracle` runs
+ORACLE_CHECKS = ("c05_appendix_oracle", "c06_sixpoint_oracle")
 
 
 def parse_rat(text: str) -> Fraction:
@@ -213,58 +215,6 @@ def build_grid(cfg: RunConfig, axis: str, lo: Fraction, hi: Fraction, steps: int
     return out
 
 
-def cmd_oracle(cfg: RunConfig, count: int, inject_error: bool) -> int:
-    if count < 1:
-        raise ValueError(f"--count must be >= 1, got {count}")
-    rng = random.Random(cfg.seed)
-    from .fourpoint import basis_j_small
-    from .kinematics import cross_ratios, random_config
-
-    j1 = basis_j_small(1)
-    failures = []
-    for k in range(count):
-        c4 = random_config(rng, 4)
-        cr = cross_ratios(c4)
-        lhs = freefield.v1_weyl_4pt(c4) * c4.rho(0, 2) * c4.rho(1, 3)
-        rhs = j1.eval([cr.s, cr.t])
-        if inject_error and k == 0:
-            lhs = -lhs
-        if lhs != rhs:
-            failures.append(f"j1 oracle config {k}")
-    for k in range(25):
-        c6 = random_config(rng, 6)
-        if freefield.cycle_trace_2n(c6, (0, 1, 2, 3, 4, 5)) != verify._w_sixpoint_braces(c6):
-            failures.append(f"6pt elementary config {k}")
-    cfg4 = random_config(rng, 4)
-    c2 = freefield.fit_cycle_constant(2, cfg4)
-    if freefield.cycle_trace_numerator_symbolic((0, 1, 2, 3), 4) != c2 * (
-        freefield.wick_numerator(2, (0, 1, 2, 3)).subs_poly(freefield.rho_symbolic(4))
-    ):
-        failures.append("wick n=2 symbolic")
-    cfg6 = random_config(rng, 6)
-    c3 = freefield.fit_cycle_constant(3, cfg6)
-    if freefield.cycle_trace_numerator_symbolic((0, 1, 2, 3, 4, 5), 6) != c3 * (
-        freefield.wick_numerator(3, (0, 1, 2, 3, 4, 5)).subs_poly(freefield.rho_symbolic(6))
-    ):
-        failures.append("wick n=3 symbolic")
-    cfg8 = random_config(rng, 8)
-    c4f = freefield.fit_cycle_constant(4, cfg8)
-    wick4 = freefield.wick_numerator(4)
-    for k in range(10):
-        cc = random_config(rng, 8)
-        if freefield.cycle_trace_numerator(tuple(range(8)), cc.points) != c4f * wick4.eval(
-            freefield.rho_point(cc)
-        ):
-            failures.append(f"wick n=4 numeric config {k}")
-    print(f"fitted cycle constants: c2={c2} c3={c3} c4={c4f}")
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}")
-        return CHECK_FAILED
-    print(f"oracle checks passed ({count} j1 configs, 25 six-point, n=2..4 wick)")
-    return 0
-
-
 def modular_order(k: int, tau: complex, order: int, tol: float) -> int:
     """Truncation order for `thermal modular`: max(order, 200), doubled
     until the G_2k tail bound is at most tol at tau, -1/tau and tau + 1,
@@ -280,6 +230,21 @@ def modular_order(k: int, tau: complex, order: int, tol: float) -> int:
                 f"tau={tau}: the series tail bound exceeds {tol} at order {n}"
             )
         n *= 2
+
+
+def kms_report(tau: complex, tol: float) -> dict:
+    """The scalar KMS check at the smallest window 8 * 2^m whose edge term
+    is at most tol.  ValueError past the ceiling KMS_MAX_WINDOW."""
+    window = 8
+    while True:
+        rep = thermal.kms_translate_sum_check("scalar", 0.13, 0.37, tau, window)
+        if rep["edge_term"] <= tol:
+            return rep
+        if window >= KMS_MAX_WINDOW:
+            raise ValueError(
+                f"tau={tau}: the translate-sum edge term exceeds {tol} at window {window}"
+            )
+        window *= 2
 
 
 def cmd_thermal(cfg: RunConfig, sub: str, model: str, order: int, k_weight: int) -> int:
@@ -330,7 +295,7 @@ def cmd_thermal(cfg: RunConfig, sub: str, model: str, order: int, k_weight: int)
         failures = []
         rows = []
         for tau in cfg.tau_points:
-            rep = thermal.kms_translate_sum_check("scalar", 0.13, 0.37, tau, 8)
+            rep = kms_report(tau, cfg.tolerances.get("kms", 1e-10))
             limit = tol_k if tol_k is not None else rep["edge_bound"]
             rows.append([str(tau), f"{rep['residual']:.3e}", f"{limit:.3e}"])
             if rep["residual"] > limit:
@@ -344,8 +309,8 @@ def cmd_thermal(cfg: RunConfig, sub: str, model: str, order: int, k_weight: int)
     return USAGE_ERROR
 
 
-def cmd_verify_all(cfg: RunConfig) -> int:
-    results = verify.run_all(cfg.seed)
+def report_checks(cfg: RunConfig, results: List[dict]) -> int:
+    """Print (and with --json write) check results; exit 1 if any failed."""
     tol_override = cfg.tolerances.get("numeric")
     if tol_override is not None:
         # re-judge every check that reports residuals at the requested tolerance
@@ -404,12 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=parse_rat, default=Fraction(1))
     p.add_argument("--steps", type=int, default=20)
 
-    p = sub.add_parser("oracle", help="free-field trace and Wick-structure oracles")
+    p = sub.add_parser("oracle", help="free-field trace and Wick-structure oracles (c05, c06)")
     common(p)
-    p.add_argument("--count", type=int, default=100, help="number of j1-oracle configs")
-    p.add_argument(
-        "--inject-error", action="store_true", help="self-test: corrupt one value"
-    )
 
     p = sub.add_parser("thermal", help="thermal series, tables and residuals")
     common(p)
@@ -441,12 +402,12 @@ def main(argv=None) -> int:
             grid = build_grid(cfg, args.axis, args.lo, args.hi, args.steps)
             return cmd_positivity(cfg, grid)
         if args.command == "oracle":
-            return cmd_oracle(cfg, args.count, args.inject_error)
+            return report_checks(cfg, [verify.CHECKS[c](cfg.seed) for c in ORACLE_CHECKS])
         if args.command == "thermal":
             order = cfg.series_order if cfg.series_order is not None else 100
             return cmd_thermal(cfg, args.kind, args.model, order, args.k_weight)
         if args.command == "verify-all":
-            return cmd_verify_all(cfg)
+            return report_checks(cfg, verify.run_all(cfg.seed))
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_ERROR

@@ -26,6 +26,12 @@ class Quaternion:
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.a, -self.b, -self.c, -self.d)
 
+    def __sub__(self, o: "Quaternion") -> "Quaternion":
+        return self + -o
+
+    def __iter__(self):
+        return iter((self.a, self.b, self.c, self.d))
+
     def __mul__(self, o) -> "Quaternion":
         """Hamilton product with a quaternion; componentwise with a scalar."""
         if not isinstance(o, Quaternion):

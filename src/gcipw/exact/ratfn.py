@@ -128,16 +128,6 @@ class RatFn:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        """True iff den divides num exactly (checked by attempting division)."""
-        if self.num.is_zero():
-            return True
-        try:
-            self.as_poly()
-            return True
-        except ValueError:
-            return False
-
     def as_poly(self) -> MPoly:
         """Return the numerator/denominator quotient if it is a polynomial."""
         from .mpoly import divide_exact

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .exact import MPoly, Quaternion, chain_trace
 from .kinematics import DegenerateConfiguration, PointConfig, Vec4, dot4, vsub
-from .symmetrize import _all_partitions_min2
+from .symmetrize import _all_partitions_min2, enumerate_patterns
 
 
 def slash(z: Sequence, conjugate: bool = False) -> Quaternion:
@@ -66,18 +66,17 @@ def trace4_identity_check(a: Vec4, b: Vec4, c: Vec4, d: Vec4) -> bool:
     return lhs == rhs
 
 
-def interval_identities(config: PointConfig) -> bool:
+def interval_identities(points: Sequence[Vec4]) -> bool:
     """The dot-product/interval relations used to reduce the traces.
 
     2 z_ij . z_kl = rho_il + rho_jk - rho_ik - rho_jl, checked on all
-    index quadruples of the configuration.
+    index quadruples of the points (rationals or symbolic coordinates).
     """
-    n = len(config)
-    r = config.rho
-    pts = config.points
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        lhs = 2 * dot4(vsub(pts[i], pts[j]), vsub(pts[k], pts[l]))
-        if lhs != r(i, l) + r(j, k) - r(i, k) - r(j, l):
+    diff = [[vsub(p, q) for q in points] for p in points]
+    rho = [[dot4(z, z) for z in row] for row in diff]
+    for i, j, k, l in itertools.product(range(len(points)), repeat=4):
+        lhs = 2 * dot4(diff[i][j], diff[k][l])
+        if lhs != rho[i][l] + rho[j][k] - rho[i][k] - rho[j][l]:
             return False
     return True
 
@@ -102,52 +101,22 @@ def _sym_points(n_points: int) -> List[List[MPoly]]:
     return [[int_var(4 * i + mu) for mu in range(4)] for i in range(n_points)]
 
 
-def _sym_dot(z, w) -> MPoly:
-    return sum((a * b for a, b in zip(z, w)), MPoly.zero(z[0].arity))
-
-
-def _sym_sub(z, w):
-    return [a - b for a, b in zip(z, w)]
-
-
-def _to_fraction_poly(p: MPoly) -> MPoly:
-    return p.map_coeff(Fraction)
-
-
 def anticommutation_symbolic() -> bool:
     """slash(z) slash+(w) + slash(w) slash+(z) = 2 (z.w) * 1, symbolically."""
     z, w = _sym_points(2)
     lhs = slash(z) * slash(w, True) + slash(w) * slash(z, True)
     zero = MPoly.zero(8)
-    return lhs == Quaternion(2 * _sym_dot(z, w), zero, zero, zero)
+    return lhs == Quaternion(2 * dot4(z, w), zero, zero, zero)
 
 
 def trace4_identity_symbolic() -> bool:
     """The four-slash trace formula as a polynomial identity in 16 variables."""
-    a, b, c, d = _sym_points(4)
-    lhs = _to_fraction_poly(chain_trace([slash(a), slash(b, True), slash(c), slash(d, True)]))
-    rhs = 2 * (
-        _sym_dot(a, b) * _sym_dot(c, d)
-        - _sym_dot(a, c) * _sym_dot(b, d)
-        + _sym_dot(a, d) * _sym_dot(b, c)
-        + det4(a, b, c, d)
-    )
-    return lhs == rhs
+    return trace4_identity_check(*_sym_points(4))
 
 
 def interval_identities_symbolic() -> bool:
-    """The A.4-type reductions as identities in 16 coordinate variables."""
-    z1, z2, z3, z4 = _sym_points(4)
-
-    def rho(x, y):
-        d = _sym_sub(x, y)
-        return _sym_dot(d, d)
-
-    lhs1 = 2 * _sym_dot(_sym_sub(z1, z2), _sym_sub(z2, z3))
-    rhs1 = rho(z1, z3) - rho(z1, z2) - rho(z2, z3)
-    lhs2 = 2 * _sym_dot(_sym_sub(z1, z2), _sym_sub(z3, z4))
-    rhs2 = rho(z1, z4) + rho(z2, z3) - rho(z1, z3) - rho(z2, z4)
-    return lhs1 == rhs1 and lhs2 == rhs2
+    """The interval reductions as identities in 16 coordinate variables."""
+    return interval_identities(_sym_points(4))
 
 
 # -- cycle structures and their traces -------------------------------------------
@@ -199,7 +168,8 @@ def links_of(seq: CycleSeq) -> List[Tuple[int, int]]:
 
 
 def cycle_trace_numerator(seq: CycleSeq, points: Sequence[Vec4]) -> Fraction:
-    """Two-orientation symmetric trace over the alternating slash cycle.
+    """Two-orientation symmetric trace over the alternating slash cycle,
+    for rational or polynomial coordinates.
 
     Forward product: slash(z_p1 - z_p2) slash+(z_p2 - z_p3) ... ; the
     reverse orientation keeps the first factor and reverses the rest.
@@ -245,19 +215,6 @@ def crossing_sign(pairing: Sequence[Tuple[int, int]], ordering: Sequence[int]) -
     return -1 if crossings % 2 else 1
 
 
-def all_pairings(items: Sequence[int]):
-    """All perfect pairings of the items (first-element canonical order)."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for k in range(1, len(items)):
-        rest = items[1:k] + items[k + 1 :]
-        for tail in all_pairings(rest):
-            yield [(first, items[k])] + tail
-
-
 def rho_variable_index(i: int, j: int, n_points: int) -> int:
     """Index of rho_ij (i < j, 0-based) among the C(n,2) interval variables."""
     if i > j:
@@ -280,7 +237,7 @@ def wick_numerator(n: int, ordering: CycleSeq | None = None) -> MPoly:
         ordering = tuple(range(m))
     arity = m * (m - 1) // 2
     total = MPoly.zero(arity)
-    for pairing in all_pairings(list(range(m))):
+    for pairing in enumerate_patterns(n):
         sign = crossing_sign(pairing, ordering)
         e = [0] * arity
         for i, j in pairing:
@@ -301,22 +258,14 @@ def rho_symbolic(n_points: int) -> List[MPoly]:
     out = []
     for i in range(n_points):
         for j in range(i + 1, n_points):
-            d = _sym_sub(pts[i], pts[j])
-            out.append(_sym_dot(d, d))
+            d = vsub(pts[i], pts[j])
+            out.append(dot4(d, d))
     return out
 
 
 def cycle_trace_numerator_symbolic(seq: CycleSeq, n_points: int) -> MPoly:
     """The two-orientation trace as a polynomial in the coordinates."""
-    pts = _sym_points(n_points)
-    diffs = []
-    n2 = len(seq)
-    for i in range(n2):
-        a, b = seq[i], seq[(i + 1) % n2]
-        diffs.append(_sym_sub(pts[a], pts[b]))
-    fwd = [slash(d, conjugate=(i % 2 == 1)) for i, d in enumerate(diffs)]
-    rev = [fwd[0]] + fwd[1:][::-1]
-    return -_to_fraction_poly(chain_trace(fwd) + chain_trace(rev))
+    return cycle_trace_numerator(seq, _sym_points(n_points)).map_coeff(Fraction)
 
 
 def fit_cycle_constant(n: int, config: PointConfig) -> Fraction:
@@ -360,14 +309,11 @@ def v1_weyl_4pt(config: PointConfig) -> Fraction:
     return (term(2, 3) + term(3, 2)) / 2
 
 
-def v1_scalar_connected(config: PointConfig, structures=None) -> Fraction:
+def v1_scalar_connected(config: PointConfig) -> Fraction:
     """Connected 2n-point function of the scalar bilocal: one-loop cycles
     with propagator 1/rho over each pole structure's links."""
-    n = len(config) // 2
-    if structures is None:
-        structures = orbit_enumerate(n)
     total = Fraction(0)
-    for seq in structures:
+    for seq in orbit_enumerate(len(config) // 2):
         prod = Fraction(1)
         for i, j in links_of(seq):
             r = config.rho(i, j)
@@ -378,7 +324,7 @@ def v1_scalar_connected(config: PointConfig, structures=None) -> Fraction:
     return total
 
 
-def v1_weyl_connected(config: PointConfig, structures=None) -> Fraction:
+def v1_weyl_connected(config: PointConfig) -> Fraction:
     """Connected 2n-point function of the Weyl bilocal via cycle traces.
 
     Normalized so that the 4-point value is j_1(s, t)/(rho13 rho24)
@@ -386,9 +332,7 @@ def v1_weyl_connected(config: PointConfig, structures=None) -> Fraction:
     trace sum is twice this at every n, a constant the lambda fits of the
     symmetrization ansatz would otherwise simply absorb.
     """
-    n = len(config) // 2
-    if structures is None:
-        structures = orbit_enumerate(n)
+    structures = orbit_enumerate(len(config) // 2)
     return sum(cycle_trace_2n(config, seq) for seq in structures) / 2
 
 

@@ -74,27 +74,15 @@ def w1_truncated(
     if n < 4:
         return w1_full(v1_eval, config, pattern)
     total = w1_full(v1_eval, config, pattern)
-    for partition in _proper_partitions(list(range(n))):
+    for partition in _all_partitions_min2(list(range(n))):
+        if len(partition) == 1:
+            continue
         prod = Fraction(1)
         for part in partition:
             sub_pattern = tuple(pattern[k] for k in part)
             prod *= w1_truncated(len(part), v1_eval, config, sub_pattern)
         total -= prod
     return total
-
-
-def _proper_partitions(blocks: List[int]):
-    """Partitions of the blocks into >= 2 parts, each part of size >= 2."""
-    n = len(blocks)
-    first, rest = blocks[0], blocks[1:]
-    for k in range(1, n - 1):
-        for mates in itertools.combinations(rest, k):
-            part = [first, *mates]
-            remaining = [b for b in rest if b not in mates]
-            if len(remaining) == 1:
-                continue
-            for tail in _all_partitions_min2(remaining):
-                yield [part] + tail
 
 
 def _all_partitions_min2(blocks: List[int]):

@@ -34,9 +34,10 @@ import math
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, Tuple
+from typing import Sequence
 
-from .exact import QSeries, lambert_series
+from .exact import QSeries, Quaternion, lambert_series
+from .freefield import slash
 
 TWO_PI = 2 * math.pi
 
@@ -284,36 +285,27 @@ def solve_isotropic(u1: Sequence[float], u2: Sequence[float], alpha: float):
     return v, vbar
 
 
-def _slash_c(z: Sequence[complex], conjugate: bool):
-    """Complex 2x2 slash matrix z4 + z.Q with Q_j = -i sigma_j."""
-    z1, z2, z3, z4 = z
-    s = -1 if conjugate else 1
-    return (
-        (z4 - s * 1j * z3, -s * (z2 + 1j * z1)),
-        (s * (z2 - 1j * z1), z4 + s * 1j * z3),
-    )
+def _max_abs(q: Quaternion) -> float:
+    return max(map(abs, q))
 
 
-def _mat_comb(coef_a, a, coef_b, b):
-    return tuple(
-        tuple(coef_a * a[i][j] + coef_b * b[i][j] for j in range(2)) for i in range(2)
-    )
+def _slash_comb(coef_v: complex, v, coef_vb: complex, vbar) -> Quaternion:
+    return slash(v, True) * coef_v + slash(vbar, True) * coef_vb
 
 
-def weyl_vacuum_2pt(zeta: complex, alpha: float, u1, u2) -> Tuple[Tuple[complex, ...], ...]:
-    """Vacuum Weyl two-point matrix in the split-frame representation."""
+def weyl_vacuum_2pt(zeta: complex, alpha: float, u1, u2) -> Quaternion:
+    """Vacuum Weyl two-point function in the split-frame representation,
+    as the quaternion of its 2x2 slash matrix."""
     v, vbar = solve_isotropic(u1, u2, alpha)
     zp, zm = zeta + alpha, zeta - alpha
     pref = 1j / 8 * _csc(math.pi * zm) * _csc(math.pi * zp)
-    vs = _slash_c(v, True)
-    vbs = _slash_c(vbar, True)
-    return _mat_comb(pref * _csc(math.pi * zm), vs, pref * _csc(math.pi * zp), vbs)
+    return _slash_comb(pref * _csc(math.pi * zm), v, pref * _csc(math.pi * zp), vbar)
 
 
 def gibbs_weyl_2pt(
     zeta: complex, alpha: float, u1, u2, tau: complex, window: int
-) -> Tuple[Tuple[complex, ...], ...]:
-    """Doubly (anti)periodic Weyl two-point matrix.
+) -> Quaternion:
+    """Doubly (anti)periodic Weyl two-point function, as a quaternion.
 
     Assembled from the translate-sum normalized elliptic functions
     p1^{11}/pi and p2^{11}/pi^2 (see the module docstring for the
@@ -332,9 +324,7 @@ def gibbs_weyl_2pt(
     coef_v = p2m - ca * p1m + p1p / sa
     coef_vb = -(p2p + ca * p1p - p1m / sa)
     pref = 1j / (8 * sa)
-    return _mat_comb(
-        pref * coef_v, _slash_c(v, True), pref * coef_vb, _slash_c(vbar, True)
-    )
+    return _slash_comb(pref * coef_v, v, pref * coef_vb, vbar)
 
 
 # -- KMS translate-sum checks ------------------------------------------------------------
@@ -357,7 +347,7 @@ def kms_translate_sum_check(
     """
     q_abs = abs(cmath.exp(2j * math.pi * tau))
     if model == "scalar":
-        sign = 1
+        sign, norm, zero = 1, abs, 0j
 
         def w0(z):
             return scalar_vacuum_2pt(z, alpha)
@@ -365,17 +355,10 @@ def kms_translate_sum_check(
         def closed_form(z):
             return gibbs_scalar_2pt(z, alpha, tau, 4 * window + 40)
 
-        def norm(x):
-            return abs(x)
-
-        def comb(a, b, sgn):
-            return a - sgn * b
-
-        zero = 0j
     elif model == "weyl4":
         if u1 is None or u2 is None:
             raise ValueError("the Weyl check needs the frame vectors")
-        sign = -1
+        sign, norm, zero = -1, _max_abs, Quaternion(0j, 0j, 0j, 0j)
 
         def w0(z):
             return weyl_vacuum_2pt(z, alpha, u1, u2)
@@ -383,15 +366,6 @@ def kms_translate_sum_check(
         def closed_form(z):
             return gibbs_weyl_2pt(z, alpha, u1, u2, tau, 2 * window + 20)
 
-        def norm(x):
-            return max(abs(x[i][j]) for i in range(2) for j in range(2))
-
-        def comb(a, b, sgn):
-            return tuple(
-                tuple(a[i][j] - sgn * b[i][j] for j in range(2)) for i in range(2)
-            )
-
-        zero = ((0j, 0j), (0j, 0j))
     else:
         raise ValueError(f"unknown model {model!r}")
 
@@ -402,19 +376,19 @@ def kms_translate_sum_check(
             sgn = sign**abs(k)
             term = w0(z + k * tau)
             scale = max(scale, norm(term))
-            total = comb(total, term, -sgn)
+            total = total + term * sgn
         return total, scale
 
     total, scale = translate_sum(zeta)
     closed = closed_form(zeta)
-    residual = norm(comb(total, closed, 1))
+    residual = norm(total - closed)
     # zeta -> zeta + 1 on the closed form is exact trigonometry; the
     # zeta -> zeta + tau shift reindexes the translate sum, so both are
     # controlled by the same edge estimate (plus the floating floor)
     shifted_1 = closed_form(zeta + 1)
-    per_1 = norm(comb(shifted_1, closed, sign))
+    per_1 = norm(shifted_1 - closed * sign)
     shifted_tau, _ = translate_sum(zeta + tau)
-    per_tau = norm(comb(shifted_tau, total, sign))
+    per_tau = norm(shifted_tau - total * sign)
     edge = norm(w0(zeta + (window + 1) * tau)) + norm(w0(zeta - (window + 1) * tau))
     float_floor = 1e-13 * max(scale, norm(closed), 1.0)
     bound = 4 * edge / max(1 - q_abs, 1e-12) + float_floor

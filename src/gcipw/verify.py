@@ -344,10 +344,10 @@ def check_gibbs(_seed: int) -> dict:
     u2 = (math.sin(2 * math.pi * aa), 0.0, 0.0, math.cos(2 * math.pi * aa))
     w1 = thermal.gibbs_weyl_2pt(za + 1, aa, u1, u2, ta, 40)
     w0 = thermal.gibbs_weyl_2pt(za, aa, u1, u2, ta, 40)
-    anti = max(abs(w1[i][j] + w0[i][j]) for i in range(2) for j in range(2))
+    anti = max(map(abs, w1 + w0))
     wq = thermal.gibbs_weyl_2pt(za, aa, u1, u2, 10j, 30)
     wv = thermal.weyl_vacuum_2pt(za, aa, u1, u2)
-    vac = max(abs(wq[i][j] - wv[i][j]) for i in range(2) for j in range(2))
+    vac = max(map(abs, wq - wv))
     kms_w = thermal.kms_translate_sum_check("weyl4", za, aa, ta, 8, u1, u2)
     passed = (
         rep_diff < 1e-12

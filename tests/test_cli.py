@@ -117,16 +117,30 @@ class TestPositivity:
 
 class TestOracle:
     def test_small_run(self, capsys):
-        code, out = run(["oracle", "--count", "5", "--seed", "99"], capsys)
+        code, out = run(["oracle", "--seed", "99"], capsys)
         assert code == 0
         assert "c2=-2" in out and "c3=1" in out and "c4=-1/2" in out
 
-    def test_injected_failure(self, capsys):
-        code, out = run(
-            ["oracle", "--count", "3", "--seed", "99", "--inject-error"], capsys
-        )
+    def test_injected_failure(self, monkeypatch, capsys):
+        from gcipw import freefield
+
+        v1 = freefield.v1_weyl_4pt
+        monkeypatch.setattr(freefield, "v1_weyl_4pt", lambda cfg: -v1(cfg))
+        code, out = run(["oracle", "--seed", "99"], capsys)
         assert code == 1
-        assert "FAIL" in out
+        assert "c05_appendix_oracle: FAIL" in out
+
+    def test_json_equals_the_checks(self, tmp_path, capsys):
+        from gcipw import verify
+
+        path = tmp_path / "oracle.json"
+        code, _ = run(["oracle", "--seed", "7", "--json", str(path)], capsys)
+        summary = json.loads(path.read_text())
+        assert code == 0
+        assert sorted(summary) == ["c05_appendix_oracle", "c06_sixpoint_oracle"]
+        for name, got in summary.items():
+            want = verify.CHECKS[name](7)
+            assert (got["passed"], got["detail"]) == (want["passed"], want["detail"])
 
 
 class TestThermal:
@@ -165,7 +179,8 @@ class TestBoundary:
         "args",
         [
             ["thermal", "energy", "--order", "0"],
-            ["oracle", "--count", "-3"],
+            # no translate window up to the ceiling meets the tolerance
+            ["thermal", "kms", "--tau", "0.0001i"],
             ["decompose", "--max-twist", "0"],
             ["decompose", "--max-spin", "-1"],
             ["positivity", "--max-spin", "-1", "--steps", "1"],
@@ -186,6 +201,13 @@ class TestBoundary:
         r = thermal.modular_check_G(2, 1.1j, 200)
         assert code == 0
         assert out.splitlines() == ["k,tau,residual,tolerance", f"2,1.1j,{r:.3e},1e-10"]
+
+    def test_kms_window_grows_for_small_im_tau(self, capsys):
+        # the edge term of window 8 at Im tau = 0.05 is far above 1e-10
+        code, out = run(["thermal", "kms", "--tau", "0.05i"], capsys)
+        assert code == 0
+        rows = list(csv.reader(out.strip().splitlines()))[1:]
+        assert float(rows[0][1]) < 1e-10
 
     def test_modular_window_grows_for_small_im_minus_inverse_tau(self, capsys):
         # -1/tau has Im 1/101: order 200 leaves a tail bound near 1e3
@@ -251,12 +273,6 @@ class TestConfigAndOutput:
 
     def test_csv_determinism(self, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        for d in (d1, d2):
-            code, _ = run(
-                ["oracle", "--count", "2", "--seed", "5", "--csv-dir", str(d)], capsys
-            )
-            assert code == 0
-        # oracle writes no CSV today; determinism is covered on decompose
         for d in (d1, d2):
             code, _ = run(
                 [

@@ -171,11 +171,11 @@ class TestIntervalIdentities:
     def test_random_configs(self):
         rng = random.Random(3)
         for _ in range(100):
-            assert interval_identities(random_config(rng, 4))
+            assert interval_identities(random_config(rng, 4).points)
 
     def test_collinear(self):
         cfg = PointConfig([(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)])
-        assert interval_identities(cfg)
+        assert interval_identities(cfg.points)
 
     def test_symbolic(self):
         assert interval_identities_symbolic()
