@@ -10,7 +10,9 @@ failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field
@@ -29,6 +31,8 @@ MODULAR_MAX_ORDER = 12800
 KMS_MAX_WINDOW = 4096
 # the checks `gcipw oracle` runs
 ORACLE_CHECKS = ("c05_appendix_oracle", "c06_sixpoint_oracle")
+# the 4-point parameters and the 2-point norm, in PWParams order
+PARAM_NAMES = tuple(f.name for f in dataclasses.fields(PWParams))
 
 
 def parse_rat(text: str) -> Fraction:
@@ -78,9 +82,7 @@ def load_config(path: Path) -> RunConfig:
     with open(path) as fh:
         doc = json.load(fh)
     p = doc.get("params", {})
-    params = PWParams(
-        **{k: Fraction(str(v)) for k, v in p.items() if k in ("a0", "a1", "a2", "b", "c", "B")}
-    )
+    params = PWParams(**{k: Fraction(str(v)) for k, v in p.items() if k in PARAM_NAMES})
     cfg = RunConfig(params=params)
     if "max_twist" in doc:
         cfg.max_twist = int(doc["max_twist"])
@@ -99,16 +101,12 @@ def load_config(path: Path) -> RunConfig:
 
 def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
     fields = {}
-    for name in ("a0", "a1", "a2", "b", "c", "B"):
+    for name in PARAM_NAMES:
         v = getattr(args, name, None)
         if v is not None:
             fields[name] = v
     if fields:
-        base = {
-            k: getattr(cfg.params, k) for k in ("a0", "a1", "a2", "b", "c", "B")
-        }
-        base.update(fields)
-        cfg.params = PWParams(**base)
+        cfg.params = dataclasses.replace(cfg.params, **fields)
     if getattr(args, "max_twist", None) is not None:
         cfg.max_twist = args.max_twist
     if getattr(args, "max_spin", None) is not None:
@@ -126,17 +124,17 @@ def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def _open_csv(cfg: RunConfig, name: str):
+def _write_csv(cfg: RunConfig, name: str, header: List[str], rows: List[List]) -> None:
+    """Write one CSV table to csv_dir/name, or to stdout without --csv-dir."""
     if cfg.csv_dir is None:
-        return None
-    cfg.csv_dir.mkdir(parents=True, exist_ok=True)
-    return open(cfg.csv_dir / name, "w", newline="")
-
-
-def _emit(rows: List[List[str]], header: List[str], fh) -> None:
-    writer = csv.writer(fh if fh else sys.stdout)
-    writer.writerow(header)
-    writer.writerows(rows)
+        out = contextlib.nullcontext(sys.stdout)
+    else:
+        cfg.csv_dir.mkdir(parents=True, exist_ok=True)
+        out = open(cfg.csv_dir / name, "w", newline="")
+    with out as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -166,53 +164,40 @@ def cmd_decompose(cfg: RunConfig) -> int:
                 )
             else:
                 rows.append([kappa, ell, format_rat(val), f"{float(val):.12g}", "", ""])
-    fh = _open_csv(cfg, "structure_constants.csv")
-    _emit(rows, header, fh)
-    if fh:
-        fh.close()
-        g_fh = _open_csv(cfg, "twist_profiles.csv")
+    _write_csv(cfg, "structure_constants.csv", header, rows)
+    if cfg.csv_dir is not None:
         g_rows = [
             [kappa, k, format_rat(c)]
             for kappa in range(1, cfg.max_twist + 1)
             for k, c in enumerate(tower.g[kappa].coeffs)
             if c
         ]
-        _emit(g_rows, ["kappa", "power", "coefficient"], g_fh)
-        g_fh.close()
+        _write_csv(cfg, "twist_profiles.csv", ["kappa", "power", "coefficient"], g_rows)
     return CHECK_FAILED if mismatch else 0
 
 
 def cmd_positivity(cfg: RunConfig, grid: List[PWParams]) -> int:
     if cfg.max_spin < 0:
         raise ValueError(f"--max-spin must be >= 0, got {cfg.max_spin}")
-    header = [
-        "a0", "a1", "a2", "b", "c", "B",
-        "admissible", "trivial", "first_violation",
-    ]
+    header = [*PARAM_NAMES, "admissible", "trivial", "first_violation"]
     rows = []
     for p in grid:
         rep = partialwave.positivity_check(p, scan_spin=cfg.max_spin)
         rows.append(
-            [format_rat(getattr(p, k)) for k in ("a0", "a1", "a2", "b", "c", "B")]
+            [format_rat(getattr(p, k)) for k in PARAM_NAMES]
             + [rep.admissible, rep.trivial, rep.first_violation or ""]
         )
-    fh = _open_csv(cfg, "positivity.csv")
-    _emit(rows, header, fh)
-    if fh:
-        fh.close()
+    _write_csv(cfg, "positivity.csv", header, rows)
     return 0
 
 
 def build_grid(cfg: RunConfig, axis: str, lo: Fraction, hi: Fraction, steps: int) -> List[PWParams]:
     if steps < 1 or hi < lo:
         raise ValueError("malformed grid")
-    out = []
-    for k in range(steps + 1):
-        val = lo + (hi - lo) * Fraction(k, steps)
-        base = {n: getattr(cfg.params, n) for n in ("a0", "a1", "a2", "b", "c", "B")}
-        base[axis] = val
-        out.append(PWParams(**base))
-    return out
+    return [
+        dataclasses.replace(cfg.params, **{axis: lo + (hi - lo) * Fraction(k, steps)})
+        for k in range(steps + 1)
+    ]
 
 
 def modular_order(k: int, tau: complex, order: int, tol: float) -> int:
@@ -271,10 +256,7 @@ def cmd_thermal(cfg: RunConfig, sub: str, model: str, order: int, k_weight: int)
             if model == "weyl" and key == 0:
                 flag = "sign-corrected modular combination (printed constant is -17/960)"
             rows.append([key, 2, c.numerator, c.denominator, flag])
-        fh = _open_csv(cfg, f"energy_{model}.csv")
-        _emit(rows, header, fh)
-        if fh:
-            fh.close()
+        _write_csv(cfg, f"energy_{model}.csv", header, rows)
         return 0
     if sub == "modular":
         failures = []
@@ -285,10 +267,7 @@ def cmd_thermal(cfg: RunConfig, sub: str, model: str, order: int, k_weight: int)
             rows.append([k_weight, str(tau), f"{r:.3e}", tol])
             if r > tol:
                 failures.append(str(tau))
-        fh = _open_csv(cfg, "modular_residuals.csv")
-        _emit(rows, ["k", "tau", "residual", "tolerance"], fh)
-        if fh:
-            fh.close()
+        _write_csv(cfg, "modular_residuals.csv", ["k", "tau", "residual", "tolerance"], rows)
         return CHECK_FAILED if failures else 0
     if sub == "kms":
         tol_k = cfg.tolerances.get("kms", None)
@@ -300,10 +279,7 @@ def cmd_thermal(cfg: RunConfig, sub: str, model: str, order: int, k_weight: int)
             rows.append([str(tau), f"{rep['residual']:.3e}", f"{limit:.3e}"])
             if rep["residual"] > limit:
                 failures.append(str(tau))
-        fh = _open_csv(cfg, "kms_residuals.csv")
-        _emit(rows, ["tau", "residual", "bound"], fh)
-        if fh:
-            fh.close()
+        _write_csv(cfg, "kms_residuals.csv", ["tau", "residual", "bound"], rows)
         return CHECK_FAILED if failures else 0
     print(f"unknown thermal subcommand {sub!r}", file=sys.stderr)
     return USAGE_ERROR
@@ -350,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", type=Path, help="JSON configuration document")
         p.add_argument("--seed", type=int, help="seed for random configurations")
-        for name in ("a0", "a1", "a2", "b", "c", "B"):
+        for name in PARAM_NAMES:
             p.add_argument(f"--{name}", type=parse_rat, help=f"parameter {name} (p/q)")
         p.add_argument("--max-twist", type=int, dest="max_twist")
         p.add_argument("--max-spin", type=int, dest="max_spin")
@@ -394,8 +370,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
         print(f"bad config: {err}", file=sys.stderr)
         return USAGE_ERROR
-    cfg = apply_flag_overrides(cfg, args)
     try:
+        cfg = apply_flag_overrides(cfg, args)
         if args.command == "decompose":
             return cmd_decompose(cfg)
         if args.command == "positivity":

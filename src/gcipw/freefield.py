@@ -11,8 +11,9 @@ exact rational number.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exact import MPoly, Quaternion, chain_trace
 from .kinematics import DegenerateConfiguration, PointConfig, Vec4, dot4, vsub
@@ -365,113 +366,73 @@ def v1_weyl_npoint(config: PointConfig) -> Fraction:
 # -- first-principles Wick network for the composite scalars ------------------------
 
 
-def _fermion_edge(pts, kind: str, fv: int, cv: int, f_slot: int, c_slot: int):
+def _fermion_edge(pts, kind: str, fv: int, cv: int) -> Quaternion:
     """Wick contraction between a field operator (at vertex fv) and its
-    conjugate (at vertex cv), as a matrix in (earlier-slot, later-slot)
-    index order.
+    conjugate (at vertex cv), as a matrix indexed (fv, cv): the step
+    from the field to its conjugate along a loop.
 
     kind "psi": <psi(x) psi+(y)> = slash+(x - y) / rho^2;
     kind "chi": <chi(x) chi+(y)> = slash(x - y) / rho^3.
-    Locality fixes the opposite operator order to the transposed matrix
-    with a sign flip (the difference vector reverses).
+    When the conjugate's operator slot comes first (cv < fv), locality
+    fixes the contraction in slot order to the transposed matrix with a
+    sign flip; transposed back to (fv, cv) order, only the sign remains.
     """
     z = vsub(pts[fv], pts[cv])
     r = sum(c * c for c in z)
     if r == 0:
         raise DegenerateConfiguration("coincident points in a propagator")
     weight = r**2 if kind == "psi" else r**3
-    m = slash(z, conjugate=(kind == "psi")) * (1 / weight)
-    if f_slot < c_slot:
-        return m, fv, cv
-    return -m.transpose(), cv, fv
+    return slash(z, conjugate=(kind == "psi")) * ((1 if fv < cv else -1) / weight)
 
 
-def _is_single_alternating_loop(pair_a: Dict[int, int], pair_b: Dict[int, int], m: int) -> bool:
-    """Walk the union of two perfect matchings, alternating families."""
-    cur = 0
-    use_a = True
-    for step in range(m):
-        cur = pair_a[cur] if use_a else pair_b[cur]
-        use_a = not use_a
-        if cur == 0:
-            return step == m - 1
-    return False
+def _hamiltonian_cycles(m: int):
+    """Directed Hamiltonian cycles through points 0..m-1 that start at
+    point 0, as closed point sequences (0, ..., 0); there are (m-1)!."""
+    for tail in itertools.permutations(range(1, m)):
+        yield (0, *tail, 0)
 
 
-def _contract_loop(mats, m: int) -> Fraction:
-    """Spinor index contraction over one closed loop.
-
-    Each vertex carries one spinor index shared by its two operator
-    slots; each edge matrix is indexed (earlier vertex, later vertex).
-    Walking the cycle and transposing the edges that point backwards
-    turns the sum over index assignments into a matrix-product trace.
-    """
-    adj: Dict[int, List[int]] = {}
-    for _, ev, lv in mats:
-        adj.setdefault(ev, []).append(lv)
-        adj.setdefault(lv, []).append(ev)
-    oriented = {(ev, lv): mat for mat, ev, lv in mats}
-    cur = 0
-    prev = None
-    steps = []
-    for _ in range(m):
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        if (cur, nxt) in oriented:
-            steps.append(oriented[(cur, nxt)])
-        else:
-            steps.append(oriented[(nxt, cur)].transpose())
-        prev, cur = cur, nxt
-    return chain_trace(steps)
+def _alternations(tables, cyc):
+    """The two ways to alternate a pair of m x m edge tables along a
+    closed cycle: the edge factor lists starting with table 0 and with
+    table 1."""
+    steps = list(enumerate(zip(cyc, cyc[1:])))
+    for p in (0, 1):
+        yield [tables[(k + p) % 2][a][b] for k, (a, b) in steps]
 
 
 def l1_truncated_npoint(config: PointConfig) -> Fraction:
     """Truncated 2n-point function of the composite psi+ chi + chi+ psi.
 
-    Direct fermionic Wick sum over single-loop contraction patterns: the
-    chord-crossing parity of each pattern supplies the sign, and the
-    spinor indices are contracted by brute force.  Serves as the
-    independent reference correlator for the symmetrization ansatz.
+    Direct fermionic Wick sum over single-loop contraction patterns.
+    Vertices in a set A of n points carry psi+ chi and the rest chi+ psi;
+    a single loop alternates psi and chi contractions, and so A and its
+    complement.  Starting at point 0 and leaving it along the contraction
+    of its own field (psi outside A, chi in A), every loop is walked as
+    exactly one directed Hamiltonian cycle from 0 together with a parity,
+    the kind of its first edge, which fixes A as the odd or the even
+    positions.  Loops and (cycle, parity) pairs are in bijection, so
+    there are 2 (m-1)! of them over all splits A.  Each step runs from a
+    field to its conjugate, so one table per kind holds every propagator
+    and the chords (2a + 1, 2b) of the operator slots do not depend on
+    the parity.  The chord-crossing parity of each pattern supplies the
+    sign, and the spinor indices contract to the trace along the walk.
+    Serves as the independent reference correlator for the
+    symmetrization ansatz.
     """
     m = len(config)
     if m % 2:
         raise ValueError("need an even number of points")
-    n = m // 2
     pts = config.points
+    tables = [
+        [[None if a == b else _fermion_edge(pts, kind, a, b) for b in range(m)] for a in range(m)]
+        for kind in ("psi", "chi")
+    ]
     total = Fraction(0)
-    # vertices in A carry the (psi+ chi) term, the rest carry (chi+ psi);
-    # a single loop needs equal counts
-    for a_set in itertools.combinations(range(m), n):
-        in_a = set(a_set)
-        # slot layout per vertex, in writing order
-        psi_slot = {v: 2 * v + 1 for v in range(m) if v not in in_a}
-        psiplus_slot = {v: 2 * v for v in in_a}
-        chi_slot = {v: 2 * v + 1 for v in in_a}
-        chiplus_slot = {v: 2 * v for v in range(m) if v not in in_a}
-        psi_vertices = sorted(psi_slot)
-        chi_vertices = sorted(chi_slot)
-        for psi_match in itertools.permutations(sorted(psiplus_slot)):
-            psi_pair = {}
-            for v, w in zip(psi_vertices, psi_match):
-                psi_pair[v] = w
-                psi_pair[w] = v
-            for chi_match in itertools.permutations(sorted(chiplus_slot)):
-                chi_pair = {}
-                for v, w in zip(chi_vertices, chi_match):
-                    chi_pair[v] = w
-                    chi_pair[w] = v
-                if not _is_single_alternating_loop(psi_pair, chi_pair, m):
-                    continue
-                mats = []
-                chords = []
-                for v, w in zip(psi_vertices, psi_match):
-                    s1, s2 = psi_slot[v], psiplus_slot[w]
-                    chords.append((s1, s2))
-                    mats.append(_fermion_edge(pts, "psi", v, w, s1, s2))
-                for v, w in zip(chi_vertices, chi_match):
-                    s1, s2 = chi_slot[v], chiplus_slot[w]
-                    chords.append((s1, s2))
-                    mats.append(_fermion_edge(pts, "chi", v, w, s1, s2))
-                total += crossing_sign(chords, range(2 * m)) * _contract_loop(mats, m)
+    for cyc in _hamiltonian_cycles(m):
+        chords = [(2 * a + 1, 2 * b) for a, b in zip(cyc, cyc[1:])]
+        traces = sum(chain_trace(steps) for steps in _alternations(tables, cyc))
+        total += crossing_sign(chords, range(2 * m)) * traces
     return total
 
 
@@ -480,26 +441,21 @@ def l0_truncated_npoint(config: PointConfig) -> Fraction:
     scalars of dimensions 1 and 3.
 
     Connected diagrams are Hamiltonian cycles through the points with the
-    two propagators 1/rho and 1/rho^3 alternating along the cycle.
+    two propagators 1/rho and 1/rho^3 alternating along the cycle: the
+    same 2 (m-1)! (cycle, parity) walks as `l1_truncated_npoint`, of which
+    each undirected cycle keeps one orientation.
     """
     m = len(config)
-    r = config.rho
+    inv = [[None] * m for _ in range(m)]
+    for a, b in itertools.combinations(range(m), 2):
+        rv = config.rho(a, b)
+        if rv == 0:
+            raise DegenerateConfiguration("coincident points")
+        inv[a][b] = inv[b][a] = 1 / rv
+    tables = (inv, [[None if w is None else w**3 for w in row] for row in inv])
     total = Fraction(0)
-    for tail in itertools.permutations(range(1, m)):
-        if tail[0] > tail[-1]:
+    for cyc in _hamiltonian_cycles(m):
+        if cyc[1] > cyc[-2]:
             continue  # each undirected cycle once
-        cyc = (0, *tail, 0)
-        prod1 = Fraction(1)
-        prod2 = Fraction(1)
-        for k in range(m):
-            rv = r(cyc[k], cyc[k + 1])
-            if rv == 0:
-                raise DegenerateConfiguration("coincident points")
-            if k % 2 == 0:
-                prod1 /= rv
-                prod2 /= rv**3
-            else:
-                prod1 /= rv**3
-                prod2 /= rv
-        total += prod1 + prod2
+        total += sum(math.prod(steps) for steps in _alternations(tables, cyc))
     return total

@@ -1,6 +1,6 @@
 """The symmetrization ansatz: constrained pairing patterns, truncated
-bilocal 2n-point functions, the symmetrized candidate correlator, exact
-ratio fitting of the per-n constants, and the twist-2 consistency probe.
+bilocal 2n-point functions, the symmetrized candidate correlator and exact
+ratio fitting of the per-n constants.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
-from .kinematics import DegenerateConfiguration, PointConfig, _rat_sqrt
+from .kinematics import DegenerateConfiguration, PointConfig
 
 Pattern = Tuple[Tuple[int, int], ...]
 Evaluator = Callable[[PointConfig], Fraction]
@@ -141,61 +141,3 @@ def fit_lambda(
     if ratio is None or ratio == 0:
         raise ValueError("reference vanished at every configuration")
     return ratio
-
-
-# unit-norm rational direction along which the second point approaches the
-# first, so that rho12 = eps exactly for eps a rational square
-_SLIDE_DIRECTION = (Fraction(3, 5), Fraction(4, 5), Fraction(0), Fraction(0))
-
-
-def twist2_consistency(
-    n: int,
-    lam: Fraction,
-    v1_eval: Evaluator,
-    base_config: PointConfig,
-    epsilons: Sequence[Fraction],
-    tolerance: float = 0.2,
-) -> dict:
-    """Probe the defining limit of the ansatz: rho12^3 (w^t - w1^t) -> 0.
-
-    Here w^t is the symmetrized candidate with the supplied lambda and
-    w1^t the canonical-pattern bilocal term.  The second point slides
-    toward the first so that rho12 = eps exactly; the leading power of
-    the (exact) difference is fitted by log ratios over the sequence.
-    Passes when the fitted exponent is >= 1 - tolerance, or when the
-    difference vanishes identically.
-    """
-    if len(epsilons) < 4:
-        raise ValueError("need at least four epsilon values")
-    pts = list(base_config.points)
-    values = []
-    for eps in epsilons:
-        eps = Fraction(eps)
-        eta = _rat_sqrt(eps)
-        if eta is None:
-            raise ValueError("epsilons must be squares of rationals")
-        moved = list(pts)
-        moved[1] = tuple(a + eta * d for a, d in zip(pts[0], _SLIDE_DIRECTION))
-        cfg = PointConfig(moved)
-        if not cfg.is_nondegenerate():
-            raise DegenerateConfiguration("slid configuration degenerated")
-        wt = symmetrized_wt(n, lam, v1_eval, cfg)
-        w1 = w1_truncated(n, v1_eval, cfg, enumerate_patterns(n)[0])
-        values.append((eps, eps**3 * (wt - w1)))
-    if all(v == 0 for _, v in values):
-        return {"exponent": float("inf"), "passed": True, "values": values}
-    pairs = [(float(e), abs(float(v))) for e, v in values if v != 0]
-    if len(pairs) < 2:
-        return {"exponent": float("nan"), "passed": False, "values": values}
-    slopes = [
-        (math.log(pairs[i + 1][1]) - math.log(pairs[i][1]))
-        / (math.log(pairs[i + 1][0]) - math.log(pairs[i][0]))
-        for i in range(len(pairs) - 1)
-    ]
-    exponent = slopes[-1]
-    return {
-        "exponent": exponent,
-        "passed": exponent >= 1 - tolerance,
-        "values": values,
-        "slopes": slopes,
-    }

@@ -233,7 +233,7 @@ def check_combinatorics(_seed: int) -> dict:
 
 
 def check_symmetrizability(seed: int) -> dict:
-    """Criterion 8: fitted lambdas and the n = 3 ratio constancy."""
+    """Criterion 8: fitted lambdas and the n = 3 ratios of both composites."""
     t0 = time.perf_counter()
     rng = random.Random(seed + 5)
     configs = [kinematics.random_config(rng, 4) for _ in range(6)]
@@ -256,18 +256,22 @@ def check_symmetrizability(seed: int) -> dict:
     lam2 = symmetrize.fit_lambda(2, ref(2), pw_eval(2), configs)
     lam_ok = lam0 == lam1 == 2 * lam2
     configs6 = [kinematics.random_config(rng, 6) for _ in range(20)]
-    try:
-        lam3 = symmetrize.fit_lambda(
-            3, freefield.l1_truncated_npoint, freefield.v1_weyl_npoint, configs6
-        )
-        ratio_ok = True
-    except symmetrize.NotSymmetrizable as err:
-        lam3 = None
-        ratio_ok = False
+
+    def lambda3(reference, v1_eval):
+        try:
+            return symmetrize.fit_lambda(3, reference, v1_eval, configs6)
+        except symmetrize.NotSymmetrizable:
+            return None
+
+    weyl3 = lambda3(freefield.l1_truncated_npoint, freefield.v1_weyl_npoint)
+    scalar3 = lambda3(freefield.l0_truncated_npoint, freefield.v1_scalar_npoint)
     return {
         "id": "c08_symmetrizability",
-        "passed": lam_ok and ratio_ok,
-        "detail": f"lambda2=({lam0},{lam1},{lam2}), n=3 weyl ratio={lam3}",
+        "passed": lam_ok and weyl3 == 2 and scalar3 == 1,
+        "detail": (
+            f"lambda2=({lam0},{lam1},{lam2}), n=3 weyl ratio={weyl3}, "
+            f"n=3 scalar ratio={scalar3}"
+        ),
         "elapsed": time.perf_counter() - t0,
     }
 

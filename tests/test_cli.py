@@ -184,6 +184,9 @@ class TestBoundary:
             ["decompose", "--max-twist", "0"],
             ["decompose", "--max-spin", "-1"],
             ["positivity", "--max-spin", "-1", "--steps", "1"],
+            # PWParams rejects a negative 2-point normalization
+            ["decompose", "--B", "-1"],
+            ["positivity", "--B", "-1", "--steps", "1"],
             # no truncation up to the ceiling meets the tolerance
             ["thermal", "modular", "--tau", "0.0001i"],
         ],

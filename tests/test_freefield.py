@@ -1,6 +1,8 @@
 """Quaternion traces, elementary pole structures, Wick numerators and
 the free-field correlator oracles."""
 
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,6 +15,7 @@ from gcipw.freefield import (
     cycle_trace_2n,
     cycle_trace_numerator,
     cycle_trace_numerator_symbolic,
+    crossing_sign,
     det4,
     fit_cycle_constant,
     interval_identities,
@@ -320,7 +323,110 @@ class TestScalarBilocal:
         assert v1_scalar_npoint(cfg) == v1_scalar_npoint(swapped)
 
 
+def all_matchings_l1(config):
+    """The fermionic Wick sum over every psi and chi matching of every
+    split A, keeping the single loops: the brute-force reference that
+    `l1_truncated_npoint` replaces by a direct cycle enumeration.
+
+    Edge matrices are indexed (earlier vertex, later vertex) in slot
+    order and the loop is walked from an adjacency list, so only the
+    final value is shared with the library code.  Valid for m >= 4,
+    where no two loop edges join the same pair of points.
+    """
+    m = len(config)
+    n = m // 2
+    pts = config.points
+
+    def edge(kind, fv, cv, f_slot, c_slot):
+        z = vsub(pts[fv], pts[cv])
+        r = dot4(z, z)
+        mat = slash(z, conjugate=(kind == "psi")) * (1 / (r**2 if kind == "psi" else r**3))
+        return (mat, fv, cv) if f_slot < c_slot else (-mat.transpose(), cv, fv)
+
+    def single_loop(pair_a, pair_b):
+        cur, use_a = 0, True
+        for step in range(m):
+            cur = pair_a[cur] if use_a else pair_b[cur]
+            use_a = not use_a
+            if cur == 0:
+                return step == m - 1
+        return False
+
+    def contract(mats):
+        adj = {}
+        for _, ev, lv in mats:
+            adj.setdefault(ev, []).append(lv)
+            adj.setdefault(lv, []).append(ev)
+        oriented = {(ev, lv): mat for mat, ev, lv in mats}
+        cur, prev, steps = 0, None, []
+        for _ in range(m):
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            if (cur, nxt) in oriented:
+                steps.append(oriented[(cur, nxt)])
+            else:
+                steps.append(oriented[(nxt, cur)].transpose())
+            prev, cur = cur, nxt
+        return chain_trace(steps)
+
+    total = F(0)
+    for a_set in itertools.combinations(range(m), n):
+        rest = [v for v in range(m) if v not in a_set]
+        # A vertices write (psi+ chi), the rest (chi+ psi)
+        for psi_match in itertools.permutations(a_set):
+            for chi_match in itertools.permutations(rest):
+                psi_pair = {**dict(zip(rest, psi_match)), **dict(zip(psi_match, rest))}
+                chi_pair = {**dict(zip(a_set, chi_match)), **dict(zip(chi_match, a_set))}
+                if not single_loop(psi_pair, chi_pair):
+                    continue
+                chords, mats = [], []
+                for kind, fvs, cvs in (("psi", rest, psi_match), ("chi", a_set, chi_match)):
+                    for v, w in zip(fvs, cvs):
+                        chords.append((2 * v + 1, 2 * w))
+                        mats.append(edge(kind, v, w, 2 * v + 1, 2 * w))
+                total += crossing_sign(chords, range(2 * m)) * contract(mats)
+    return total
+
+
+def undirected_cycles_l0(config):
+    """The scalar composite's cycle sum, each undirected Hamiltonian
+    cycle once with both alternations of 1/rho and 1/rho^3."""
+    m = len(config)
+    total = F(0)
+    for tail in itertools.permutations(range(1, m)):
+        if tail[0] > tail[-1]:
+            continue
+        cyc = (0, *tail, 0)
+        rs = [config.rho(cyc[k], cyc[k + 1]) for k in range(m)]
+        total += sum(
+            math.prod(r ** (1 if (k + p) % 2 == 0 else 3) for k, r in enumerate(rs)) ** -1
+            for p in (0, 1)
+        )
+    return total
+
+
 class TestCompositeNetworks:
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_l1_equals_all_matchings_sum(self, m):
+        rng = random.Random(40 + m)
+        for _ in range(3):
+            cfg = random_config(rng, m)
+            assert l1_truncated_npoint(cfg) == all_matchings_l1(cfg)
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_l0_equals_undirected_cycle_sum(self, m):
+        rng = random.Random(50 + m)
+        for _ in range(3):
+            cfg = random_config(rng, m)
+            assert l0_truncated_npoint(cfg) == undirected_cycles_l0(cfg)
+
+    def test_two_point_functions(self):
+        # both loops of the two-point network are the same pair of points,
+        # one with psi first and one with chi first
+        cfg = random_config(random.Random(18), 2)
+        r = cfg.rho(0, 1)
+        assert l1_truncated_npoint(cfg) == 4 / r**4
+        assert l0_truncated_npoint(cfg) == 2 / r**4
+
     def test_l1_proportional_to_J1(self):
         rng = random.Random(15)
         ratios = set()

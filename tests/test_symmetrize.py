@@ -1,5 +1,5 @@
-"""The symmetrization ansatz: patterns, truncated bilocal functions,
-lambda fitting and the twist-2 consistency probe."""
+"""The symmetrization ansatz: patterns, truncated bilocal functions and
+lambda fitting."""
 
 import itertools
 import random
@@ -21,7 +21,6 @@ from gcipw.symmetrize import (
     enumerate_patterns,
     fit_lambda,
     symmetrized_wt,
-    twist2_consistency,
     w1_full,
     w1_truncated,
 )
@@ -200,39 +199,3 @@ class TestFitLambda:
         ref = lambda c: c.rho(0, 1)
         with pytest.raises(NotSymmetrizable):
             fit_lambda(2, ref, v1_scalar_npoint, configs)
-
-
-class TestTwist2Consistency:
-    def test_matched_lambda_decays(self):
-        rng = random.Random(13)
-        base = random_config(rng, 4)
-        eps = [F(1, 4**k) for k in range(2, 7)]
-        rep = twist2_consistency(2, F(1), v1_scalar_npoint, base, eps)
-        assert rep["passed"]
-        # sigma_0 = 2 for the scalar channel: the decay is quadratic
-        assert rep["exponent"] > 1.8
-
-    def test_mismatched_lambda_fails(self):
-        rng = random.Random(14)
-        base = random_config(rng, 4)
-        eps = [F(1, 4**k) for k in range(2, 7)]
-        rep = twist2_consistency(2, F(2), v1_scalar_npoint, base, eps)
-        assert not rep["passed"]
-        assert abs(rep["exponent"]) < 0.5
-
-    def test_identical_inputs_give_exact_zero(self):
-        # with a single pattern the difference is identically zero
-        rng = random.Random(15)
-        base = random_config(rng, 2)
-
-        def v1(cfg):
-            return F(1)
-
-        rep = twist2_consistency(1, F(1), v1, base, [F(1, 4**k) for k in range(2, 6)])
-        assert rep["passed"] and rep["exponent"] == float("inf")
-
-    def test_needs_enough_epsilons(self):
-        rng = random.Random(16)
-        base = random_config(rng, 4)
-        with pytest.raises(ValueError):
-            twist2_consistency(2, F(1), v1_scalar_npoint, base, [F(1, 16)])
