@@ -1,10 +1,29 @@
 """Command-line surface: decomposition tables, positivity scans, oracle
 runs, thermal tables and the full verification suite.
 
-Configuration may come from a JSON document (--config) and/or flags;
-flags win.  Rationals are read and written as "p/q" strings so no float
-ever contaminates an exact value.  Exit codes: 0 pass, 1 verification
-failure, 2 usage/config error.
+Flags override a JSON document given with --config, which overrides the
+one table DEFAULTS.  Each subcommand takes --config and only the flags
+it reads:
+
+  decompose        --a0 --a1 --a2 --b --c --B --max-twist --max-spin --order --csv-dir
+  positivity       --a0 --a1 --a2 --b --c --B --max-spin --csv-dir --axis --lo --hi --steps
+  oracle           --seed --json
+  verify-all       --seed --json
+  thermal energy   --model --order --csv-dir
+  thermal modular  --k --order --tau --csv-dir
+  thermal kms      --tau --csv-dir
+
+The document's keys are setting names: "params" (an object over a0, a1,
+a2, b, c, B), "max_twist", "max_spin", "series_order", "seed",
+"tau_points" (a list) and "tolerances" (over "modular", "kms", "numeric").
+An unknown key is a config error; a key the subcommand does not read is
+ignored, so one document can serve several subcommands.  `positivity`
+sweeps the --axis parameter, so a flag for that parameter is an error.
+
+Rationals are read and written as "p/q" strings so no float ever
+contaminates an exact value; an argument that starts like a negative
+number (-1/3, -0.5+1i) is a value, not a flag.  Exit codes: 0 pass,
+1 verification failure, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -14,11 +33,11 @@ import contextlib
 import csv
 import dataclasses
 import json
+import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List
 
 from . import partialwave, thermal, verify
 from .fourpoint import PWParams
@@ -29,10 +48,22 @@ CHECK_FAILED = 1
 MODULAR_MAX_ORDER = 12800
 # `thermal kms` doubles its translate window up to this ceiling
 KMS_MAX_WINDOW = 4096
+# `thermal energy` and `thermal modular` truncate here without --order
+THERMAL_ORDER = 100
 # the checks `gcipw oracle` runs
 ORACLE_CHECKS = ("c05_appendix_oracle", "c06_sixpoint_oracle")
 # the 4-point parameters and the 2-point norm, in PWParams order
 PARAM_NAMES = tuple(f.name for f in dataclasses.fields(PWParams))
+TOLERANCE_NAMES = ("modular", "kms", "numeric")
+
+# every setting with its default; series_order None means the command's own
+DEFAULTS = {
+    **dataclasses.asdict(PWParams()),
+    "max_twist": 3, "max_spin": 10, "series_order": None, "seed": 20240801,
+    "tolerances": {}, "tau_points": [1.5j], "csv_dir": None, "json": None,
+    "axis": "b", "lo": Fraction(-4), "hi": Fraction(1), "steps": 20,
+    "model": "scalar4", "k_weight": 2,
+}
 
 
 def parse_rat(text: str) -> Fraction:
@@ -60,77 +91,48 @@ def format_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass
-class RunConfig:
-    params: PWParams = field(default_factory=PWParams)
-    max_twist: int = 3
-    max_spin: int = 10
-    series_order: Optional[int] = None
-    seed: int = 20240801
-    tolerances: Dict[str, float] = field(default_factory=dict)
-    tau_points: List[complex] = field(default_factory=lambda: [1.5j])
-    csv_dir: Optional[Path] = None
-    json_path: Optional[Path] = None
-
-    def order(self) -> int:
-        if self.series_order is not None:
-            return self.series_order
-        return 2 * self.max_spin + 2 * self.max_twist + 8
+def _known(doc, names, what: str):
+    """The items of a config object whose keys are all in names."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+    return doc.items()
 
 
-def load_config(path: Path) -> RunConfig:
+# how the value of each config key is read
+CONFIG_READERS = {
+    "params": lambda d: {k: Fraction(str(v)) for k, v in _known(d, PARAM_NAMES, "params")},
+    "max_twist": int,
+    "max_spin": int,
+    "series_order": int,
+    "seed": int,
+    "tolerances": lambda d: {k: float(v) for k, v in _known(d, TOLERANCE_NAMES, "tolerances")},
+    "tau_points": lambda ts: [parse_tau(str(t)) for t in ts],
+}
+
+
+def load_config(path: Path) -> dict:
+    """The settings a JSON document sets, with "params" spread into a0..B."""
     with open(path) as fh:
-        doc = json.load(fh)
-    p = doc.get("params", {})
-    params = PWParams(**{k: Fraction(str(v)) for k, v in p.items() if k in PARAM_NAMES})
-    cfg = RunConfig(params=params)
-    if "max_twist" in doc:
-        cfg.max_twist = int(doc["max_twist"])
-    if "max_spin" in doc:
-        cfg.max_spin = int(doc["max_spin"])
-    if "series_order" in doc:
-        cfg.series_order = int(doc["series_order"])
-    if "seed" in doc:
-        cfg.seed = int(doc["seed"])
-    if "tolerances" in doc:
-        cfg.tolerances = {k: float(v) for k, v in doc["tolerances"].items()}
-    if "tau_points" in doc:
-        cfg.tau_points = [parse_tau(str(t)) for t in doc["tau_points"]]
-    return cfg
+        items = _known(json.load(fh), CONFIG_READERS, "top-level")
+    settings = {key: CONFIG_READERS[key](value) for key, value in items}
+    settings.update(settings.pop("params", {}))
+    return settings
 
 
-def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
-    fields = {}
-    for name in PARAM_NAMES:
-        v = getattr(args, name, None)
-        if v is not None:
-            fields[name] = v
-    if fields:
-        cfg.params = dataclasses.replace(cfg.params, **fields)
-    if getattr(args, "max_twist", None) is not None:
-        cfg.max_twist = args.max_twist
-    if getattr(args, "max_spin", None) is not None:
-        cfg.max_spin = args.max_spin
-    if getattr(args, "order", None) is not None:
-        cfg.series_order = args.order
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "tau", None) is not None:
-        cfg.tau_points = [args.tau]
-    if getattr(args, "csv_dir", None) is not None:
-        cfg.csv_dir = Path(args.csv_dir)
-    if getattr(args, "json", None) is not None:
-        cfg.json_path = Path(args.json)
-    return cfg
+def _params(s) -> PWParams:
+    return PWParams(**{name: getattr(s, name) for name in PARAM_NAMES})
 
 
-def _write_csv(cfg: RunConfig, name: str, header: List[str], rows: List[List]) -> None:
+def _write_csv(s, name: str, header: List[str], rows: List[List]) -> None:
     """Write one CSV table to csv_dir/name, or to stdout without --csv-dir."""
-    if cfg.csv_dir is None:
+    if s.csv_dir is None:
         out = contextlib.nullcontext(sys.stdout)
     else:
-        cfg.csv_dir.mkdir(parents=True, exist_ok=True)
-        out = open(cfg.csv_dir / name, "w", newline="")
+        s.csv_dir.mkdir(parents=True, exist_ok=True)
+        out = open(s.csv_dir / name, "w", newline="")
     with out as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -140,64 +142,64 @@ def _write_csv(cfg: RunConfig, name: str, header: List[str], rows: List[List]) -
 # -- subcommands -------------------------------------------------------------------
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    if cfg.max_twist < 1:
-        raise ValueError(f"--max-twist must be >= 1, got {cfg.max_twist}")
-    if cfg.max_spin < 0:
-        raise ValueError(f"--max-spin must be >= 0, got {cfg.max_spin}")
-    order = cfg.order()
-    tower = partialwave.twist_extract(cfg.params, cfg.max_twist, order)
+def cmd_decompose(s) -> int:
+    if s.max_twist < 1:
+        raise ValueError(f"--max-twist must be >= 1, got {s.max_twist}")
+    if s.max_spin < 0:
+        raise ValueError(f"--max-spin must be >= 0, got {s.max_spin}")
+    params = _params(s)
+    order = s.series_order
+    if order is None:
+        order = partialwave.default_order(s.max_spin, s.max_twist)
+    tower = partialwave.twist_extract(params, s.max_twist, order)
     header = ["kappa", "ell", "B_exact", "B_decimal", "closed_form", "match"]
     rows = []
     mismatch = False
-    for kappa in range(1, cfg.max_twist + 1):
-        values = partialwave.solve_structure_constants(
-            tower.g[kappa], kappa, cfg.max_spin
-        )
+    for kappa in range(1, s.max_twist + 1):
+        values = partialwave.solve_structure_constants(tower.g[kappa], kappa, s.max_spin)
         for ell, val in enumerate(values):
+            row = [kappa, ell, format_rat(val), f"{float(val):.12g}", "", ""]
             if kappa <= 3:
-                closed = partialwave.closed_form_B(kappa, ell, cfg.params)
-                ok = closed == val
-                mismatch = mismatch or not ok
-                rows.append(
-                    [kappa, ell, format_rat(val), f"{float(val):.12g}", format_rat(closed), ok]
-                )
-            else:
-                rows.append([kappa, ell, format_rat(val), f"{float(val):.12g}", "", ""])
-    _write_csv(cfg, "structure_constants.csv", header, rows)
-    if cfg.csv_dir is not None:
+                closed = partialwave.closed_form_B(kappa, ell, params)
+                row[4:] = [format_rat(closed), closed == val]
+                mismatch = mismatch or closed != val
+            rows.append(row)
+    _write_csv(s, "structure_constants.csv", header, rows)
+    if s.csv_dir is not None:
         g_rows = [
             [kappa, k, format_rat(c)]
-            for kappa in range(1, cfg.max_twist + 1)
+            for kappa in range(1, s.max_twist + 1)
             for k, c in enumerate(tower.g[kappa].coeffs)
             if c
         ]
-        _write_csv(cfg, "twist_profiles.csv", ["kappa", "power", "coefficient"], g_rows)
+        _write_csv(s, "twist_profiles.csv", ["kappa", "power", "coefficient"], g_rows)
     return CHECK_FAILED if mismatch else 0
 
 
-def cmd_positivity(cfg: RunConfig, grid: List[PWParams]) -> int:
-    if cfg.max_spin < 0:
-        raise ValueError(f"--max-spin must be >= 0, got {cfg.max_spin}")
+def cmd_positivity(s) -> int:
+    if s.steps < 1 or s.hi < s.lo:
+        raise ValueError("malformed grid")
+    if s.max_spin < 0:
+        raise ValueError(f"--max-spin must be >= 0, got {s.max_spin}")
+    params = _params(s)
     header = [*PARAM_NAMES, "admissible", "trivial", "first_violation"]
     rows = []
-    for p in grid:
-        rep = partialwave.positivity_check(p, scan_spin=cfg.max_spin)
+    for i in range(s.steps + 1):
+        p = dataclasses.replace(params, **{s.axis: s.lo + (s.hi - s.lo) * Fraction(i, s.steps)})
+        rep = partialwave.positivity_check(p, scan_spin=s.max_spin)
         rows.append(
             [format_rat(getattr(p, k)) for k in PARAM_NAMES]
             + [rep.admissible, rep.trivial, rep.first_violation or ""]
         )
-    _write_csv(cfg, "positivity.csv", header, rows)
+    _write_csv(s, "positivity.csv", header, rows)
     return 0
 
 
-def build_grid(cfg: RunConfig, axis: str, lo: Fraction, hi: Fraction, steps: int) -> List[PWParams]:
-    if steps < 1 or hi < lo:
-        raise ValueError("malformed grid")
-    return [
-        dataclasses.replace(cfg.params, **{axis: lo + (hi - lo) * Fraction(k, steps)})
-        for k in range(steps + 1)
-    ]
+def _thermal_order(s) -> int:
+    order = THERMAL_ORDER if s.series_order is None else s.series_order
+    if order < 1:
+        raise ValueError(f"--order must be >= 1, got {order}")
+    return order
 
 
 def modular_order(k: int, tau: complex, order: int, tol: float) -> int:
@@ -211,9 +213,7 @@ def modular_order(k: int, tau: complex, order: int, tol: float) -> int:
         if all(g.eval(t)[1] <= tol for t in (tau, -1 / tau, tau + 1)):
             return n
         if n >= MODULAR_MAX_ORDER:
-            raise ValueError(
-                f"tau={tau}: the series tail bound exceeds {tol} at order {n}"
-            )
+            raise ValueError(f"tau={tau}: the series tail bound exceeds {tol} at order {n}")
         n *= 2
 
 
@@ -232,62 +232,55 @@ def kms_report(tau: complex, tol: float) -> dict:
         window *= 2
 
 
-def cmd_thermal(cfg: RunConfig, sub: str, model: str, order: int, k_weight: int) -> int:
-    if order < 1:
-        raise ValueError(f"--order must be >= 1, got {order}")
-    tol = cfg.tolerances.get("modular", 1e-10)
-    if sub == "energy":
-        if model == "scalar4":
-            series = thermal.energy_mean_scalar(4, order)
-        elif model == "scalar6":
-            series = thermal.energy_mean_scalar(6, order)
-        elif model == "weyl":
-            series = thermal.energy_mean_weyl(2 * order)
-        else:
-            print(f"unknown model {model!r}", file=sys.stderr)
-            return USAGE_ERROR
-        header = ["exponent_num", "exponent_den", "coeff_num", "coeff_den", "flag"]
-        rows = []
-        for key in sorted(series.coeffs):
-            c = series.coeffs[key]
-            flag = ""
-            if model == "scalar6" and key == 4:
-                flag = "omitted from the displayed expansion"
-            if model == "weyl" and key == 0:
-                flag = "sign-corrected modular combination (printed constant is -17/960)"
-            rows.append([key, 2, c.numerator, c.denominator, flag])
-        _write_csv(cfg, f"energy_{model}.csv", header, rows)
-        return 0
-    if sub == "modular":
-        failures = []
-        rows = []
-        for tau in cfg.tau_points:
-            n = modular_order(k_weight, tau, order, tol)
-            r = thermal.modular_check_G(k_weight, tau, n)
-            rows.append([k_weight, str(tau), f"{r:.3e}", tol])
-            if r > tol:
-                failures.append(str(tau))
-        _write_csv(cfg, "modular_residuals.csv", ["k", "tau", "residual", "tolerance"], rows)
-        return CHECK_FAILED if failures else 0
-    if sub == "kms":
-        tol_k = cfg.tolerances.get("kms", None)
-        failures = []
-        rows = []
-        for tau in cfg.tau_points:
-            rep = kms_report(tau, cfg.tolerances.get("kms", 1e-10))
-            limit = tol_k if tol_k is not None else rep["edge_bound"]
-            rows.append([str(tau), f"{rep['residual']:.3e}", f"{limit:.3e}"])
-            if rep["residual"] > limit:
-                failures.append(str(tau))
-        _write_csv(cfg, "kms_residuals.csv", ["tau", "residual", "bound"], rows)
-        return CHECK_FAILED if failures else 0
-    print(f"unknown thermal subcommand {sub!r}", file=sys.stderr)
-    return USAGE_ERROR
+def cmd_energy(s) -> int:
+    order = _thermal_order(s)
+    if s.model == "weyl":
+        series = thermal.energy_mean_weyl(2 * order)
+    else:
+        series = thermal.energy_mean_scalar(int(s.model.removeprefix("scalar")), order)
+    header = ["exponent_num", "exponent_den", "coeff_num", "coeff_den", "flag"]
+    rows = []
+    for key in sorted(series.coeffs):
+        c = series.coeffs[key]
+        flag = ""
+        if s.model == "scalar6" and key == 4:
+            flag = "omitted from the displayed expansion"
+        if s.model == "weyl" and key == 0:
+            flag = "sign-corrected modular combination (printed constant is -17/960)"
+        rows.append([key, 2, c.numerator, c.denominator, flag])
+    _write_csv(s, f"energy_{s.model}.csv", header, rows)
+    return 0
 
 
-def report_checks(cfg: RunConfig, results: List[dict]) -> int:
+def cmd_modular(s) -> int:
+    order = _thermal_order(s)
+    tol = s.tolerances.get("modular", 1e-10)
+    failed = False
+    rows = []
+    for tau in s.tau_points:
+        r = thermal.modular_check_G(s.k_weight, tau, modular_order(s.k_weight, tau, order, tol))
+        rows.append([s.k_weight, str(tau), f"{r:.3e}", tol])
+        failed |= r > tol
+    _write_csv(s, "modular_residuals.csv", ["k", "tau", "residual", "tolerance"], rows)
+    return CHECK_FAILED if failed else 0
+
+
+def cmd_kms(s) -> int:
+    tol_k = s.tolerances.get("kms")
+    failed = False
+    rows = []
+    for tau in s.tau_points:
+        rep = kms_report(tau, 1e-10 if tol_k is None else tol_k)
+        limit = rep["edge_bound"] if tol_k is None else tol_k
+        rows.append([str(tau), f"{rep['residual']:.3e}", f"{limit:.3e}"])
+        failed |= rep["residual"] > limit
+    _write_csv(s, "kms_residuals.csv", ["tau", "residual", "bound"], rows)
+    return CHECK_FAILED if failed else 0
+
+
+def report_checks(s, results: List[dict]) -> int:
     """Print (and with --json write) check results; exit 1 if any failed."""
-    tol_override = cfg.tolerances.get("numeric")
+    tol_override = s.tolerances.get("numeric")
     if tol_override is not None:
         # re-judge every check that reports residuals at the requested tolerance
         for r in results:
@@ -297,97 +290,102 @@ def report_checks(cfg: RunConfig, results: List[dict]) -> int:
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
         print(f"{r['id']}: {status} ({r['elapsed']:.1f}s) {r['detail']}")
-    if cfg.json_path:
-        summary = {
-            r["id"]: {
-                "passed": r["passed"],
-                "detail": r["detail"],
-                "elapsed": r["elapsed"],
-            }
-            for r in results
-        }
-        with open(cfg.json_path, "w") as fh:
+    if s.json:
+        summary = {r["id"]: {k: r[k] for k in ("passed", "detail", "elapsed")} for r in results}
+        with open(s.json, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
     return 0 if all(r["passed"] for r in results) else CHECK_FAILED
 
 
+def cmd_oracle(s) -> int:
+    return report_checks(s, [verify.CHECKS[c](s.seed) for c in ORACLE_CHECKS])
+
+
+def cmd_verify_all(s) -> int:
+    return report_checks(s, verify.run_all(s.seed))
+
+
 # -- entry point ----------------------------------------------------------------------
+
+# every flag, with the setting it sets as its dest
+FLAGS = {
+    "--config": dict(type=Path, help="JSON configuration document"),
+    **{f"--{n}": dict(type=parse_rat, help=f"parameter {n} (p/q)") for n in PARAM_NAMES},
+    "--max-twist": dict(type=int, dest="max_twist", help="highest twist index kappa"),
+    "--max-spin": dict(type=int, dest="max_spin", help="highest spin ell"),
+    "--order": dict(type=int, dest="series_order", metavar="ORDER", help="series truncation order"),
+    "--csv-dir": dict(type=Path, dest="csv_dir", help="directory for CSV output"),
+    "--axis": dict(choices=PARAM_NAMES[:5], help="the swept parameter"),
+    "--lo": dict(type=parse_rat, help="low end of the swept range (p/q)"),
+    "--hi": dict(type=parse_rat, help="high end of the swept range (p/q)"),
+    "--steps": dict(type=int, help="number of grid intervals"),
+    "--seed": dict(type=int, help="seed for random configurations"),
+    "--json": dict(type=Path, help="write a JSON summary here"),
+    "--model": dict(choices=["scalar4", "scalar6", "weyl"], help="free field"),
+    "--k": dict(type=int, dest="k_weight", metavar="K", help="Eisenstein index"),
+    "--tau": dict(type=lambda text: [parse_tau(text)], dest="tau_points", metavar="TAU",
+                  help="modular parameter, e.g. 1.5i"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Flags left out stay out of the namespace, so that DEFAULTS and the
+    config document fill them; an argument that starts like a negative
+    number is a value."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gcipw",
-        description="Exact toolkit for the 5-parameter crossing-symmetric "
-        "4-point family: twist decomposition, positivity, free-field "
-        "oracles and thermal functions.",
-    )
+    parser = _Parser(prog="gcipw", description="Exact toolkit for the 5-parameter "
+                     "crossing-symmetric 4-point family: twist decomposition, positivity, "
+                     "free-field oracles and thermal functions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", type=Path, help="JSON configuration document")
-        p.add_argument("--seed", type=int, help="seed for random configurations")
-        for name in PARAM_NAMES:
-            p.add_argument(f"--{name}", type=parse_rat, help=f"parameter {name} (p/q)")
-        p.add_argument("--max-twist", type=int, dest="max_twist")
-        p.add_argument("--max-spin", type=int, dest="max_spin")
-        p.add_argument("--order", type=int, help="series truncation order")
-        p.add_argument("--tau", type=parse_tau, help="modular parameter, e.g. 1.5i")
-        p.add_argument("--json", type=Path, help="write a JSON summary here")
-        p.add_argument("--csv-dir", type=Path, dest="csv_dir", help="directory for CSV output")
+    def add(group, name, run, summary, flags):
+        p = group.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        for flag in ("--config", *flags):
+            p.add_argument(flag, **FLAGS[flag])
 
-    p = sub.add_parser("decompose", help="twist decomposition and structure constants")
-    common(p)
-
-    p = sub.add_parser("positivity", help="admissibility scan over a parameter grid")
-    common(p)
-    p.add_argument("--axis", default="b", choices=["a0", "a1", "a2", "b", "c"])
-    p.add_argument("--lo", type=parse_rat, default=Fraction(-4))
-    p.add_argument("--hi", type=parse_rat, default=Fraction(1))
-    p.add_argument("--steps", type=int, default=20)
-
-    p = sub.add_parser("oracle", help="free-field trace and Wick-structure oracles (c05, c06)")
-    common(p)
-
-    p = sub.add_parser("thermal", help="thermal series, tables and residuals")
-    common(p)
-    p.add_argument("kind", choices=["energy", "modular", "kms"])
-    p.add_argument("--model", default="scalar4", help="scalar4 | scalar6 | weyl")
-    p.add_argument("--k", type=int, default=2, dest="k_weight", help="Eisenstein index")
-
-    p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    common(p)
+    params = [f"--{name}" for name in PARAM_NAMES]
+    add(sub, "decompose", cmd_decompose, "twist decomposition and structure constants",
+        [*params, "--max-twist", "--max-spin", "--order", "--csv-dir"])
+    add(sub, "positivity", cmd_positivity, "admissibility scan over a parameter grid",
+        [*params, "--max-spin", "--csv-dir", "--axis", "--lo", "--hi", "--steps"])
+    add(sub, "oracle", cmd_oracle, "free-field trace and Wick-structure oracles (c05, c06)",
+        ["--seed", "--json"])
+    kinds = sub.add_parser("thermal", help="thermal series, tables and residuals")
+    kinds = kinds.add_subparsers(dest="kind", required=True)
+    add(kinds, "energy", cmd_energy, "energy mean value as an exact q-series",
+        ["--model", "--order", "--csv-dir"])
+    add(kinds, "modular", cmd_modular, "modular residual of G_2k at each tau",
+        ["--k", "--order", "--tau", "--csv-dir"])
+    add(kinds, "kms", cmd_kms, "KMS translate-sum residual at each tau", ["--tau", "--csv-dir"])
+    add(sub, "verify-all", cmd_verify_all, "run the full acceptance suite", ["--seed", "--json"])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        flags = vars(build_parser().parse_args(argv))
     except SystemExit as err:
         return USAGE_ERROR if err.code not in (0, None) else 0
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+        config = load_config(flags.pop("config")) if "config" in flags else {}
+    except (OSError, ValueError, TypeError, argparse.ArgumentTypeError) as err:
         print(f"bad config: {err}", file=sys.stderr)
         return USAGE_ERROR
+    s = argparse.Namespace(**{**DEFAULTS, **config, **flags})
     try:
-        cfg = apply_flag_overrides(cfg, args)
-        if args.command == "decompose":
-            return cmd_decompose(cfg)
-        if args.command == "positivity":
-            grid = build_grid(cfg, args.axis, args.lo, args.hi, args.steps)
-            return cmd_positivity(cfg, grid)
-        if args.command == "oracle":
-            return report_checks(cfg, [verify.CHECKS[c](cfg.seed) for c in ORACLE_CHECKS])
-        if args.command == "thermal":
-            order = cfg.series_order if cfg.series_order is not None else 100
-            return cmd_thermal(cfg, args.kind, args.model, order, args.k_weight)
-        if args.command == "verify-all":
-            return report_checks(cfg, verify.run_all(cfg.seed))
+        if s.command == "positivity" and s.axis in flags:
+            raise ValueError(f"--{s.axis} is the swept --axis; set its range with --lo and --hi")
+        return s.run(s)
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -136,12 +136,12 @@ class QSeries:
         return f"QSeries({items!r}, max q^{Fraction(self.max_exp, 2)})"
 
 
-def lambert_series(const, terms, sign: int, max_exp: int, den: int = 1) -> QSeries:
-    """const + sum (w/den) q^(n2/2) / (1 - sign q^(n2/2)) over the pairs (n2, w).
+def lambert_series(const, terms, sign: int, max_exp: int) -> QSeries:
+    """const + sum w q^(n2/2) / (1 - sign q^(n2/2)) over the pairs (n2, w).
 
     n2 is the doubled exponent of a term's leading power and w an integer
-    weight.  The numerators are summed as integers over the window (w at
-    key n2, sign*w at 2*n2, ...), then divided by den once per key.
+    weight.  The coefficients are summed as integers over the window (w at
+    key n2, sign*w at 2*n2, ...).
     """
     acc: Dict[int, int] = {}
     for n2, w in terms:
@@ -150,6 +150,4 @@ def lambert_series(const, terms, sign: int, max_exp: int, den: int = 1) -> QSeri
         for k in range(n2, max_exp + 1, n2):
             acc[k] = acc.get(k, 0) + w
             w *= sign
-    coeffs = {k: Fraction(c, den) for k, c in acc.items() if c}
-    coeffs[0] = const
-    return QSeries(coeffs, max_exp)
+    return QSeries({**acc, 0: const}, max_exp)

@@ -1,17 +1,15 @@
-"""Point configurations, squared intervals, cross-ratios, chiral variables,
-the S3 crossing action and admissibility predicates for rational conformal
-field labels.
+"""Point configurations, squared intervals, cross-ratios, the S3 crossing
+action on functions of the cross-ratios, and seeded random configurations.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .exact import MPoly, RatFn
+from .exact import RatFn
 
 Vec4 = Tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -84,43 +82,6 @@ def cross_ratios(config: PointConfig) -> CrossRatios:
     return CrossRatios(s=r(0, 1) * r(2, 3) / d, t=r(0, 3) * r(1, 2) / d)
 
 
-def _rat_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    pn, pd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
-@dataclass(frozen=True)
-class ChiralPair:
-    """e1 = u+v = 1+s-t, e2 = uv = s, and explicit roots when rational.
-
-    u and v solve X^2 + (t-s-1) X + s = 0; when the discriminant is a
-    rational square the smaller root is labelled u (downstream algebra
-    only ever uses the symmetric functions, so the labelling is inert).
-    """
-
-    e1: Fraction
-    e2: Fraction
-    discriminant: Fraction
-    u: Fraction | None = None
-    v: Fraction | None = None
-
-
-def chiral_from_st(s, t) -> ChiralPair:
-    s, t = Fraction(s), Fraction(t)
-    e1 = 1 + s - t
-    e2 = s
-    disc = e1 * e1 - 4 * e2
-    root = _rat_sqrt(disc)
-    if root is None:
-        return ChiralPair(e1, e2, disc)
-    return ChiralPair(e1, e2, disc, (e1 - root) / 2, (e1 + root) / 2)
-
-
 # -- S3 crossing action -----------------------------------------------------
 
 
@@ -151,97 +112,19 @@ def s3_symmetrize(f: RatFn, d: int) -> RatFn:
     return f + s23f + s13f
 
 
-# -- admissibility ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpinLabel:
-    """A label (d; j1, j2) with 2d, 2j1, 2j2 integers and j1, j2 >= 0."""
-
-    d: Fraction
-    j1: Fraction
-    j2: Fraction
-
-    def __init__(self, d, j1, j2):
-        d, j1, j2 = Fraction(d), Fraction(j1), Fraction(j2)
-        for x in (d, j1, j2):
-            if (2 * x).denominator != 1:
-                raise ValueError("entries must be half-integers")
-        if j1 < 0 or j2 < 0:
-            raise ValueError("spins must be nonnegative")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "j1", j1)
-        object.__setattr__(self, "j2", j2)
-
-
-class InadmissibleField(Exception):
-    pass
-
-
-def locality_exponent(label: SpinLabel) -> Tuple[int, int]:
-    """(N, epsilon) with N = d + j1 + j2 and epsilon = (-1)^(2j1 + 2j2).
-
-    N must come out a nonnegative integer; 0 is accepted (we read the
-    naturals as including zero).
-    """
-    n = label.d + label.j1 + label.j2
-    if n.denominator != 1 or n < 0:
-        raise InadmissibleField(f"d + j1 + j2 = {n} is not a nonnegative integer")
-    eps = -1 if (2 * label.j1 + 2 * label.j2) % 2 else 1
-    return int(n), eps
-
-
-def gci_3pt_admissible(labels: Sequence[SpinLabel]) -> bool:
-    """Existence test for a rational 3-point function of elementary fields.
-
-    Requires each N_i = d_i + j_i1 + j_i2 to be a nonnegative integer,
-    the half-sum of the N_i to be an integer, and the dimensions to sum
-    to an integer.
-    """
-    if len(labels) != 3:
-        raise ValueError("need exactly three labels")
-    ns = []
-    for lab in labels:
-        n = lab.d + lab.j1 + lab.j2
-        if n.denominator != 1 or n < 0:
-            return False
-        ns.append(n)
-    if (sum(ns) / 2).denominator != 1:
-        return False
-    if sum(l.d for l in labels).denominator != 1:
-        return False
-    return True
-
-
-def harmonic_dimension(m: int, D: int) -> int:
-    """Dimension of degree-m homogeneous harmonic polynomials in D variables."""
-    if m < 0 or D < 2:
-        raise ValueError("need m >= 0 and D >= 2")
-    return math.comb(m + D - 1, D - 1) - math.comb(m + D - 3, D - 1)
-
-
 # -- seeded random configurations ---------------------------------------------
 
 
-def random_config(
-    rng: random.Random,
-    n_points: int,
-    num_range: int = 9,
-    dens: Sequence[int] = (1, 2, 3),
-    max_tries: int = 2000,
-) -> PointConfig:
+def random_config(rng: random.Random, n_points: int) -> PointConfig:
     """A non-degenerate configuration of rational points, reproducibly.
 
-    Coordinates have numerators in [-num_range, num_range] and denominators
-    drawn from `dens`; configurations with any vanishing pairwise interval
-    are rejected and redrawn.
+    Coordinates have numerators in [-9, 9] and denominators in {1, 2, 3};
+    configurations with any vanishing pairwise interval are rejected and
+    redrawn, up to 2000 times.
     """
-    for _ in range(max_tries):
+    for _ in range(2000):
         pts = [
-            [
-                Fraction(rng.randint(-num_range, num_range), rng.choice(dens))
-                for _ in range(4)
-            ]
+            [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(4)]
             for _ in range(n_points)
         ]
         config = PointConfig(pts)

@@ -177,6 +177,12 @@ def laplace_st(f: RatFn) -> RatFn:
     )
 
 
+def default_order(max_spin: int, max_twist: int) -> int:
+    """The default `twist_extract` order for solving spins up to max_spin
+    at twists up to max_twist: 2 max_spin + 2 max_twist + 8."""
+    return 2 * max_spin + 2 * max_twist + 8
+
+
 def solve_structure_constants(g: PSeries, kappa: int, max_spin: int) -> List[Fraction]:
     """Solve g(u) = u sum_l B_l u^(2l) F(2l+k, 2l+k; 4l+2k; u) for B_l.
 
@@ -253,12 +259,7 @@ NECESSARY_CONDITIONS = (
 )
 
 
-def positivity_check(
-    p: PWParams,
-    scan_spin: int = 20,
-    solver_twist: int = 0,
-    series_order: int | None = None,
-) -> PositivityReport:
+def positivity_check(p: PWParams, scan_spin: int = 20, solver_twist: int = 0) -> PositivityReport:
     """Necessary positivity conditions plus explicit scans.
 
     Always evaluates the six closed-form inequalities and scans the
@@ -281,8 +282,7 @@ def positivity_check(
             if val < 0:
                 violations.append((kappa, ell, val))
     if solver_twist >= 4:
-        order = series_order or (2 * scan_spin + 2 * solver_twist + 8)
-        tower = twist_extract(p, solver_twist, order)
+        tower = twist_extract(p, solver_twist, default_order(scan_spin, solver_twist))
         for kappa in range(4, solver_twist + 1):
             for ell, val in enumerate(
                 solve_structure_constants(tower.g[kappa], kappa, scan_spin)

@@ -74,29 +74,29 @@ SCALAR_VACUUM_CONSTANTS = {
 WEYL_VACUUM_ENERGY = Fraction(17, 960)
 
 
-def energy_mean_scalar(
-    D: int, order: int, vacuum_constant: Fraction | None = None
-) -> QSeries:
+def harmonic_dimension(m: int, D: int) -> int:
+    """Dimension of degree-m homogeneous harmonic polynomials in D variables."""
+    if m < 0 or D < 2:
+        raise ValueError("need m >= 0 and D >= 2")
+    return math.comb(m + D - 1, D - 1) - math.comb(m + D - 3, D - 1)
+
+
+def energy_mean_scalar(D: int, order: int) -> QSeries:
     """Energy mean value of a free scalar in D (even) dimensions.
 
     E(d0) + sum_{n >= d0} [2/(2 d0)!] n^2 (n^2-1) ... (n^2-(d0-1)^2)
-    n q^n/(1-q^n), with d0 = (D-2)/2.  The vacuum constants are known for
-    D = 4, 6; other even D require the caller to supply one.
+    n q^n/(1-q^n), with d0 = (D-2)/2.  The weight of n q^n/(1-q^n) is the
+    integer harmonic_dimension(n - d0, D): the energy-n modes are the
+    degree-(n - d0) spherical harmonics.  The vacuum constants are known
+    for D = 4, 6; other even D use 0, with a warning.
     """
     if D % 2 or D < 4:
         raise ValueError("only even D >= 4 is supported")
     d0 = (D - 2) // 2
-    if vacuum_constant is None:
-        if D in SCALAR_VACUUM_CONSTANTS:
-            vacuum_constant = SCALAR_VACUUM_CONSTANTS[D]
-        else:
-            warnings.warn(f"no tabulated vacuum constant for D={D}; using 0")
-            vacuum_constant = Fraction(0)
-    terms = (
-        (2 * n, 2 * n * math.prod(n * n - i * i for i in range(d0)))
-        for n in range(d0, order + 1)
-    )
-    return lambert_series(vacuum_constant, terms, 1, 2 * order, math.factorial(2 * d0))
+    if D not in SCALAR_VACUUM_CONSTANTS:
+        warnings.warn(f"no tabulated vacuum constant for D={D}; using 0")
+    terms = ((2 * n, n * harmonic_dimension(n - d0, D)) for n in range(d0, order + 1))
+    return lambert_series(SCALAR_VACUUM_CONSTANTS.get(D, Fraction(0)), terms, 1, 2 * order)
 
 
 def energy_mean_weyl(order2: int) -> QSeries:

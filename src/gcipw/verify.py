@@ -39,10 +39,9 @@ def check_structure_constants(seed: int) -> dict:
     rng = random.Random(seed)
     params = [PWParams.unit(k) for k in ("a0", "a1", "a2", "b", "c")]
     params += [random_params(rng) for _ in range(20)]
-    order = 2 * 10 + 2 * 3 + 8
     failures = []
     for i, p in enumerate(params):
-        tower = partialwave.twist_extract(p, 3, order)
+        tower = partialwave.twist_extract(p, 3, partialwave.default_order(10, 3))
         for kappa, max_ell in ((1, 10), (2, 10), (3, 8)):
             sol = partialwave.solve_structure_constants(tower.g[kappa], kappa, max_ell)
             clo = [partialwave.closed_form_B(kappa, l, p) for l in range(max_ell + 1)]

@@ -189,6 +189,9 @@ class TestBoundary:
             ["positivity", "--B", "-1", "--steps", "1"],
             # no truncation up to the ceiling meets the tolerance
             ["thermal", "modular", "--tau", "0.0001i"],
+            # a flag for the swept --axis parameter (b by default)
+            ["positivity", "--b=-1/3", "--steps", "1"],
+            ["positivity", "--axis", "a1", "--a1", "2", "--steps", "1"],
         ],
     )
     def test_out_of_range_is_a_usage_error(self, args, capsys):
@@ -197,6 +200,21 @@ class TestBoundary:
         assert code == 2
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_negative_rational_parameter(self, capsys):
+        code, out = run(
+            ["positivity", "--axis", "a0", "--b", "-1/3", "--lo", "0", "--hi", "1", "--steps", "1"],
+            capsys,
+        )
+        assert code == 0
+        rows = list(csv.reader(out.strip().splitlines()))[1:]
+        assert [(r[0], r[3]) for r in rows] == [("0/1", "-1/3"), ("1/1", "-1/3")]
+
+    def test_negative_rational_bound(self, capsys):
+        code, out = run(["positivity", "--lo", "-1/2", "--hi", "0", "--steps", "2"], capsys)
+        assert code == 0
+        rows = list(csv.reader(out.strip().splitlines()))[1:]
+        assert [r[3] for r in rows] == ["-1/2", "-1/4", "0/1"]
 
     def test_modular_default_window_is_order_200(self, capsys):
         # inside the window the truncation stays at max(order, 200)
@@ -218,6 +236,38 @@ class TestBoundary:
         assert code == 0
         rows = list(csv.reader(out.strip().splitlines()))[1:]
         assert float(rows[0][2]) < 1e-10
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["oracle", "--B", "5"],
+            ["oracle", "--tau", "2i"],
+            ["oracle", "--max-twist", "9"],
+            ["verify-all", "--tau", "2i"],
+            ["verify-all", "--csv-dir", "out"],
+            ["decompose", "--seed", "3"],
+            ["decompose", "--tau", "2i"],
+            ["decompose", "--json", "out.json"],
+            ["positivity", "--order", "5"],
+            ["positivity", "--max-twist", "4"],
+            ["thermal", "energy", "--a0", "5"],
+            ["thermal", "energy", "--seed", "3"],
+            ["thermal", "energy", "--tau", "2i"],
+            ["thermal", "energy", "--k", "3"],
+            ["thermal", "modular", "--model", "weyl"],
+            ["thermal", "kms", "--order", "5"],
+            ["thermal", "kms", "--k", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, args, capsys):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
 
 class TestVerifyAll:
@@ -264,6 +314,39 @@ class TestConfigAndOutput:
         code, _ = run(["decompose", "--config", str(path)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"max_spins": 2},
+            {"params": {"a3": "1"}},
+            {"tolerances": {"modulus": 1e-3}},
+            {"tau_points": ["1-1i"]},
+            ["max_spin", 2],
+        ],
+        ids=json.dumps,
+    )
+    def test_unknown_or_malformed_key(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["decompose", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("bad config:")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_shared_document(self, tmp_path, capsys):
+        # each subcommand reads its keys of one document and ignores the rest
+        path = tmp_path / "shared.json"
+        doc = {"params": {"a0": "1"}, "max_twist": 1, "max_spin": 0, "tau_points": ["2i"]}
+        path.write_text(json.dumps(doc))
+        code, out = run(["decompose", "--config", str(path)], capsys)
+        assert code == 0
+        assert out.splitlines()[1].startswith("1,0,2/1,")
+        code, out = run(["thermal", "modular", "--config", str(path)], capsys)
+        assert code == 0
+        assert out.splitlines()[1].startswith("2,2j,")
+
     def test_flag_overrides_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"params": {"a0": "1"}}))
@@ -280,7 +363,7 @@ class TestConfigAndOutput:
             code, _ = run(
                 [
                     "decompose", "--a1", "1", "--max-twist", "2", "--max-spin", "3",
-                    "--csv-dir", str(d), "--seed", "5",
+                    "--csv-dir", str(d),
                 ],
                 capsys,
             )

@@ -1,5 +1,6 @@
-"""Point configurations, cross-ratios, the crossing action and the
-admissibility predicates."""
+"""Point configurations, cross-ratios, the crossing action, random
+configurations and the harmonic-polynomial dimension (the mode count
+behind the thermal energy weights)."""
 
 import random
 from fractions import Fraction as F
@@ -8,20 +9,14 @@ import pytest
 
 from gcipw.exact import MPoly, RatFn
 from gcipw.kinematics import (
-    ChiralPair,
     DegenerateConfiguration,
-    InadmissibleField,
     PointConfig,
-    SpinLabel,
-    chiral_from_st,
     cross_ratios,
-    gci_3pt_admissible,
-    harmonic_dimension,
-    locality_exponent,
     random_config,
     s3_action,
     squared_interval,
 )
+from gcipw.thermal import harmonic_dimension
 
 E1 = (1, 0, 0, 0)
 E2 = (0, 1, 0, 0)
@@ -102,35 +97,6 @@ class TestCrossRatios:
         assert cross_ratios(PointConfig([rot(p) for p in cfg.points])) == cross_ratios(cfg)
 
 
-class TestChiral:
-    def test_double_root_at_origin(self):
-        cp = chiral_from_st(0, 1)
-        assert (cp.u, cp.v) == (0, 0)
-
-    def test_equal_roots(self):
-        cp = chiral_from_st(F(1, 4), F(1, 4))
-        assert cp.u == cp.v == F(1, 2)
-        # substitution oracle: s = uv and t = (1-u)(1-v)
-        assert cp.u * cp.v == F(1, 4)
-        assert (1 - cp.u) * (1 - cp.v) == F(1, 4)
-
-    def test_complex_roots_only_symmetric_functions(self):
-        cp = chiral_from_st(1, 1)
-        assert cp.discriminant == -3
-        assert cp.u is None and cp.v is None
-        assert (cp.e1, cp.e2) == (1, 1)
-
-    def test_reconstruction_identity(self):
-        # (1-u)(1-v) = 1 - e1 + e2 for random rational data
-        rng = random.Random(8)
-        for _ in range(20):
-            s = F(rng.randint(-9, 9), rng.randint(1, 4))
-            t = F(rng.randint(-9, 9), rng.randint(1, 4))
-            cp = chiral_from_st(s, t)
-            assert cp.e2 == s
-            assert 1 - cp.e1 + cp.e2 == t
-
-
 def random_ratfn(rng) -> RatFn:
     s, t = MPoly.variables(2)
     num = MPoly(
@@ -179,33 +145,6 @@ class TestS3Action:
             s3_action("s13", RatFn.const(2, 1), 4)
 
 
-class TestAdmissibility:
-    def test_scalar_d2_triple(self):
-        labs = [SpinLabel(2, 0, 0)] * 3
-        assert gci_3pt_admissible(labs)
-
-    def test_yukawa_rejected(self):
-        labs = [
-            SpinLabel(F(3, 2), F(1, 2), 0),
-            SpinLabel(F(3, 2), 0, F(1, 2)),
-            SpinLabel(1, 0, 0),
-        ]
-        assert not gci_3pt_admissible(labs)
-
-    def test_canonical_scalars_rejected(self):
-        labs = [SpinLabel(1, 0, 0)] * 3
-        assert not gci_3pt_admissible(labs)
-
-    def test_locality_exponent(self):
-        assert locality_exponent(SpinLabel(4, 0, 0)) == (4, 1)
-        assert locality_exponent(SpinLabel(F(3, 2), F(1, 2), 0)) == (2, -1)
-        assert locality_exponent(SpinLabel(1, 0, 0)) == (1, 1)
-
-    def test_locality_rejects_noninteger(self):
-        with pytest.raises(InadmissibleField):
-            locality_exponent(SpinLabel(F(3, 2), 0, 0))
-
-
 class TestHarmonicDimension:
     def test_constants(self):
         assert harmonic_dimension(0, 4) == 1
@@ -219,10 +158,10 @@ class TestHarmonicDimension:
         assert harmonic_dimension(1, 6) == 6
 
     def test_product_form(self):
-        # cross-check against 2/(2 d0)! prod_i (n^2 - i^2) for d0 = 1, 2
+        # cross-check against the energy-mean weight 2/(2 d0)! prod_i (n^2 - i^2)
         import math
 
-        for d0, D in ((1, 4), (2, 6)):
+        for d0, D in ((1, 4), (2, 6), (3, 8), (4, 10)):
             for n in range(d0, 15):
                 prod = F(2, math.factorial(2 * d0))
                 for i in range(d0):

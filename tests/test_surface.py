@@ -1,0 +1,42 @@
+"""Public surface: every top-level public function and class of the
+package has a caller in the package or the benchmark, so that no API is
+kept alive by its tests alone."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gcipw"
+# independent oracles kept for the tests
+ALLOWED = {"p1_lattice"}
+
+
+def _names(node: ast.AST) -> set:
+    """Every identifier that a load, store or attribute access names in node."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def unused_public_names():
+    defined = {}  # name -> the file defining it
+    used = set()
+    for path in [*PACKAGE.rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
+        for node in ast.parse(path.read_text()).body:
+            names = _names(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                # a recursive call or a method naming its class does not count
+                names.discard(node.name)
+                if PACKAGE in path.parents and not node.name.startswith("_"):
+                    defined[node.name] = path.relative_to(ROOT)
+            used |= names
+    return sorted(f"{path}: {name}" for name, path in defined.items()
+                  if name not in used and name not in ALLOWED)
+
+
+def test_every_public_name_has_a_caller():
+    assert unused_public_names() == []
