@@ -2,22 +2,25 @@
 
 Coefficients are Fractions by default but any ring type works (e.g. plain
 ints), as long as it supports +, -, *, == 0 and bool().
+
+Invariant: no stored coefficient is zero, and every exponent is a tuple of
+length `arity` with nonnegative entries.  Only the public constructor
+`MPoly(arity, terms)` checks it, since that is where outside input enters;
+the ring operations and maps below build terms that satisfy it by
+construction and wrap them with `MPoly._trusted`, without re-checking.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Dict, Sequence, Tuple
 
 Expo = Tuple[int, ...]
 
 
 class MPoly:
-    """Polynomial in `arity` variables, stored as {exponent tuple: coeff}.
-
-    Zero coefficients are never stored; all exponent tuples have length
-    equal to the arity and nonnegative entries.
-    """
+    """Polynomial in `arity` variables, stored as {exponent tuple: coeff}."""
 
     __slots__ = ("arity", "terms")
 
@@ -33,19 +36,24 @@ class MPoly:
                 if c:
                     self.terms[tuple(e)] = c
 
+    @classmethod
+    def _trusted(cls, arity: int, terms: Dict[Expo, object]) -> "MPoly":
+        """Wrap `terms`, which already satisfy the invariant, without checks."""
+        p = object.__new__(cls)
+        p.arity = arity
+        p.terms = terms
+        return p
+
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, arity: int) -> "MPoly":
-        return cls(arity)
+        return cls._trusted(arity, {})
 
     @classmethod
     def const(cls, arity: int, c) -> "MPoly":
         c = Fraction(c) if isinstance(c, int) else c
-        p = cls(arity)
-        if c:
-            p.terms[(0,) * arity] = c
-        return p
+        return cls._trusted(arity, {(0,) * arity: c} if c else {})
 
     @classmethod
     def var(cls, arity: int, i: int) -> "MPoly":
@@ -53,7 +61,7 @@ class MPoly:
             raise ValueError(f"variable index {i} out of range")
         e = [0] * arity
         e[i] = 1
-        return cls(arity, {tuple(e): Fraction(1)})
+        return cls._trusted(arity, {tuple(e): Fraction(1)})
 
     @classmethod
     def variables(cls, arity: int) -> Sequence["MPoly"]:
@@ -68,58 +76,64 @@ class MPoly:
             return other
         return MPoly.const(self.arity, other)
 
-    def __add__(self, other):
+    def _combine(self, other, op) -> "MPoly":
+        """self op other for op in (add, sub), in one pass over other."""
         other = self._coerce(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
+            s = op(terms.get(e, 0), c)
             if s:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return MPoly(self.arity, terms)
+        return MPoly._trusted(self.arity, terms)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other)._combine(self, sub)
 
     def __mul__(self, other):
         if not isinstance(other, MPoly):
-            if not other:
-                return MPoly(self.arity)
-            return MPoly(self.arity, {e: c * other for e, c in self.terms.items()})
+            terms = {e: v for e, c in self.terms.items() if (v := c * other)}
+            return MPoly._trusted(self.arity, terms)
         other = self._coerce(other)
         terms: Dict[Expo, object] = {}
+        get = terms.get
+        others = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return MPoly(self.arity, terms)
+            for e2, c2 in others:
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
+        return MPoly._trusted(self.arity, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """Repeated squaring from the base itself, so the coefficient ring
+        is kept (int coefficients stay int); p ** 0 is the constant 1."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MPoly.const(self.arity, 1)
+        if n == 0:
+            return MPoly.const(self.arity, 1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- queries -------------------------------------------------------
 
@@ -168,36 +182,45 @@ class MPoly:
         return total
 
     def subs_poly(self, images: Sequence["MPoly"]) -> "MPoly":
-        """Substitute a polynomial for each variable."""
+        """Substitute a polynomial for each variable.
+
+        Each power images[i] ** k is formed once per call, and every scaled
+        monomial image is added into one dict.  Integer coefficients of self
+        enter as Fractions, as constants do in `const`.
+        """
         if len(images) != self.arity:
             raise ValueError("need one image per variable")
         arity = images[0].arity
-        total = MPoly.zero(arity)
+        if any(g.arity != arity for g in images):
+            raise ValueError("images have mixed arity")
+        one = MPoly._trusted(arity, {(0,) * arity: 1})
+        powers = [[one, g] for g in images]
+        terms: Dict[Expo, object] = {}
+        get = terms.get
         for e, c in self.terms.items():
-            m = MPoly.const(arity, c)
-            for img, k in zip(images, e):
+            if isinstance(c, int):
+                c = Fraction(c)
+            m = None
+            for ps, k in zip(powers, e):
                 if k:
-                    m = m * img**k
-            total = total + m
-        return total
+                    while len(ps) <= k:
+                        ps.append(ps[-1] * ps[1])
+                    m = ps[k] if m is None else m * ps[k]
+            for e2, v in (one if m is None else m).terms.items():
+                terms[e2] = get(e2, 0) + c * v
+        return MPoly._trusted(arity, {e: c for e, c in terms.items() if c})
 
     def deriv(self, i: int) -> "MPoly":
         terms: Dict[Expo, object] = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            terms[tuple(e2)] = c * e[i]
-        return MPoly(self.arity, terms)
+            k = e[i]
+            if k and (v := c * k):
+                terms[e[:i] + (k - 1,) + e[i + 1 :]] = v
+        return MPoly._trusted(self.arity, terms)
 
     def map_coeff(self, f) -> "MPoly":
-        terms = {}
-        for e, c in self.terms.items():
-            v = f(c)
-            if v:
-                terms[e] = v
-        return MPoly(self.arity, terms)
+        terms = {e: v for e, c in self.terms.items() if (v := f(c))}
+        return MPoly._trusted(self.arity, terms)
 
     def __repr__(self):
         if not self.terms:

@@ -8,6 +8,8 @@ of the j part (sigma_2 is the only antisymmetric Pauli matrix).
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
 from typing import Sequence
 
 
@@ -63,10 +65,13 @@ class Quaternion:
 def chain_trace(factors: Sequence[Quaternion]):
     """2 Re(q1 q2 ... qn), the matrix trace of the product, for n >= 2.
 
-    The last multiplication forms only the scalar part.
+    The two halves L = q1 ... qh and R = q(h+1) ... qn, h = n // 2, are
+    multiplied separately, and only the scalar part of L R is formed.  That
+    takes n - 2 full products, as a left-to-right chain does, but keeps
+    polynomial factors balanced: for n = 6 linear factors the last step
+    multiplies two cubic halves instead of a quintic by a linear factor.
     """
-    head = factors[0]
-    for q in factors[1:-1]:
-        head = head * q
-    last = factors[-1]
-    return 2 * (head.a * last.a - head.b * last.b - head.c * last.c - head.d * last.d)
+    h = len(factors) // 2
+    left = reduce(mul, factors[:h])
+    right = reduce(mul, factors[h:])
+    return 2 * (left.a * right.a - left.b * right.b - left.c * right.c - left.d * right.d)

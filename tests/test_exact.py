@@ -32,6 +32,32 @@ small_polys = st.dictionaries(
 ).map(poly2)
 
 
+def poly3(coeffs):
+    """Arity-3 polynomials with coefficients drawn from `coeffs`."""
+    return st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+        coeffs,
+        max_size=4,
+    ).map(lambda terms: MPoly(3, terms))
+
+
+@st.composite
+def same_ring_polys3(draw, n):
+    """n arity-3 polynomials, all over int or all over Fraction coefficients."""
+    coeffs = draw(
+        st.sampled_from([st.integers(-3, 3), st.builds(F, st.integers(-3, 3), st.integers(1, 3))])
+    )
+    return [draw(poly3(coeffs)) for _ in range(n)]
+
+
+def assert_invariant(p, arity):
+    """No zero coefficient; every exponent a full-length nonnegative tuple."""
+    assert p.arity == arity
+    for e, c in p.terms.items():
+        assert c
+        assert type(e) is tuple and len(e) == arity and min(e) >= 0
+
+
 class TestRationals:
     @given(rationals, rationals, rationals)
     def test_field_axioms(self, a, b, c):
@@ -56,6 +82,42 @@ class TestMPoly:
     def test_no_zero_coefficients_stored(self):
         p = MPoly(2, {(1, 0): F(1)}) - MPoly(2, {(1, 0): F(1)})
         assert p.terms == {}
+
+    @given(same_ring_polys3(5), st.integers(0, 3), st.integers(0, 2))
+    @settings(max_examples=60)
+    def test_operations_keep_the_invariant(self, polys, k, i):
+        p, q, *imgs = polys
+        results = [
+            p + q, p - q, p - p, -p, p * q, p * 3, p * F(-2, 3), p * 0,
+            p**k, p.deriv(i), p.map_coeff(lambda c: c - 1), p.subs_poly(imgs),
+        ]
+        for r in results:
+            assert_invariant(r, 3)
+        assert p - q == p + (-q)
+
+    @given(same_ring_polys3(4), st.lists(rationals, min_size=3, max_size=3))
+    @settings(max_examples=40)
+    def test_subs_poly_matches_evaluation(self, polys, x):
+        p, *imgs = polys
+        assert p.subs_poly(imgs).eval(x) == p.eval([g.eval(x) for g in imgs])
+
+    def test_subs_poly_rejects_mixed_arity(self):
+        x, _ = MPoly.variables(2)
+        with pytest.raises(ValueError):
+            x.subs_poly([MPoly.var(3, 0), MPoly.var(2, 1)])
+
+    def test_constructor_validates_exponents(self):
+        with pytest.raises(ValueError):
+            MPoly(2, {(1,): F(1)})
+        with pytest.raises(ValueError):
+            MPoly(2, {(1, -1): F(1)})
+
+    def test_pow_keeps_int_coefficients(self):
+        p = MPoly(1, {(1,): 1, (0,): 1})  # x + 1 over the integers
+        cube = p**3
+        assert cube.terms == {(3,): 1, (2,): 3, (1,): 3, (0,): 1}
+        assert all(type(c) is int for c in cube.terms.values())
+        assert p**0 == MPoly.const(1, 1)
 
     def test_divide_exact(self):
         u, v = MPoly.variables(2)

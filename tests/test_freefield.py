@@ -1,8 +1,10 @@
 """Quaternion traces, elementary pole structures, Wick numerators and
 the free-field correlator oracles."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -11,6 +13,7 @@ import pytest
 from gcipw.exact import Quaternion, chain_trace
 from gcipw.fourpoint import basis_J, basis_j_small, truncated_4pt_value
 from gcipw.freefield import (
+    _sym_points,
     anticommutation_symbolic,
     cycle_trace_2n,
     cycle_trace_numerator,
@@ -220,6 +223,28 @@ def w_sixpoint(c):
     return br / (r(0, 5) * r(1, 2) * r(3, 4)) ** 2
 
 
+def chain_trace_reference(factors):
+    """2 Re(q1 ... qn) from the plain left-to-right product."""
+    return 2 * functools.reduce(operator.mul, factors).a
+
+
+class TestChainTrace:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_left_to_right_product(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(5):
+            qs = [
+                Quaternion(*(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)))
+                for _ in range(n)
+            ]
+            assert chain_trace(qs) == chain_trace_reference(qs)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_symbolic_matches_left_to_right_product(self, n):
+        qs = [slash(z, conjugate=i % 2 == 1) for i, z in enumerate(_sym_points(n))]
+        assert chain_trace(qs) == chain_trace_reference(qs)
+
+
 class TestCycleTraces:
     def test_n2_reduces_to_first_elementary_term(self):
         rng = random.Random(6)
@@ -278,6 +303,13 @@ class TestWickNumerator:
         c2 = fit_cycle_constant(2, random_config(rng, 4))
         assert cycle_trace_numerator_symbolic((0, 1, 2, 3), 4) == c2 * (
             wick_numerator(2, (0, 1, 2, 3)).subs_poly(rho_symbolic(4))
+        )
+
+    @pytest.mark.parametrize("seq", orbit_enumerate(3))
+    def test_symbolic_identities_n3(self, seq):
+        c3 = fit_cycle_constant(3, random_config(random.Random(13), 6))
+        assert cycle_trace_numerator_symbolic(seq, 6) == c3 * (
+            wick_numerator(3, seq).subs_poly(rho_symbolic(6))
         )
 
     def test_n4_numeric(self):
