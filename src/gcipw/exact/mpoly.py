@@ -12,6 +12,7 @@ construction and wrap them with `MPoly._trusted`, without re-checking.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add, sub
 from typing import Dict, Sequence, Tuple
@@ -185,8 +186,10 @@ class MPoly:
         """Substitute a polynomial for each variable.
 
         Each power images[i] ** k is formed once per call, and every scaled
-        monomial image is added into one dict.  Integer coefficients of self
-        enter as Fractions, as constants do in `const`.
+        monomial image is added into one dict.  The coefficients of self are
+        brought over the lcm D of their denominators, the scaled images are
+        summed with those integer numerators, and each output coefficient is
+        one Fraction(total, D), as constants are Fractions in `const`.
         """
         if len(images) != self.arity:
             raise ValueError("need one image per variable")
@@ -195,11 +198,11 @@ class MPoly:
             raise ValueError("images have mixed arity")
         one = MPoly._trusted(arity, {(0,) * arity: 1})
         powers = [[one, g] for g in images]
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
         terms: Dict[Expo, object] = {}
         get = terms.get
         for e, c in self.terms.items():
-            if isinstance(c, int):
-                c = Fraction(c)
+            c = c.numerator * (den // c.denominator)
             m = None
             for ps, k in zip(powers, e):
                 if k:
@@ -208,7 +211,7 @@ class MPoly:
                     m = ps[k] if m is None else m * ps[k]
             for e2, v in (one if m is None else m).terms.items():
                 terms[e2] = get(e2, 0) + c * v
-        return MPoly._trusted(arity, {e: c for e, c in terms.items() if c})
+        return MPoly._trusted(arity, {e: Fraction(c, den) for e, c in terms.items() if c})
 
     def deriv(self, i: int) -> "MPoly":
         terms: Dict[Expo, object] = {}

@@ -3,13 +3,21 @@ the scalar and Weyl bilocal fields.
 
 slash(z) = z4 + z.Q with Q_j = -i sigma_j is the quaternion
 z4 + z1 i + z2 j + z3 k, and the trace of a product of slash matrices is
-2 Re of the quaternion product.  Components are rationals (or, for the
-symbolic identity checks, integer polynomials), so every value here is an
-exact rational number.
+2 Re of the quaternion product.  Components are integers, rationals or,
+for the symbolic identity checks, integer polynomials, so every value here
+is an exact rational number.
+
+The numeric correlators run on the integer form of a `PointConfig`: its
+coordinates scaled by the lcm L of their denominators, and the integer
+squared intervals L^2 rho_ij.  Numerators and pole products are then plain
+integers.  Each correlator is homogeneous of a known degree -d in the
+coordinates, so its value is L^d times its value on the integer form: one
+exact rescaling per call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -23,8 +31,9 @@ from .symmetrize import _all_partitions_min2, enumerate_patterns
 def slash(z: Sequence, conjugate: bool = False) -> Quaternion:
     """z-slash (or its quaternion conjugate) for entries of any ring."""
     z1, z2, z3, z4 = z
-    q = Quaternion(z4, z1, z2, z3)
-    return q.conj() if conjugate else q
+    if conjugate:
+        return Quaternion(z4, -z1, -z2, -z3)
+    return Quaternion(z4, z1, z2, z3)
 
 
 def det4(a: Vec4, b: Vec4, c: Vec4, d: Vec4):
@@ -140,11 +149,13 @@ def _canonical(seq: CycleSeq) -> CycleSeq:
     return min(norm(blocks), norm(rev_blocks))
 
 
-def orbit_enumerate(n: int) -> List[CycleSeq]:
+@functools.cache
+def orbit_enumerate(n: int) -> Tuple[CycleSeq, ...]:
     """All pole structures of a length-2n bilocal cycle, canonically.
 
     These are cyclic block sequences with per-block orientations, up to
-    the Z_n x Z_2 stabilizer; there are 2^(n-1) (n-1)! of them.
+    the Z_n x Z_2 stabilizer; there are 2^(n-1) (n-1)! of them.  Computed
+    once per n.
     """
     if n < 2:
         raise ValueError("need at least two blocks")
@@ -159,7 +170,7 @@ def orbit_enumerate(n: int) -> List[CycleSeq]:
                 seq.extend(reversed(b) if fl else b)
             key = _canonical(tuple(seq))
             seen[key] = True
-    return sorted(seen)
+    return tuple(sorted(seen))
 
 
 def links_of(seq: CycleSeq) -> List[Tuple[int, int]]:
@@ -189,15 +200,19 @@ def cycle_trace_numerator(seq: CycleSeq, points: Sequence[Vec4]) -> Fraction:
 
 
 def cycle_trace_2n(config: PointConfig, seq: CycleSeq) -> Fraction:
-    """Elementary contribution: cycle trace over its squared link poles."""
-    num = cycle_trace_numerator(seq, config.points)
-    den = Fraction(1)
+    """Elementary contribution: cycle trace over its squared link poles.
+
+    The trace has degree 2n in the coordinates and the poles degree 4n,
+    so the integer-form ratio is rescaled by L^(2n).
+    """
+    num = cycle_trace_numerator(seq, config.int_points)
+    den = 1
     for i, j in links_of(seq):
-        r = config.rho(i, j)
+        r = config.int_rho[i][j]
         if r == 0:
             raise DegenerateConfiguration(f"rho({i + 1},{j + 1}) = 0 on a pole pair")
         den *= r * r
-    return num / den
+    return Fraction(num * config.scale ** len(seq), den)
 
 
 # -- signed pairing (Wick) numerators ----------------------------------------------
@@ -289,40 +304,44 @@ def v1_weyl_4pt(config: PointConfig) -> Fraction:
     Equals j_1(s, t) / (rho13 rho24) at any non-degenerate configuration;
     the raw two-trace combination with the unit spinor 2-point function is
     twice this, and the 1/2 pins the bilocal normalization to f_1 = j_1.
+    Each term is a quartic trace over an octic pole product, so the
+    integer-form value is rescaled by L^4.
     """
     if len(config) != 4:
         raise ValueError("need four points")
-    pts = config.points
-    r = config.rho
-    if r(0, 3) == 0 or r(1, 2) == 0 or r(0, 2) == 0 or r(1, 3) == 0:
+    pts, r = config.int_points, config.int_rho
+    if r[0][3] == 0 or r[1][2] == 0 or r[0][2] == 0 or r[1][3] == 0:
         raise DegenerateConfiguration("vanishing rho in a pole pair")
 
-    def term(p3: int, p4: int) -> Fraction:
+    def term(p3: int, p4: int) -> Tuple[int, int]:
         z12 = slash(vsub(pts[0], pts[1]))
         z2a = slash(vsub(pts[1], pts[p3]), True)
         zab = slash(vsub(pts[p3], pts[p4]))
         z1b = slash(vsub(pts[0], pts[p4]), True)
         trace = chain_trace([z12, z2a, zab, z1b]) + chain_trace([z12, z1b, zab, z2a])
-        return trace / (r(0, p4) * r(1, p3)) ** 2
+        return trace, (r[0][p4] * r[1][p3]) ** 2
 
     # the second displayed term is the z3 <-> z4 image of the first (the
     # relative minus sign is absorbed by the reversed difference vector)
-    return (term(2, 3) + term(3, 2)) / 2
+    (t1, d1), (t2, d2) = term(2, 3), term(3, 2)
+    return Fraction((t1 * d2 + t2 * d1) * config.scale**4, 2 * d1 * d2)
 
 
 def v1_scalar_connected(config: PointConfig) -> Fraction:
     """Connected 2n-point function of the scalar bilocal: one-loop cycles
-    with propagator 1/rho over each pole structure's links."""
+    with propagator 1/rho over each pole structure's links, of degree -2n
+    in the coordinates (rescaled by L^(2n) from the integer form)."""
+    n = len(config) // 2
     total = Fraction(0)
-    for seq in orbit_enumerate(len(config) // 2):
-        prod = Fraction(1)
+    for seq in orbit_enumerate(n):
+        prod = 1
         for i, j in links_of(seq):
-            r = config.rho(i, j)
+            r = config.int_rho[i][j]
             if r == 0:
                 raise DegenerateConfiguration(f"rho({i + 1},{j + 1}) = 0")
-            prod /= r
-        total += prod
-    return total
+            prod *= r
+        total += Fraction(1, prod)
+    return total * config.scale ** (2 * n)
 
 
 def v1_weyl_connected(config: PointConfig) -> Fraction:
@@ -366,10 +385,11 @@ def v1_weyl_npoint(config: PointConfig) -> Fraction:
 # -- first-principles Wick network for the composite scalars ------------------------
 
 
-def _fermion_edge(pts, kind: str, fv: int, cv: int) -> Quaternion:
-    """Wick contraction between a field operator (at vertex fv) and its
-    conjugate (at vertex cv), as a matrix indexed (fv, cv): the step
-    from the field to its conjugate along a loop.
+def _fermion_table(config: PointConfig, kind: str) -> List[List]:
+    """Wick contractions between a field operator (at vertex fv) and its
+    conjugate (at vertex cv), as matrices indexed (fv, cv): the step from
+    the field to its conjugate along a loop.  Entry (fv, cv) is the pair
+    (signed integer slash quaternion, integer weight) of the integer form.
 
     kind "psi": <psi(x) psi+(y)> = slash+(x - y) / rho^2;
     kind "chi": <chi(x) chi+(y)> = slash(x - y) / rho^3.
@@ -377,12 +397,17 @@ def _fermion_edge(pts, kind: str, fv: int, cv: int) -> Quaternion:
     fixes the contraction in slot order to the transposed matrix with a
     sign flip; transposed back to (fv, cv) order, only the sign remains.
     """
-    z = vsub(pts[fv], pts[cv])
-    r = sum(c * c for c in z)
-    if r == 0:
-        raise DegenerateConfiguration("coincident points in a propagator")
-    weight = r**2 if kind == "psi" else r**3
-    return slash(z, conjugate=(kind == "psi")) * ((1 if fv < cv else -1) / weight)
+    pts, rho = config.int_points, config.int_rho
+    power = 2 if kind == "psi" else 3
+    m = len(pts)
+    table = [[None] * m for _ in range(m)]
+    for fv, cv in itertools.permutations(range(m), 2):
+        r = rho[fv][cv]
+        if r == 0:
+            raise DegenerateConfiguration("coincident points in a propagator")
+        q = slash(vsub(pts[fv], pts[cv]), conjugate=(kind == "psi"))
+        table[fv][cv] = (q if fv < cv else -q, r**power)
+    return table
 
 
 def _hamiltonian_cycles(m: int):
@@ -416,24 +441,28 @@ def l1_truncated_npoint(config: PointConfig) -> Fraction:
     field to its conjugate, so one table per kind holds every propagator
     and the chords (2a + 1, 2b) of the operator slots do not depend on
     the parity.  The chord-crossing parity of each pattern supplies the
-    sign, and the spinor indices contract to the trace along the walk.
+    sign: in walk order the pairs (2a + 1, 2b) list the 2m slots as an odd
+    permutation (a fixed shuffle of sign (-1)^m times an m-cycle), the
+    crossing parity is the sign of that list with each pair put in
+    increasing order, and a pair is out of order exactly when b < a.  So a
+    walk with d descents has sign -(-1)^d.  The spinor indices contract to
+    the trace along the walk.
+    Each loop has m/2 edges of each kind, of degrees -3 and -5 in the
+    coordinates, so the integer-form sum is rescaled by L^(4m).
     Serves as the independent reference correlator for the
     symmetrization ansatz.
     """
     m = len(config)
     if m % 2:
         raise ValueError("need an even number of points")
-    pts = config.points
-    tables = [
-        [[None if a == b else _fermion_edge(pts, kind, a, b) for b in range(m)] for a in range(m)]
-        for kind in ("psi", "chi")
-    ]
+    tables = [_fermion_table(config, kind) for kind in ("psi", "chi")]
     total = Fraction(0)
     for cyc in _hamiltonian_cycles(m):
-        chords = [(2 * a + 1, 2 * b) for a, b in zip(cyc, cyc[1:])]
-        traces = sum(chain_trace(steps) for steps in _alternations(tables, cyc))
-        total += crossing_sign(chords, range(2 * m)) * traces
-    return total
+        sign = 1 if sum(b < a for a, b in zip(cyc, cyc[1:])) % 2 else -1
+        for steps in _alternations(tables, cyc):
+            quats, weights = zip(*steps)
+            total += Fraction(sign * chain_trace(quats), math.prod(weights))
+    return total * config.scale ** (4 * m)
 
 
 def l0_truncated_npoint(config: PointConfig) -> Fraction:
@@ -443,19 +472,19 @@ def l0_truncated_npoint(config: PointConfig) -> Fraction:
     Connected diagrams are Hamiltonian cycles through the points with the
     two propagators 1/rho and 1/rho^3 alternating along the cycle: the
     same 2 (m-1)! (cycle, parity) walks as `l1_truncated_npoint`, of which
-    each undirected cycle keeps one orientation.
+    each undirected cycle keeps one orientation.  The tables hold the
+    integer weights rho and rho^3 of the integer form, and the sum, of
+    degree -4m in the coordinates, is rescaled by L^(4m).
     """
     m = len(config)
-    inv = [[None] * m for _ in range(m)]
-    for a, b in itertools.combinations(range(m), 2):
-        rv = config.rho(a, b)
-        if rv == 0:
-            raise DegenerateConfiguration("coincident points")
-        inv[a][b] = inv[b][a] = 1 / rv
-    tables = (inv, [[None if w is None else w**3 for w in row] for row in inv])
+    rho = config.int_rho
+    if any(rho[a][b] == 0 for a, b in itertools.combinations(range(m), 2)):
+        raise DegenerateConfiguration("coincident points")
+    tables = (rho, [[r**3 for r in row] for row in rho])
     total = Fraction(0)
     for cyc in _hamiltonian_cycles(m):
         if cyc[1] > cyc[-2]:
             continue  # each undirected cycle once
-        total += sum(math.prod(steps) for steps in _alternations(tables, cyc))
-    return total
+        for steps in _alternations(tables, cyc):
+            total += Fraction(1, math.prod(steps))
+    return total * config.scale ** (4 * m)

@@ -4,8 +4,10 @@ action on functions of the cross-ratios, and seeded random configurations.
 
 from __future__ import annotations
 
+import math
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -26,12 +28,38 @@ def vec4(*coords) -> Vec4:
 
 @dataclass(frozen=True)
 class PointConfig:
-    """A finite sequence of rational 4-vectors (Euclidean-chart points)."""
+    """A finite sequence of rational 4-vectors (Euclidean-chart points).
+
+    `points` holds the Fraction coordinates.  The integer form is built
+    once with them: `scale` is a common multiple L of every coordinate
+    denominator (their lcm, or for a `subset` the scale of the parent
+    configuration, whose integer tables it shares), `int_points` are the
+    integer vectors L z_i, and `int_rho[i][j]` is the integer squared
+    interval L^2 rho_ij.  The free-field correlators are homogeneous in the
+    coordinates, so their kernels run on the integer form and rescale their
+    result exactly by a power of L once per call.  Only `points` takes part
+    in equality and hashing.
+    """
 
     points: Tuple[Vec4, ...]
+    scale: int = field(compare=False, repr=False)
+    int_points: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
+    int_rho: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __init__(self, points: Sequence[Sequence]):
-        object.__setattr__(self, "points", tuple(vec4(*p) for p in points))
+        pts = tuple(vec4(*p) for p in points)
+        scale = math.lcm(*(c.denominator for p in pts for c in p))
+        ipts = tuple(tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts)
+        irho = tuple(
+            tuple(sum((a - b) ** 2 for a, b in zip(p, q)) for q in ipts) for p in ipts
+        )
+        self._set(pts, scale, ipts, irho)
+
+    def _set(self, points, scale, int_points, int_rho) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "int_points", int_points)
+        object.__setattr__(self, "int_rho", int_rho)
 
     def __len__(self):
         return len(self.points)
@@ -42,19 +70,28 @@ class PointConfig:
     def is_nondegenerate(self) -> bool:
         n = len(self.points)
         return all(
-            self.rho(i, j) != 0 for i in range(n) for j in range(i + 1, n)
+            self.int_rho[i][j] != 0 for i in range(n) for j in range(i + 1, n)
         )
 
     def subset(self, indices: Sequence[int]) -> "PointConfig":
-        return PointConfig([self.points[i] for i in indices])
+        """The points at `indices`, with rows of this integer form."""
+        sub = object.__new__(PointConfig)
+        rho = self.int_rho
+        sub._set(
+            tuple(self.points[i] for i in indices),
+            self.scale,
+            tuple(self.int_points[i] for i in indices),
+            tuple(tuple(rho[i][j] for j in indices) for i in indices),
+        )
+        return sub
 
 
 def squared_interval(config: PointConfig, i: int, j: int) -> Fraction:
-    """rho_ij = sum_mu (z_i - z_j)_mu^2."""
-    pts = config.points
-    if not (0 <= i < len(pts) and 0 <= j < len(pts)):
+    """rho_ij = sum_mu (z_i - z_j)_mu^2, read from the integer table."""
+    n = len(config.points)
+    if not (0 <= i < n and 0 <= j < n):
         raise IndexError("point index out of range")
-    return sum((a - b) ** 2 for a, b in zip(pts[i], pts[j]))
+    return Fraction(config.int_rho[i][j], config.scale**2)
 
 
 def dot4(z: Vec4, w: Vec4) -> Fraction:
@@ -62,7 +99,7 @@ def dot4(z: Vec4, w: Vec4) -> Fraction:
 
 
 def vsub(z: Vec4, w: Vec4) -> Vec4:
-    return tuple(a - b for a, b in zip(z, w))
+    return tuple(map(operator.sub, z, w))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ ratio fitting of the per-n constants.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -20,8 +21,10 @@ class NotSymmetrizable(Exception):
     """The fitted ratio is not constant across configurations."""
 
 
-def enumerate_patterns(n: int) -> List[Pattern]:
-    """All (2n-1)!! pairings of {1..2n} in canonical order.
+@functools.cache
+def enumerate_patterns(n: int) -> Tuple[Pattern, ...]:
+    """All (2n-1)!! pairings of {1..2n} in canonical order, computed once
+    per n.
 
     Each pattern has 1 as its first entry, increasing first elements,
     and each pair sorted; indices here are 0-based.
@@ -39,7 +42,7 @@ def enumerate_patterns(n: int) -> List[Pattern]:
             for tail in rec(rest):
                 yield ((first, items[k]),) + tail
 
-    return list(rec(tuple(range(2 * n))))
+    return tuple(rec(tuple(range(2 * n))))
 
 
 def double_factorial_odd(n: int) -> int:
@@ -48,16 +51,20 @@ def double_factorial_odd(n: int) -> int:
 
 
 def w1_full(v1_eval: Evaluator, config: PointConfig, pattern: Pattern) -> Fraction:
-    """w1 for one pattern: the bilocal 2n-point over cubed pair intervals."""
+    """w1 for one pattern: the bilocal 2n-point over cubed pair intervals.
+
+    The prefactor is formed on the integer intervals of the configuration
+    and rescaled by L^(6n), the degree of its n cubed poles.
+    """
     idx = [p for pair in pattern for p in pair]
     sub = config.subset(idx)
-    pref = Fraction(1)
+    den = 1
     for i, j in pattern:
-        r = config.rho(i, j)
+        r = config.int_rho[i][j]
         if r == 0:
             raise DegenerateConfiguration(f"rho({i + 1},{j + 1}) = 0 in a prefactor")
-        pref /= r**3
-    return pref * v1_eval(sub)
+        den *= r**3
+    return Fraction(config.scale ** (6 * len(pattern)), den) * v1_eval(sub)
 
 
 def w1_truncated(

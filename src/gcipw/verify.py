@@ -232,7 +232,8 @@ def check_combinatorics(_seed: int) -> dict:
 
 
 def check_symmetrizability(seed: int) -> dict:
-    """Criterion 8: fitted lambdas and the n = 3 ratios of both composites."""
+    """Criterion 8: fitted lambdas and the n = 3 and n = 4 ratios of both
+    composites."""
     t0 = time.perf_counter()
     rng = random.Random(seed + 5)
     configs = [kinematics.random_config(rng, 4) for _ in range(6)]
@@ -254,23 +255,27 @@ def check_symmetrizability(seed: int) -> dict:
     lam1 = symmetrize.fit_lambda(2, ref(1), freefield.v1_weyl_npoint, configs)
     lam2 = symmetrize.fit_lambda(2, ref(2), pw_eval(2), configs)
     lam_ok = lam0 == lam1 == 2 * lam2
-    configs6 = [kinematics.random_config(rng, 6) for _ in range(20)]
+    larger = {
+        3: [kinematics.random_config(rng, 6) for _ in range(20)],
+        4: [kinematics.random_config(rng, 8) for _ in range(4)],
+    }
 
-    def lambda3(reference, v1_eval):
+    def ratio(n, reference, v1_eval):
         try:
-            return symmetrize.fit_lambda(3, reference, v1_eval, configs6)
+            return symmetrize.fit_lambda(n, reference, v1_eval, larger[n])
         except symmetrize.NotSymmetrizable:
             return None
 
-    weyl3 = lambda3(freefield.l1_truncated_npoint, freefield.v1_weyl_npoint)
-    scalar3 = lambda3(freefield.l0_truncated_npoint, freefield.v1_scalar_npoint)
+    ff = freefield
+    weyl = {n: ratio(n, ff.l1_truncated_npoint, ff.v1_weyl_npoint) for n in larger}
+    scalar = {n: ratio(n, ff.l0_truncated_npoint, ff.v1_scalar_npoint) for n in larger}
+    ratios = ", ".join(
+        f"n={n} weyl ratio={weyl[n]}, n={n} scalar ratio={scalar[n]}" for n in larger
+    )
     return {
         "id": "c08_symmetrizability",
-        "passed": lam_ok and weyl3 == 2 and scalar3 == 1,
-        "detail": (
-            f"lambda2=({lam0},{lam1},{lam2}), n=3 weyl ratio={weyl3}, "
-            f"n=3 scalar ratio={scalar3}"
-        ),
+        "passed": lam_ok and all(weyl[n] == 2 and scalar[n] == 1 for n in larger),
+        "detail": f"lambda2=({lam0},{lam1},{lam2}), {ratios}",
         "elapsed": time.perf_counter() - t0,
     }
 

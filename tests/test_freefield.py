@@ -33,6 +33,7 @@ from gcipw.freefield import (
     trace4,
     trace4_identity_check,
     trace4_identity_symbolic,
+    v1_scalar_connected,
     v1_scalar_npoint,
     v1_weyl_4pt,
     v1_weyl_npoint,
@@ -46,6 +47,7 @@ from gcipw.kinematics import (
     random_config,
     vsub,
 )
+from gcipw.symmetrize import symmetrized_wt
 
 E1 = (F(1), F(0), F(0), F(0))
 E2 = (F(0), F(1), F(0), F(0))
@@ -211,8 +213,14 @@ class TestWeylBilocal:
             v1_weyl_4pt(cfg)
 
 
+def interval(cfg, i, j):
+    """rho_ij from the Fraction coordinates, bypassing the integer form."""
+    d = vsub(cfg.points[i], cfg.points[j])
+    return dot4(d, d)
+
+
 def w_sixpoint(c):
-    r = c.rho
+    r = functools.partial(interval, c)
     br = (
         r(0, 1) * (r(2, 3) * r(4, 5) - r(2, 4) * r(3, 5) + r(2, 5) * r(3, 4))
         - r(0, 2) * (r(1, 3) * r(4, 5) - r(1, 4) * r(3, 5) + r(1, 5) * r(3, 4))
@@ -280,7 +288,11 @@ class TestOrbits:
         assert len(orbit_enumerate(4)) == 48
 
     def test_n2_structures(self):
-        assert orbit_enumerate(2) == [(0, 1, 2, 3), (0, 1, 3, 2)]
+        assert orbit_enumerate(2) == ((0, 1, 2, 3), (0, 1, 3, 2))
+
+    def test_computed_once_per_n(self):
+        assert orbit_enumerate(4) is orbit_enumerate(4)
+        assert isinstance(orbit_enumerate(4), tuple)
 
 
 class TestWickNumerator:
@@ -428,7 +440,7 @@ def undirected_cycles_l0(config):
         if tail[0] > tail[-1]:
             continue
         cyc = (0, *tail, 0)
-        rs = [config.rho(cyc[k], cyc[k + 1]) for k in range(m)]
+        rs = [interval(config, cyc[k], cyc[k + 1]) for k in range(m)]
         total += sum(
             math.prod(r ** (1 if (k + p) % 2 == 0 else 3) for k, r in enumerate(rs)) ** -1
             for p in (0, 1)
@@ -496,3 +508,86 @@ class TestCompositeNetworks:
                 prod *= v1_weyl_connected(cfg.subset(idx))
             pairs += prod
         assert full == conn + pairs
+
+
+def config_over(rng, m, dens):
+    """A non-degenerate m-point configuration whose coordinates have
+    numerators in [-9, 9] and denominators drawn from `dens`."""
+    while True:
+        cfg = PointConfig(
+            [[F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(4)] for _ in range(m)]
+        )
+        if cfg.is_nondegenerate():
+            return cfg
+
+
+def dilated(cfg, lam):
+    return PointConfig([[lam * c for c in p] for p in cfg.points])
+
+
+class TestIntegerForm:
+    """The kernels run on integer coordinates L z and rescale by a power
+    of L; these pin each power and compare against references that work
+    on the Fraction coordinates."""
+
+    # (correlator, number of points, degree -d of homogeneity)
+    HOMOGENEOUS = {
+        "cycle_trace_2n(n=2)": (lambda c: cycle_trace_2n(c, (0, 1, 3, 2)), 4, 4),
+        "cycle_trace_2n(n=3)": (lambda c: cycle_trace_2n(c, (0, 1, 2, 3, 5, 4)), 6, 6),
+        "v1_weyl_4pt": (v1_weyl_4pt, 4, 4),
+        "v1_scalar_connected(4)": (v1_scalar_connected, 4, 4),
+        "v1_scalar_connected(6)": (v1_scalar_connected, 6, 6),
+        "l1_truncated_npoint(4)": (l1_truncated_npoint, 4, 16),
+        "l1_truncated_npoint(6)": (l1_truncated_npoint, 6, 24),
+        "l0_truncated_npoint(4)": (l0_truncated_npoint, 4, 16),
+        "l0_truncated_npoint(6)": (l0_truncated_npoint, 6, 24),
+        "symmetrized_wt(3)": (lambda c: symmetrized_wt(3, F(1), v1_weyl_npoint, c), 6, 24),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HOMOGENEOUS))
+    def test_homogeneity(self, name):
+        f, m, d = self.HOMOGENEOUS[name]
+        lam = F(7, 3)
+        rng = random.Random(60 + m)
+        for _ in range(2):
+            cfg = random_config(rng, m)
+            value = f(cfg)
+            assert value != 0
+            big = dilated(cfg, lam)
+            assert big.scale != cfg.scale
+            assert f(big) == lam ** -d * value
+
+    @pytest.mark.parametrize("dens", [(1,), (7, 11)], ids=["L=1", "L=77"])
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_composites_match_references(self, m, dens):
+        rng = random.Random(70 + m)
+        cfg = config_over(rng, m, dens)
+        assert cfg.scale == math.lcm(*dens)
+        assert l1_truncated_npoint(cfg) == all_matchings_l1(cfg)
+        assert l0_truncated_npoint(cfg) == undirected_cycles_l0(cfg)
+
+    @pytest.mark.parametrize("dens", [(1,), (7, 11)], ids=["L=1", "L=77"])
+    def test_cycle_trace_matches_braces(self, dens):
+        rng = random.Random(80)
+        for _ in range(5):
+            cfg = config_over(rng, 6, dens)
+            assert cfg.scale == math.lcm(*dens)
+            assert cycle_trace_2n(cfg, (0, 1, 2, 3, 4, 5)) == w_sixpoint(cfg)
+
+    @pytest.mark.parametrize(
+        "f",
+        [l1_truncated_npoint, l0_truncated_npoint, v1_weyl_npoint],
+        ids=lambda f: f.__name__,
+    )
+    def test_coincident_points_raise(self, f):
+        pts = [(F(1, 2), 0, 0, 0), (0, F(1, 3), 0, 0), (0, 0, 1, 0), (F(1, 2), 0, 0, 0)]
+        with pytest.raises(DegenerateConfiguration):
+            f(PointConfig(pts))
+
+    def test_vanishing_pole_pair_raises(self):
+        # points 1 and 2 coincide: a link of (0, 1, 2, 3) but not of (0, 1, 3, 2)
+        pts = [(0, 0, 0, 0), (F(1, 7), 0, 0, 0), (F(1, 7), 0, 0, 0), (0, F(2, 11), 0, 0)]
+        cfg = PointConfig(pts)
+        with pytest.raises(DegenerateConfiguration):
+            cycle_trace_2n(cfg, (0, 1, 2, 3))
+        assert cycle_trace_2n(cfg, (0, 1, 3, 2)) != 0

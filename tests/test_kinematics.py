@@ -49,6 +49,33 @@ class TestSquaredInterval:
             squared_interval(PointConfig([E1]), 0, 1)
 
 
+class TestIntegerForm:
+    def test_rho_matches_direct_sum(self):
+        rng = random.Random(21)
+        for m in (2, 5, 8):
+            cfg = random_config(rng, m)
+            for i in range(m):
+                for j in range(m):
+                    direct = sum((a - b) ** 2 for a, b in zip(cfg.points[i], cfg.points[j]))
+                    assert cfg.rho(i, j) == direct
+                    assert cfg.int_rho[i][j] == cfg.scale**2 * direct
+
+    def test_scale_is_lcm_of_denominators(self):
+        cfg = PointConfig([(F(1, 4), 0, F(2, 3), 5), (F(-7, 6), 1, 0, F(1, 9))])
+        assert cfg.scale == 36
+        assert cfg.int_points == ((9, 0, 24, 180), (-42, 36, 0, 4))
+        assert PointConfig([E1, E2]).scale == 1
+
+    def test_equality_ignores_integer_form(self):
+        cfg = random_config(random.Random(22), 6)
+        sub = cfg.subset([4, 1, 3])
+        direct = PointConfig([cfg.points[4], cfg.points[1], cfg.points[3]])
+        # the subset keeps its parent's scale, a multiple of its own lcm
+        assert sub.scale == cfg.scale and direct.scale <= sub.scale
+        assert sub == direct and hash(sub) == hash(direct)
+        assert all(sub.rho(i, j) == direct.rho(i, j) for i in range(3) for j in range(3))
+
+
 class TestCrossRatios:
     def test_unit_tetrad(self):
         cfg = PointConfig([ORIGIN, E1, E2, E3])

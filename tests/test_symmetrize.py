@@ -32,11 +32,11 @@ class TestPatterns:
             assert len(enumerate_patterns(n)) == double_factorial_odd(n)
 
     def test_n2_explicit(self):
-        assert enumerate_patterns(2) == [
+        assert enumerate_patterns(2) == (
             ((0, 1), (2, 3)),
             ((0, 2), (1, 3)),
             ((0, 3), (1, 2)),
-        ]
+        )
 
     def test_constraints(self):
         for n in (3, 4):
@@ -48,7 +48,12 @@ class TestPatterns:
                 assert sorted(x for p in pat for x in p) == list(range(2 * n))
 
     def test_n1(self):
-        assert enumerate_patterns(1) == [((0, 1),)]
+        assert enumerate_patterns(1) == (((0, 1),),)
+
+    def test_computed_once_per_n(self):
+        # a shared tuple, so no caller can change what the next one reads
+        assert enumerate_patterns(4) is enumerate_patterns(4)
+        assert isinstance(enumerate_patterns(4), tuple)
 
 
 class TestW1:
