@@ -11,7 +11,7 @@ from .mpoly import MPoly, divide_exact
 from .qseries import QSeries, lambert_series
 from .quaternion import Quaternion, chain_trace
 from .ratfn import RatFn
-from .series import PSeries, Series2, div_u_minus_v, unit_power
+from .series import PSeries, Series2, div_u_minus_v, unit_row
 
 __all__ = [
     "Rat",
@@ -21,7 +21,7 @@ __all__ = [
     "PSeries",
     "Series2",
     "div_u_minus_v",
-    "unit_power",
+    "unit_row",
     "QSeries",
     "lambert_series",
     "Quaternion",

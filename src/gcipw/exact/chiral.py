@@ -9,29 +9,41 @@ e1 = u+v, e2 = uv.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .mpoly import MPoly
-from .series import PSeries, Series2, unit_power
+from .series import ZERO, PSeries, Series2, common_denominator, unit_row
 
 
 def chiral_slices(terms: Dict[Tuple[int, int], Fraction], order: int, depth: int) -> Series2:
     """Expand sum c s^a t^b, given as {(a, b): c}, in the chiral variables.
 
     s^a t^b = [u^a (1-u)^b] [v^a (1-v)^b] for any integer b, so a term adds
-    c u^a (1-u)^b, times the v^j coefficient of v^a (1-v)^b, to slice j.
-    The first `depth` v-slices are kept, slice j to u-degree order - j.
+    c w_b[j-a] w_b[i-a] to the u^i v^j coefficient, w_b the integer row of
+    (1-x)^b.  The first `depth` v-slices are kept, slice j to u-degree
+    order - j.  The sums are integer numerators over D, the lcm of the
+    term denominators, with one Fraction per retained coefficient at the end.
     """
-    slices = [PSeries([Fraction(0)] * (order - j + 1)) for j in range(depth)]
-    for (a, b), c in terms.items():
-        if a < 0:
-            raise ZeroDivisionError("a negative power of s has a pole at the chiral origin")
-        w = unit_power(b, order)
-        row = (c * w).shift(a)
-        for j in range(a, depth):
-            if w[j - a]:
-                slices[j] = slices[j] + w[j - a] * row
-    return Series2(slices)
+    if any(a < 0 for a, _ in terms):
+        raise ZeroDivisionError("a negative power of s has a pole at the chiral origin")
+    scaled, D = common_denominator([Fraction(c) for c in terms.values()])
+    nums = [[0] * (order - j + 1) for j in range(depth)]
+    rows: Dict[int, List[int]] = {}
+    for (a, b), c in zip(terms, scaled):
+        if not c:
+            continue
+        if b not in rows:
+            rows[b] = unit_row(b, order)
+        w = rows[b]
+        for j in range(a, min(depth, order + 1)):
+            cj = c * w[j - a]
+            if cj:
+                out = nums[j]
+                for i in range(a, order - j + 1):
+                    out[i] += cj * w[i - a]
+    return Series2(
+        [PSeries._trusted([Fraction(n, D) if n else ZERO for n in sl]) for sl in nums]
+    )
 
 
 def is_symmetric_uv(p: MPoly) -> bool:

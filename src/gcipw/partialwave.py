@@ -24,6 +24,7 @@ from typing import Dict, List, Tuple
 
 from .exact import MPoly, PSeries, RatFn, Series2, div_u_minus_v, divide_exact
 from .exact.chiral import chiral_slices, symmetric_reduce
+from .exact.series import ZERO, common_denominator
 from .fourpoint import PWParams, assemble_P4
 
 
@@ -42,26 +43,37 @@ def pochhammer(a: int, n: int) -> Fraction:
     return out
 
 
+# the coefficients of F(a, b; c; x) per (a, b, c), to the longest order asked for
+_GAUSS: Dict[Tuple[int, int, int], Tuple[Fraction, ...]] = {}
+
+
 def hypergeom_series(a: int, b: int, c: int, order: int) -> PSeries:
-    """Gauss series F(a, b; c; x) to the given order, exactly.
+    """Gauss series F(a, b; c; x) to the given order, exactly, as a fresh
+    PSeries.
 
     Terminating numerators take precedence (so F(0, 0; 0; x) = 1); a
     nonpositive integer c that is hit before the numerator terminates is
-    a pole in the parameters.
+    a pole in the parameters.  Each (a, b, c) is computed once and
+    extended from its last stored term when a longer order is asked for;
+    a stored zero term means the numerator has terminated the series.
     """
-    coeffs = [Fraction(1)]
-    term = Fraction(1)
-    for n in range(order):
-        num = Fraction((a + n) * (b + n))
-        if num == 0:
-            coeffs.extend([Fraction(0)] * (order - n))
-            break
-        den = Fraction((n + 1) * (c + n))
-        if den == 0:
-            raise PoleInParameters(f"F({a},{b};{c};x) has a parameter pole at n={n + 1}")
-        term = term * num / den
-        coeffs.append(term)
-    return PSeries(coeffs[: order + 1])
+    key = (a, b, c)
+    coeffs = _GAUSS.get(key, (Fraction(1),))
+    if len(coeffs) <= order:
+        out = list(coeffs)
+        term = out[-1]
+        for n in range(len(out) - 1, order):
+            num = (a + n) * (b + n)
+            if not term or num == 0:
+                out.extend([ZERO] * (order - n))
+                break
+            den = (n + 1) * (c + n)
+            if den == 0:
+                raise PoleInParameters(f"F({a},{b};{c};x) has a parameter pole at n={n + 1}")
+            term = Fraction(term.numerator * num, term.denominator * den)
+            out.append(term)
+        coeffs = _GAUSS[key] = tuple(out)
+    return PSeries._trusted(list(coeffs[: order + 1]))
 
 
 def lhs_series(p: PWParams, order: int, depth: int) -> Series2:
@@ -95,7 +107,9 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
     The remainder after removing the first k-1 sectors must vanish below
     v^(k-1); its v^(k-1) slice, divided by u^(k-1), is the boundary value
     f_k(0, 1-u).  The retained slices of f_k follow from
-    (u - v) f_k = g_k(u) F(v) - F(u) g_k(v), F = F(k-1, k-1; 2k-2; x).
+    (u - v) f_k = g_k(u) F(v) - F(u) g_k(v), F = F(k-1, k-1; 2k-2; x),
+    whose right side is formed from the integer numerators of g_k and F
+    over their common denominators, one Fraction per entry.
     """
     if order < 2 * max_twist + 4:
         raise ValueError("series order too small for the requested twist depth")
@@ -117,10 +131,14 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
         g_k = phi.shift(1).truncate(work)
         if g_k[0] != 0:
             raise InconsistentExpansion(f"g_{k}(0) != 0")
-        f_series = hypergeom_series(k - 1, k - 1, 2 * k - 2, work)
+        F, dF = common_denominator(hypergeom_series(k - 1, k - 1, 2 * k - 2, work).coeffs)
+        G, dG = common_denominator(g_k.coeffs)
+        D = dF * dG
         numerator = Series2(
             [
-                (g_k * f_series[i] - f_series * g_k[i]).truncate(work - i)
+                PSeries._trusted(
+                    [Fraction(G[n] * F[i] - F[n] * G[i], D) for n in range(work - i + 1)]
+                )
                 for i in range(max_twist - k + 1)
             ]
         )
@@ -186,30 +204,36 @@ def default_order(max_spin: int, max_twist: int) -> int:
 def solve_structure_constants(g: PSeries, kappa: int, max_spin: int) -> List[Fraction]:
     """Solve g(u) = u sum_l B_l u^(2l) F(2l+k, 2l+k; 4l+2k; u) for B_l.
 
-    Forward substitution over ascending powers; the odd powers of g/u
-    carry no new unknowns and must be reproduced exactly.
+    One in-place forward substitution over ascending powers of g/u, held
+    as integer numerators over a common denominator D: the power 2l reads
+    B_l and subtracts B_l u^(2l) F from the powers above it, D becoming
+    the lcm of D and the denominator of B_l F.  The odd powers carry no
+    new unknowns and must be reproduced exactly.
     """
     if g.order < 2 * max_spin + 1:
         raise ValueError("series too short for the requested spin range")
-    h = g.shift(-1)
-    top = min(h.order, 2 * max_spin + 1)
-    residual = h.truncate(top)
+    num, den = common_denominator(g.shift(-1).coeffs[: 2 * max_spin + 2])
+    top = len(num) - 1
     out: List[Fraction] = []
     for power in range(top + 1):
-        val = residual[power]
-        if power % 2 == 0:
-            ell = power // 2
-            out.append(val)
+        val = Fraction(num[power], den)
+        if power % 2:
             if val:
-                fk = hypergeom_series(
-                    2 * ell + kappa, 2 * ell + kappa, 4 * ell + 2 * kappa, top
+                raise InconsistentExpansion(
+                    f"odd power u^{power} of g/u not reproduced (residual {val})"
                 )
-                residual = residual - (val * fk).shift(2 * ell).truncate(top)
-        elif val != 0:
-            raise InconsistentExpansion(
-                f"odd power u^{power} of g/u not reproduced (residual {val})"
-            )
-    return out[: max_spin + 1]
+            continue
+        out.append(val)
+        if val:
+            a = power + kappa
+            F, e = common_denominator(hypergeom_series(a, a, 2 * a, top - power).coeffs)
+            step = val.denominator * e
+            new = math.lcm(den, step)
+            up, scaled = new // den, val.numerator * (new // step)
+            for n in range(1, top - power + 1):
+                num[power + n] = num[power + n] * up - scaled * F[n]
+            den = new
+    return out
 
 
 def closed_form_B(kappa: int, ell: int, p: PWParams) -> Fraction:

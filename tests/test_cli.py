@@ -238,6 +238,47 @@ class TestBoundary:
         assert float(rows[0][2]) < 1e-10
 
 
+class TestInputErrors:
+    """An input the computation cannot take ends in one stderr line and exit
+    code 2, never a traceback."""
+
+    def expect_one_line(self, args, name, capsys):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and name in lines[0]
+
+    def test_inconsistent_expansion(self, monkeypatch, capsys):
+        from gcipw import partialwave
+        from gcipw.exact import MPoly
+
+        # t^-3 P4 = 1 is not in the family: its g_1/u = 1 leaves an odd power
+        monkeypatch.setattr(partialwave, "assemble_P4", lambda p: MPoly(2, {(0, 3): F(1)}))
+        args = ["decompose", "--max-twist", "1", "--max-spin", "2"]
+        self.expect_one_line(args, "InconsistentExpansion", capsys)
+
+    def test_parameter_pole(self, monkeypatch, capsys):
+        from gcipw import partialwave
+
+        hyp = partialwave.hypergeom_series
+        monkeypatch.setattr(partialwave, "hypergeom_series", lambda a, b, c, n: hyp(1, 1, 0, n))
+        args = ["decompose", "--a0", "1", "--max-twist", "2", "--max-spin", "2"]
+        self.expect_one_line(args, "PoleInParameters", capsys)
+
+    def test_degenerate_configuration(self, monkeypatch, capsys):
+        from gcipw import freefield
+        from gcipw.kinematics import PointConfig
+
+        v1 = freefield.v1_weyl_4pt
+        # the fourth point moved onto the first
+        monkeypatch.setattr(
+            freefield, "v1_weyl_4pt", lambda cfg: v1(PointConfig([*cfg.points[:3], cfg.points[0]]))
+        )
+        self.expect_one_line(["oracle", "--seed", "99"], "DegenerateConfiguration", capsys)
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "args",

@@ -160,6 +160,45 @@ class TestRatFn:
             assert (f / g) * g == f
 
 
+class TestPSeries:
+    def test_public_constructor_coerces(self):
+        s = PSeries([1, F(1, 2), 0])
+        assert s.coeffs == [1, F(1, 2), 0]
+        assert all(type(c) is F for c in s.coeffs)
+
+    def test_add_sub_truncate_to_the_shorter(self):
+        a = PSeries([1, 2, 3, 4])
+        b = PSeries([F(1, 2), F(1, 3)])
+        assert (a + b).coeffs == [F(3, 2), F(7, 3)]
+        assert (b - a).coeffs == [F(-1, 2), F(-5, 3)]
+        assert (a * b).coeffs == [F(1, 2), F(4, 3)]
+
+    def test_scalar_products(self):
+        s = PSeries([1, F(-2, 3)])
+        for got in (s * 3, 3 * s, s * F(3), F(3) * s):
+            assert got.coeffs == [3, -2]
+            assert all(type(c) is F for c in got.coeffs)
+        assert (s * F(3, 4)).coeffs == [F(3, 4), F(-1, 2)]
+        # a scalar from outside is coerced like the public constructor's input
+        assert all(type(c) is F for c in (s * 0.5).coeffs)
+        assert (-s).coeffs == [-1, F(2, 3)]
+
+    def test_shift(self):
+        s = PSeries([0, 0, 5])
+        assert s.shift(2).coeffs == [0, 0, 0, 0, 5]
+        assert s.shift(-2).coeffs == [5]
+        with pytest.raises(ValueError):
+            s.shift(-3)
+        with pytest.raises(ValueError):
+            PSeries([0, 1, 0]).shift(-2)
+
+    def test_results_do_not_share_lists(self):
+        s = PSeries([0, 1, 2])
+        for t in (s.truncate(5), s.shift(0), s.shift(-1), s * 1, s + PSeries([0] * 3)):
+            t.coeffs[-1] = F(9)
+        assert s.coeffs == [0, 1, 2]
+
+
 def graded(p, order, depth):
     """The first `depth` v-slices of a polynomial, slice j to u-degree order - j."""
     return Series2(
@@ -240,6 +279,37 @@ class TestExpandToChiral:
     def test_pole_at_origin(self):
         with pytest.raises(ZeroDivisionError):
             chiral_slices({(-1, 0): F(1)}, 4, 5)
+
+    def test_mixed_terms_against_termwise_reference(self):
+        # Fraction reference: (1-x)^b by repeated products with (1 - x) or
+        # with the geometric series, then c u^a v^a (1-u)^b (1-v)^b term by term
+        order, depth = 9, 4
+
+        def unit(b):
+            out = [F(1)] + [F(0)] * order
+            factor = [F(1), F(-1)] if b >= 0 else [F(1)] * (order + 1)
+            for _ in range(abs(b)):
+                out = [sum((out[k - m] * f for m, f in enumerate(factor) if m <= k), F(0))
+                       for k in range(order + 1)]
+            return out
+
+        terms = {(0, -3): F(1, 2), (2, 1): 3, (1, 0): F(-5, 6), (3, -1): 0,
+                 (0, 2): F(7, 4), (1, -2): F(2, 9), (0, 0): -2}
+        ref = {}
+        for (a, b), c in terms.items():
+            w = unit(b)
+            for j in range(a, depth):
+                for i in range(a, order - j + 1):
+                    ref[(i, j)] = ref.get((i, j), F(0)) + c * w[j - a] * w[i - a]
+        got = chiral_slices(terms, order, depth)
+        assert [len(sl.coeffs) for sl in got.slices] == [10, 9, 8, 7]
+        for j, sl in enumerate(got.slices):
+            for i, c in enumerate(sl.coeffs):
+                assert type(c) is F
+                assert c == ref.get((i, j), 0)
+        zero = chiral_slices({(2, 5): 0, (1, -1): F(0)}, order, depth)
+        assert zero.is_zero()
+        assert all(type(c) is F for sl in zero.slices for c in sl.coeffs)
 
     @given(small_polys, small_polys)
     @settings(max_examples=20)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gcipw.exact import MPoly, PSeries, RatFn, unit_power
+from gcipw.exact import MPoly, PSeries, RatFn, unit_row
 from gcipw.fourpoint import PWParams, assemble_P4, basis_j_small
 from gcipw.partialwave import (
     InconsistentExpansion,
@@ -46,6 +46,36 @@ class TestHypergeom:
     def test_parameter_pole(self):
         with pytest.raises(PoleInParameters):
             hypergeom_series(1, 1, 0, 4)
+
+    def test_memo_is_not_aliased(self):
+        # a caller that mutates its result must not change later results
+        first = hypergeom_series(5, 5, 10, 12)
+        want = list(first.coeffs)
+        tower = twist_extract(PWParams(a0=1, a2=F(1, 3)), 3, 2 * 6 + 2 * 3 + 8)
+        sol = solve_structure_constants(tower.g[3], 3, 6)
+        first.coeffs[3] = F(-7)
+        first.coeffs.append(F(1))
+        assert hypergeom_series(5, 5, 10, 12).coeffs == want
+        assert hypergeom_series(5, 5, 10, 6).coeffs == want[:7]
+        assert solve_structure_constants(tower.g[3], 3, 6) == sol
+        for ell in range(7):
+            f = hypergeom_series(2 * ell + 3, 2 * ell + 3, 4 * ell + 6, 20)
+            f.coeffs[:] = [F(0)] * len(f.coeffs)
+        assert solve_structure_constants(tower.g[3], 3, 6) == sol
+
+    def test_extension_matches_a_fresh_series(self):
+        # a longer order extends the stored prefix; terminating and
+        # Pochhammer-ratio coefficients agree with the closed form
+        short = hypergeom_series(7, 4, 9, 3).coeffs
+        long = hypergeom_series(7, 4, 9, 15).coeffs
+        assert long[:4] == short
+        assert long == [
+            pochhammer(7, n) * pochhammer(4, n) / (pochhammer(9, n) * math.factorial(n))
+            for n in range(16)
+        ]
+        assert hypergeom_series(-2, 3, 1, 1).coeffs == [1, -6]
+        assert hypergeom_series(-2, 3, 1, 4).coeffs == [1, -6, 6, 0, 0]
+        assert hypergeom_series(-2, 3, 1, 9).coeffs == [1, -6, 6] + [0] * 7
 
 
 def retained(series):
@@ -103,7 +133,7 @@ class TestTwistExtract:
         tower = twist_extract(PWParams(c=1), 2, 14)
         assert tower.f[1].is_zero()
         # f2(0, 1-u) = 1/(1-u)
-        geo = unit_power(-1, tower.boundary[2].order)
+        geo = PSeries(unit_row(-1, tower.boundary[2].order))
         assert tower.boundary[2].coeffs == geo.coeffs[: len(tower.boundary[2].coeffs)]
 
     def test_f1_matches_rational_route(self):
@@ -145,9 +175,9 @@ class TestTwistExtract:
         tower = twist_extract(p, 2, 16)
         order = tower.g[2].order
         one = PSeries([F(1)] + [F(0)] * order)
-        inv1 = unit_power(-1, order)
-        inv2 = unit_power(-2, order)
-        inv3 = unit_power(-3, order)
+        inv1 = PSeries(unit_row(-1, order))
+        inv2 = PSeries(unit_row(-2, order))
+        inv3 = PSeries(unit_row(-3, order))
         g2_closed = (
             (p.a1 * (inv3 - one)).shift(1)
             + (p.b * inv2).shift(2).truncate(order + 1)
@@ -227,6 +257,21 @@ class TestSolver:
             for kappa, top in ((1, 10), (2, 10), (3, 8)):
                 sol = solve_structure_constants(tower.g[kappa], kappa, top)
                 assert sol == [closed_form_B(kappa, l, p) for l in range(top + 1)]
+
+    def test_outputs_are_fractions(self):
+        # integer rows and numerators must not leak out as bare ints
+        rng = random.Random(17)
+        for with_B in (False, True):
+            p = rand_params(rng, with_B)
+            tower = twist_extract(p, 5, 2 * 6 + 2 * 5 + 8)
+            for k in range(1, 6):
+                coeffs = [*tower.g[k].coeffs, *tower.boundary[k].coeffs]
+                coeffs += [c for sl in tower.f[k].slices for c in sl.coeffs]
+                assert all(type(c) is F for c in coeffs)
+            for k in range(1, 4):
+                assert all(type(v) is F for v in solve_structure_constants(tower.g[k], k, 6))
+        zeros = solve_structure_constants(PSeries([0] * 12), 2, 4)
+        assert zeros == [0] * 5 and all(type(v) is F for v in zeros)
 
 
 class TestMeanField:
