@@ -46,9 +46,6 @@ class Quaternion:
             a * o.d + b * o.c - c * o.b + d * o.a,
         )
 
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
-
     def transpose(self) -> "Quaternion":
         """The image of the 2x2 matrix transpose."""
         return Quaternion(self.a, self.b, -self.c, self.d)

@@ -8,6 +8,7 @@ S3 symmetrization, with eigenvalues (1, 1, 1/2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -47,8 +48,10 @@ class PWParams:
         return cls(**{name: Fraction(1)})
 
 
+@functools.cache
 def basis_J(nu: int) -> MPoly:
-    """The three crossing-symmetric twist-2 polynomials."""
+    """The three crossing-symmetric twist-2 polynomials, built once per nu;
+    callers share the result and never change it."""
     s, t = S, T
     if nu == 0:
         return s**2 * (1 + s) + t**2 * (1 + t) + s**2 * t**2 * (s + t)
@@ -67,8 +70,9 @@ def basis_J(nu: int) -> MPoly:
     raise ValueError("nu must be 0, 1 or 2")
 
 
+@functools.cache
 def basis_Q(j: int) -> MPoly:
-    """Q1 = 1 + s^2 + t^2, Q2 = s + t + st."""
+    """Q1 = 1 + s^2 + t^2, Q2 = s + t + st, built once per j."""
     s, t = S, T
     if j == 1:
         return ONE + s**2 + t**2

@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 
 from .exact import MPoly, Quaternion, chain_trace
 from .kinematics import DegenerateConfiguration, PointConfig, Vec4, dot4, vsub
-from .symmetrize import _all_partitions_min2, enumerate_patterns
+from .symmetrize import enumerate_patterns
 
 
 def slash(z: Sequence, conjugate: bool = False) -> Quaternion:
@@ -135,42 +135,25 @@ def interval_identities_symbolic() -> bool:
 CycleSeq = Tuple[int, ...]  # 0-based point sequence (p1, p2 | p3, p4 | ...)
 
 
-def _canonical(seq: CycleSeq) -> CycleSeq:
-    """Canonical representative under block rotation and cycle reversal."""
-    n2 = len(seq)
-    blocks = [tuple(seq[i : i + 2]) for i in range(0, n2, 2)]
-
-    def norm(bs) -> CycleSeq:
-        k = next(i for i, b in enumerate(bs) if 0 in b)
-        rot = bs[k:] + bs[:k]
-        return tuple(x for b in rot for x in b)
-
-    rev_blocks = [tuple(reversed(b)) for b in reversed(blocks)]
-    return min(norm(blocks), norm(rev_blocks))
-
-
 @functools.cache
 def orbit_enumerate(n: int) -> Tuple[CycleSeq, ...]:
     """All pole structures of a length-2n bilocal cycle, canonically.
 
     These are cyclic block sequences with per-block orientations, up to
-    the Z_n x Z_2 stabilizer; there are 2^(n-1) (n-1)! of them.  Computed
-    once per n.
+    the Z_n x Z_2 stabilizer; there are 2^(n-1) (n-1)! of them.  Rotation
+    puts block 0 first and reversal orients it (0, 1), which leaves every
+    order and orientation of blocks 1..n-1.  Computed once per n.
     """
     if n < 2:
         raise ValueError("need at least two blocks")
-    blocks = [(2 * i, 2 * i + 1) for i in range(n)]
-    seen = {}
+    seqs = []
     for perm in itertools.permutations(range(1, n)):
-        order = [0] + list(perm)
-        for flips in itertools.product((False, True), repeat=n):
-            seq = []
-            for bi, fl in zip(order, flips):
-                b = blocks[bi]
-                seq.extend(reversed(b) if fl else b)
-            key = _canonical(tuple(seq))
-            seen[key] = True
-    return tuple(sorted(seen))
+        for flips in itertools.product((False, True), repeat=n - 1):
+            seq = [0, 1]
+            for b, fl in zip(perm, flips):
+                seq.extend((2 * b + 1, 2 * b) if fl else (2 * b, 2 * b + 1))
+            seqs.append(tuple(seq))
+    return tuple(sorted(seqs))
 
 
 def links_of(seq: CycleSeq) -> List[Tuple[int, int]]:
@@ -372,13 +355,23 @@ def full_from_connected(conn_eval, config: PointConfig) -> Fraction:
     return total
 
 
-def v1_scalar_npoint(config: PointConfig) -> Fraction:
-    """Full 2n-point function of the scalar bilocal (B_phi = 1)."""
-    return full_from_connected(v1_scalar_connected, config)
+def _all_partitions_min2(blocks: List[int]):
+    """All partitions (including the trivial one) with parts of size >= 2."""
+    if not blocks:
+        yield []
+        return
+    first, rest = blocks[0], blocks[1:]
+    for k in range(1, len(rest) + 1):
+        for mates in itertools.combinations(rest, k):
+            part = [first, *mates]
+            remaining = [b for b in rest if b not in mates]
+            for tail in _all_partitions_min2(remaining):
+                yield [part] + tail
 
 
 def v1_weyl_npoint(config: PointConfig) -> Fraction:
-    """Full 2n-point function of the Weyl bilocal."""
+    """Full 2n-point function of the Weyl bilocal.  Below eight points the
+    only partition is the trivial one, so it equals `v1_weyl_connected`."""
     return full_from_connected(v1_weyl_connected, config)
 
 
@@ -450,7 +443,12 @@ def l1_truncated_npoint(config: PointConfig) -> Fraction:
     Each loop has m/2 edges of each kind, of degrees -3 and -5 in the
     coordinates, so the integer-form sum is rescaled by L^(4m).
     Serves as the independent reference correlator for the
-    symmetrization ansatz.
+    symmetrization ansatz, and is why lambda_n = 2 at every n: each walk
+    is, term by term, one (pattern, block cycle, orientation) triple of
+    `symmetrized_wt`, with the chi edges on the pattern pairs and the psi
+    edges on the links; the loop sign times the d sign flips of the
+    tables, -(-1)^d (-1)^d = -1, is the overall minus of
+    `cycle_trace_numerator` (the argument is in `symmetrized_wt`).
     """
     m = len(config)
     if m % 2:

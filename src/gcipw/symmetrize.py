@@ -1,15 +1,14 @@
-"""The symmetrization ansatz: constrained pairing patterns, truncated
-bilocal 2n-point functions, the symmetrized candidate correlator and exact
-ratio fitting of the per-n constants.
+"""The symmetrization ansatz: constrained pairing patterns, the
+prefactored bilocal 2n-point functions, the symmetrized candidate
+correlator and exact ratio fitting of the per-n constants.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .kinematics import DegenerateConfiguration, PointConfig
 
@@ -67,54 +66,37 @@ def w1_full(v1_eval: Evaluator, config: PointConfig, pattern: Pattern) -> Fracti
     return Fraction(config.scale ** (6 * len(pattern)), den) * v1_eval(sub)
 
 
-def w1_truncated(
-    n: int, v1_eval: Evaluator, config: PointConfig, pattern: Pattern
-) -> Fraction:
-    """Truncated bilocal 2n-point function for one pairing pattern.
-
-    Identical to w1 for n < 4; for n >= 4 the products over partitions of
-    the n pairs into groups of at least two pairs are subtracted (for
-    n = 4 these are the three pair-of-pairs products).
-    """
-    if n != len(pattern):
-        raise ValueError("pattern size mismatch")
-    if n < 4:
-        return w1_full(v1_eval, config, pattern)
-    total = w1_full(v1_eval, config, pattern)
-    for partition in _all_partitions_min2(list(range(n))):
-        if len(partition) == 1:
-            continue
-        prod = Fraction(1)
-        for part in partition:
-            sub_pattern = tuple(pattern[k] for k in part)
-            prod *= w1_truncated(len(part), v1_eval, config, sub_pattern)
-        total -= prod
-    return total
-
-
-def _all_partitions_min2(blocks: List[int]):
-    """All partitions (including the trivial one) with parts of size >= 2."""
-    if not blocks:
-        yield []
-        return
-    first, rest = blocks[0], blocks[1:]
-    for k in range(1, len(rest) + 1):
-        for mates in itertools.combinations(rest, k):
-            part = [first, *mates]
-            remaining = [b for b in rest if b not in mates]
-            for tail in _all_partitions_min2(remaining):
-                yield [part] + tail
-
-
 def symmetrized_wt(
     n: int, lam: Fraction, v1_eval: Evaluator, config: PointConfig
 ) -> Fraction:
-    """lambda_n times the constrained-pairing sum of truncated w1's."""
+    """lambda_n times the constrained-pairing sum of truncated w1's.
+
+    `v1_eval` is the connected bilocal 2n-point function.  The full one is
+    a sum, over partitions of the blocks into parts of at least two, of
+    products of connected pieces, and the prefactor of w1 is a product
+    over the pairs.  So the truncation of w1 formed from the full function
+    is w1 formed from the connected one, pattern by pattern.
+
+    Why lambda_n is 2 for the Weyl and 1 for the scalar composite at every
+    n: a triple (pattern, block cycle of the connected function,
+    orientation) is a directed Hamiltonian cycle from point 0 whose edges
+    alternate between pattern pairs and links, together with a parity,
+    the kind of its first edge.  There are
+    (2n - 1)!! 2^(n-1) (n - 1)! 2 = 2 (2n - 1)! triples, one per walk of
+    `l1_truncated_npoint`.  A pair edge carries slash(z_a - z_b) / rho^3,
+    the chi propagator, and a link carries slash+(z_a - z_b) / rho^2,
+    the psi propagator, so each triple is one walk of l1 term by term:
+    l1's loop sign times its tables' sign flips on descending steps is -1
+    on every walk, the overall minus of `cycle_trace_numerator`.
+    The `/ 2` in `v1_weyl_connected` leaves lambda_n = 2.  The scalar
+    terms carry 1/rho^3 and 1/rho with one orientation per cycle, the
+    walks of `l0_truncated_npoint`, so lambda_n = 1.
+    """
     if len(config) != 2 * n:
         raise ValueError("configuration size mismatch")
     total = Fraction(0)
     for pattern in enumerate_patterns(n):
-        total += w1_truncated(n, v1_eval, config, pattern)
+        total += w1_full(v1_eval, config, pattern)
     return Fraction(lam) * total
 
 
@@ -125,6 +107,9 @@ def fit_lambda(
     configs: Sequence[PointConfig],
 ) -> Fraction:
     """The exact ratio reference / pairing-sum, verified constant.
+
+    `v1_eval` is the connected bilocal 2n-point function, as in
+    `symmetrized_wt`.
 
     Raises NotSymmetrizable when the ratio varies across the supplied
     configurations (the ansatz fails for this input), and ValueError when

@@ -223,10 +223,21 @@ def check_combinatorics(_seed: int) -> dict:
     ok = ok and orbit_sizes == (2, 8, 48)
     n3 = len(symmetrize.enumerate_patterns(3)) * len(freefield.orbit_enumerate(3))
     ok = ok and n3 == 120
+    # (pattern, block cycle, orientation) triples against the 2 (2n-1)!
+    # (cycle, parity) walks of the l1 Wick sum: why lambda_n = 2 at every n
+    walks_ok = all(
+        symmetrize.double_factorial_odd(n) * len(freefield.orbit_enumerate(n)) * 2
+        == 2 * math.factorial(2 * n - 1)
+        for n in range(2, 6)
+    )
+    ok = ok and walks_ok
     return {
         "id": "c07_combinatorics",
         "passed": ok,
-        "detail": f"orbits={orbit_sizes}, n=3 elementary contributions={n3}",
+        "detail": (
+            f"orbits={orbit_sizes}, n=3 elementary contributions={n3}, "
+            f"triples=walks for n=2..5: {walks_ok}"
+        ),
         "elapsed": time.perf_counter() - t0,
     }
 
@@ -251,8 +262,8 @@ def check_symmetrizability(seed: int) -> dict:
 
         return ev
 
-    lam0 = symmetrize.fit_lambda(2, ref(0), freefield.v1_scalar_npoint, configs)
-    lam1 = symmetrize.fit_lambda(2, ref(1), freefield.v1_weyl_npoint, configs)
+    lam0 = symmetrize.fit_lambda(2, ref(0), freefield.v1_scalar_connected, configs)
+    lam1 = symmetrize.fit_lambda(2, ref(1), freefield.v1_weyl_connected, configs)
     lam2 = symmetrize.fit_lambda(2, ref(2), pw_eval(2), configs)
     lam_ok = lam0 == lam1 == 2 * lam2
     larger = {
@@ -267,8 +278,8 @@ def check_symmetrizability(seed: int) -> dict:
             return None
 
     ff = freefield
-    weyl = {n: ratio(n, ff.l1_truncated_npoint, ff.v1_weyl_npoint) for n in larger}
-    scalar = {n: ratio(n, ff.l0_truncated_npoint, ff.v1_scalar_npoint) for n in larger}
+    weyl = {n: ratio(n, ff.l1_truncated_npoint, ff.v1_weyl_connected) for n in larger}
+    scalar = {n: ratio(n, ff.l0_truncated_npoint, ff.v1_scalar_connected) for n in larger}
     ratios = ", ".join(
         f"n={n} weyl ratio={weyl[n]}, n={n} scalar ratio={scalar[n]}" for n in larger
     )

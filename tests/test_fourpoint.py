@@ -62,6 +62,34 @@ class TestBases:
         with pytest.raises(ValueError):
             basis_Q(0)
 
+    def test_built_once_and_left_unchanged(self):
+        assert basis_J(1) is basis_J(1)
+        assert basis_Q(2) is basis_Q(2)
+        before = [dict(basis_J(nu).terms) for nu in range(3)]
+        p = PWParams(a0=F(2, 3), a1=-1, a2=F(1, 2), b=F(-1, 3), c=5)
+        first = assemble_P4(p)
+        assert assemble_P4(p) == first
+        assert [basis_J(nu).terms for nu in range(3)] == before
+        # the displayed polynomials, built afresh
+        s, t = S, T
+        q1, q2 = ONE + s**2 + t**2, s + t + s * t
+        j0 = s**2 * (1 + s) + t**2 * (1 + t) + s**2 * t**2 * (s + t)
+        j1 = (
+            s * (1 - s) * (1 - s**2)
+            + t * (1 - t) * (1 - t**2)
+            + s * t * ((s - t) * (s**2 - t**2) - 2 * q1)
+        )
+        j2 = (
+            (ONE + t**3) * ((1 + s - t) ** 2 - s)
+            - 3 * s * (1 - t)
+            + s**3 * ((1 + t - s) ** 2 - t)
+        )
+        expected = (
+            p.a0 * j0 + p.a1 * j1 + p.a2 * j2
+            + s * t * (p.b * (q1 - 2 * q2) + p.c * q2)
+        )
+        assert first == expected
+
 
 class TestAssemble:
     def test_zero(self):

@@ -34,8 +34,8 @@ from gcipw.freefield import (
     trace4_identity_check,
     trace4_identity_symbolic,
     v1_scalar_connected,
-    v1_scalar_npoint,
     v1_weyl_4pt,
+    v1_weyl_connected,
     v1_weyl_npoint,
     wick_numerator,
 )
@@ -294,6 +294,27 @@ class TestOrbits:
         assert orbit_enumerate(4) is orbit_enumerate(4)
         assert isinstance(orbit_enumerate(4), tuple)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_canonicalized_block_sequences(self, n):
+        # every (n-1)! 2^n block sequence from block 0, reduced to the
+        # least of its rotations and reversals
+        def least(seq):
+            blocks = [seq[i : i + 2] for i in range(0, 2 * n, 2)]
+            images = []
+            for bs in (blocks, [b[::-1] for b in blocks[::-1]]):
+                for k in range(n):
+                    images.append(sum(bs[k:] + bs[:k], ()))
+            return min(images)
+
+        classes = set()
+        for perm in itertools.permutations(range(1, n)):
+            for flips in itertools.product((False, True), repeat=n):
+                seq = ()
+                for b, fl in zip((0, *perm), flips):
+                    seq += (2 * b + 1, 2 * b) if fl else (2 * b, 2 * b + 1)
+                classes.add(least(seq))
+        assert orbit_enumerate(n) == tuple(sorted(classes))
+
 
 class TestWickNumerator:
     def test_pairing_count(self):
@@ -340,7 +361,7 @@ class TestScalarBilocal:
         rng = random.Random(12)
         cfg = random_config(rng, 4)
         r = cfg.rho
-        assert v1_scalar_npoint(cfg) == 1 / (r(0, 2) * r(1, 3)) + 1 / (
+        assert v1_scalar_connected(cfg) == 1 / (r(0, 2) * r(1, 3)) + 1 / (
             r(0, 3) * r(1, 2)
         )
 
@@ -349,14 +370,14 @@ class TestScalarBilocal:
         cfg = random_config(rng, 4)
         cr = cross_ratios(cfg)
         j0 = basis_j_small(0)
-        assert v1_scalar_npoint(cfg) * cfg.rho(0, 2) * cfg.rho(1, 3) == j0.eval(
+        assert v1_scalar_connected(cfg) * cfg.rho(0, 2) * cfg.rho(1, 3) == j0.eval(
             [cr.s, cr.t]
         )
 
     def test_coincident_outer_points(self):
         cfg = PointConfig([(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0)])
         with pytest.raises(DegenerateConfiguration):
-            v1_scalar_npoint(cfg)
+            v1_scalar_connected(cfg)
 
     def test_block_swap_invariance(self):
         rng = random.Random(14)
@@ -364,7 +385,7 @@ class TestScalarBilocal:
         swapped = PointConfig(
             [cfg.points[1], cfg.points[0], cfg.points[2], cfg.points[3]]
         )
-        assert v1_scalar_npoint(cfg) == v1_scalar_npoint(swapped)
+        assert v1_scalar_connected(cfg) == v1_scalar_connected(swapped)
 
 
 def all_matchings_l1(config):
@@ -541,7 +562,7 @@ class TestIntegerForm:
         "l1_truncated_npoint(6)": (l1_truncated_npoint, 6, 24),
         "l0_truncated_npoint(4)": (l0_truncated_npoint, 4, 16),
         "l0_truncated_npoint(6)": (l0_truncated_npoint, 6, 24),
-        "symmetrized_wt(3)": (lambda c: symmetrized_wt(3, F(1), v1_weyl_npoint, c), 6, 24),
+        "symmetrized_wt(3)": (lambda c: symmetrized_wt(3, F(1), v1_weyl_connected, c), 6, 24),
     }
 
     @pytest.mark.parametrize("name", sorted(HOMOGENEOUS))

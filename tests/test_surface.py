@@ -1,6 +1,7 @@
 """Public surface: every top-level public function and class of the
 package has a caller in the package or the benchmark, so that no API is
-kept alive by its tests alone."""
+kept alive by its tests alone, and no package module imports another's
+private names."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,22 @@ def unused_public_names():
 
 def test_every_public_name_has_a_caller():
     assert unused_public_names() == []
+
+
+def private_imports():
+    """`from <package module> import _name` lines inside the package."""
+    out = []
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("gcipw"):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    out.append(f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}")
+    return sorted(out)
+
+
+def test_no_private_import_between_modules():
+    assert private_imports() == []

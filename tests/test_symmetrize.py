@@ -2,19 +2,28 @@
 lambda fitting."""
 
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from gcipw.exact import chain_trace
 from gcipw.fourpoint import basis_J, basis_j_small, truncated_4pt_value
 from gcipw.freefield import (
+    _alternations,
+    _fermion_table,
+    _hamiltonian_cycles,
     l0_truncated_npoint,
     l1_truncated_npoint,
-    v1_scalar_npoint,
-    v1_weyl_npoint,
+    links_of,
+    orbit_enumerate,
+    slash,
+    v1_scalar_connected,
+    v1_weyl_connected,
 )
-from gcipw.kinematics import PointConfig, cross_ratios, random_config
+from gcipw.kinematics import PointConfig, cross_ratios, random_config, vsub
 from gcipw.symmetrize import (
     NotSymmetrizable,
     double_factorial_odd,
@@ -22,8 +31,58 @@ from gcipw.symmetrize import (
     fit_lambda,
     symmetrized_wt,
     w1_full,
-    w1_truncated,
 )
+
+
+# -- the cumulant round trip, kept as the reference ------------------------------
+
+
+def partitions_min2(blocks):
+    """All partitions (including the trivial one) with parts of size >= 2."""
+    if not blocks:
+        yield []
+        return
+    first, rest = blocks[0], blocks[1:]
+    for k in range(1, len(rest) + 1):
+        for mates in itertools.combinations(rest, k):
+            remaining = [b for b in rest if b not in mates]
+            for tail in partitions_min2(remaining):
+                yield [[first, *mates]] + tail
+
+
+def full_from(conn_eval):
+    """The full 2n-point function: products of connected functions over
+    the partitions of the blocks into parts of at least two."""
+
+    def full(config):
+        total = F(0)
+        for partition in partitions_min2(list(range(len(config) // 2))):
+            prod = F(1)
+            for part in partition:
+                idx = [p for b in part for p in (2 * b, 2 * b + 1)]
+                prod *= conn_eval(config.subset(idx))
+            total += prod
+        return total
+
+    return full
+
+
+def w1_truncated_reference(n, v1_eval, config, pattern):
+    """w1 of the full function v1_eval, with the products over the
+    partitions of the n pairs into groups of at least two subtracted."""
+    total = w1_full(v1_eval, config, pattern)
+    for partition in partitions_min2(list(range(n))):
+        if len(partition) == 1:
+            continue
+        prod = F(1)
+        for part in partition:
+            sub_pattern = tuple(pattern[k] for k in part)
+            prod *= w1_truncated_reference(len(part), v1_eval, config, sub_pattern)
+        total -= prod
+    return total
+
+
+CONNECTED = {"scalar": v1_scalar_connected, "weyl": v1_weyl_connected}
 
 
 class TestPatterns:
@@ -61,54 +120,49 @@ class TestW1:
         rng = random.Random(0)
         cfg = random_config(rng, 4)
         pat = ((0, 1), (2, 3))
-        val = w1_full(v1_scalar_npoint, cfg, pat)
+        val = w1_full(v1_scalar_connected, cfg, pat)
         r = cfg.rho
-        assert val == v1_scalar_npoint(cfg) / (r(0, 1) * r(2, 3)) ** 3
+        assert val == v1_scalar_connected(cfg) / (r(0, 1) * r(2, 3)) ** 3
 
     def test_no_subtraction_below_four_pairs(self):
         rng = random.Random(1)
         cfg = random_config(rng, 6)
         pat = enumerate_patterns(3)[0]
-        assert w1_truncated(3, v1_scalar_npoint, cfg, pat) == w1_full(
-            v1_scalar_npoint, cfg, pat
-        )
+        full = full_from(v1_scalar_connected)
+        assert w1_truncated_reference(3, full, cfg, pat) == w1_full(full, cfg, pat)
+        # below eight points the full function is the connected one
+        assert full(cfg) == v1_scalar_connected(cfg)
 
     def test_subtraction_removes_disconnected_part_at_n4(self):
         # the three pair-of-pairs products cancel exactly, leaving the
         # prefactored connected 8-point function; for a purely
         # disconnected input the truncated value is therefore zero
-        from gcipw.freefield import v1_scalar_connected
-
         rng = random.Random(2)
         cfg = random_config(rng, 8)
         pat = enumerate_patterns(4)[0]
-        val = w1_truncated(4, v1_scalar_npoint, cfg, pat)
+        val = w1_truncated_reference(4, full_from(v1_scalar_connected), cfg, pat)
         pref = F(1)
         for i, j in pat:
             pref /= cfg.rho(i, j) ** 3
         idx = [p for pair in pat for p in pair]
         assert val == pref * v1_scalar_connected(cfg.subset(idx))
 
-        def disconnected_full(c):
-            # full function of a bilocal whose connected part vanishes
-            # above two blocks: only the pair products survive
-            n = len(c) // 2
-            if n == 2:
-                return v1_scalar_connected(c)
-            from gcipw.symmetrize import _all_partitions_min2
+        def pairs_only(c):
+            # a connected part that vanishes above two blocks
+            return v1_scalar_connected(c) if len(c) == 4 else F(0)
 
-            total = F(0)
-            for partition in _all_partitions_min2(list(range(n))):
-                if any(len(part) != 2 for part in partition):
-                    continue
-                prod = F(1)
-                for part in partition:
-                    sub = [p for b in part for p in (2 * b, 2 * b + 1)]
-                    prod *= v1_scalar_connected(c.subset(sub))
-                total += prod
-            return total
+        assert w1_truncated_reference(4, full_from(pairs_only), cfg, pat) == 0
 
-        assert w1_truncated(4, disconnected_full, cfg, pat) == 0
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", sorted(CONNECTED))
+    def test_connected_w1_equals_truncated_reference(self, kind, n):
+        # the prefactor is a product over the pairs, so truncating w1 of
+        # the full function gives w1 of the connected one, pattern by pattern
+        conn = CONNECTED[kind]
+        full = full_from(conn)
+        cfg = random_config(random.Random(20 + n), 2 * n)
+        for pat in enumerate_patterns(n):
+            assert w1_full(conn, cfg, pat) == w1_truncated_reference(n, full, cfg, pat)
 
     def test_scalar_w1_equals_prefactored_j0(self):
         rng = random.Random(3)
@@ -121,35 +175,35 @@ class TestW1:
             / (r(0, 2) * r(1, 3))
             / (r(0, 1) * r(2, 3)) ** 3
         )
-        assert w1_full(v1_scalar_npoint, cfg, pat) == expected
+        assert w1_full(v1_scalar_connected, cfg, pat) == expected
 
 
 class TestSymmetrizedWt:
     def test_zero_lambda(self):
         rng = random.Random(4)
         cfg = random_config(rng, 4)
-        assert symmetrized_wt(2, F(0), v1_scalar_npoint, cfg) == 0
+        assert symmetrized_wt(2, F(0), v1_scalar_connected, cfg) == 0
 
     def test_reproduces_J0_assembly(self):
         rng = random.Random(5)
         for _ in range(5):
             cfg = random_config(rng, 4)
-            lhs = symmetrized_wt(2, F(1), v1_scalar_npoint, cfg)
+            lhs = symmetrized_wt(2, F(1), v1_scalar_connected, cfg)
             rhs = truncated_4pt_value(basis_J(0), cfg, 4)
             assert lhs == rhs
 
     def test_full_permutation_invariance_n2(self):
         rng = random.Random(6)
         cfg = random_config(rng, 4)
-        base = symmetrized_wt(2, F(1), v1_scalar_npoint, cfg)
+        base = symmetrized_wt(2, F(1), v1_scalar_connected, cfg)
         for perm in itertools.permutations(range(4)):
             permuted = PointConfig([cfg.points[i] for i in perm])
-            assert symmetrized_wt(2, F(1), v1_scalar_npoint, permuted) == base
+            assert symmetrized_wt(2, F(1), v1_scalar_connected, permuted) == base
 
     def test_full_permutation_invariance_n3_sampled(self):
         rng = random.Random(7)
         cfg = random_config(rng, 6)
-        base = symmetrized_wt(3, F(1), v1_weyl_npoint, cfg)
+        base = symmetrized_wt(3, F(1), v1_weyl_connected, cfg)
         perms = [
             (1, 0, 2, 3, 4, 5),
             (0, 2, 1, 3, 4, 5),
@@ -158,7 +212,7 @@ class TestSymmetrizedWt:
         ]
         for perm in perms:
             permuted = PointConfig([cfg.points[i] for i in perm])
-            assert symmetrized_wt(3, F(1), v1_weyl_npoint, permuted) == base
+            assert symmetrized_wt(3, F(1), v1_weyl_connected, permuted) == base
 
 
 class TestFitLambda:
@@ -169,8 +223,8 @@ class TestFitLambda:
     def test_channel_lambdas(self):
         rng = random.Random(8)
         configs = [random_config(rng, 4) for _ in range(4)]
-        lam0 = fit_lambda(2, self._ref(0), v1_scalar_npoint, configs)
-        lam1 = fit_lambda(2, self._ref(1), v1_weyl_npoint, configs)
+        lam0 = fit_lambda(2, self._ref(0), v1_scalar_connected, configs)
+        lam1 = fit_lambda(2, self._ref(1), v1_weyl_connected, configs)
 
         def pw2(cfg):
             cr = cross_ratios(cfg)
@@ -182,20 +236,20 @@ class TestFitLambda:
     def test_n3_ratio_constancy(self):
         rng = random.Random(9)
         configs = [random_config(rng, 6) for _ in range(3)]
-        lam = fit_lambda(3, l1_truncated_npoint, v1_weyl_npoint, configs)
+        lam = fit_lambda(3, l1_truncated_npoint, v1_weyl_connected, configs)
         assert lam == 2
 
     def test_n3_scalar_channel(self):
         rng = random.Random(10)
         configs = [random_config(rng, 6) for _ in range(3)]
-        lam = fit_lambda(3, l0_truncated_npoint, v1_scalar_npoint, configs)
+        lam = fit_lambda(3, l0_truncated_npoint, v1_scalar_connected, configs)
         assert lam == 1
 
     def test_zero_reference(self):
         rng = random.Random(11)
         configs = [random_config(rng, 4) for _ in range(3)]
         with pytest.raises(ValueError):
-            fit_lambda(2, lambda c: F(0), v1_scalar_npoint, configs)
+            fit_lambda(2, lambda c: F(0), v1_scalar_connected, configs)
 
     def test_nonconstant_ratio(self):
         rng = random.Random(12)
@@ -203,4 +257,77 @@ class TestFitLambda:
         # a reference that is not proportional to the symmetrized sum
         ref = lambda c: c.rho(0, 1)
         with pytest.raises(NotSymmetrizable):
-            fit_lambda(2, ref, v1_scalar_npoint, configs)
+            fit_lambda(2, ref, v1_scalar_connected, configs)
+
+
+class TestWhyLambda:
+    """The (pattern, block cycle, orientation) triples of the symmetrized
+    sum are the (cycle, parity) walks of the composites' Wick sums, term
+    by term; on the integer form of a configuration both sides are plain
+    integer ratios, so the terms are compared as multisets."""
+
+    @staticmethod
+    def triples(cfg, weyl):
+        n = len(cfg) // 2
+        pts, rho = cfg.int_points, cfg.int_rho
+        out = Counter()
+        for pat in enumerate_patterns(n):
+            flat = [p for pair in pat for p in pair]
+            pref = math.prod(rho[i][j] ** 3 for i, j in pat)
+            for seq in orbit_enumerate(n):
+                s = [flat[k] for k in seq]
+                links = links_of(s)
+                if not weyl:
+                    out[F(1, pref * math.prod(rho[i][j] for i, j in links))] += 1
+                    continue
+                den = pref * math.prod(rho[i][j] ** 2 for i, j in links)
+                diffs = [vsub(pts[a], pts[b]) for a, b in zip(s, s[1:] + s[:1])]
+                fwd = [slash(d, conjugate=(k % 2 == 1)) for k, d in enumerate(diffs)]
+                for chain in (fwd, [fwd[0]] + fwd[1:][::-1]):
+                    out[F(-chain_trace(chain), den)] += 1
+        return out
+
+    @staticmethod
+    def l1_walks(cfg):
+        tables = [_fermion_table(cfg, kind) for kind in ("psi", "chi")]
+        out = Counter()
+        for cyc in _hamiltonian_cycles(len(cfg)):
+            sign = 1 if sum(b < a for a, b in zip(cyc, cyc[1:])) % 2 else -1
+            for steps in _alternations(tables, cyc):
+                quats, weights = zip(*steps)
+                out[F(sign * chain_trace(quats), math.prod(weights))] += 1
+        return out
+
+    @staticmethod
+    def l0_walks(cfg):
+        rho = cfg.int_rho
+        tables = (rho, [[r**3 for r in row] for row in rho])
+        out = Counter()
+        for cyc in _hamiltonian_cycles(len(cfg)):
+            if cyc[1] < cyc[-2]:
+                for steps in _alternations(tables, cyc):
+                    out[F(1, math.prod(steps))] += 1
+        return out
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_weyl_triples_are_l1_walks(self, n):
+        cfg = random_config(random.Random(30 + n), 2 * n)
+        terms = self.triples(cfg, weyl=True)
+        assert sum(terms.values()) == 2 * math.factorial(2 * n - 1)
+        assert terms == self.l1_walks(cfg)
+        # the terms are those of the two sides of c08, on the integer form
+        ints = PointConfig(cfg.int_points)
+        total = sum(t * k for t, k in terms.items())
+        assert total == 2 * symmetrized_wt(n, F(1), v1_weyl_connected, ints)
+        assert total == l1_truncated_npoint(ints)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_scalar_triples_are_l0_walks(self, n):
+        cfg = random_config(random.Random(40 + n), 2 * n)
+        terms = self.triples(cfg, weyl=False)
+        assert sum(terms.values()) == math.factorial(2 * n - 1)
+        assert terms == self.l0_walks(cfg)
+        ints = PointConfig(cfg.int_points)
+        total = sum(t * k for t, k in terms.items())
+        assert total == symmetrized_wt(n, F(1), v1_scalar_connected, ints)
+        assert total == l0_truncated_npoint(ints)
