@@ -47,7 +47,8 @@ def chiral_slices(terms: Dict[Tuple[int, int], Fraction], order: int, depth: int
 
 
 def is_symmetric_uv(p: MPoly) -> bool:
-    return all(p.coeff((b, a)) == c for (a, b), c in p.terms.items())
+    u, v = MPoly.variables(2)
+    return p.subs_poly([v, u]) == p
 
 
 def symmetric_reduce(p: MPoly) -> MPoly:
@@ -65,8 +66,7 @@ def symmetric_reduce(p: MPoly) -> MPoly:
     out = MPoly.zero(2)  # in (e1, e2)
     work = p
     while not work.is_zero():
-        (a, b) = max(work.terms)
-        c = work.terms[(a, b)]
+        (a, b), c = work.lex_leading()
         if a < b:
             raise AssertionError("lex-leading term of a symmetric poly has a >= b")
         out = out + MPoly(2, {(a - b, b): c})

@@ -3,46 +3,81 @@
 Coefficients are Fractions by default but any ring type works (e.g. plain
 ints), as long as it supports +, -, *, == 0 and bool().
 
-Invariant: no stored coefficient is zero, and every exponent is a tuple of
-length `arity` with nonnegative entries.  Only the public constructor
-`MPoly(arity, terms)` checks it, since that is where outside input enters;
-the ring operations and maps below build terms that satisfy it by
-construction and wrap them with `MPoly._trusted`, without re-checking.
+Each monomial is one packed integer key: the exponent of variable i fills
+a field of BITS bits, variable 0 the highest, so key order is lex order of
+exponent tuples.  The top bit of each field is a guard kept clear, so
+exponents are at most MAX_EXP, adding two keys multiplies the monomials
+without a carry between fields, and a product that would set a guard bit
+raises ValueError.  No other module reads the keys: `terms` is a read-only
+tuple-keyed view, unpacked on each read.
+
+Invariant: no zero coefficient is stored and every key holds `arity` fields
+below the guard.  Only the public constructor `MPoly(arity, terms)` checks
+it, since that is where outside input enters; the operations below form
+valid keys, or check the guards, and wrap them with `MPoly._trusted`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, sub
-from typing import Dict, Sequence, Tuple
+from functools import cache, reduce
+from operator import add, or_, sub
+from types import MappingProxyType
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 Expo = Tuple[int, ...]
 
+BITS = 24
+MAX_EXP = (1 << BITS - 1) - 1  # also the mask of a field below its guard
+
+
+@cache
+def _guard(arity: int) -> int:
+    return sum(1 << BITS * j + BITS - 1 for j in range(arity))
+
+
+def _shift(arity: int, i: int) -> int:
+    """Bit offset of the field of variable i."""
+    if not 0 <= i < arity:
+        raise ValueError(f"variable index {i} out of range")
+    return BITS * (arity - 1 - i)
+
+
+def _pack(e: Sequence[int], arity: int) -> int:
+    if len(e) != arity or not all(0 <= k <= MAX_EXP for k in e):
+        raise ValueError(f"exponent {e} is not {arity} integers in 0..{MAX_EXP}")
+    return sum(k << BITS * (arity - 1 - i) for i, k in enumerate(e))
+
+
+def _fields(key: int, arity: int) -> Iterator[Tuple[int, int]]:
+    """(i, k) for each nonzero exponent k of variable i in `key`, i ascending."""
+    while key:
+        low = (key.bit_length() - 1) // BITS * BITS
+        yield arity - 1 - low // BITS, key >> low
+        key &= (1 << low) - 1
+
+
+def _unpack(key: int, arity: int) -> Expo:
+    return tuple(key >> BITS * (arity - 1 - i) & MAX_EXP for i in range(arity))
+
 
 class MPoly:
-    """Polynomial in `arity` variables, stored as {exponent tuple: coeff}."""
+    """Polynomial in `arity` variables, stored as {packed key: coeff}."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "_packed")
 
     def __init__(self, arity: int, terms: Dict[Expo, object] | None = None):
         self.arity = arity
-        self.terms: Dict[Expo, object] = {}
-        if terms:
-            for e, c in terms.items():
-                if len(e) != arity:
-                    raise ValueError(f"exponent {e} has wrong length for arity {arity}")
-                if any(k < 0 for k in e):
-                    raise ValueError(f"negative exponent in {e}")
-                if c:
-                    self.terms[tuple(e)] = c
+        packed = {_pack(e, arity): c for e, c in (terms or {}).items()}
+        self._packed: Dict[int, object] = {key: c for key, c in packed.items() if c}
 
     @classmethod
-    def _trusted(cls, arity: int, terms: Dict[Expo, object]) -> "MPoly":
-        """Wrap `terms`, which already satisfy the invariant, without checks."""
+    def _trusted(cls, arity: int, packed: Dict[int, object]) -> "MPoly":
+        """Wrap `packed`, which already satisfies the invariant, without checks."""
         p = object.__new__(cls)
         p.arity = arity
-        p.terms = terms
+        p._packed = packed
         return p
 
     # -- constructors ------------------------------------------------
@@ -54,15 +89,11 @@ class MPoly:
     @classmethod
     def const(cls, arity: int, c) -> "MPoly":
         c = Fraction(c) if isinstance(c, int) else c
-        return cls._trusted(arity, {(0,) * arity: c} if c else {})
+        return cls._trusted(arity, {0: c} if c else {})
 
     @classmethod
     def var(cls, arity: int, i: int) -> "MPoly":
-        if not 0 <= i < arity:
-            raise ValueError(f"variable index {i} out of range")
-        e = [0] * arity
-        e[i] = 1
-        return cls._trusted(arity, {tuple(e): Fraction(1)})
+        return cls._trusted(arity, {1 << _shift(arity, i): Fraction(1)})
 
     @classmethod
     def variables(cls, arity: int) -> Sequence["MPoly"]:
@@ -80,14 +111,15 @@ class MPoly:
     def _combine(self, other, op) -> "MPoly":
         """self op other for op in (add, sub), in one pass over other."""
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = op(terms.get(e, 0), c)
+        packed = dict(self._packed)
+        get = packed.get
+        for key, c in other._packed.items():
+            s = op(get(key, 0), c)
             if s:
-                terms[e] = s
+                packed[key] = s
             else:
-                terms.pop(e, None)
-        return MPoly._trusted(self.arity, terms)
+                del packed[key]
+        return MPoly._trusted(self.arity, packed)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -95,7 +127,7 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._trusted(self.arity, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.arity, {key: -c for key, c in self._packed.items()})
 
     def __sub__(self, other):
         return self._combine(other, sub)
@@ -105,17 +137,21 @@ class MPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MPoly):
-            terms = {e: v for e, c in self.terms.items() if (v := c * other)}
-            return MPoly._trusted(self.arity, terms)
+            packed = {key: v for key, c in self._packed.items() if (v := c * other)}
+            return MPoly._trusted(self.arity, packed)
         other = self._coerce(other)
-        terms: Dict[Expo, object] = {}
-        get = terms.get
-        others = list(other.terms.items())
-        for e1, c1 in self.terms.items():
-            for e2, c2 in others:
-                e = tuple(map(add, e1, e2))
-                terms[e] = get(e, 0) + c1 * c2
-        return MPoly._trusted(self.arity, {e: c for e, c in terms.items() if c})
+        packed: Dict[int, object] = {}
+        get = packed.get
+        others = list(other._packed.items())
+        for k1, c1 in self._packed.items():
+            for k2, c2 in others:
+                key = k1 + k2
+                packed[key] = get(key, 0) + c1 * c2
+        for key in [key for key, c in packed.items() if not c]:
+            del packed[key]
+        if reduce(or_, packed, 0) & _guard(self.arity):
+            raise ValueError(f"an exponent exceeds {MAX_EXP}")
+        return MPoly._trusted(self.arity, packed)
 
     __rmul__ = __mul__
 
@@ -138,34 +174,46 @@ class MPoly:
 
     # -- queries -------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Expo, object]:
+        """Read-only {exponent tuple: coeff} view, unpacked on each read."""
+        return MappingProxyType({_unpack(key, self.arity): c for key, c in self._packed.items()})
+
+    def coefficients(self):
+        """The stored coefficients, none of them zero."""
+        return self._packed.values()
+
+    def lex_leading(self) -> Tuple[Expo, object]:
+        """(exponent, coeff) of the lex-greatest term of a nonzero polynomial."""
+        key = max(self._packed)
+        return _unpack(key, self.arity), self._packed[key]
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        degrees = (sum(k for _, k in _fields(key, self.arity)) for key in self._packed)
+        return max(degrees, default=-1)
 
     def degree_in(self, i: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
+        shift = _shift(self.arity, i)
+        return max((key >> shift & MAX_EXP for key in self._packed), default=-1)
 
     def coeff(self, e: Expo):
-        return self.terms.get(tuple(e), Fraction(0))
+        return self._packed.get(_pack(e, self.arity), Fraction(0))
 
     def constant_term(self):
-        return self.terms.get((0,) * self.arity, Fraction(0))
+        return self._packed.get(0, Fraction(0))
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
-            return self.arity == other.arity and self.terms == other.terms
+            return self.arity == other.arity and self._packed == other._packed
         if isinstance(other, (int, Fraction)):
             return (self - other).is_zero()
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.arity, frozenset(self._packed.items())))
 
     # -- maps ----------------------------------------------------------
 
@@ -174,11 +222,10 @@ class MPoly:
         if len(point) != self.arity:
             raise ValueError("point has wrong length")
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for key, c in self._packed.items():
             m = c
-            for x, k in zip(point, e):
-                for _ in range(k):
-                    m = m * x
+            for i, k in _fields(key, self.arity):
+                m = m * (point[i] if k == 1 else point[i] ** k)
             total = total + m
         return total
 
@@ -196,34 +243,35 @@ class MPoly:
         arity = images[0].arity
         if any(g.arity != arity for g in images):
             raise ValueError("images have mixed arity")
-        one = MPoly._trusted(arity, {(0,) * arity: 1})
+        one = MPoly._trusted(arity, {0: 1})
         powers = [[one, g] for g in images]
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
-        terms: Dict[Expo, object] = {}
-        get = terms.get
-        for e, c in self.terms.items():
+        den = math.lcm(*(c.denominator for c in self._packed.values()))
+        packed: Dict[int, object] = {}
+        get = packed.get
+        for key, c in self._packed.items():
             c = c.numerator * (den // c.denominator)
-            m = None
-            for ps, k in zip(powers, e):
-                if k:
-                    while len(ps) <= k:
-                        ps.append(ps[-1] * ps[1])
-                    m = ps[k] if m is None else m * ps[k]
-            for e2, v in (one if m is None else m).terms.items():
-                terms[e2] = get(e2, 0) + c * v
-        return MPoly._trusted(arity, {e: Fraction(c, den) for e, c in terms.items() if c})
+            m = one
+            for i, k in _fields(key, self.arity):
+                ps = powers[i]
+                while len(ps) <= k:
+                    ps.append(ps[-1] * ps[1])
+                m = ps[k] if m is one else m * ps[k]
+            for key2, v in m._packed.items():
+                packed[key2] = get(key2, 0) + c * v
+        return MPoly._trusted(arity, {key: Fraction(c, den) for key, c in packed.items() if c})
 
     def deriv(self, i: int) -> "MPoly":
-        terms: Dict[Expo, object] = {}
-        for e, c in self.terms.items():
-            k = e[i]
+        shift = _shift(self.arity, i)
+        packed: Dict[int, object] = {}
+        for key, c in self._packed.items():
+            k = key >> shift & MAX_EXP
             if k and (v := c * k):
-                terms[e[:i] + (k - 1,) + e[i + 1 :]] = v
-        return MPoly._trusted(self.arity, terms)
+                packed[key - (1 << shift)] = v
+        return MPoly._trusted(self.arity, packed)
 
     def map_coeff(self, f) -> "MPoly":
-        terms = {e: v for e, c in self.terms.items() if (v := f(c))}
-        return MPoly._trusted(self.arity, terms)
+        packed = {key: v for key, c in self._packed.items() if (v := f(c))}
+        return MPoly._trusted(self.arity, packed)
 
     def __repr__(self):
         if not self.terms:
@@ -245,26 +293,26 @@ def divide_exact(num: MPoly, den: MPoly, main_var: int = 0) -> MPoly:
     """
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
+    arity = num.arity
+    shift = _shift(arity, main_var)
     ddeg = den.degree_in(main_var)
-    lead = {
-        e: c for e, c in den.terms.items() if e[main_var] == ddeg
-    }
+    lead = [(key, c) for key, c in den._packed.items() if key >> shift & MAX_EXP == ddeg]
     if len(lead) != 1:
         raise ValueError("divisor leading form in main_var is not a monomial")
-    (le, lc), = lead.items()
+    (lkey, lc), = lead
+    guard = _guard(arity)  # a field that borrows in (key | guard) - lkey clears its guard
     rem = num
-    quo = MPoly.zero(num.arity)
+    quo = MPoly.zero(arity)
     while not rem.is_zero():
         rdeg = rem.degree_in(main_var)
         if rdeg < ddeg:
             raise ValueError("inexact polynomial division")
-        cand = {e: c for e, c in rem.terms.items() if e[main_var] == rdeg}
         # peel one leading term of the remainder per pass
-        e, c = next(iter(cand.items()))
-        qe = tuple(a - b for a, b in zip(e, le))
-        if any(k < 0 for k in qe):
+        key, c = next((k, c) for k, c in rem._packed.items() if k >> shift & MAX_EXP == rdeg)
+        qkey = (key | guard) - lkey
+        if qkey & guard != guard:
             raise ValueError("inexact polynomial division")
-        qt = MPoly(num.arity, {qe: c / lc})
+        qt = MPoly._trusted(arity, {qkey ^ guard: c / lc})
         quo = quo + qt
         rem = rem - qt * den
     return quo

@@ -20,17 +20,12 @@ def _joint_content(*polys: MPoly) -> Fraction:
     num_g = 0
     den_l = 1
     for p in polys:
-        for c in p.terms.values():
+        for c in p.coefficients():
             num_g = gcd(num_g, c.numerator)
             den_l = den_l * c.denominator // gcd(den_l, c.denominator)
     if num_g == 0:
         return Fraction(1)
     return Fraction(num_g, den_l)
-
-
-def _lex_leading_coeff(p: MPoly) -> Fraction:
-    e = max(p.terms)
-    return p.terms[e]
 
 
 class RatFn:
@@ -52,7 +47,7 @@ class RatFn:
             if c != 1:
                 num = num.map_coeff(lambda x: x / c)
                 den = den.map_coeff(lambda x: x / c)
-            if _lex_leading_coeff(den) < 0:
+            if den.lex_leading()[1] < 0:
                 num, den = -num, -den
         self.num = num
         self.den = den
@@ -167,22 +162,10 @@ class RatFn:
         return self.num.eval(point) / d
 
     def subs(self, images: Sequence["RatFn"]) -> "RatFn":
-        """Substitute a rational function for each variable."""
-        if len(images) != self.arity:
-            raise ValueError("need one image per variable")
-        arity = images[0].arity
-
-        def sub_poly(p: MPoly) -> RatFn:
-            total = RatFn.const(arity, 0)
-            for e, c in p.terms.items():
-                m = RatFn.const(arity, c)
-                for img, k in zip(images, e):
-                    if k:
-                        m = m * img**k
-                total = total + m
-            return total
-
-        return sub_poly(self.num) / sub_poly(self.den)
+        """Substitute a rational function for each variable: num and den are
+        evaluated at the images, and a constant num is made a RatFn."""
+        num = self.num.eval(images)
+        return (RatFn.const(images[0].arity, 0) + num) / self.den.eval(images)
 
     def deriv(self, i: int) -> "RatFn":
         """Partial derivative via the quotient rule."""

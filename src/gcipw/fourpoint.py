@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .exact import MPoly, RatFn
+from .exact import MPoly, RatFn, divide_exact
 from .kinematics import (
     DegenerateConfiguration,
     PointConfig,
@@ -144,12 +144,11 @@ def eigen_check(nu: int) -> Tuple[Fraction, int, MPoly]:
     if not sym == RatFn.from_poly(basis_J(nu)):
         raise BasisIdentityError(f"symmetrization of t^3 j_{nu} is not J_{nu}")
     diff = (sym - t3j).as_poly()
-    sigma = min(e[0] for e in diff.terms) if not diff.is_zero() else 0
+    sigma, q = 0, diff  # divide by s while q(0, t) = 0
+    while not q.is_zero() and q.subs_poly([MPoly.zero(2), T]).is_zero():
+        sigma, q = sigma + 1, divide_exact(q, S, 0)
     if sigma < 1:
         raise BasisIdentityError(f"gap order sigma_{nu} = {sigma} < 1")
-    q = MPoly(2, {(a - sigma, b): c for (a, b), c in diff.terms.items()})
-    if all(e[0] != 0 for e in q.terms):
-        raise BasisIdentityError(f"q_{nu}(0, t) = 0")
     if sigma != GAP_ORDERS[nu]:
         raise BasisIdentityError(
             f"sigma_{nu} = {sigma}, expected {GAP_ORDERS[nu]}"

@@ -94,21 +94,16 @@ def interval_identities(points: Sequence[Vec4]) -> bool:
 # -- symbolic identity checks ----------------------------------------------------
 
 
-def _sym_points(n_points: int) -> List[List[MPoly]]:
+@functools.cache
+def _sym_points(n_points: int) -> Tuple[Tuple[MPoly, ...], ...]:
     """n_points symbolic 4-vectors over 4*n_points coordinate variables.
 
     Coefficients are plain integers, which keeps the trace expansions
     fast; the results are mapped back to Fraction coefficients at the
     boundary.
     """
-    arity = 4 * n_points
-
-    def int_var(i):
-        e = [0] * arity
-        e[i] = 1
-        return MPoly(arity, {tuple(e): 1})
-
-    return [[int_var(4 * i + mu) for mu in range(4)] for i in range(n_points)]
+    xs = [x.map_coeff(int) for x in MPoly.variables(4 * n_points)]
+    return tuple(tuple(xs[4 * i : 4 * i + 4]) for i in range(n_points))
 
 
 def anticommutation_symbolic() -> bool:
@@ -235,14 +230,13 @@ def wick_numerator(n: int, ordering: CycleSeq | None = None) -> MPoly:
     if ordering is None:
         ordering = tuple(range(m))
     arity = m * (m - 1) // 2
-    total = MPoly.zero(arity)
+    terms = {}  # distinct pairings are distinct monomials
     for pairing in enumerate_patterns(n):
-        sign = crossing_sign(pairing, ordering)
         e = [0] * arity
         for i, j in pairing:
             e[rho_variable_index(i, j, m)] += 1
-        total = total + MPoly(arity, {tuple(e): Fraction(sign)})
-    return total
+        terms[tuple(e)] = Fraction(crossing_sign(pairing, ordering))
+    return MPoly(arity, terms)
 
 
 def rho_point(config: PointConfig) -> List[Fraction]:

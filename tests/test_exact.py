@@ -17,6 +17,7 @@ from gcipw.exact import (
     lambert_series,
 )
 from gcipw.exact.chiral import chiral_slices, symmetric_reduce
+from gcipw.exact.mpoly import MAX_EXP, _pack
 
 rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 9))
 
@@ -125,6 +126,167 @@ class TestMPoly:
         assert q == u**2 + u * v + v**2
         with pytest.raises(ValueError):
             divide_exact(u**2 + v, u - v, 0)
+
+
+# -- a tuple-keyed reference for the packed-key kernels -----------------------------
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_one(arity):
+    return {(0,) * arity: F(1)}
+
+
+def ref_pow(p, n, arity):
+    out = ref_one(arity)
+    for _ in range(n):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_deriv(p, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.items() if e[i]}
+
+
+def ref_eval(p, x):
+    total = F(0)
+    for e, c in p.items():
+        for xi, k in zip(x, e):
+            c *= xi**k
+        total += c
+    return total
+
+
+def ref_subs(p, images, arity):
+    out = {}
+    for e, c in p.items():
+        m = {(0,) * arity: c}
+        for g, k in zip(images, e):
+            m = ref_mul(m, ref_pow(g, k, arity))
+        out = ref_add(out, m)
+    return out
+
+
+def ref_divide(num, den, v):
+    """Long division by a divisor whose top degree in v is one monomial."""
+    ddeg = max(e[v] for e in den)
+    ((le, lc),) = [(e, c) for e, c in den.items() if e[v] == ddeg]
+    quo, rem = {}, num
+    while rem:
+        e = max(rem, key=lambda f: (f[v], f))
+        qe = tuple(a - b for a, b in zip(e, le))
+        if min(qe) < 0:
+            raise ValueError("inexact")
+        qt = {qe: rem[e] / lc}
+        quo = ref_add(quo, qt)
+        rem = ref_add(rem, ref_mul(qt, den), -1)
+    return quo
+
+
+def sparse_terms(arity, max_exp=2, max_vars=2, max_terms=3):
+    """Tuple-keyed term dicts with at most max_vars variables per monomial."""
+    expo = st.dictionaries(st.integers(0, arity - 1), st.integers(1, max_exp), max_size=max_vars)
+    return st.dictionaries(
+        expo.map(lambda d: tuple(d.get(i, 0) for i in range(arity))),
+        st.builds(F, st.integers(-4, 4), st.integers(1, 3)),
+        max_size=max_terms,
+    )
+
+
+class TestPackedKeys:
+    @pytest.mark.parametrize("arity, img_arity", [(2, 24), (24, 2)])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_kernels_match_tuple_reference(self, arity, img_arity, data):
+        p, q = data.draw(st.lists(sparse_terms(arity), min_size=2, max_size=2))
+        P, Q = MPoly(arity, p), MPoly(arity, q)
+        p, q = ref_add({}, p), ref_add({}, q)
+        assert P.terms == p
+        assert (P + Q).terms == ref_add(p, q)
+        assert (P - Q).terms == ref_add(p, q, -1)
+        assert (P * Q).terms == ref_mul(p, q)
+        k = data.draw(st.integers(0, 3))
+        assert (P**k).terms == ref_pow(p, k, arity)
+        i = data.draw(st.integers(0, arity - 1))
+        assert P.deriv(i).terms == ref_deriv(p, i)
+        x = data.draw(st.lists(rationals, min_size=arity, max_size=arity))
+        assert P.eval(x) == ref_eval(p, x)
+        image = sparse_terms(img_arity, 1, 2, 2)
+        images = data.draw(st.lists(image, min_size=arity, max_size=arity))
+        got = P.subs_poly([MPoly(img_arity, g) for g in images])
+        assert got.terms == ref_subs(p, [ref_add({}, g) for g in images], img_arity)
+        # a divisor whose top power of x_i is x_i^(d+1) alone
+        d = ref_add(q, {tuple(max((e[i] for e in q), default=0) + 1 if j == i else 0
+                              for j in range(arity)): F(1)})
+        for num in (ref_mul(p, d), ref_add(ref_mul(p, d), q)):
+            try:
+                want = ref_divide(num, d, i)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    divide_exact(MPoly(arity, num), MPoly(arity, d), i)
+            else:
+                assert divide_exact(MPoly(arity, num), MPoly(arity, d), i).terms == want
+
+    @pytest.mark.parametrize("arity", [2, 24])
+    @given(data=st.data())
+    def test_key_order_is_lex_order(self, arity, data):
+        expo = st.lists(st.integers(0, MAX_EXP), min_size=arity, max_size=arity)
+        e = data.draw(expo)
+        j = data.draw(st.integers(0, arity))  # f shares e's first j exponents
+        f = tuple(e[:j] + data.draw(expo)[j:])
+        e = tuple(e)
+        assert (_pack(e, arity) < _pack(f, arity)) == (e < f)
+        assert MPoly(arity, {e: F(1), f: F(1)}).lex_leading() == (max(e, f), F(1))
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_exponent_past_the_field_raises(self, i):
+        def mono(k):
+            return {tuple(k if j == i else 0 for j in range(2)): 1}
+
+        with pytest.raises(ValueError):
+            MPoly(2, mono(MAX_EXP + 1))
+        x, top = MPoly(2, mono(1)), MPoly(2, mono(MAX_EXP))
+        assert x**MAX_EXP == top
+        with pytest.raises(ValueError):
+            top * x
+        with pytest.raises(ValueError):
+            x ** (MAX_EXP + 1)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_variable_index_out_of_range_raises(self, i):
+        u, v = MPoly.variables(2)
+        with pytest.raises(ValueError):
+            MPoly.var(2, i)
+        with pytest.raises(ValueError):
+            u.deriv(i)
+        with pytest.raises(ValueError):
+            u.degree_in(i)
+        with pytest.raises(ValueError):
+            divide_exact(u, v, i)
+
+    def test_terms_is_a_stable_read_only_view(self):
+        u, v = MPoly.variables(2)
+        p = (u + 2 * v) ** 2
+        want = {(2, 0): 1, (1, 1): 4, (0, 2): 4}
+        assert p.terms == want
+        for _ in (p + u, p - p, p * p, p**3, -p, 3 * p, p.deriv(0), p.subs_poly([v, u])):
+            assert p.terms == want
+        with pytest.raises(TypeError):
+            p.terms[(0, 0)] = F(1)
 
 
 class TestRatFn:

@@ -60,3 +60,15 @@ def private_imports():
 
 def test_no_private_import_between_modules():
     assert private_imports() == []
+
+
+def packed_key_readers():
+    """Modules other than exact/mpoly.py that name MPoly's packed storage."""
+    own = PACKAGE / "exact" / "mpoly.py"
+    paths = [*PACKAGE.rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    return sorted(str(path.relative_to(ROOT)) for path in paths
+                  if path != own and "_packed" in _names(ast.parse(path.read_text())))
+
+
+def test_packed_keys_stay_inside_mpoly():
+    assert packed_key_readers() == []
