@@ -31,6 +31,7 @@ configuration), each reported as one line on stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import dataclasses
@@ -91,8 +92,8 @@ def parse_tau(text: str) -> complex:
         value = complex(t)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a modular parameter: {text!r}")
-    if value.imag <= 0:
-        raise argparse.ArgumentTypeError("tau needs a positive imaginary part")
+    if not cmath.isfinite(value) or value.imag <= 0:
+        raise argparse.ArgumentTypeError(f"tau must be finite with Im tau > 0: {text!r}")
     return value
 
 

@@ -286,6 +286,18 @@ class MPoly:
         return "MPoly(" + " + ".join(parts) + ")"
 
 
+def cancel_monomial(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
+    """num and den divided by the largest monomial that divides both: each
+    field of every key drops by its least value over all the keys."""
+    keys = [*num._packed, *den._packed]
+    shifts = [_shift(num.arity, i) for i in range(num.arity)]
+    low = sum(min(key >> shift & MAX_EXP for key in keys) << shift for shift in shifts)
+    if not low:
+        return num, den
+    trim = lambda p: MPoly._trusted(p.arity, {k - low: c for k, c in p._packed.items()})
+    return trim(num), trim(den)
+
+
 def divide_exact(num: MPoly, den: MPoly, main_var: int = 0) -> MPoly:
     """Exact division num/den for den monic-leading in `main_var`.
 

@@ -46,6 +46,10 @@ class Quaternion:
             a * o.d + b * o.c - c * o.b + d * o.a,
         )
 
+    def trace_mul(self, o: "Quaternion"):
+        """2 Re(self o), the matrix trace of the product, without forming it."""
+        return 2 * (self.a * o.a - self.b * o.b - self.c * o.c - self.d * o.d)
+
     def transpose(self) -> "Quaternion":
         """The image of the 2x2 matrix transpose."""
         return Quaternion(self.a, self.b, -self.c, self.d)
@@ -71,4 +75,4 @@ def chain_trace(factors: Sequence[Quaternion]):
     h = len(factors) // 2
     left = reduce(mul, factors[:h])
     right = reduce(mul, factors[h:])
-    return 2 * (left.a * right.a - left.b * right.b - left.c * right.c - left.d * right.d)
+    return left.trace_mul(right)

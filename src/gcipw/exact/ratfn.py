@@ -1,8 +1,9 @@
 """Normalized rational functions num/den over sparse polynomials.
 
 Normalization is deliberately cheap: joint content reduction plus a
-canonical sign for the denominator's lex-leading coefficient.  No
-multivariate gcd cancellation is attempted; equality is decided by
+canonical sign for the denominator's lex-leading coefficient, and the
+common monomial factor divided out of the results of the operations.  No
+other multivariate gcd cancellation is attempted; equality is decided by
 cross-multiplication, which is exact and cheap at the sizes used here.
 """
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .mpoly import MPoly
+from .mpoly import MPoly, cancel_monomial
 
 
 def _joint_content(*polys: MPoly) -> Fraction:
@@ -29,7 +30,9 @@ def _joint_content(*polys: MPoly) -> Fraction:
 
 
 class RatFn:
-    """Rational function in a fixed number of variables."""
+    """Rational function in a fixed number of variables.  The constructor
+    keeps num and den up to content and sign; the operations divide the
+    common monomial out of their results, so chains keep their degrees low."""
 
     __slots__ = ("num", "den")
 
@@ -53,10 +56,6 @@ class RatFn:
         self.den = den
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_poly(cls, p: MPoly) -> "RatFn":
-        return cls(p)
 
     @classmethod
     def const(cls, arity: int, c) -> "RatFn":
@@ -83,9 +82,9 @@ class RatFn:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return RatFn(
+        return RatFn(*cancel_monomial(
             self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        ))
 
     __radd__ = __add__
 
@@ -100,7 +99,7 @@ class RatFn:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RatFn(self.num * other.num, self.den * other.den)
+        return RatFn(*cancel_monomial(self.num * other.num, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -108,7 +107,7 @@ class RatFn:
         other = self._coerce(other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
+        return RatFn(*cancel_monomial(self.num * other.den, self.den * other.num))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -169,10 +168,10 @@ class RatFn:
 
     def deriv(self, i: int) -> "RatFn":
         """Partial derivative via the quotient rule."""
-        return RatFn(
+        return RatFn(*cancel_monomial(
             self.num.deriv(i) * self.den - self.num * self.den.deriv(i),
             self.den * self.den,
-        )
+        ))
 
     def __repr__(self):
         return f"RatFn({self.num!r} / {self.den!r})"

@@ -112,7 +112,7 @@ def assemble_P4(p: PWParams) -> MPoly:
 
 def crossing_check(poly: MPoly, d: int) -> bool:
     """True iff the polynomial is invariant under both S3 generators."""
-    f = RatFn.from_poly(poly)
+    f = RatFn(poly)
     return s3_action("s12", f, d) == f and s3_action("s23", f, d) == f
 
 
@@ -141,7 +141,7 @@ def eigen_check(nu: int) -> Tuple[Fraction, int, MPoly]:
     t = RatFn.var(2, 1)
     t3j = t**3 * basis_j_small(nu)
     sym = lam * s3_symmetrize(t3j, 4)
-    if not sym == RatFn.from_poly(basis_J(nu)):
+    if not sym == RatFn(basis_J(nu)):
         raise BasisIdentityError(f"symmetrization of t^3 j_{nu} is not J_{nu}")
     diff = (sym - t3j).as_poly()
     sigma, q = 0, diff  # divide by s while q(0, t) = 0

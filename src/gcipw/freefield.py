@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -37,26 +38,14 @@ def slash(z: Sequence, conjugate: bool = False) -> Quaternion:
 
 
 def det4(a: Vec4, b: Vec4, c: Vec4, d: Vec4):
-    """Determinant of the 4x4 matrix with columns a, b, c, d."""
-    cols = (a, b, c, d)
-    total = None
-    for perm in itertools.permutations(range(4)):
-        sign = _perm_sign(perm)
-        prod = cols[0][perm[0]]
-        for k in range(1, 4):
-            prod = prod * cols[k][perm[k]]
-        prod = prod if sign > 0 else -prod
-        total = prod if total is None else total + prod
+    """Determinant of the 4x4 matrix with columns a, b, c, d, by the
+    Leibniz formula: a permutation is odd when its inversions are."""
+    total = 0
+    for p in itertools.permutations(range(4)):
+        prod = a[p[0]] * b[p[1]] * c[p[2]] * d[p[3]]
+        odd = sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2
+        total = total - prod if odd else total + prod
     return total
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 def trace4(a: Vec4, b: Vec4, c: Vec4, d: Vec4) -> Fraction:
@@ -167,14 +156,21 @@ def cycle_trace_numerator(seq: CycleSeq, points: Sequence[Vec4]) -> Fraction:
     relative to the conventional two-term and braces forms of the n = 2, 3
     elementary contributions, so the total is negated to match them.
     """
-    diffs = []
-    n2 = len(seq)
-    for i in range(n2):
-        a, b = seq[i], seq[(i + 1) % n2]
-        diffs.append(vsub(points[a], points[b]))
-    fwd = [slash(d, conjugate=(i % 2 == 1)) for i, d in enumerate(diffs)]
-    rev = [fwd[0]] + fwd[1:][::-1]
-    return -(chain_trace(fwd) + chain_trace(rev))
+    steps = enumerate(zip(seq, seq[1:] + seq[:1]))
+    return _loop_trace([slash(vsub(points[a], points[b]), k % 2 == 1) for k, (a, b) in steps])
+
+
+def _loop_trace(fwd: Sequence[Quaternion]):
+    """-(tr fwd + tr rev) of `cycle_trace_numerator`, from the forward factors."""
+    return -(chain_trace(fwd) + chain_trace([fwd[0], *fwd[:0:-1]]))
+
+
+def _interval_product(rho, pairs) -> int:
+    """prod rho_ij over the pairs; DegenerateConfiguration if one vanishes."""
+    prod = math.prod(rho[i][j] for i, j in pairs)
+    if prod == 0:
+        raise DegenerateConfiguration("coincident points on a pole pair")
+    return prod
 
 
 def cycle_trace_2n(config: PointConfig, seq: CycleSeq) -> Fraction:
@@ -184,12 +180,7 @@ def cycle_trace_2n(config: PointConfig, seq: CycleSeq) -> Fraction:
     so the integer-form ratio is rescaled by L^(2n).
     """
     num = cycle_trace_numerator(seq, config.int_points)
-    den = 1
-    for i, j in links_of(seq):
-        r = config.int_rho[i][j]
-        if r == 0:
-            raise DegenerateConfiguration(f"rho({i + 1},{j + 1}) = 0 on a pole pair")
-        den *= r * r
+    den = _interval_product(config.int_rho, links_of(seq)) ** 2
     return Fraction(num * config.scale ** len(seq), den)
 
 
@@ -287,8 +278,7 @@ def v1_weyl_4pt(config: PointConfig) -> Fraction:
     if len(config) != 4:
         raise ValueError("need four points")
     pts, r = config.int_points, config.int_rho
-    if r[0][3] == 0 or r[1][2] == 0 or r[0][2] == 0 or r[1][3] == 0:
-        raise DegenerateConfiguration("vanishing rho in a pole pair")
+    _interval_product(r, [(0, 3), (1, 2), (0, 2), (1, 3)])  # no vanishing pole
 
     def term(p3: int, p4: int) -> Tuple[int, int]:
         z12 = slash(vsub(pts[0], pts[1]))
@@ -304,21 +294,21 @@ def v1_weyl_4pt(config: PointConfig) -> Fraction:
     return Fraction((t1 * d2 + t2 * d1) * config.scale**4, 2 * d1 * d2)
 
 
+def _link_pole(config: PointConfig) -> int:
+    """prod rho_ij over the pairs in different blocks, the possible links."""
+    pairs = itertools.combinations(range(len(config)), 2)
+    return _interval_product(config.int_rho, [(i, j) for i, j in pairs if i // 2 != j // 2])
+
+
 def v1_scalar_connected(config: PointConfig) -> Fraction:
     """Connected 2n-point function of the scalar bilocal: one-loop cycles
     with propagator 1/rho over each pole structure's links, of degree -2n
-    in the coordinates (rescaled by L^(2n) from the integer form)."""
+    in the coordinates (rescaled by L^(2n) from the integer form), summed
+    as integers over D = prod rho_ij over the pairs in different blocks."""
     n = len(config) // 2
-    total = Fraction(0)
-    for seq in orbit_enumerate(n):
-        prod = 1
-        for i, j in links_of(seq):
-            r = config.int_rho[i][j]
-            if r == 0:
-                raise DegenerateConfiguration(f"rho({i + 1},{j + 1}) = 0")
-            prod *= r
-        total += Fraction(1, prod)
-    return total * config.scale ** (2 * n)
+    den = _link_pole(config)
+    total = sum(den // _interval_product(config.int_rho, links_of(s)) for s in orbit_enumerate(n))
+    return Fraction(total * config.scale ** (2 * n), den)
 
 
 def v1_weyl_connected(config: PointConfig) -> Fraction:
@@ -327,10 +317,22 @@ def v1_weyl_connected(config: PointConfig) -> Fraction:
     Normalized so that the 4-point value is j_1(s, t)/(rho13 rho24)
     exactly; with the unit-normalized spinor 2-point function the raw
     trace sum is twice this at every n, a constant the lambda fits of the
-    symmetrization ansatz would otherwise simply absorb.
+    symmetrization ansatz would otherwise simply absorb.  The terms of
+    `cycle_trace_2n` take their slash factors from one table of the pair
+    differences (slash in a block, slash+ on a link) and are summed as
+    integers over D = prod rho_ij^2 over the pairs in different blocks.
     """
-    structures = orbit_enumerate(len(config) // 2)
-    return sum(cycle_trace_2n(config, seq) for seq in structures) / 2
+    m, pts, rho = len(config), config.int_points, config.int_rho
+    den = _link_pole(config) ** 2
+    table = [[None] * m for _ in range(m)]
+    for a, b in itertools.combinations(range(m), 2):
+        q = slash(vsub(pts[a], pts[b]), conjugate=a // 2 != b // 2)
+        table[a][b], table[b][a] = q, -q  # slash and slash+ are linear
+    total = 0
+    for seq in orbit_enumerate(m // 2):
+        trace = _loop_trace([table[a][b] for a, b in zip(seq, seq[1:] + seq[:1])])
+        total += trace * (den // _interval_product(rho, links_of(seq)) ** 2)
+    return Fraction(total * config.scale**m, 2 * den)
 
 
 def full_from_connected(conn_eval, config: PointConfig) -> Fraction:
@@ -344,7 +346,7 @@ def full_from_connected(conn_eval, config: PointConfig) -> Fraction:
         prod = Fraction(1)
         for part in partition:
             idx = [p for b in part for p in (2 * b, 2 * b + 1)]
-            prod *= conn_eval(config.subset(idx))
+            prod *= conn_eval(config.subset(idx) if len(part) < n else config)
         total += prod
     return total
 
@@ -389,28 +391,43 @@ def _fermion_table(config: PointConfig, kind: str) -> List[List]:
     m = len(pts)
     table = [[None] * m for _ in range(m)]
     for fv, cv in itertools.permutations(range(m), 2):
-        r = rho[fv][cv]
-        if r == 0:
-            raise DegenerateConfiguration("coincident points in a propagator")
         q = slash(vsub(pts[fv], pts[cv]), conjugate=(kind == "psi"))
-        table[fv][cv] = (q if fv < cv else -q, r**power)
+        table[fv][cv] = (q if fv < cv else -q, rho[fv][cv] ** power)
     return table
 
 
-def _hamiltonian_cycles(m: int):
-    """Directed Hamiltonian cycles through points 0..m-1 that start at
-    point 0, as closed point sequences (0, ..., 0); there are (m-1)!."""
-    for tail in itertools.permutations(range(1, m)):
-        yield (0, *tail, 0)
+def _walk_sums(rho, tables, one, close) -> Tuple[int, int, int]:
+    """R of `l1_truncated_npoint` and the sums over its walks with an even
+    and with an odd number of descents.
 
+    Step k of a walk (cycle from 0, parity) takes a (value, weight) entry
+    from table (k + parity) mod 2.  Depth first from the value `one`, each
+    node extends its parent's value and weight products by one entry; the
+    last two steps u -> v -> 0 (the second a descent) come from a table of
+    entry products.  A leaf adds close(value product, last value) *
+    (R // weight product).
+    """
+    m = len(rho)
+    pole = _interval_product(rho, itertools.combinations(range(m), 2)) ** (3 if m > 2 else 5)
+    sums = [0, 0]
 
-def _alternations(tables, cyc):
-    """The two ways to alternate a pair of m x m edge tables along a
-    closed cycle: the edge factor lists starting with table 0 and with
-    table 1."""
-    steps = list(enumerate(zip(cyc, cyc[1:])))
-    for p in (0, 1):
-        yield [tables[(k + p) % 2][a][b] for k, (a, b) in steps]
+    def walk(steps, last, u, depth, prod, weight, odd, left):
+        if len(left) == 1:
+            (v,) = left
+            value, w = last[u, v]
+            sums[not (odd ^ (v < u))] += close(prod, value) * (pole // (weight * w))
+            return
+        for v in left:
+            value, w = steps[depth][u][v]
+            walk(steps, last, v, depth + 1, prod * value, weight * w, odd ^ (v < u), left - {v})
+
+    for parity in (0, 1):
+        steps = [tables[(k + parity) % 2] for k in range(m)]
+        a, b = steps[-2], steps[-1]
+        last = {(u, v): (a[u][v][0] * b[v][0][0], a[u][v][1] * b[v][0][1])
+                for u, v in itertools.permutations(range(m), 2) if v}
+        walk(steps, last, 0, 0, one, 1, False, frozenset(range(1, m)))
+    return pole, *sums
 
 
 def l1_truncated_npoint(config: PointConfig) -> Fraction:
@@ -433,9 +450,12 @@ def l1_truncated_npoint(config: PointConfig) -> Fraction:
     crossing parity is the sign of that list with each pair put in
     increasing order, and a pair is out of order exactly when b < a.  So a
     walk with d descents has sign -(-1)^d.  The spinor indices contract to
-    the trace along the walk.
-    Each loop has m/2 edges of each kind, of degrees -3 and -5 in the
-    coordinates, so the integer-form sum is rescaled by L^(4m).
+    the trace along the walk.  The walks are summed depth first
+    (`_walk_sums`) as integers over R = prod_{i<j} rho_ij^3: a loop
+    through m > 2 points joins each pair at most once, so R is a multiple
+    of every weight product; at m = 2 both steps join one pair, and R is
+    rho^5.  Each loop has m/2 edges of each kind, of degrees -3 and -5 in
+    the coordinates, so the integer-form sum is rescaled by L^(4m).
     Serves as the independent reference correlator for the
     symmetrization ansatz, and is why lambda_n = 2 at every n: each walk
     is, term by term, one (pattern, block cycle, orientation) triple of
@@ -448,13 +468,9 @@ def l1_truncated_npoint(config: PointConfig) -> Fraction:
     if m % 2:
         raise ValueError("need an even number of points")
     tables = [_fermion_table(config, kind) for kind in ("psi", "chi")]
-    total = Fraction(0)
-    for cyc in _hamiltonian_cycles(m):
-        sign = 1 if sum(b < a for a, b in zip(cyc, cyc[1:])) % 2 else -1
-        for steps in _alternations(tables, cyc):
-            quats, weights = zip(*steps)
-            total += Fraction(sign * chain_trace(quats), math.prod(weights))
-    return total * config.scale ** (4 * m)
+    one = Quaternion(1, 0, 0, 0)
+    pole, even, odd = _walk_sums(config.int_rho, tables, one, Quaternion.trace_mul)
+    return Fraction((odd - even) * config.scale ** (4 * m), pole)
 
 
 def l0_truncated_npoint(config: PointConfig) -> Fraction:
@@ -462,21 +478,14 @@ def l0_truncated_npoint(config: PointConfig) -> Fraction:
     scalars of dimensions 1 and 3.
 
     Connected diagrams are Hamiltonian cycles through the points with the
-    two propagators 1/rho and 1/rho^3 alternating along the cycle: the
-    same 2 (m-1)! (cycle, parity) walks as `l1_truncated_npoint`, of which
-    each undirected cycle keeps one orientation.  The tables hold the
-    integer weights rho and rho^3 of the integer form, and the sum, of
-    degree -4m in the coordinates, is rescaled by L^(4m).
+    two propagators 1/rho and 1/rho^3 alternating along the cycle.  They
+    are summed as the walks of `l1_truncated_npoint`, with value 1 and
+    weights rho and rho^3, over the same R: reversing a walk and switching
+    its parity keeps its weight, so above two points every diagram is
+    walked twice, while at m = 2 the one cycle is its own reverse.  The
+    sum, of degree -4m in the coordinates, is rescaled by L^(4m).
     """
-    m = len(config)
-    rho = config.int_rho
-    if any(rho[a][b] == 0 for a, b in itertools.combinations(range(m), 2)):
-        raise DegenerateConfiguration("coincident points")
-    tables = (rho, [[r**3 for r in row] for row in rho])
-    total = Fraction(0)
-    for cyc in _hamiltonian_cycles(m):
-        if cyc[1] > cyc[-2]:
-            continue  # each undirected cycle once
-        for steps in _alternations(tables, cyc):
-            total += Fraction(1, math.prod(steps))
-    return total * config.scale ** (4 * m)
+    m, rho = len(config), config.int_rho
+    tables = [[[(1, r**k) for r in row] for row in rho] for k in (1, 3)]
+    pole, even, odd = _walk_sums(rho, tables, 1, operator.mul)
+    return Fraction((even + odd) * config.scale ** (4 * m), pole * (2 if m > 2 else 1))

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, CSV output, config handling and
 reproducibility."""
 
+import argparse
 import csv
 import json
 from fractions import Fraction as F
@@ -28,6 +29,26 @@ class TestParsing:
         assert parse_tau("0.3+1.2i") == 0.3 + 1.2j
         with pytest.raises(Exception):
             parse_tau("0.3-1.2i")
+
+    @pytest.mark.parametrize("text", ["1+nani", "infi", "nan", "inf+1i", "nan+1i"])
+    def test_non_finite_tau(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+            parse_tau(text)
+
+    @pytest.mark.parametrize("text", ["1+nani", "infi"])
+    @pytest.mark.parametrize("kind", ["modular", "kms"])
+    def test_non_finite_tau_is_a_usage_error(self, kind, text, tmp_path, capsys):
+        assert main(["thermal", kind, "--tau", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last_line = captured.err.strip().splitlines()[-1]
+        assert last_line.endswith(f"tau must be finite with Im tau > 0: {text!r}")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"tau_points": [text]}))
+        assert main(["thermal", kind, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bad config: tau must be finite with Im tau > 0: {text!r}\n"
 
 
 class TestDecompose:

@@ -17,7 +17,7 @@ from gcipw.exact import (
     lambert_series,
 )
 from gcipw.exact.chiral import chiral_slices, symmetric_reduce
-from gcipw.exact.mpoly import MAX_EXP, _pack
+from gcipw.exact.mpoly import MAX_EXP, _pack, cancel_monomial
 
 rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 9))
 
@@ -305,6 +305,25 @@ class TestRatFn:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             RatFn(MPoly.var(2, 0)) == RatFn(MPoly.var(3, 0))
+
+    def test_operations_divide_out_the_common_monomial(self):
+        s, t = MPoly.variables(2)
+        num, den = 3 * s**3 * t**2 + s**2 * t**4, 2 * s**2 * t**5 - s**4 * t**2
+        f = RatFn(num, den)
+        # the constructor keeps num and den up to content and sign
+        assert (f.num, f.den) == (-num, -den)
+        # (3s + t^2) / (2t^3 - s^2), signed so the lex-leading s^2 is positive
+        for g in (f * 1, f / 1, f + 0, RatFn(num) / RatFn(den)):
+            assert (g.num, g.den) == (-(3 * s + t**2), s**2 - 2 * t**3)
+        # a variable absent from one side's terms stays on both
+        g = RatFn(s**2 + t, s * t) * 1
+        assert (g.num, g.den) == (s**2 + t, s * t)
+
+    def test_cancel_monomial(self):
+        s, t = MPoly.variables(2)
+        p, q = s**3 * t + 2 * s * t**4, s**2 * t**2
+        assert cancel_monomial(p, q) == (s**2 + 2 * t**3, s * t)
+        assert cancel_monomial(p, q + 1) == (p, q + 1)
 
     def test_denominator_sign_canonical(self):
         s, t = MPoly.variables(2)

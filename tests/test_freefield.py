@@ -10,10 +10,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from gcipw.exact import Quaternion, chain_trace
+from gcipw.exact import MPoly, Quaternion, chain_trace
 from gcipw.fourpoint import basis_J, basis_j_small, truncated_4pt_value
 from gcipw.freefield import (
-    _sym_points,
     anticommutation_symbolic,
     cycle_trace_2n,
     cycle_trace_numerator,
@@ -231,6 +230,12 @@ def w_sixpoint(c):
     return br / (r(0, 5) * r(1, 2) * r(3, 4)) ** 2
 
 
+def sym_points(n):
+    """n symbolic 4-vectors over 4n integer-coefficient variables."""
+    xs = [x.map_coeff(int) for x in MPoly.variables(4 * n)]
+    return [xs[4 * i : 4 * i + 4] for i in range(n)]
+
+
 def chain_trace_reference(factors):
     """2 Re(q1 ... qn) from the plain left-to-right product."""
     return 2 * functools.reduce(operator.mul, factors).a
@@ -249,7 +254,7 @@ class TestChainTrace:
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_symbolic_matches_left_to_right_product(self, n):
-        qs = [slash(z, conjugate=i % 2 == 1) for i, z in enumerate(_sym_points(n))]
+        qs = [slash(z, conjugate=i % 2 == 1) for i, z in enumerate(sym_points(n))]
         assert chain_trace(qs) == chain_trace_reference(qs)
 
 
@@ -597,13 +602,47 @@ class TestIntegerForm:
 
     @pytest.mark.parametrize(
         "f",
-        [l1_truncated_npoint, l0_truncated_npoint, v1_weyl_npoint],
+        [
+            l1_truncated_npoint,
+            l0_truncated_npoint,
+            v1_weyl_npoint,
+            v1_weyl_connected,
+            v1_scalar_connected,
+        ],
         ids=lambda f: f.__name__,
     )
     def test_coincident_points_raise(self, f):
         pts = [(F(1, 2), 0, 0, 0), (0, F(1, 3), 0, 0), (0, 0, 1, 0), (F(1, 2), 0, 0, 0)]
         with pytest.raises(DegenerateConfiguration):
             f(PointConfig(pts))
+
+    @pytest.mark.parametrize(
+        "f", [l1_truncated_npoint, l0_truncated_npoint], ids=lambda f: f.__name__
+    )
+    def test_coincident_pair_raises(self, f):
+        # the pole R is formed from the one interval, which vanishes
+        with pytest.raises(DegenerateConfiguration):
+            f(PointConfig([(F(1, 2), 0, 0, 0), (F(1, 2), 0, 0, 0)]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_common_denominator_sums_match_per_structure_sums(self, n):
+        # one Fraction over D against one Fraction per pole structure
+        cfg = random_config(random.Random(85 + n), 2 * n)
+        structures = orbit_enumerate(n)
+        weyl = sum(cycle_trace_2n(cfg, seq) for seq in structures) / 2
+        scalar = sum(
+            1 / math.prod(cfg.rho(i, j) for i, j in links_of(seq)) for seq in structures
+        )
+        assert v1_weyl_connected(cfg) == weyl
+        assert v1_scalar_connected(cfg) == scalar
+
+    def test_coincident_points_in_a_block_are_no_pole(self):
+        # points 0 and 1 share a block: no link joins them
+        pts = [(F(1, 2), 0, 0, 0), (F(1, 2), 0, 0, 0), (0, 0, 1, 0), (0, F(2, 3), 0, 0)]
+        cfg = PointConfig(pts)
+        structures = orbit_enumerate(2)
+        assert v1_weyl_connected(cfg) == sum(cycle_trace_2n(cfg, s) for s in structures) / 2
+        assert v1_scalar_connected(cfg) != 0
 
     def test_vanishing_pole_pair_raises(self):
         # points 1 and 2 coincide: a link of (0, 1, 2, 3) but not of (0, 1, 3, 2)

@@ -160,6 +160,16 @@ class TestS3Action:
             g = s3_action("s23", s3_action("s12", g, 4), 4)
         assert g == f
 
+    def test_actions_keep_degrees_small(self):
+        # the common monomial is divided out at each step, so chains of
+        # actions stay near the true degrees instead of piling up powers
+        rng = random.Random(11)
+        for _ in range(6):
+            g = random_ratfn(rng)
+            for gen in ["s12", "s23"] * 6:
+                g = s3_action(gen, g, 4)
+                assert max(p.degree_in(i) for p in (g.num, g.den) for i in (0, 1)) <= 8
+
     def test_s23_substitution_oracle(self):
         # direct check at a rational point: (s23 f)(s,t) = s^(2d-3) f(1/s, t/s)
         s0, t0 = F(3, 2), F(5, 7)

@@ -211,6 +211,14 @@ class TestF1Rational:
     def test_zero(self):
         assert f1_rational(PWParams()).is_zero()
 
+    def test_keeps_its_t_cubed_denominator(self):
+        # at a2 = 0 the numerator is divisible by t; the returned form is
+        # still num / (c t^3), as the constructor divides out no monomial
+        p = PWParams(F(1), F(-4, 3), F(0), F(-5, 3), F(-5, 4), F(0))
+        f1 = f1_rational(p)
+        assert f1.den == 3 * MPoly.var(2, 1) ** 3
+        assert all(e[1] >= 1 for e in f1.num.terms)
+
     def test_crossing_symmetry_weighted(self):
         # s12 f1 = t^-1 f1(s/t, 1/t) = f1
         rng = random.Random(14)

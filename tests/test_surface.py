@@ -1,7 +1,8 @@
 """Public surface: every top-level public function and class of the
 package has a caller in the package or the benchmark, so that no API is
-kept alive by its tests alone, and no package module imports another's
-private names."""
+kept alive by its tests alone, no package module imports another's
+private names, and the free-field references in the tests share no
+kernel internals."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,19 @@ def packed_key_readers():
 
 def test_packed_keys_stay_inside_mpoly():
     assert packed_key_readers() == []
+
+
+def private_freefield_imports():
+    """`from gcipw.freefield import _name` lines under tests/."""
+    out = []
+    for path in (ROOT / "tests").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "gcipw.freefield":
+                out += [f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}"
+                        for alias in node.names if alias.name.startswith("_")]
+    return sorted(out)
+
+
+def test_tests_import_no_freefield_internals():
+    # the walk and trace references must not reuse the kernels they check
+    assert private_freefield_imports() == []

@@ -12,9 +12,6 @@ import pytest
 from gcipw.exact import chain_trace
 from gcipw.fourpoint import basis_J, basis_j_small, truncated_4pt_value
 from gcipw.freefield import (
-    _alternations,
-    _fermion_table,
-    _hamiltonian_cycles,
     l0_truncated_npoint,
     l1_truncated_npoint,
     links_of,
@@ -65,6 +62,59 @@ def full_from(conn_eval):
         return total
 
     return full
+
+
+# -- the per-walk Wick enumeration, kept as the reference of l1 and l0 -----------
+
+
+def walks(m):
+    """Each (closed cycle (0, ..., 0), parity) of the composite loops: the
+    directed Hamiltonian cycles from point 0, each with both kinds of
+    first edge; there are 2 (m-1)!."""
+    for tail in itertools.permutations(range(1, m)):
+        for parity in (0, 1):
+            yield (0, *tail, 0), parity
+
+
+def propagator_tables(cfg):
+    """The psi and chi contractions on the integer form, keyed (field
+    vertex, conjugate vertex): (slash+ or slash of the difference, sign
+    flipped when the conjugate's slot comes first, and rho^2 or rho^3)."""
+    pts, rho = cfg.int_points, cfg.int_rho
+    return [
+        {
+            (a, b): (slash(vsub(pts[a], pts[b]), conj) * (1 if a < b else -1), rho[a][b] ** power)
+            for a, b in itertools.permutations(range(len(cfg)), 2)
+        }
+        for conj, power in ((True, 2), (False, 3))
+    ]
+
+
+def l1_walk_terms(cfg):
+    """The terms of the fermionic Wick sum on the integer form, one per
+    walk: loop sign -(-1)^descents times the trace over the weights."""
+    tables = propagator_tables(cfg)
+    out = Counter()
+    for cyc, parity in walks(len(cfg)):
+        steps = list(zip(cyc, cyc[1:]))
+        quats, weights = zip(*(tables[(k + parity) % 2][step] for k, step in enumerate(steps)))
+        sign = -((-1) ** sum(b < a for a, b in steps))
+        out[F(sign * chain_trace(quats), math.prod(weights))] += 1
+    return out
+
+
+def l0_walk_terms(cfg):
+    """The scalar composite's terms on the integer form: each undirected
+    cycle once (the two-point cycle is its own reverse), 1/rho and 1/rho^3
+    alternating from either kind."""
+    rho = cfg.int_rho
+    out = Counter()
+    for cyc, parity in walks(len(cfg)):
+        if cyc[1] <= cyc[-2]:
+            weights = [rho[a][b] ** (3 if (k + parity) % 2 else 1)
+                       for k, (a, b) in enumerate(zip(cyc, cyc[1:]))]
+            out[F(1, math.prod(weights))] += 1
+    return out
 
 
 def w1_truncated_reference(n, v1_eval, config, pattern):
@@ -287,34 +337,12 @@ class TestWhyLambda:
                     out[F(-chain_trace(chain), den)] += 1
         return out
 
-    @staticmethod
-    def l1_walks(cfg):
-        tables = [_fermion_table(cfg, kind) for kind in ("psi", "chi")]
-        out = Counter()
-        for cyc in _hamiltonian_cycles(len(cfg)):
-            sign = 1 if sum(b < a for a, b in zip(cyc, cyc[1:])) % 2 else -1
-            for steps in _alternations(tables, cyc):
-                quats, weights = zip(*steps)
-                out[F(sign * chain_trace(quats), math.prod(weights))] += 1
-        return out
-
-    @staticmethod
-    def l0_walks(cfg):
-        rho = cfg.int_rho
-        tables = (rho, [[r**3 for r in row] for row in rho])
-        out = Counter()
-        for cyc in _hamiltonian_cycles(len(cfg)):
-            if cyc[1] < cyc[-2]:
-                for steps in _alternations(tables, cyc):
-                    out[F(1, math.prod(steps))] += 1
-        return out
-
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_weyl_triples_are_l1_walks(self, n):
         cfg = random_config(random.Random(30 + n), 2 * n)
         terms = self.triples(cfg, weyl=True)
         assert sum(terms.values()) == 2 * math.factorial(2 * n - 1)
-        assert terms == self.l1_walks(cfg)
+        assert terms == l1_walk_terms(cfg)
         # the terms are those of the two sides of c08, on the integer form
         ints = PointConfig(cfg.int_points)
         total = sum(t * k for t, k in terms.items())
@@ -326,8 +354,31 @@ class TestWhyLambda:
         cfg = random_config(random.Random(40 + n), 2 * n)
         terms = self.triples(cfg, weyl=False)
         assert sum(terms.values()) == math.factorial(2 * n - 1)
-        assert terms == self.l0_walks(cfg)
+        assert terms == l0_walk_terms(cfg)
         ints = PointConfig(cfg.int_points)
         total = sum(t * k for t, k in terms.items())
         assert total == symmetrized_wt(n, F(1), v1_scalar_connected, ints)
         assert total == l0_truncated_npoint(ints)
+
+
+class TestWalkReference:
+    """The depth-first kernels against the per-walk enumeration, with the
+    L^(4m) rescaling of configurations off the integer lattice."""
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_l1_equals_walk_sum(self, m):
+        cfg = random_config(random.Random(90 + m), m)
+        assert cfg.scale > 1
+        terms = l1_walk_terms(cfg)
+        assert sum(terms.values()) == 2 * math.factorial(m - 1)
+        total = sum(t * k for t, k in terms.items())
+        assert l1_truncated_npoint(cfg) == total * cfg.scale ** (4 * m)
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_l0_equals_walk_sum(self, m):
+        cfg = random_config(random.Random(95 + m), m)
+        assert cfg.scale > 1
+        terms = l0_walk_terms(cfg)
+        assert sum(terms.values()) == (math.factorial(m - 1) if m > 2 else 2)
+        total = sum(t * k for t, k in terms.items())
+        assert l0_truncated_npoint(cfg) == total * cfg.scale ** (4 * m)
