@@ -250,8 +250,7 @@ def cmd_energy(s) -> int:
         series = thermal.energy_mean_scalar(int(s.model.removeprefix("scalar")), order)
     header = ["exponent_num", "exponent_den", "coeff_num", "coeff_den", "flag"]
     rows = []
-    for key in sorted(series.coeffs):
-        c = series.coeffs[key]
+    for key, c in sorted(series.coeffs.items()):
         flag = ""
         if s.model == "scalar6" and key == 4:
             flag = "omitted from the displayed expansion"

@@ -4,31 +4,41 @@ Exponents are stored doubled: the key k stands for q^(k/2), so integer
 powers use even keys and half-odd powers use odd keys.  This lets the
 Weyl-type series q^(n+1/2) coexist with ordinary q-expansions without a
 fraction type in the keys.
+
+Coefficients are integer numerators over one positive denominator: the
+coefficient at key k is num[k] / den.  The denominator is not reduced, so
+equal series may hold different (num, den) pairs.  All arithmetic stays
+on integers; `coeffs` and `[k]` build Fractions only when asked.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
+from numbers import Rational
 from typing import Dict
 
 
 class QSeries:
-    """Truncated series sum_k c_k q^(k/2), with keys in [min_exp, max_exp]."""
+    """Truncated series sum_k (num[k] / den) q^(k/2), with keys in [0, max_exp]."""
 
-    __slots__ = ("coeffs", "min_exp", "max_exp")
+    __slots__ = ("num", "den", "max_exp")
 
-    def __init__(self, coeffs: Dict[int, Fraction], max_exp: int, min_exp: int = 0):
-        self.min_exp = min_exp
+    def __init__(self, num: Dict[int, int], den: int, max_exp: int):
+        if den <= 0:
+            raise ValueError("need a positive denominator")
+        self.num: Dict[int, int] = {k: n for k, n in num.items() if n and 0 <= k <= max_exp}
+        self.den = den
         self.max_exp = max_exp
-        self.coeffs: Dict[int, Fraction] = {
-            k: c if isinstance(c, Fraction) else Fraction(c)
-            for k, c in coeffs.items()
-            if c and min_exp <= k <= max_exp
-        }
+
+    @property
+    def coeffs(self) -> Dict[int, Fraction]:
+        """The nonzero coefficients as Fractions, built on each access."""
+        return {k: Fraction(n, self.den) for k, n in self.num.items()}
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs.get(k, Fraction(0))
+        return Fraction(self.num.get(k, 0), self.den)
 
     def coeff_q(self, n: Fraction) -> Fraction:
         """Coefficient of q^n for half-integer n."""
@@ -37,21 +47,15 @@ class QSeries:
             raise ValueError("exponent must be a half-integer")
         return self[int(k)]
 
-    def is_integral(self) -> bool:
-        """True iff only integer powers of q appear."""
-        return all(k % 2 == 0 for k in self.coeffs)
-
     def _merge(self, other: "QSeries", sign: int) -> "QSeries":
         max_exp = min(self.max_exp, other.max_exp)
-        min_exp = max(self.min_exp, other.min_exp)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0) + (c if sign > 0 else -c)
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return QSeries(out, max_exp, min_exp)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = {k: n * fa for k, n in self.num.items() if k <= max_exp}
+        for k, n in other.num.items():
+            if k <= max_exp:
+                out[k] = out.get(k, 0) + n * fb
+        return QSeries(out, den, max_exp)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         return self._merge(other, 1)
@@ -60,25 +64,15 @@ class QSeries:
         return self._merge(other, -1)
 
     def __neg__(self) -> "QSeries":
-        return QSeries({k: -c for k, c in self.coeffs.items()}, self.max_exp, self.min_exp)
+        return QSeries({k: -n for k, n in self.num.items()}, self.den, self.max_exp)
 
     def __mul__(self, other):
-        if isinstance(other, QSeries):
-            max_exp = min(self.max_exp, other.max_exp)
-            out: Dict[int, Fraction] = {}
-            for k1, c1 in self.coeffs.items():
-                for k2, c2 in other.coeffs.items():
-                    k = k1 + k2
-                    if k > max_exp:
-                        continue
-                    s = out.get(k, Fraction(0)) + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            return QSeries(out, max_exp)
+        """Scale by an int or Fraction."""
+        if not isinstance(other, Rational):
+            return NotImplemented
+        a = other.numerator
         return QSeries(
-            {k: c * other for k, c in self.coeffs.items()}, self.max_exp, self.min_exp
+            {k: n * a for k, n in self.num.items()}, self.den * other.denominator, self.max_exp
         )
 
     __rmul__ = __mul__
@@ -87,15 +81,13 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         max_exp = min(self.max_exp, other.max_exp)
-        a = {k: c for k, c in self.coeffs.items() if k <= max_exp}
-        b = {k: c for k, c in other.coeffs.items() if k <= max_exp}
+        a = {k: n * other.den for k, n in self.num.items() if k <= max_exp}
+        b = {k: n * self.den for k, n in other.num.items() if k <= max_exp}
         return a == b
 
-    def __hash__(self):
-        raise TypeError("QSeries is unhashable")
-
     def truncate(self, max_exp: int) -> "QSeries":
-        return QSeries(self.coeffs, max_exp, self.min_exp)
+        """The series to key max_exp; a truncation never widens the window."""
+        return QSeries(self.num, self.den, min(max_exp, self.max_exp))
 
     def halfperiod_substitute(self) -> "QSeries":
         """Apply q -> -q^(1/2) exactly.
@@ -103,31 +95,31 @@ class QSeries:
         Requires an integer-exponent input; the image of q^n is
         (-1)^n q^(n/2), so doubled keys 2n map to keys n.
         """
-        if not self.is_integral():
+        if any(k % 2 for k in self.num):
             raise ValueError("q -> -q^(1/2) needs an integer-exponent series")
-        out = {}
-        for k, c in self.coeffs.items():
-            n = k // 2
-            out[n] = c if n % 2 == 0 else -c
-        return QSeries(out, self.max_exp // 2, self.min_exp // 2)
+        out = {k // 2: -n if k % 4 else n for k, n in self.num.items()}
+        return QSeries(out, self.den, self.max_exp // 2)
 
     def eval(self, tau: complex) -> tuple[complex, float]:
         """Numeric value at q = exp(2*pi*i*tau), with a truncation bound.
 
         Returns (value, bound) where bound estimates the magnitude of the
-        omitted tail as |last kept scale| * r / (1 - r) with r = |q^(1/2)|.
+        omitted tail as (largest |coefficient| in the window) * r^(max_exp+1)
+        / (1 - r) with r = |q^(1/2)|.  Each num[k] / den is one correctly
+        rounded integer division, the same float as float(Fraction).
         """
         if tau.imag <= 0:
             raise ValueError("need Im tau > 0")
         qh = cmath.exp(1j * cmath.pi * tau)  # q^(1/2)
         r = abs(qh)
+        num, den = self.num, self.den
         total = 0j
-        for k in sorted(self.coeffs):
-            total += complex(self.coeffs[k]) * qh**k
+        for k in sorted(num):
+            total += (num[k] / den) * qh**k
         # tail estimate: coefficients of the series used here grow at most
-        # polynomially, so a geometric majorant anchored at the window edge
-        # is a safe order-of-magnitude bound
-        edge = max((abs(complex(c)) for c in self.coeffs.values()), default=1.0)
+        # polynomially, so a geometric majorant scaled by the largest kept
+        # coefficient is a safe order-of-magnitude bound
+        edge = max(map(abs, num.values()), default=den) / den
         bound = edge * r ** (self.max_exp + 1) / (1 - r) if r < 1 else float("inf")
         return total, bound
 
@@ -139,15 +131,24 @@ class QSeries:
 def lambert_series(const, terms, sign: int, max_exp: int) -> QSeries:
     """const + sum w q^(n2/2) / (1 - sign q^(n2/2)) over the pairs (n2, w).
 
-    n2 is the doubled exponent of a term's leading power and w an integer
-    weight.  The coefficients are summed as integers over the window (w at
-    key n2, sign*w at 2*n2, ...).
+    n2 is the doubled exponent of a term's leading power, w an integer
+    weight and sign +1 or -1; const is an int or Fraction.  The coefficients are summed as
+    integers over the window (w at key n2, sign*w at 2*n2, ...) and put
+    over const's denominator.
     """
-    acc: Dict[int, int] = {}
+    acc = [0] * (max(max_exp, 0) + 1)
     for n2, w in terms:
         if n2 <= 0:
             raise ValueError("need a positive leading exponent")
-        for k in range(n2, max_exp + 1, n2):
-            acc[k] = acc.get(k, 0) + w
-            w *= sign
-    return QSeries({**acc, 0: const}, max_exp)
+        if sign > 0:
+            for k in range(n2, max_exp + 1, n2):
+                acc[k] += w
+        else:  # w at the odd multiples of n2, -w at the even ones
+            for k in range(n2, max_exp + 1, 2 * n2):
+                acc[k] += w
+            for k in range(2 * n2, max_exp + 1, 2 * n2):
+                acc[k] -= w
+    den = const.denominator
+    acc[0] = const.numerator
+    acc[1:] = [c * den for c in acc[1:]]
+    return QSeries(dict(enumerate(acc)), den, max_exp)

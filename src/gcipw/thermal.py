@@ -118,9 +118,8 @@ def weyl_modular_combination(order2: int, as_printed: bool = False) -> QSeries:
     reproducing the displayed (internally inconsistent) variant; see the
     module docstring.
     """
-    order = order2  # the substituted series needs integer order = order2
-    g4 = eisenstein_G(2, order)
-    g2 = eisenstein_G(1, order)
+    g4 = eisenstein_G(2, order2)  # to q^order2, so that G((tau+1)/2) reaches key order2
+    g2 = eisenstein_G(1, order2)
     g4_half = g4.halfperiod_substitute()
     g2_half = g2.halfperiod_substitute()
     combo = (

@@ -1,6 +1,7 @@
 """Exact-arithmetic substrate tests: ring/field axioms, normalized
 rational functions, v-graded series, chiral expansion and q-series."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -507,18 +508,45 @@ class TestExpandToChiral:
                 assert fg[(i, j)] == product.coeff((i, j))
 
 
+def ref_qseries(coeffs, max_exp):
+    """A plain {key: Fraction} reference, kept to the window with no zeros."""
+    return {k: F(c) for k, c in coeffs.items() if c and 0 <= k <= max_exp}
+
+
+def to_qseries(coeffs, max_exp, scale=1):
+    """The reference as a QSeries over its least common denominator times
+    `scale`, so scale > 1 gives an unreduced denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs.values())) * scale
+    return QSeries({k: int(c * den) for k, c in coeffs.items()}, den, max_exp)
+
+
+def assert_matches(series, coeffs, max_exp):
+    """The integer form holds exactly the reference: positive den, nonzero
+    integer numerators, the same Fractions and window."""
+    assert type(series.den) is int and series.den > 0
+    assert all(type(n) is int and n for n in series.num.values())
+    assert series.coeffs == coeffs and series.max_exp == max_exp
+
+
+qseries_refs = st.tuples(
+    st.dictionaries(st.integers(0, 14), st.builds(F, st.integers(-9, 9), st.integers(1, 12))),
+    st.integers(0, 14),
+    st.integers(1, 4),
+)
+
+
 class TestQSeries:
     def test_halfperiod_examples(self):
-        q = QSeries({2: F(1)}, 20)
+        q = QSeries({2: 1}, 1, 20)
         assert q.halfperiod_substitute().coeffs == {1: F(-1)}
-        const = QSeries({0: F(5)}, 20)
+        const = QSeries({0: 5}, 1, 20)
         assert const.halfperiod_substitute().coeffs == {0: F(5)}
-        q2 = QSeries({4: F(1)}, 20)
+        q2 = QSeries({4: 1}, 1, 20)
         assert q2.halfperiod_substitute().coeffs == {2: F(1)}
 
     def test_halfperiod_rejects_half_integers(self):
         with pytest.raises(ValueError):
-            QSeries({1: F(1)}, 10).halfperiod_substitute()
+            QSeries({1: 1}, 1, 10).halfperiod_substitute()
 
     def test_geometric_block(self):
         g = lambert_series(0, [(2, 1)], 1, 8)
@@ -527,7 +555,7 @@ class TestQSeries:
         assert h.coeffs == {3: F(1), 6: F(-1), 9: F(1), 12: F(-1)}
 
     def test_eval_constant(self):
-        val, bound = QSeries({0: F(1, 3)}, 10).eval(1.5j)
+        val, bound = QSeries({0: 1}, 3, 10).eval(1.5j)
         assert abs(val - 1 / 3) < 1e-15
 
     def test_eval_geometric_closed_form(self):
@@ -538,3 +566,111 @@ class TestQSeries:
         series = lambert_series(0, [(2, 1)], 1, 80)  # q/(1-q)
         val, bound = series.eval(tau)
         assert abs(val - q / (1 - q)) <= max(bound, 1e-15)
+
+    def test_rejects_a_nonpositive_denominator(self):
+        for den in (0, -3):
+            with pytest.raises(ValueError):
+                QSeries({2: 1}, den, 10)
+
+
+class TestQSeriesIntegerForm:
+    """Every QSeries operation against a plain {key: Fraction} reference."""
+
+    @settings(max_examples=60)
+    @given(qseries_refs, qseries_refs)
+    def test_add_and_sub(self, a, b):
+        (ca, ma, sa), (cb, mb, sb) = a, b
+        x, y = to_qseries(ca, ma, sa), to_qseries(cb, mb, sb)
+        window = min(ma, mb)
+        for sign, got in ((1, x + y), (-1, x - y)):
+            want = {k: ca.get(k, 0) + sign * cb.get(k, 0) for k in {*ca, *cb}}
+            assert_matches(got, ref_qseries(want, window), window)
+
+    @settings(max_examples=40)
+    @given(qseries_refs, st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
+    def test_negation_and_scaling(self, a, scalar):
+        coeffs, max_exp, scale = a
+        x = to_qseries(coeffs, max_exp, scale)
+        assert_matches(-x, ref_qseries({k: -c for k, c in coeffs.items()}, max_exp), max_exp)
+        want = ref_qseries({k: c * scalar for k, c in coeffs.items()}, max_exp)
+        assert_matches(x * scalar, want, max_exp)
+        assert_matches(scalar * x, want, max_exp)
+        assert_matches(x * 3, ref_qseries({k: 3 * c for k, c in coeffs.items()}, max_exp), max_exp)
+
+    @settings(max_examples=40)
+    @given(qseries_refs, st.integers(0, 14))
+    def test_truncate(self, a, window):
+        coeffs, max_exp, scale = a
+        got = to_qseries(coeffs, max_exp, scale).truncate(window)
+        kept = min(window, max_exp)
+        assert_matches(got, ref_qseries(coeffs, kept), kept)
+
+    @settings(max_examples=40)
+    @given(qseries_refs)
+    def test_halfperiod_substitute(self, a):
+        coeffs, max_exp, scale = a
+        x = to_qseries(coeffs, max_exp, scale)
+        kept = ref_qseries(coeffs, max_exp)
+        if any(k % 2 for k in kept):
+            with pytest.raises(ValueError):
+                x.halfperiod_substitute()
+            return
+        want = {k // 2: c * (-1) ** (k // 2) for k, c in kept.items()}
+        assert_matches(x.halfperiod_substitute(), want, max_exp // 2)
+
+    @settings(max_examples=40)
+    @given(qseries_refs, st.integers(1, 4))
+    def test_equality_across_denominators(self, a, other_scale):
+        coeffs, max_exp, scale = a
+        x, y = to_qseries(coeffs, max_exp, scale), to_qseries(coeffs, max_exp, other_scale)
+        assert x == y and not x != y
+        assert x.coeffs == y.coeffs
+        bumped = dict(coeffs)
+        bumped[max_exp] = bumped.get(max_exp, 0) + F(1, 7)
+        assert x != to_qseries(bumped, max_exp, other_scale)
+        # keys past the shorter window do not count
+        assert x == to_qseries({**coeffs, max_exp + 1: F(5)}, max_exp + 1, other_scale)
+
+    def test_unreduced_and_reduced_denominators(self):
+        half = QSeries({2: 3, 4: -6}, 6, 10)  # (q - 2 q^2) / 2, over 6
+        assert half.den == 6 and half == QSeries({2: 1, 4: -2}, 2, 10)
+        assert half.coeffs == {2: F(1, 2), 4: F(-1)} and half[2] == F(1, 2)
+        assert half[3] == 0 and half.coeff_q(2) == -1
+        assert half != QSeries({2: 1, 4: -2}, 3, 10)
+
+    def test_sums_that_cancel_to_zero(self):
+        x = QSeries({0: 1, 3: -5, 8: 7}, 12, 10)
+        y = QSeries({0: 2, 3: -10, 8: 14}, 24, 10)
+        for zero in (x - y, x + -y, -x + y, x * 0, x * F(0)):
+            assert_matches(zero, {}, 10)
+            assert zero == QSeries({}, 1, 10)
+            assert zero.eval(0.5j)[0] == 0
+
+    def test_mixed_denominators(self):
+        x = QSeries({2: 1, 4: 1}, 6, 10)  # 1/6, 1/6
+        y = QSeries({2: 1, 6: 1}, 10, 8)  # 1/10, 1/10
+        total = x + y
+        assert total.den == 30 and total.max_exp == 8
+        assert total.coeffs == {2: F(4, 15), 4: F(1, 6), 6: F(1, 10)}
+        assert (x - y).coeffs == {2: F(1, 15), 4: F(1, 6), 6: F(-1, 10)}
+
+    def test_rejects_a_float_scalar(self):
+        with pytest.raises(TypeError):
+            QSeries({2: 1}, 1, 10) * 0.5
+
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.tuples(st.integers(1, 7), st.integers(-20, 20)), max_size=5),
+        st.sampled_from([1, -1]),
+        st.builds(F, st.integers(-9, 9), st.integers(1, 12)),
+        st.integers(0, 30),
+    )
+    def test_lambert_series(self, terms, sign, const, max_exp):
+        want = {0: const}
+        for n2, w in terms:
+            for k in range(n2, max_exp + 1, n2):
+                want[k] = want.get(k, 0) + w
+                w *= sign
+        got = lambert_series(const, terms, sign, max_exp)
+        assert_matches(got, ref_qseries(want, max_exp), max_exp)
+        assert got.den == const.denominator

@@ -176,6 +176,51 @@ class TestModular:
         val, _ = g2.eval(1j)
         assert abs(val - (-1 / (8 * math.pi))) < 1e-12
 
+
+def fraction_eval(series, tau):
+    """QSeries.eval term by term on Fractions: complex(c) * q^(k/2) in key
+    order, and the bound from the largest |coefficient| in the window."""
+    qh = cmath.exp(1j * cmath.pi * tau)
+    r = abs(qh)
+    coeffs = series.coeffs
+    total = 0j
+    for k in sorted(coeffs):
+        total += complex(coeffs[k]) * qh**k
+    edge = max((abs(complex(c)) for c in coeffs.values()), default=1.0)
+    return total, edge * r ** (series.max_exp + 1) / (1 - r)
+
+
+TAU = -0.41 + 0.85j
+EVAL_TAUS = [1.1j, 0.3 + 1.2j, 1.3j, TAU, -1 / TAU, TAU + 1]  # c10 points, then an S/T orbit
+
+
+class TestQSeriesEval:
+    @pytest.mark.parametrize(
+        "series",
+        [
+            eisenstein_G(1, 300),
+            eisenstein_G(2, 200),
+            eisenstein_G(3, 200),
+            energy_mean_weyl(401),
+            eisenstein_G(2, 200) * 7 * F(1, 7),  # over 1680, not the reduced 240
+        ],
+        ids=["G2", "G4", "G6", "weyl", "G4_unreduced"],
+    )
+    def test_floats_equal_the_fraction_evaluation(self, series):
+        for tau in EVAL_TAUS:
+            assert series.eval(tau) == fraction_eval(series, tau), tau
+
+    @pytest.mark.parametrize("order", [50, 200])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bound_covers_the_tail(self, k, order):
+        """The bound against the same series eight times longer, down to
+        Im tau = 0.02 where the bound is far from tight."""
+        short, long = eisenstein_G(k, order), eisenstein_G(k, 8 * order)
+        for y in (0.8, 0.2, 0.05, 0.02):
+            tau = complex(0.3, y)
+            value, bound = short.eval(tau)
+            assert abs(long.eval(tau)[0] - value) <= bound, y
+
 class TestEllipticP1:
     def test_odd(self):
         assert abs(elliptic_p1(-0.23, 1.5j, 40) + elliptic_p1(0.23, 1.5j, 40)) < 1e-12
