@@ -2,8 +2,9 @@
 truncated power series (univariate, and bivariate held by v-slices),
 half-integer q-series and quaternions.
 
-Plain `fractions.Fraction` is the rational scalar type, except in `QSeries`:
-it holds integer numerators over one denominator, making Fractions on access.
+Plain `fractions.Fraction` is the rational scalar type, except in `PSeries`
+and `QSeries`: they hold integer numerators over one denominator, making
+Fractions on access.
 """
 
 from fractions import Fraction as Rat

@@ -6,12 +6,13 @@ in u of its own length.  The partial-wave layer keeps slice j to u-degree
 order - j, the entries a total-degree truncation at `order` keeps, and
 only as many slices as the twist recursion reads.
 
-All coefficients are exact Fractions.  Only the public constructor
-`PSeries(coeffs)` coerces its input, since that is where outside values
-enter.  The operations below, and the package kernels that build fresh
-Fraction lists themselves (`chiral_slices`, `hypergeom_series` and the
-f_k numerators of `twist_extract`), wrap their results with
-`PSeries._trusted`, without re-wrapping each coefficient.
+A PSeries holds integer numerators over one positive denominator: the
+coefficient of x^k is num[k] / den.  The denominator is not reduced, so
+equal series may hold different (num, den) pairs.  Only the public
+constructor `PSeries(coeffs)` takes rationals, since that is where
+outside values enter; the package kernels build integer rows and wrap
+them with `PSeries._raw`.  Every PSeries operation returns fresh lists, and
+`coeffs` and `[k]` build Fractions only when asked.
 """
 
 from __future__ import annotations
@@ -23,82 +24,65 @@ from typing import Dict, List, Tuple
 ZERO = Fraction(0)
 
 
-class PSeries:
-    """Univariate truncated series: coeffs[k] is the coefficient of x^k."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: List[Fraction]):
-        self.coeffs = [Fraction(c) for c in coeffs]
-
-    @classmethod
-    def _trusted(cls, coeffs: List[Fraction]) -> "PSeries":
-        """Wrap `coeffs`, a fresh list of Fractions, without coercion."""
-        s = object.__new__(cls)
-        s.coeffs = coeffs
-        return s
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return ZERO
-
-    def truncate(self, order: int) -> "PSeries":
-        c = self.coeffs[: order + 1]
-        c += [ZERO] * (order + 1 - len(c))
-        return PSeries._trusted(c)
-
-    def __add__(self, other: "PSeries") -> "PSeries":
-        return PSeries._trusted([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "PSeries") -> "PSeries":
-        return PSeries._trusted([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if isinstance(other, PSeries):
-            n = min(self.order, other.order)
-            out = [ZERO] * (n + 1)
-            rhs = other.coeffs
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if not a:
-                    continue
-                for j in range(0, n + 1 - i):
-                    b = rhs[j]
-                    if b:
-                        out[i + j] += a * b
-            return PSeries._trusted(out)
-        k = Fraction(other)
-        return PSeries._trusted([c * k for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PSeries._trusted([-c for c in self.coeffs])
-
-    def shift(self, k: int) -> "PSeries":
-        """Multiply by x^k (k may be negative if low coefficients vanish)."""
-        if k >= 0:
-            return PSeries._trusted([ZERO] * k + self.coeffs)
-        if any(self.coeffs[: -k]):
-            raise ValueError("shift would drop nonzero low-order coefficients")
-        return PSeries._trusted(self.coeffs[-k:])
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __repr__(self):
-        return f"PSeries({self.coeffs!r})"
-
-
 def common_denominator(coeffs: List[Fraction]) -> Tuple[List[int], int]:
     """The integer numerators of `coeffs` over the lcm D of their
     denominators, and D."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+class PSeries:
+    """Univariate truncated series sum_k (num[k] / den) x^k."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, coeffs: List[Fraction]):
+        self.num, self.den = common_denominator([Fraction(c) for c in coeffs])
+
+    @classmethod
+    def _raw(cls, num: List[int], den: int) -> "PSeries":
+        """Wrap `num`, a fresh list of ints, over the positive int `den`."""
+        s = object.__new__(cls)
+        s.num = num
+        s.den = den
+        return s
+
+    @property
+    def coeffs(self) -> List[Fraction]:
+        """The coefficients as Fractions, built on each access."""
+        den = self.den
+        return [Fraction(n, den) for n in self.num]
+
+    @property
+    def order(self) -> int:
+        return len(self.num) - 1
+
+    def __getitem__(self, k: int) -> Fraction:
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
+        return ZERO
+
+    def truncate(self, order: int) -> "PSeries":
+        """The series to x^order, padded with zeros if it is shorter."""
+        if order < 0:
+            raise ValueError("need a truncation order >= 0")
+        num = self.num[: order + 1]
+        num += [0] * (order + 1 - len(num))
+        return PSeries._raw(num, self.den)
+
+    def shift(self, k: int) -> "PSeries":
+        """Multiply by x^k (k may be negative if low coefficients vanish)."""
+        if k >= 0:
+            return PSeries._raw([0] * k + self.num, self.den)
+        if any(self.num[:-k]):
+            raise ValueError("shift would drop nonzero low-order coefficients")
+        return PSeries._raw(self.num[-k:], self.den)
+
+    def is_zero(self) -> bool:
+        return not any(self.num)
+
+    def __repr__(self):
+        return f"PSeries({self.coeffs!r})"
 
 
 def unit_row(m: int, order: int) -> List[int]:
@@ -134,6 +118,13 @@ class Series2:
             if c
         }
 
+    def rows(self) -> Tuple[List[List[int]], int]:
+        """The slices' numerators over their common denominator D, and D; a
+        slice already over D gives its own list, which callers must not change."""
+        den = math.lcm(*(sl.den for sl in self.slices))
+        scale = lambda sl: sl.num if sl.den == den else [n * (den // sl.den) for n in sl.num]
+        return [scale(sl) for sl in self.slices], den
+
     def is_zero(self) -> bool:
         return all(sl.is_zero() for sl in self.slices)
 
@@ -145,12 +136,17 @@ def div_u_minus_v(num: Series2) -> Series2:
     """The exact quotient of a v-graded series by (u - v).
 
     (u - v) f = num reads f_j = (num_j + f_{j-1}) / u slice by slice, so
-    quotient slice j is one u-degree shorter than slice j of num.  Each
-    division by u must leave no remainder (PSeries.shift raises ValueError
-    otherwise), which makes (u - v) f = num hold exactly on every retained
-    slice.
+    quotient slice j is one u-degree shorter than slice j of num.  The
+    slices are integer rows over the common denominator of num's slices,
+    and each division by u must leave no remainder (ValueError otherwise),
+    which makes (u - v) f = num hold exactly on every retained slice.
     """
-    out: List[PSeries] = []
-    for nj in num.slices:
-        out.append((nj + out[-1] if out else nj).shift(-1))
-    return Series2(out)
+    rows, den = num.rows()
+    out: List[List[int]] = []
+    for j, row in enumerate(rows):
+        if out:
+            row = [a + b for a, b in zip(row, out[-1])]
+        if row and row[0]:
+            raise ValueError(f"slice v^{j} leaves a remainder on division by u")
+        out.append(row[1:])
+    return Series2([PSeries._raw(row, den) for row in out])

@@ -43,8 +43,8 @@ def pochhammer(a: int, n: int) -> Fraction:
     return out
 
 
-# the coefficients of F(a, b; c; x) per (a, b, c), to the longest order asked for
-_GAUSS: Dict[Tuple[int, int, int], Tuple[Fraction, ...]] = {}
+# F(a, b; c; x) per (a, b, c): an integer row and its denominator
+_GAUSS: Dict[Tuple[int, int, int], Tuple[List[int], int]] = {}
 
 
 def hypergeom_series(a: int, b: int, c: int, order: int) -> PSeries:
@@ -53,27 +53,29 @@ def hypergeom_series(a: int, b: int, c: int, order: int) -> PSeries:
 
     Terminating numerators take precedence (so F(0, 0; 0; x) = 1); a
     nonpositive integer c that is hit before the numerator terminates is
-    a pole in the parameters.  Each (a, b, c) is computed once and
-    extended from its last stored term when a longer order is asked for;
-    a stored zero term means the numerator has terminated the series.
+    a pole in the parameters.  Each (a, b, c) is stored once, as integer
+    numerators over the lcm of its terms' denominators.  A longer order
+    extends it from its last stored term and puts the whole row over the
+    new lcm, so the stored row is the one a fresh build would give; a
+    stored zero term means the numerator has terminated the series.
     """
     key = (a, b, c)
-    coeffs = _GAUSS.get(key, (Fraction(1),))
-    if len(coeffs) <= order:
-        out = list(coeffs)
-        term = out[-1]
-        for n in range(len(out) - 1, order):
+    row, den = _GAUSS.get(key, ([1], 1))
+    if len(row) <= order:
+        terms = [Fraction(x, den) for x in row]
+        term = terms[-1]
+        for n in range(len(row) - 1, order):
             num = (a + n) * (b + n)
             if not term or num == 0:
-                out.extend([ZERO] * (order - n))
+                terms.extend([ZERO] * (order - n))
                 break
-            den = (n + 1) * (c + n)
-            if den == 0:
+            d = (n + 1) * (c + n)
+            if d == 0:
                 raise PoleInParameters(f"F({a},{b};{c};x) has a parameter pole at n={n + 1}")
-            term = Fraction(term.numerator * num, term.denominator * den)
-            out.append(term)
-        coeffs = _GAUSS[key] = tuple(out)
-    return PSeries._trusted(list(coeffs[: order + 1]))
+            term = Fraction(term.numerator * num, term.denominator * d)
+            terms.append(term)
+        row, den = _GAUSS[key] = common_denominator(terms)
+    return PSeries._raw(list(row[: order + 1]), den)
 
 
 def lhs_series(p: PWParams, order: int, depth: int) -> Series2:
@@ -106,39 +108,35 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
 
     The remainder after removing the first k-1 sectors must vanish below
     v^(k-1); its v^(k-1) slice, divided by u^(k-1), is the boundary value
-    f_k(0, 1-u).  The retained slices of f_k follow from
-    (u - v) f_k = g_k(u) F(v) - F(u) g_k(v), F = F(k-1, k-1; 2k-2; x),
-    whose right side is formed from the integer numerators of g_k and F
-    over their common denominators, one Fraction per entry.
+    f_k(0, 1-u), and g_k = u f_k(0, 1-u).  The retained slices of f_k
+    follow from (u - v) f_k = g_k(u) F(v) - F(u) g_k(v),
+    F = F(k-1, k-1; 2k-2; x).  The remainder is held as integer rows over
+    one running denominator R: g_k and the boundary are over R, the
+    numerator, its (u - v) quotient and the updated remainder over R dF,
+    with dF the denominator of F's integer row.
     """
     if order < 2 * max_twist + 4:
         raise ValueError("series order too small for the requested twist depth")
     tower = TwistTower(p, order, max_twist)
-    remainder = lhs_series(p, order, max_twist).slices
+    remainder, den = lhs_series(p, order, max_twist).rows()
     for k in range(1, max_twist + 1):
         for j in range(k - 1):
-            if not remainder[j].is_zero():
+            if any(remainder[j]):
                 raise InconsistentExpansion(
                     f"remainder has a nonzero v^{j} slice at twist step {k}"
                 )
-        try:
-            phi = remainder[k - 1].shift(-(k - 1))
-        except ValueError as err:
-            raise InconsistentExpansion(
-                f"v^{k - 1} slice not divisible by u^{k - 1}"
-            ) from err
-        work = order - 2 * k + 3
-        g_k = phi.shift(1).truncate(work)
-        if g_k[0] != 0:
-            raise InconsistentExpansion(f"g_{k}(0) != 0")
-        F, dF = common_denominator(hypergeom_series(k - 1, k - 1, 2 * k - 2, work).coeffs)
-        G, dG = common_denominator(g_k.coeffs)
-        D = dF * dG
+        low = remainder[k - 1]
+        if any(low[: k - 1]):
+            raise InconsistentExpansion(f"v^{k - 1} slice not divisible by u^{k - 1}")
+        phi = low[k - 1 :]
+        G = [0, *phi]
+        work = order - 2 * k + 3  # the degree of g_k
+        hyp = hypergeom_series(k - 1, k - 1, 2 * k - 2, work)
+        F, dF = hyp.num, hyp.den
+        D = den * dF
         numerator = Series2(
             [
-                PSeries._trusted(
-                    [Fraction(G[n] * F[i] - F[n] * G[i], D) for n in range(work - i + 1)]
-                )
+                PSeries._raw([G[n] * F[i] - F[n] * G[i] for n in range(work - i + 1)], D)
                 for i in range(max_twist - k + 1)
             ]
         )
@@ -146,11 +144,12 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
             f_k = div_u_minus_v(numerator)
         except ValueError as err:
             raise InconsistentExpansion(f"(u - v) does not divide the f_{k} numerator") from err
-        tower.g[k] = g_k
-        tower.boundary[k] = phi
+        tower.g[k] = PSeries._raw(G, den)
+        tower.boundary[k] = PSeries._raw(phi, den)
         tower.f[k] = f_k
-        for j, sl in enumerate(f_k.slices):
-            remainder[j + k - 1] = remainder[j + k - 1] - sl.shift(k - 1)
+        for m, sl in enumerate(f_k.slices, k - 1):  # s^(k-1) f_k: slice j at v^(j+k-1)
+            remainder[m] = [x * dF - y for x, y in zip(remainder[m], [0] * (k - 1) + sl.num)]
+        den = D
     return tower
 
 
@@ -205,18 +204,21 @@ def solve_structure_constants(g: PSeries, kappa: int, max_spin: int) -> List[Fra
     """Solve g(u) = u sum_l B_l u^(2l) F(2l+k, 2l+k; 4l+2k; u) for B_l.
 
     One in-place forward substitution over ascending powers of g/u, held
-    as integer numerators over a common denominator D: the power 2l reads
-    B_l and subtracts B_l u^(2l) F from the powers above it, D becoming
-    the lcm of D and the denominator of B_l F.  The odd powers carry no
-    new unknowns and must be reproduced exactly.
+    as integer numerators over a common denominator D (g's own row to
+    start): the power 2l reads B_l and subtracts B_l u^(2l) F from the
+    powers above it, F read as the stored integer row of
+    `hypergeom_series` over its denominator e, D becoming the lcm of D and
+    the denominator of B_l / e.  The odd powers carry no new unknowns and
+    must be reproduced exactly.
     """
     if g.order < 2 * max_spin + 1:
         raise ValueError("series too short for the requested spin range")
-    num, den = common_denominator(g.shift(-1).coeffs[: 2 * max_spin + 2])
+    h = g.shift(-1).truncate(2 * max_spin + 1)
+    num, den = h.num, h.den
     top = len(num) - 1
     out: List[Fraction] = []
     for power in range(top + 1):
-        val = Fraction(num[power], den)
+        val = Fraction(num[power], den) if num[power] else ZERO
         if power % 2:
             if val:
                 raise InconsistentExpansion(
@@ -226,7 +228,8 @@ def solve_structure_constants(g: PSeries, kappa: int, max_spin: int) -> List[Fra
         out.append(val)
         if val:
             a = power + kappa
-            F, e = common_denominator(hypergeom_series(a, a, 2 * a, top - power).coeffs)
+            hyp = hypergeom_series(a, a, 2 * a, top - power)
+            F, e = hyp.num, hyp.den
             step = val.denominator * e
             new = math.lcm(den, step)
             up, scaled = new // den, val.numerator * (new // step)
@@ -237,25 +240,22 @@ def solve_structure_constants(g: PSeries, kappa: int, max_spin: int) -> List[Fra
 
 
 def closed_form_B(kappa: int, ell: int, p: PWParams) -> Fraction:
-    """Closed-form structure constants for twists 2, 4, 6."""
+    """Closed-form structure constants for twists 2, 4, 6: each an integer
+    linear form in the parameters' numerators over their lcm D, divided by
+    D times the binomial in one Fraction."""
     if ell < 0:
         raise ValueError("need ell >= 0")
-    a0, a1, a2, b, c = p.a0, p.a1, p.a2, p.b, p.c
+    (a0, a1, a2, b, c), D = common_denominator([p.a0, p.a1, p.a2, p.b, p.c])
     if kappa == 1:
-        return (
-            2 * a0 + 2 * ell * (2 * ell + 1) * (2 * a1 + (2 * ell - 1) * (ell + 1) * a2)
-        ) / Fraction(math.comb(4 * ell, 2 * ell))
+        n = 2 * a0 + 2 * ell * (2 * ell + 1) * (2 * a1 + (2 * ell - 1) * (ell + 1) * a2)
+        return Fraction(n, D * math.comb(4 * ell, 2 * ell))
     if kappa == 2:
-        return (
-            ell * (2 * ell + 3) * ((ell + 1) * (2 * ell + 1) * a1 + 2 * b) + c
-        ) / Fraction(math.comb(4 * ell + 1, 2 * ell))
+        n = ell * (2 * ell + 3) * ((ell + 1) * (2 * ell + 1) * a1 + 2 * b) + c
+        return Fraction(n, D * math.comb(4 * ell + 1, 2 * ell))
     if kappa == 3:
-        return (
-            (ell + 1)
-            * (2 * ell + 3)
-            * ((ell + 2) * (2 * ell + 1) * (2 * a0 + a1) - 6 * b + 4 * c)
-            - c
-        ) / Fraction(2 * math.comb(4 * ell + 3, 2 * ell + 1))
+        n = (ell + 1) * (2 * ell + 3) * ((ell + 2) * (2 * ell + 1) * (2 * a0 + a1) - 6 * b + 4 * c)
+        n -= c
+        return Fraction(n, 2 * D * math.comb(4 * ell + 3, 2 * ell + 1))
     raise ValueError("closed forms exist only for kappa in {1, 2, 3}")
 
 

@@ -348,23 +348,6 @@ class TestPSeries:
         assert s.coeffs == [1, F(1, 2), 0]
         assert all(type(c) is F for c in s.coeffs)
 
-    def test_add_sub_truncate_to_the_shorter(self):
-        a = PSeries([1, 2, 3, 4])
-        b = PSeries([F(1, 2), F(1, 3)])
-        assert (a + b).coeffs == [F(3, 2), F(7, 3)]
-        assert (b - a).coeffs == [F(-1, 2), F(-5, 3)]
-        assert (a * b).coeffs == [F(1, 2), F(4, 3)]
-
-    def test_scalar_products(self):
-        s = PSeries([1, F(-2, 3)])
-        for got in (s * 3, 3 * s, s * F(3), F(3) * s):
-            assert got.coeffs == [3, -2]
-            assert all(type(c) is F for c in got.coeffs)
-        assert (s * F(3, 4)).coeffs == [F(3, 4), F(-1, 2)]
-        # a scalar from outside is coerced like the public constructor's input
-        assert all(type(c) is F for c in (s * 0.5).coeffs)
-        assert (-s).coeffs == [-1, F(2, 3)]
-
     def test_shift(self):
         s = PSeries([0, 0, 5])
         assert s.shift(2).coeffs == [0, 0, 0, 0, 5]
@@ -376,9 +359,94 @@ class TestPSeries:
 
     def test_results_do_not_share_lists(self):
         s = PSeries([0, 1, 2])
-        for t in (s.truncate(5), s.shift(0), s.shift(-1), s * 1, s + PSeries([0] * 3)):
-            t.coeffs[-1] = F(9)
+        for t in (s.truncate(5), s.truncate(1), s.shift(0), s.shift(2), s.shift(-1)):
+            t.num[-1] = 9
+            t.coeffs[0] = F(7)
         assert s.coeffs == [0, 1, 2]
+
+
+def ref_pseries(coeffs, length):
+    """A plain {k: Fraction} reference, kept to x^(length-1) with no zeros."""
+    return {k: F(c) for k, c in coeffs.items() if c and 0 <= k < length}
+
+
+def to_pseries(coeffs, length, scale=1):
+    """The reference as a PSeries over its least common denominator times
+    `scale`, so scale > 1 gives an unreduced denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs.values())) * scale
+    return PSeries._raw([int(coeffs.get(k, 0) * den) for k in range(length)], den)
+
+
+def assert_pseries(series, coeffs, length):
+    """The integer form holds exactly the reference: a positive int den,
+    int numerators, and Fractions on `coeffs` and `[k]`."""
+    assert type(series.den) is int and series.den > 0
+    assert all(type(n) is int for n in series.num)
+    assert len(series.coeffs) == length and series.order == length - 1
+    assert all(type(c) is F for c in series.coeffs)
+    assert {k: c for k, c in enumerate(series.coeffs) if c} == coeffs
+    for k in range(-2, length + 2):
+        assert type(series[k]) is F and series[k] == coeffs.get(k, 0)
+
+
+pseries_refs = st.tuples(
+    st.dictionaries(st.integers(0, 9), st.builds(F, st.integers(-9, 9), st.integers(1, 12))),
+    st.integers(1, 10),
+    st.integers(1, 4),
+)
+
+
+class TestPSeriesIntegerForm:
+    """Every PSeries operation against a plain {k: Fraction} reference."""
+
+    @settings(max_examples=40)
+    @given(pseries_refs)
+    def test_constructor_and_access(self, a):
+        coeffs, length, scale = a
+        want = ref_pseries(coeffs, length)
+        assert_pseries(to_pseries(coeffs, length, scale), want, length)
+        public = PSeries([coeffs.get(k, 0) for k in range(length)])
+        assert_pseries(public, want, length)
+        assert public.den == math.lcm(*(c.denominator for c in want.values()))
+        assert public.is_zero() == (not want)
+
+    @settings(max_examples=40)
+    @given(pseries_refs, st.integers(-4, 4))
+    def test_shift(self, a, k):
+        coeffs, length, scale = a
+        x = to_pseries(coeffs, length, scale)
+        kept = ref_pseries(coeffs, length)
+        if k < 0 and any(i < -k for i in kept):
+            with pytest.raises(ValueError):
+                x.shift(k)
+            return
+        assert_pseries(x.shift(k), {i + k: c for i, c in kept.items()}, max(length + k, 0))
+
+    @settings(max_examples=40)
+    @given(pseries_refs, st.integers(-2, 12))
+    def test_truncate(self, a, order):
+        coeffs, length, scale = a
+        x = to_pseries(coeffs, length, scale)
+        if order < 0:
+            with pytest.raises(ValueError):
+                x.truncate(order)
+            return
+        assert_pseries(x.truncate(order), ref_pseries(coeffs, min(length, order + 1)), order + 1)
+
+    def test_unreduced_denominator(self):
+        half = PSeries._raw([3, -6, 0, 2], 6)  # 1/2 - x + x^3/3, over 6
+        assert half.coeffs == [F(1, 2), F(-1), F(0), F(1, 3)] and half[0] == F(1, 2)
+        assert half[4] == 0 and half[-1] == 0 and type(half[4]) is F
+        assert PSeries([F(1, 2), -1, 0, F(1, 3)]).den == 6
+        assert PSeries._raw([0, 0], 35).is_zero()
+        assert PSeries._raw([0, 0], 35).coeffs == [0, 0]
+
+    def test_series2_rows_over_mixed_denominators(self):
+        g = Series2([PSeries._raw([1, 2], 6), PSeries._raw([3], 10), PSeries._raw([], 1)])
+        rows, den = g.rows()
+        assert den == 30 and rows == [[5, 10], [9], []]
+        assert g.coeffs == {(0, 0): F(1, 6), (1, 0): F(1, 3), (0, 1): F(3, 10)}
+        assert g[(1, 0)] == F(1, 3) and g[(0, 5)] == 0
 
 
 def graded(p, order, depth):
@@ -412,6 +480,42 @@ class TestSeries2:
         u, v = MPoly.variables(2)
         with pytest.raises(ValueError):
             div_u_minus_v(graded(u + v, 6, 3))
+
+    @settings(max_examples=40)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 6), st.integers(0, 4)),
+            st.builds(F, st.integers(-9, 9), st.integers(1, 12)),
+        ),
+        st.lists(st.integers(1, 4), min_size=5, max_size=5),
+    )
+    def test_div_matches_a_fraction_reference(self, f, scales):
+        # num = (u - v) f on Fraction dicts, each slice over its own
+        # unreduced denominator; the quotient recovers f on every kept entry
+        order, depth = 7, 5
+        num = {}
+        for (i, j), c in f.items():
+            num[(i + 1, j)] = num.get((i + 1, j), 0) + c
+            num[(i, j + 1)] = num.get((i, j + 1), 0) - c
+        slices = [
+            to_pseries({i: c for (i, jj), c in num.items() if jj == j}, order - j + 1, scale)
+            for j, scale in zip(range(depth), scales)
+        ]
+        got = div_u_minus_v(Series2(slices))
+        for j, sl in enumerate(got.slices):
+            want = {i: c for (i, jj), c in f.items() if jj == j and c and i < order - j}
+            assert_pseries(sl, want, order - j)
+        assert len({sl.den for sl in got.slices}) == 1
+
+    def test_div_cancels_to_zero(self):
+        zero = Series2([PSeries._raw([0, 0, 0], 7), PSeries._raw([0, 0], 3)])
+        got = div_u_minus_v(zero)
+        assert got.is_zero() and [sl.coeffs for sl in got.slices] == [[0, 0], [0]]
+        # u/2 - v/2 over the denominators 2 and 6 divides to 1/2
+        half = Series2([PSeries._raw([0, 1, 0], 2), PSeries._raw([-3, 0], 6)])
+        assert [sl.coeffs for sl in div_u_minus_v(half).slices] == [[F(1, 2), 0], [0]]
+        with pytest.raises(ValueError):
+            div_u_minus_v(Series2([PSeries._raw([0, 1, 0], 2), PSeries._raw([-1, 0], 6)]))
 
 
 class TestSymmetricReduce:

@@ -3,10 +3,12 @@ structure constants, positivity and the OPE kernel coefficients."""
 
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction as F
 
 import pytest
 
+from gcipw import partialwave
 from gcipw.exact import MPoly, PSeries, RatFn, unit_row
 from gcipw.fourpoint import PWParams, assemble_P4, basis_j_small
 from gcipw.partialwave import (
@@ -53,14 +55,14 @@ class TestHypergeom:
         want = list(first.coeffs)
         tower = twist_extract(PWParams(a0=1, a2=F(1, 3)), 3, 2 * 6 + 2 * 3 + 8)
         sol = solve_structure_constants(tower.g[3], 3, 6)
-        first.coeffs[3] = F(-7)
-        first.coeffs.append(F(1))
+        first.num[3] = -7
+        first.num.append(1)
         assert hypergeom_series(5, 5, 10, 12).coeffs == want
         assert hypergeom_series(5, 5, 10, 6).coeffs == want[:7]
         assert solve_structure_constants(tower.g[3], 3, 6) == sol
         for ell in range(7):
             f = hypergeom_series(2 * ell + 3, 2 * ell + 3, 4 * ell + 6, 20)
-            f.coeffs[:] = [F(0)] * len(f.coeffs)
+            f.num[:] = [0] * len(f.num)
         assert solve_structure_constants(tower.g[3], 3, 6) == sol
 
     def test_extension_matches_a_fresh_series(self):
@@ -76,6 +78,22 @@ class TestHypergeom:
         assert hypergeom_series(-2, 3, 1, 1).coeffs == [1, -6]
         assert hypergeom_series(-2, 3, 1, 4).coeffs == [1, -6, 6, 0, 0]
         assert hypergeom_series(-2, 3, 1, 9).coeffs == [1, -6, 6] + [0] * 7
+
+    @pytest.mark.parametrize("abc", [(7, 4, 9), (5, 5, 10), (0, 0, 0), (-2, 3, 1), (1, 1, 2)])
+    def test_short_then_long_is_a_fresh_build(self, abc, monkeypatch):
+        # the stored row, extended and put over the new lcm, is the row a
+        # fresh build gives: the same integers over the same denominator
+        monkeypatch.setattr(partialwave, "_GAUSS", {})
+        short = hypergeom_series(*abc, 3)
+        long = hypergeom_series(*abc, 17)
+        monkeypatch.setattr(partialwave, "_GAUSS", {})
+        fresh = hypergeom_series(*abc, 17)
+        assert (long.num, long.den) == (fresh.num, fresh.den)
+        assert long.coeffs[:4] == short.coeffs == fresh.coeffs[:4]
+        assert long.den == math.lcm(*(c.denominator for c in fresh.coeffs))
+        assert all(type(c) is F for c in long.coeffs)
+        if abc == (0, 0, 0):
+            assert long.coeffs == [1] + [0] * 17
 
 
 def retained(series):
@@ -116,6 +134,43 @@ class TestLhsSeries:
         assert [len(sl.coeffs) for sl in series.slices] == [order - j + 1 for j in range(depth)]
         for key in retained(series):
             assert series[key] == expected.coeff(key)
+
+
+def gauss_fractions(a, b, c, order):
+    """F(a, b; c; x) to x^order as Fractions, term by term; a vanishing
+    numerator terminates the series."""
+    out = [F(1)]
+    for n in range(order):
+        num = (a + n) * (b + n)
+        out.append(out[-1] * num / ((n + 1) * (c + n)) if out[-1] and num else F(0))
+    return out
+
+
+def fraction_twist_extract(p, max_twist, order):
+    """The twist recursion on Fraction slices, an independent reference for
+    the integer rows: (g, boundary, f) as {k: list} and {k: list of slices}."""
+    remainder = [sl.coeffs for sl in lhs_series(p, order, max_twist).slices]
+    g, boundary, f = {}, {}, {}
+    for k in range(1, max_twist + 1):
+        assert not any(c for j in range(k - 1) for c in remainder[j])
+        assert not any(remainder[k - 1][: k - 1])
+        phi = remainder[k - 1][k - 1 :]
+        work = order - 2 * k + 3
+        gk = [F(0)] + phi
+        hyp = gauss_fractions(k - 1, k - 1, 2 * k - 2, work)
+        quotient, prev = [], []
+        for i in range(max_twist - k + 1):
+            row = [gk[n] * hyp[i] - hyp[n] * gk[i] for n in range(work - i + 1)]
+            if i:
+                row = [x + y for x, y in zip(row, prev)]
+            assert row[0] == 0
+            prev = row[1:]
+            quotient.append(prev)
+        g[k], boundary[k], f[k] = gk, phi, quotient
+        for j, sl in enumerate(quotient):
+            rem = remainder[j + k - 1]
+            remainder[j + k - 1] = rem[: k - 1] + [x - y for x, y in zip(rem[k - 1 :], sl)]
+    return g, boundary, f
 
 
 class TestTwistExtract:
@@ -170,20 +225,37 @@ class TestTwistExtract:
     def test_f2_log_reconstruction(self):
         # f2 series equals [F(1,1;2;v) g2(u) - F(1,1;2;u) g2(v)]/(u - v)
         # with the closed-form g2 of the twist-4 line
+        # g2(u) = u [a1 u ((1-u)^-3 - 1) + b u^2 (1-u)^-2 + c (1-u)^-1],
+        # summed on plain Fraction lists
         rng = random.Random(13)
         p = rand_params(rng)
         tower = twist_extract(p, 2, 16)
         order = tower.g[2].order
-        one = PSeries([F(1)] + [F(0)] * order)
-        inv1 = PSeries(unit_row(-1, order))
-        inv2 = PSeries(unit_row(-2, order))
-        inv3 = PSeries(unit_row(-3, order))
-        g2_closed = (
-            (p.a1 * (inv3 - one)).shift(1)
-            + (p.b * inv2).shift(2).truncate(order + 1)
-            + (p.c * inv1).truncate(order + 1)
-        ).shift(1).truncate(order)
-        assert tower.g[2].coeffs == g2_closed.coeffs[: len(tower.g[2].coeffs)]
+        inv1, inv2, inv3 = (unit_row(-m, order) for m in (1, 2, 3))
+        g2_closed = [F(0)] * (order + 1)
+        for n in range(1, order + 1):
+            m = n - 1  # the power inside the bracket
+            g2_closed[n] = p.c * inv1[m]
+            if m >= 1:
+                g2_closed[n] += p.a1 * (inv3[m - 1] - (m == 1))
+            if m >= 2:
+                g2_closed[n] += p.b * inv2[m - 2]
+        assert tower.g[2].coeffs == g2_closed
+
+    @pytest.mark.parametrize("max_twist", range(1, 9))
+    def test_matches_the_fraction_recursion(self, max_twist):
+        # entry for entry against the recursion on Fraction lists, at the
+        # least order and a longer one, with B = 0 and B != 0
+        rng = random.Random(40 + max_twist)
+        for with_B in (False, True):
+            p = rand_params(rng, with_B)
+            for order in (2 * max_twist + 4, 2 * max_twist + 13):
+                tower = twist_extract(p, max_twist, order)
+                g, boundary, f = fraction_twist_extract(p, max_twist, order)
+                for k in range(1, max_twist + 1):
+                    assert tower.g[k].coeffs == g[k]
+                    assert tower.boundary[k].coeffs == boundary[k]
+                    assert [sl.coeffs for sl in tower.f[k].slices] == f[k]
 
     def test_remainder_diagnostics(self):
         # feeding a non-family series must raise: fake it by breaking the
@@ -308,6 +380,26 @@ class TestClosedForms:
         assert closed_form_B(2, 0, PWParams(c=1)) == 1
         p = PWParams(a0=1, a1=1, a2=1)
         assert closed_form_B(1, 1, p) == F(1, 3) + 2 + 2
+
+    def test_matches_the_fraction_formulas(self):
+        # the displayed forms evaluated in Fraction arithmetic, to spin 29
+        rng = random.Random(18)
+        for _ in range(6):
+            a0, a1, a2, b, c, _ = astuple(p := rand_params(rng, with_B=True))
+            for ell in range(30):
+                assert closed_form_B(1, ell, p) == (
+                    2 * a0 + 2 * ell * (2 * ell + 1) * (2 * a1 + (2 * ell - 1) * (ell + 1) * a2)
+                ) / math.comb(4 * ell, 2 * ell)
+                assert closed_form_B(2, ell, p) == (
+                    ell * (2 * ell + 3) * ((ell + 1) * (2 * ell + 1) * a1 + 2 * b) + c
+                ) / math.comb(4 * ell + 1, 2 * ell)
+                assert closed_form_B(3, ell, p) == (
+                    (ell + 1)
+                    * (2 * ell + 3)
+                    * ((ell + 2) * (2 * ell + 1) * (2 * a0 + a1) - 6 * b + 4 * c)
+                    - c
+                ) / (2 * math.comb(4 * ell + 3, 2 * ell + 1))
+                assert all(type(closed_form_B(k, ell, p)) is F for k in (1, 2, 3))
 
     def test_no_closed_form_above_twist_six(self):
         with pytest.raises(ValueError):
