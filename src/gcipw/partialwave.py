@@ -113,7 +113,8 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
     F = F(k-1, k-1; 2k-2; x).  The remainder is held as integer rows over
     one running denominator R: g_k and the boundary are over R, the
     numerator, its (u - v) quotient and the updated remainder over R dF,
-    with dF the denominator of F's integer row.
+    with dF the denominator of F's integer row.  The rows still to be
+    read are then divided by their gcd with R dF, which is the next R.
     """
     if order < 2 * max_twist + 4:
         raise ValueError("series order too small for the requested twist depth")
@@ -149,7 +150,10 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
         tower.f[k] = f_k
         for m, sl in enumerate(f_k.slices, k - 1):  # s^(k-1) f_k: slice j at v^(j+k-1)
             remainder[m] = [x * dF - y for x, y in zip(remainder[m], [0] * (k - 1) + sl.num)]
-        den = D
+        r = math.gcd(D, *(x for row in remainder[k:] for x in row))
+        if r > 1:  # keep R from growing as the product of every dF
+            remainder[k:] = [[x // r for x in row] for row in remainder[k:]]
+        den = D // r
     return tower
 
 
@@ -213,8 +217,8 @@ def solve_structure_constants(g: PSeries, kappa: int, max_spin: int) -> List[Fra
     """
     if g.order < 2 * max_spin + 1:
         raise ValueError("series too short for the requested spin range")
-    h = g.shift(-1).truncate(2 * max_spin + 1)
-    num, den = h.num, h.den
+    h = g.shift(-1)
+    num, den = h.num[: 2 * max_spin + 2], h.den  # a copy, never padded
     top = len(num) - 1
     out: List[Fraction] = []
     for power in range(top + 1):

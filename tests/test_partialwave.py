@@ -148,10 +148,13 @@ def gauss_fractions(a, b, c, order):
 
 def fraction_twist_extract(p, max_twist, order):
     """The twist recursion on Fraction slices, an independent reference for
-    the integer rows: (g, boundary, f) as {k: list} and {k: list of slices}."""
+    the integer rows: (g, boundary, f) as {k: list} and {k: list of slices},
+    and den {k: the lcm of the denominators of the remainder rows v^(k-1)
+    and up at step k}."""
     remainder = [sl.coeffs for sl in lhs_series(p, order, max_twist).slices]
-    g, boundary, f = {}, {}, {}
+    g, boundary, f, den = {}, {}, {}, {}
     for k in range(1, max_twist + 1):
+        den[k] = math.lcm(*(c.denominator for row in remainder[k - 1 :] for c in row))
         assert not any(c for j in range(k - 1) for c in remainder[j])
         assert not any(remainder[k - 1][: k - 1])
         phi = remainder[k - 1][k - 1 :]
@@ -170,7 +173,7 @@ def fraction_twist_extract(p, max_twist, order):
         for j, sl in enumerate(quotient):
             rem = remainder[j + k - 1]
             remainder[j + k - 1] = rem[: k - 1] + [x - y for x, y in zip(rem[k - 1 :], sl)]
-    return g, boundary, f
+    return g, boundary, f, den
 
 
 class TestTwistExtract:
@@ -251,9 +254,11 @@ class TestTwistExtract:
             p = rand_params(rng, with_B)
             for order in (2 * max_twist + 4, 2 * max_twist + 13):
                 tower = twist_extract(p, max_twist, order)
-                g, boundary, f = fraction_twist_extract(p, max_twist, order)
+                g, boundary, f, den = fraction_twist_extract(p, max_twist, order)
                 for k in range(1, max_twist + 1):
                     assert tower.g[k].coeffs == g[k]
+                    if k > 1:  # R is reduced after every step, so it is the lcm
+                        assert tower.g[k].den == den[k]
                     assert tower.boundary[k].coeffs == boundary[k]
                     assert [sl.coeffs for sl in tower.f[k].slices] == f[k]
 
@@ -337,6 +342,22 @@ class TestSolver:
             for kappa, top in ((1, 10), (2, 10), (3, 8)):
                 sol = solve_structure_constants(tower.g[kappa], kappa, top)
                 assert sol == [closed_form_B(kappa, l, p) for l in range(top + 1)]
+
+    def test_shortest_series(self):
+        # g.order == 2 max_spin + 1: g/u ends at u^(2 max_spin), and no
+        # zero may be padded in at the odd power above it
+        p = PWParams(a0=1)
+        tower = twist_extract(p, 1, 8)
+        assert tower.g[1].order == 9
+        sol = solve_structure_constants(tower.g[1], 1, 4)
+        assert sol == [closed_form_B(1, l, p) for l in range(5)]
+        rng = random.Random(23)
+        for kappa in (1, 2, 3):
+            p = rand_params(rng, with_B=True)
+            tower = twist_extract(p, kappa, 2 * kappa + 4)
+            assert tower.g[kappa].order == 2 * 3 + 1
+            sol = solve_structure_constants(tower.g[kappa], kappa, 3)
+            assert sol == [closed_form_B(kappa, l, p) for l in range(4)]
 
     def test_outputs_are_fractions(self):
         # integer rows and numerators must not leak out as bare ints
