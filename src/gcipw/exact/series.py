@@ -62,14 +62,6 @@ class PSeries:
             return Fraction(self.num[k], self.den)
         return ZERO
 
-    def truncate(self, order: int) -> "PSeries":
-        """The series to x^order, padded with zeros if it is shorter."""
-        if order < 0:
-            raise ValueError("need a truncation order >= 0")
-        num = self.num[: order + 1]
-        num += [0] * (order + 1 - len(num))
-        return PSeries._raw(num, self.den)
-
     def shift(self, k: int) -> "PSeries":
         """Multiply by x^k (k may be negative if low coefficients vanish)."""
         if k >= 0:

@@ -65,7 +65,11 @@ class PointConfig:
         return len(self.points)
 
     def rho(self, i: int, j: int) -> Fraction:
-        return squared_interval(self, i, j)
+        """rho_ij = sum_mu (z_i - z_j)_mu^2, read from the integer table."""
+        n = len(self.points)
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError("point index out of range")
+        return Fraction(self.int_rho[i][j], self.scale**2)
 
     def is_nondegenerate(self) -> bool:
         n = len(self.points)
@@ -84,14 +88,6 @@ class PointConfig:
             tuple(tuple(rho[i][j] for j in indices) for i in indices),
         )
         return sub
-
-
-def squared_interval(config: PointConfig, i: int, j: int) -> Fraction:
-    """rho_ij = sum_mu (z_i - z_j)_mu^2, read from the integer table."""
-    n = len(config.points)
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError("point index out of range")
-    return Fraction(config.int_rho[i][j], config.scale**2)
 
 
 def dot4(z: Vec4, w: Vec4) -> Fraction:

@@ -92,6 +92,7 @@ def lhs_series(p: PWParams, order: int, depth: int) -> Series2:
 class TwistTower:
     """Per-twist profiles extracted from a 4-point parameter set.
 
+    g[k] = u f_k(0, 1-u), so g[k].shift(-1) is the boundary value f_k(0, 1-u).
     f[k] keeps the v-slices j <= max_twist - k, the ones later steps read.
     """
 
@@ -100,7 +101,6 @@ class TwistTower:
     max_twist: int
     g: Dict[int, PSeries] = field(default_factory=dict)
     f: Dict[int, Series2] = field(default_factory=dict)
-    boundary: Dict[int, PSeries] = field(default_factory=dict)  # f_k(0, 1-u)
 
 
 def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
@@ -111,10 +111,10 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
     f_k(0, 1-u), and g_k = u f_k(0, 1-u).  The retained slices of f_k
     follow from (u - v) f_k = g_k(u) F(v) - F(u) g_k(v),
     F = F(k-1, k-1; 2k-2; x).  The remainder is held as integer rows over
-    one running denominator R: g_k and the boundary are over R, the
-    numerator, its (u - v) quotient and the updated remainder over R dF,
-    with dF the denominator of F's integer row.  The rows still to be
-    read are then divided by their gcd with R dF, which is the next R.
+    one running denominator R: g_k is over R, and the numerator, its
+    (u - v) quotient and the updated remainder over R dF, with dF the
+    denominator of F's integer row.  The rows still to be read are then
+    divided by their gcd with R dF, which is the next R.
     """
     if order < 2 * max_twist + 4:
         raise ValueError("series order too small for the requested twist depth")
@@ -146,7 +146,6 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
         except ValueError as err:
             raise InconsistentExpansion(f"(u - v) does not divide the f_{k} numerator") from err
         tower.g[k] = PSeries._raw(G, den)
-        tower.boundary[k] = PSeries._raw(phi, den)
         tower.f[k] = f_k
         for m, sl in enumerate(f_k.slices, k - 1):  # s^(k-1) f_k: slice j at v^(j+k-1)
             remainder[m] = [x * dF - y for x, y in zip(remainder[m], [0] * (k - 1) + sl.num)]

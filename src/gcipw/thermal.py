@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -66,11 +65,6 @@ def eisenstein_G(k: int, order: int) -> QSeries:
     return lambert_series(-bernoulli(2 * k) / (4 * k), terms, 1, 2 * order)
 
 
-SCALAR_VACUUM_CONSTANTS = {
-    4: Fraction(1, 240),
-    6: Fraction(-31, 12 * math.factorial(7)),
-}
-
 WEYL_VACUUM_ENERGY = Fraction(17, 960)
 
 
@@ -81,22 +75,34 @@ def harmonic_dimension(m: int, D: int) -> int:
     return math.comb(m + D - 1, D - 1) - math.comb(m + D - 3, D - 1)
 
 
+@lru_cache(maxsize=None)
+def _scalar_vacuum_constant(D: int) -> Fraction:
+    """The constant term of sum_j c_j G_{2j+2}, where sum_j c_j n^(2j+1) =
+    n harmonic_dimension(n - d0, D) = [2/(2 d0)!] n prod_{i < d0} (n^2 - i^2)."""
+    d0 = (D - 2) // 2
+    poly = [Fraction(2, math.factorial(2 * d0))]  # coefficients in n^2
+    for i in range(d0):
+        poly = [a - i * i * b for a, b in zip([0, *poly], [*poly, 0])]
+    return sum(c * -bernoulli(2 * j + 2) / (4 * (j + 1)) for j, c in enumerate(poly))
+
+
 def energy_mean_scalar(D: int, order: int) -> QSeries:
     """Energy mean value of a free scalar in D (even) dimensions.
 
     E(d0) + sum_{n >= d0} [2/(2 d0)!] n^2 (n^2-1) ... (n^2-(d0-1)^2)
     n q^n/(1-q^n), with d0 = (D-2)/2.  The weight of n q^n/(1-q^n) is the
     integer harmonic_dimension(n - d0, D): the energy-n modes are the
-    degree-(n - d0) spherical harmonics.  The vacuum constants are known
-    for D = 4, 6; other even D use 0, with a warning.
+    degree-(n - d0) spherical harmonics.  Written as sum_j c_j n^(2j+1),
+    the series is sum_j c_j G_{2j+2}, so the vacuum constant is
+    E(d0) = sum_j c_j (-B_{2j+2} / (4 (j+1))), the zeta-regularized Casimir
+    energy on R x S^(D-1): 1/240 at D = 4, -31/60480 at D = 6,
+    289/3628800 at D = 8.  It is derived once per D.
     """
     if D % 2 or D < 4:
         raise ValueError("only even D >= 4 is supported")
     d0 = (D - 2) // 2
-    if D not in SCALAR_VACUUM_CONSTANTS:
-        warnings.warn(f"no tabulated vacuum constant for D={D}; using 0")
     terms = ((2 * n, n * harmonic_dimension(n - d0, D)) for n in range(d0, order + 1))
-    return lambert_series(SCALAR_VACUUM_CONSTANTS.get(D, Fraction(0)), terms, 1, 2 * order)
+    return lambert_series(_scalar_vacuum_constant(D), terms, 1, 2 * order)
 
 
 def energy_mean_weyl(order2: int) -> QSeries:

@@ -6,9 +6,11 @@ the CLI as `gcipw verify-all`.
 """
 
 import functools
+import types
 
 import pytest
 
+from gcipw import verify
 from gcipw.verify import CHECKS
 
 SEED = 20240801
@@ -32,3 +34,65 @@ def test_symmetrizability_covers_eight_points():
     detail = run("c08_symmetrizability")["detail"]
     for n in (3, 4):
         assert f"n={n} weyl ratio=2" in detail and f"n={n} scalar ratio=1" in detail
+
+
+# -- the runner ------------------------------------------------------------------
+
+BUDGETS = {
+    "c01_structure_constants": 60,
+    "c02_harmonicity": 10,
+    "c03_eigenfunction": 5,
+    "c09_thermal_series": 30,
+    "c10_modular_numerics": 10,
+}
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """Make every timed check take `clock.elapsed` seconds, as verify sees it."""
+    fake = types.SimpleNamespace(elapsed=0.0, started=False)
+
+    def perf_counter():  # the runner reads the clock at the start and the end
+        fake.started = not fake.started
+        return 0.0 if fake.started else fake.elapsed
+
+    monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=perf_counter))
+    return fake
+
+
+@pytest.mark.parametrize("check_id", sorted(BUDGETS))
+def test_budget_fails_the_check_at_its_limit(check_id, clock):
+    budget = BUDGETS[check_id]
+    clock.elapsed = budget - 1e-6
+    below = CHECKS[check_id](SEED)
+    assert below["passed"] and below["elapsed"] == budget - 1e-6
+    clock.elapsed = budget
+    at = CHECKS[check_id](SEED)
+    assert not at["passed"] and at["detail"] == run(check_id)["detail"]
+
+
+def test_checks_without_budget_never_fail_on_time(clock):
+    clock.elapsed = 1e9
+    for check_id in sorted(set(CHECKS) - set(BUDGETS)):
+        result = CHECKS[check_id](SEED)
+        assert result["passed"] and result["elapsed"] == 1e9, check_id
+
+
+@pytest.mark.parametrize("check_id", sorted(CHECKS))
+def test_result_format(check_id):
+    result = run(check_id)
+    assert result["id"] == check_id
+    keys = {"id", "passed", "detail", "elapsed"}
+    if check_id in ("c10_modular_numerics", "c11_gibbs", "c12_kernel"):
+        keys.add("residuals")
+        assert result["residuals"] and all(type(r) is float for r in result["residuals"])
+    assert set(result) == keys
+
+
+def test_crossing_count_is_checked_independently(monkeypatch):
+    # c04 counts the S3 orbits itself, so a wrong dimension formula at a
+    # d that no constant pins down fails the check
+    from gcipw import fourpoint
+
+    monkeypatch.setattr(fourpoint, "crossing_dimension", lambda d: d * d // 3 + (d == 7))
+    assert not CHECKS["c04_crossing"](SEED)["passed"]

@@ -359,7 +359,7 @@ class TestPSeries:
 
     def test_results_do_not_share_lists(self):
         s = PSeries([0, 1, 2])
-        for t in (s.truncate(5), s.truncate(1), s.shift(0), s.shift(2), s.shift(-1)):
+        for t in (s.shift(0), s.shift(2), s.shift(-1)):
             t.num[-1] = 9
             t.coeffs[0] = F(7)
         assert s.coeffs == [0, 1, 2]
@@ -421,17 +421,6 @@ class TestPSeriesIntegerForm:
                 x.shift(k)
             return
         assert_pseries(x.shift(k), {i + k: c for i, c in kept.items()}, max(length + k, 0))
-
-    @settings(max_examples=40)
-    @given(pseries_refs, st.integers(-2, 12))
-    def test_truncate(self, a, order):
-        coeffs, length, scale = a
-        x = to_pseries(coeffs, length, scale)
-        if order < 0:
-            with pytest.raises(ValueError):
-                x.truncate(order)
-            return
-        assert_pseries(x.truncate(order), ref_pseries(coeffs, min(length, order + 1)), order + 1)
 
     def test_unreduced_denominator(self):
         half = PSeries._raw([3, -6, 0, 2], 6)  # 1/2 - x + x^3/3, over 6

@@ -14,7 +14,6 @@ from gcipw.kinematics import (
     cross_ratios,
     random_config,
     s3_action,
-    squared_interval,
 )
 from gcipw.thermal import harmonic_dimension
 
@@ -28,15 +27,15 @@ ORIGIN = (0, 0, 0, 0)
 class TestSquaredInterval:
     def test_unit(self):
         cfg = PointConfig([ORIGIN, E1])
-        assert squared_interval(cfg, 0, 1) == 1
+        assert cfg.rho(0, 1) == 1
 
     def test_coincident(self):
         cfg = PointConfig([E1, E1])
-        assert squared_interval(cfg, 0, 1) == 0
+        assert cfg.rho(0, 1) == 0
 
     def test_two_units(self):
         cfg = PointConfig([ORIGIN, E1, E2])
-        assert squared_interval(cfg, 1, 2) == 2
+        assert cfg.rho(1, 2) == 2
 
     def test_symmetry_and_diagonal(self):
         rng = random.Random(3)
@@ -46,7 +45,7 @@ class TestSquaredInterval:
 
     def test_index_error(self):
         with pytest.raises(IndexError):
-            squared_interval(PointConfig([E1]), 0, 1)
+            PointConfig([E1]).rho(0, 1)
 
 
 class TestIntegerForm:

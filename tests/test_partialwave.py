@@ -148,11 +148,11 @@ def gauss_fractions(a, b, c, order):
 
 def fraction_twist_extract(p, max_twist, order):
     """The twist recursion on Fraction slices, an independent reference for
-    the integer rows: (g, boundary, f) as {k: list} and {k: list of slices},
+    the integer rows: (g, f) as {k: list} and {k: list of slices},
     and den {k: the lcm of the denominators of the remainder rows v^(k-1)
     and up at step k}."""
     remainder = [sl.coeffs for sl in lhs_series(p, order, max_twist).slices]
-    g, boundary, f, den = {}, {}, {}, {}
+    g, f, den = {}, {}, {}
     for k in range(1, max_twist + 1):
         den[k] = math.lcm(*(c.denominator for row in remainder[k - 1 :] for c in row))
         assert not any(c for j in range(k - 1) for c in remainder[j])
@@ -169,11 +169,11 @@ def fraction_twist_extract(p, max_twist, order):
             assert row[0] == 0
             prev = row[1:]
             quotient.append(prev)
-        g[k], boundary[k], f[k] = gk, phi, quotient
+        g[k], f[k] = gk, quotient
         for j, sl in enumerate(quotient):
             rem = remainder[j + k - 1]
             remainder[j + k - 1] = rem[: k - 1] + [x - y for x, y in zip(rem[k - 1 :], sl)]
-    return g, boundary, f, den
+    return g, f, den
 
 
 class TestTwistExtract:
@@ -191,8 +191,8 @@ class TestTwistExtract:
         tower = twist_extract(PWParams(c=1), 2, 14)
         assert tower.f[1].is_zero()
         # f2(0, 1-u) = 1/(1-u)
-        geo = PSeries(unit_row(-1, tower.boundary[2].order))
-        assert tower.boundary[2].coeffs == geo.coeffs[: len(tower.boundary[2].coeffs)]
+        boundary = tower.g[2].shift(-1)
+        assert boundary.coeffs == PSeries(unit_row(-1, boundary.order)).coeffs
 
     def test_f1_matches_rational_route(self):
         # D(uv, (1-u)(1-v)) f1 = N(uv, (1-u)(1-v)) on every retained entry
@@ -254,12 +254,11 @@ class TestTwistExtract:
             p = rand_params(rng, with_B)
             for order in (2 * max_twist + 4, 2 * max_twist + 13):
                 tower = twist_extract(p, max_twist, order)
-                g, boundary, f, den = fraction_twist_extract(p, max_twist, order)
+                g, f, den = fraction_twist_extract(p, max_twist, order)
                 for k in range(1, max_twist + 1):
                     assert tower.g[k].coeffs == g[k]
                     if k > 1:  # R is reduced after every step, so it is the lcm
                         assert tower.g[k].den == den[k]
-                    assert tower.boundary[k].coeffs == boundary[k]
                     assert [sl.coeffs for sl in tower.f[k].slices] == f[k]
 
     def test_remainder_diagnostics(self):
@@ -366,8 +365,7 @@ class TestSolver:
             p = rand_params(rng, with_B)
             tower = twist_extract(p, 5, 2 * 6 + 2 * 5 + 8)
             for k in range(1, 6):
-                coeffs = [*tower.g[k].coeffs, *tower.boundary[k].coeffs]
-                coeffs += [c for sl in tower.f[k].slices for c in sl.coeffs]
+                coeffs = tower.g[k].coeffs + [c for sl in tower.f[k].slices for c in sl.coeffs]
                 assert all(type(c) is F for c in coeffs)
             for k in range(1, 4):
                 assert all(type(v) is F for v in solve_structure_constants(tower.g[k], k, 6))

@@ -9,7 +9,6 @@ import pytest
 
 from gcipw.exact import QSeries
 from gcipw.thermal import (
-    SCALAR_VACUUM_CONSTANTS,
     WEYL_VACUUM_ENERGY,
     bernoulli,
     eisenstein_G,
@@ -84,10 +83,11 @@ class TestEnergyMeans:
         assert blocks[2] == 2
         assert energy_mean_scalar(6, 10).coeff_q(2) == 2
 
-    def test_scalar_other_dimension_warns(self):
-        with pytest.warns(UserWarning):
-            series = energy_mean_scalar(8, 10)
-        assert series[0] == 0
+    def test_scalar_vacuum_constants_d8_d10(self):
+        # the Casimir energies on R x S^(D-1), derived from the Bernoulli
+        # constants of the G_(2j+2) in the mode weight
+        assert energy_mean_scalar(8, 10)[0] == F(289, 3628800)
+        assert energy_mean_scalar(10, 10)[0] == F(-317, 22809600)
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
