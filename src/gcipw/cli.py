@@ -23,9 +23,10 @@ sweeps the --axis parameter, so a flag for that parameter is an error.
 Rationals are read and written as "p/q" strings so no float ever
 contaminates an exact value; an argument that starts like a negative
 number (-1/3, -0.5+1i) is a value, not a flag.  Exit codes: 0 pass,
-1 verification failure, 2 usage/config error or an input the computation
-cannot take (an inconsistent expansion, a parameter pole, a degenerate
-configuration), each reported as one line on stderr.
+1 verification failure (a check that raises fails), 2 usage/config error,
+an input the computation cannot take (an inconsistent expansion, a
+parameter pole) or an output path that cannot be written, each reported
+as one line on stderr.
 """
 
 from __future__ import annotations
@@ -44,16 +45,11 @@ from typing import List
 
 from . import partialwave, thermal, verify
 from .fourpoint import PWParams
-from .kinematics import DegenerateConfiguration
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 # inputs a computation cannot take; reported like usage errors
-INPUT_ERRORS = (
-    partialwave.InconsistentExpansion,
-    partialwave.PoleInParameters,
-    DegenerateConfiguration,
-)
+INPUT_ERRORS = (partialwave.InconsistentExpansion, partialwave.PoleInParameters)
 # `thermal modular` doubles its truncation order up to this ceiling
 MODULAR_MAX_ORDER = 12800
 # `thermal kms` doubles its translate window up to this ceiling
@@ -397,6 +393,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except INPUT_ERRORS as err:
         print(f"input error: {type(err).__name__}: {err}", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as err:
+        print(f"output error: {err}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -1,13 +1,11 @@
-"""Exact arithmetic substrate: rationals, polynomials, rational functions,
-truncated power series (univariate, and bivariate held by v-slices),
-half-integer q-series and quaternions.
+"""Exact arithmetic substrate: polynomials, rational functions, truncated
+power series (univariate, and bivariate held by v-slices), half-integer
+q-series and quaternions.
 
-Plain `fractions.Fraction` is the rational scalar type, except in `PSeries`
-and `QSeries`: they hold integer numerators over one denominator, making
-Fractions on access.
+`fractions.Fraction` is the rational scalar type.  The series types
+`PSeries`, `Series2` and `QSeries` instead hold integer numerators over
+one denominator and build Fractions only on access.
 """
-
-from fractions import Fraction as Rat
 
 from .mpoly import MPoly, divide_exact
 from .qseries import QSeries, lambert_series
@@ -16,7 +14,6 @@ from .ratfn import RatFn
 from .series import PSeries, Series2, div_u_minus_v, unit_row
 
 __all__ = [
-    "Rat",
     "MPoly",
     "divide_exact",
     "RatFn",

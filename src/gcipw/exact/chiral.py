@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .mpoly import MPoly
-from .series import PSeries, Series2, common_denominator, unit_row
+from .series import Series2, common_denominator, unit_row
 
 
 def chiral_slices(terms: Dict[Tuple[int, int], Fraction], order: int, depth: int) -> Series2:
@@ -21,7 +21,7 @@ def chiral_slices(terms: Dict[Tuple[int, int], Fraction], order: int, depth: int
     s^a t^b = [u^a (1-u)^b] [v^a (1-v)^b] for any integer b, so a term adds
     c w_b[j-a] w_b[i-a] to the u^i v^j coefficient, w_b the integer row of
     (1-x)^b.  The first `depth` v-slices are kept, slice j to u-degree
-    order - j.  The slices are integer rows over D, the lcm of the term
+    order - j.  The rows are integers over D, the lcm of the term
     denominators.
     """
     if any(a < 0 for a, _ in terms):
@@ -41,7 +41,7 @@ def chiral_slices(terms: Dict[Tuple[int, int], Fraction], order: int, depth: int
                 out = nums[j]
                 for i in range(a, order - j + 1):
                     out[i] += cj * w[i - a]
-    return Series2([PSeries._raw(sl, D) for sl in nums])
+    return Series2(nums, D)
 
 
 def is_symmetric_uv(p: MPoly) -> bool:

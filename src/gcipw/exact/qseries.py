@@ -40,13 +40,6 @@ class QSeries:
     def __getitem__(self, k: int) -> Fraction:
         return Fraction(self.num.get(k, 0), self.den)
 
-    def coeff_q(self, n: Fraction) -> Fraction:
-        """Coefficient of q^n for half-integer n."""
-        k = Fraction(n) * 2
-        if k.denominator != 1:
-            raise ValueError("exponent must be a half-integer")
-        return self[int(k)]
-
     def _merge(self, other: "QSeries", sign: int) -> "QSeries":
         max_exp = min(self.max_exp, other.max_exp)
         den = math.lcm(self.den, other.den)

@@ -50,10 +50,6 @@ class Quaternion:
         """2 Re(self o), the matrix trace of the product, without forming it."""
         return 2 * (self.a * o.a - self.b * o.b - self.c * o.c - self.d * o.d)
 
-    def transpose(self) -> "Quaternion":
-        """The image of the 2x2 matrix transpose."""
-        return Quaternion(self.a, self.b, -self.c, self.d)
-
     def __eq__(self, o):
         if not isinstance(o, Quaternion):
             return NotImplemented

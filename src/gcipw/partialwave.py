@@ -75,7 +75,7 @@ def hypergeom_series(a: int, b: int, c: int, order: int) -> PSeries:
             term = Fraction(term.numerator * num, term.denominator * d)
             terms.append(term)
         row, den = _GAUSS[key] = common_denominator(terms)
-    return PSeries._raw(list(row[: order + 1]), den)
+    return PSeries(list(row[: order + 1]), den)
 
 
 def lhs_series(p: PWParams, order: int, depth: int) -> Series2:
@@ -90,15 +90,13 @@ def lhs_series(p: PWParams, order: int, depth: int) -> Series2:
 
 @dataclass
 class TwistTower:
-    """Per-twist profiles extracted from a 4-point parameter set.
+    """The twist sectors k = 1..max_twist that `twist_extract` found.
 
-    g[k] = u f_k(0, 1-u), so g[k].shift(-1) is the boundary value f_k(0, 1-u).
-    f[k] keeps the v-slices j <= max_twist - k, the ones later steps read.
+    g[k] is the profile u f_k(0, 1-u), so g[k].shift(-1) is the boundary
+    value f_k(0, 1-u) that the structure-constant solve reads.  f[k] is f_k
+    by its v-slices j <= max_twist - k, the ones the recursion reads.
     """
 
-    params: PWParams
-    order: int
-    max_twist: int
     g: Dict[int, PSeries] = field(default_factory=dict)
     f: Dict[int, Series2] = field(default_factory=dict)
 
@@ -118,8 +116,9 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
     """
     if order < 2 * max_twist + 4:
         raise ValueError("series order too small for the requested twist depth")
-    tower = TwistTower(p, order, max_twist)
-    remainder, den = lhs_series(p, order, max_twist).rows()
+    tower = TwistTower()
+    lhs = lhs_series(p, order, max_twist)
+    remainder, den = lhs.rows, lhs.den
     for k in range(1, max_twist + 1):
         for j in range(k - 1):
             if any(remainder[j]):
@@ -137,18 +136,19 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
         D = den * dF
         numerator = Series2(
             [
-                PSeries._raw([G[n] * F[i] - F[n] * G[i] for n in range(work - i + 1)], D)
+                [G[n] * F[i] - F[n] * G[i] for n in range(work - i + 1)]
                 for i in range(max_twist - k + 1)
-            ]
+            ],
+            D,
         )
         try:
             f_k = div_u_minus_v(numerator)
         except ValueError as err:
             raise InconsistentExpansion(f"(u - v) does not divide the f_{k} numerator") from err
-        tower.g[k] = PSeries._raw(G, den)
+        tower.g[k] = PSeries(G, den)
         tower.f[k] = f_k
-        for m, sl in enumerate(f_k.slices, k - 1):  # s^(k-1) f_k: slice j at v^(j+k-1)
-            remainder[m] = [x * dF - y for x, y in zip(remainder[m], [0] * (k - 1) + sl.num)]
+        for m, row in enumerate(f_k.rows, k - 1):  # s^(k-1) f_k: slice j at v^(j+k-1)
+            remainder[m] = [x * dF - y for x, y in zip(remainder[m], [0] * (k - 1) + row)]
         r = math.gcd(D, *(x for row in remainder[k:] for x in row))
         if r > 1:  # keep R from growing as the product of every dF
             remainder[k:] = [[x // r for x in row] for row in remainder[k:]]
@@ -365,13 +365,14 @@ def kernel_coeff(kappa: int, ell: int, m: int, n: int) -> Fraction:
     )
 
 
-def kernel_coeff_quadrature(kappa: int, ell: int, m: int, n: int, dps: int = 30) -> float:
-    """Independent oracle for kernel_coeff: numeric quadrature of the
-    defining integral (the alpha-moment of [alpha(1-alpha)]^(l+k+n-1))."""
+def kernel_coeff_quadrature(kappa: int, ell: int, m: int, n: int) -> float:
+    """Independent oracle for kernel_coeff: numeric quadrature, at 30
+    digits, of the defining integral (the alpha-moment of
+    [alpha(1-alpha)]^(l+k+n-1))."""
     import mpmath
 
     lk = ell + kappa
-    with mpmath.workdps(dps):
+    with mpmath.workdps(30):
         integral = mpmath.quad(
             lambda a: a ** (lk + n - 1 + m) * (1 - a) ** (lk + n - 1), [0, 1]
         )

@@ -4,11 +4,12 @@ A check body only computes: it takes the seed and returns
 `(passed, detail)`, or `(passed, detail, residuals)` when it has numeric
 residuals (a list of floats) for a tolerance override to judge.
 `_check(id, budget)` registers the body as CHECKS[id], wrapped in the one
-runner: it times the body and returns the result dict with keys id,
-passed, detail and elapsed, plus residuals where the body gave them.  A
-check with a time budget (seconds, next to its id) fails when elapsed
-reaches it; the other checks are never judged on time.  run_all runs
-every check in id order.
+runner.  The runner times the body and returns the result dict with keys
+id, passed, detail and elapsed, plus residuals where the body gave them.
+A body that raises fails its check: the detail is "<Type>: <message>" of
+the exception, and elapsed is still set.  A check with a time budget
+(seconds, next to its id) fails when elapsed reaches it; the other checks
+are never judged on time.  run_all runs every check in id order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ def _check(key: str, budget: Optional[float] = None):
     def register(body):
         def run(seed: int) -> dict:
             t0 = time.perf_counter()
-            passed, detail, *residuals = body(seed)
+            try:
+                passed, detail, *residuals = body(seed)
+            except Exception as err:
+                passed, detail, residuals = False, f"{type(err).__name__}: {err}", []
             elapsed = time.perf_counter() - t0
             result = {
                 "id": key,

@@ -89,6 +89,21 @@ def test_result_format(check_id):
     assert set(result) == keys
 
 
+def test_a_check_that_raises_fails(monkeypatch):
+    # the runner turns an exception from the body into a failed result
+    from gcipw import fourpoint
+
+    def broken(nu):
+        raise fourpoint.BasisIdentityError(f"symmetrization of t^3 j_{nu} is not J_{nu}")
+
+    monkeypatch.setattr(fourpoint, "eigen_check", broken)
+    result = CHECKS["c03_eigenfunction"](SEED)
+    assert result["passed"] is False
+    assert result["detail"] == "BasisIdentityError: symmetrization of t^3 j_0 is not J_0"
+    assert type(result["elapsed"]) is float and result["elapsed"] >= 0
+    assert set(result) == {"id", "passed", "detail", "elapsed"}
+
+
 def test_crossing_count_is_checked_independently(monkeypatch):
     # c04 counts the S3 orbits itself, so a wrong dimension formula at a
     # d that no constant pins down fails the check

@@ -151,6 +151,22 @@ class TestOracle:
         assert code == 1
         assert "c05_appendix_oracle: FAIL" in out
 
+    def test_kernel_error_fails_the_check(self, monkeypatch, capsys):
+        # an exception inside a check body is that check's failure, reported
+        # on its result line, not an input error or a traceback
+        from gcipw import freefield
+        from gcipw.kinematics import DegenerateConfiguration
+
+        def degenerate(cfg):
+            raise DegenerateConfiguration("coincident points on a pole pair")
+
+        monkeypatch.setattr(freefield, "v1_weyl_4pt", degenerate)
+        code, out = run(["oracle", "--seed", "99"], capsys)
+        assert code == 1
+        assert "c05_appendix_oracle: FAIL" in out
+        assert "DegenerateConfiguration: coincident points on a pole pair" in out
+        assert "c06_sixpoint_oracle: PASS" in out
+
     def test_json_equals_the_checks(self, tmp_path, capsys):
         from gcipw import verify
 
@@ -288,16 +304,26 @@ class TestInputErrors:
         args = ["decompose", "--a0", "1", "--max-twist", "2", "--max-spin", "2"]
         self.expect_one_line(args, "PoleInParameters", capsys)
 
-    def test_degenerate_configuration(self, monkeypatch, capsys):
-        from gcipw import freefield
-        from gcipw.kinematics import PointConfig
 
-        v1 = freefield.v1_weyl_4pt
-        # the fourth point moved onto the first
-        monkeypatch.setattr(
-            freefield, "v1_weyl_4pt", lambda cfg: v1(PointConfig([*cfg.points[:3], cfg.points[0]]))
-        )
-        self.expect_one_line(["oracle", "--seed", "99"], "DegenerateConfiguration", capsys)
+class TestOutputErrors:
+    """An output path that cannot be written ends in one stderr line and
+    exit code 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["oracle", "--seed", "7", "--json", "{file}/x.json"],
+            ["decompose", "--max-twist", "1", "--max-spin", "0", "--csv-dir", "{file}"],
+        ],
+    )
+    def test_unwritable_path(self, args, tmp_path, capsys):
+        blocker = tmp_path / "file"  # a regular file where a directory should be
+        blocker.write_text("")
+        code = main([a.format(file=blocker) for a in args])
+        err = capsys.readouterr().err
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("output error: ")
 
 
 class TestFlags:

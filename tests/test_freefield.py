@@ -69,6 +69,11 @@ def as_matrix(q):
     return paper_slash((q.b, q.c, q.d, q.a))
 
 
+def j_flip(q):
+    """The image of the 2x2 matrix transpose: the sign of the j part flips."""
+    return Quaternion(q.a, q.b, -q.c, q.d)
+
+
 def gauss_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
@@ -117,7 +122,7 @@ class TestSlash:
             for conjugate in (False, True):
                 q = slash(z, conjugate)
                 assert as_matrix(q) == paper_slash(z, conjugate)
-                assert as_matrix(q.transpose()) == tuple(zip(*as_matrix(q)))
+                assert as_matrix(j_flip(q)) == tuple(zip(*as_matrix(q)))
             for w in vecs:
                 p, q = slash(z), slash(w, True)
                 pq = matrix_product(as_matrix(p), as_matrix(q))
@@ -411,7 +416,7 @@ def all_matchings_l1(config):
         z = vsub(pts[fv], pts[cv])
         r = dot4(z, z)
         mat = slash(z, conjugate=(kind == "psi")) * (1 / (r**2 if kind == "psi" else r**3))
-        return (mat, fv, cv) if f_slot < c_slot else (-mat.transpose(), cv, fv)
+        return (mat, fv, cv) if f_slot < c_slot else (-j_flip(mat), cv, fv)
 
     def single_loop(pair_a, pair_b):
         cur, use_a = 0, True
@@ -434,7 +439,7 @@ def all_matchings_l1(config):
             if (cur, nxt) in oriented:
                 steps.append(oriented[(cur, nxt)])
             else:
-                steps.append(oriented[(nxt, cur)].transpose())
+                steps.append(j_flip(oriented[(nxt, cur)]))
             prev, cur = cur, nxt
         return chain_trace(steps)
 

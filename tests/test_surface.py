@@ -1,6 +1,7 @@
 """Public surface: every top-level public function and class of the
-package has a caller in the package or the benchmark, so that no API is
-kept alive by its tests alone, no package module imports another's
+package, and every public method and property of its classes, has a
+caller in the package or the benchmark, so that no API is kept alive by
+its tests alone, no package module imports another's
 private names, and the free-field references in the tests share no
 kernel internals."""
 
@@ -24,19 +25,34 @@ def _names(node: ast.AST) -> set:
     return out
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def unused_public_names():
-    defined = {}  # name -> the file defining it
+    defined = {}  # "file: name" or "file: Class.member" -> the name a caller uses
     used = set()
     for path in [*PACKAGE.rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
+        ours = PACKAGE in path.parents
         for node in ast.parse(path.read_text()).body:
-            names = _names(node)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                # a recursive call or a method naming its class does not count
+            if not isinstance(node, DEFINITIONS):
+                used |= _names(node)
+                continue
+            if ours and not node.name.startswith("_"):
+                defined[f"{path.relative_to(ROOT)}: {node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                parts = [*node.bases, *node.keywords, *node.decorator_list, *node.body]
+            else:
+                parts = [node]
+            for part in parts:
+                names = _names(part)
+                if isinstance(part, DEFINITIONS):
+                    # a recursive call does not count, nor a method naming its class
+                    names.discard(part.name)
+                    if part is not node and ours and not part.name.startswith("_"):
+                        defined[f"{path.relative_to(ROOT)}: {node.name}.{part.name}"] = part.name
                 names.discard(node.name)
-                if PACKAGE in path.parents and not node.name.startswith("_"):
-                    defined[node.name] = path.relative_to(ROOT)
-            used |= names
-    return sorted(f"{path}: {name}" for name, path in defined.items()
+                used |= names
+    return sorted(label for label, name in defined.items()
                   if name not in used and name not in ALLOWED)
 
 
