@@ -41,7 +41,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List
+from typing import List, Sequence
 
 from . import partialwave, thermal, verify
 from .fourpoint import PWParams
@@ -283,31 +283,34 @@ def cmd_kms(s) -> int:
     return CHECK_FAILED if failed else 0
 
 
-def report_checks(s, results: List[dict]) -> int:
-    """Print (and with --json write) check results; exit 1 if any failed."""
-    tol_override = s.tolerances.get("numeric")
-    if tol_override is not None:
-        # re-judge every check that reports residuals at the requested tolerance
+def report_checks(s, ids: Sequence[str]) -> int:
+    """Run the checks `ids` in order and print (and with --json write) their
+    results; exit 1 if any failed.  The --json file is opened before the
+    first check runs, so a path that cannot be written fails at once."""
+    with open(s.json, "w") if s.json else contextlib.nullcontext() as fh:
+        results = [verify.CHECKS[c](s.seed) for c in ids]
+        tol_override = s.tolerances.get("numeric")
+        if tol_override is not None:
+            # re-judge every check that reports residuals at the requested tolerance
+            for r in results:
+                if r.get("residuals") and max(r["residuals"]) > tol_override:
+                    r["passed"] = False
+                    r["detail"] += f" [tolerance override {tol_override:g} exceeded]"
         for r in results:
-            if r.get("residuals") and max(r["residuals"]) > tol_override:
-                r["passed"] = False
-                r["detail"] += f" [tolerance override {tol_override:g} exceeded]"
-    for r in results:
-        status = "PASS" if r["passed"] else "FAIL"
-        print(f"{r['id']}: {status} ({r['elapsed']:.1f}s) {r['detail']}")
-    if s.json:
-        summary = {r["id"]: {k: r[k] for k in ("passed", "detail", "elapsed")} for r in results}
-        with open(s.json, "w") as fh:
+            status = "PASS" if r["passed"] else "FAIL"
+            print(f"{r['id']}: {status} ({r['elapsed']:.1f}s) {r['detail']}")
+        if fh is not None:
+            summary = {r["id"]: {k: r[k] for k in ("passed", "detail", "elapsed")} for r in results}
             json.dump(summary, fh, indent=2, sort_keys=True)
     return 0 if all(r["passed"] for r in results) else CHECK_FAILED
 
 
 def cmd_oracle(s) -> int:
-    return report_checks(s, [verify.CHECKS[c](s.seed) for c in ORACLE_CHECKS])
+    return report_checks(s, ORACLE_CHECKS)
 
 
 def cmd_verify_all(s) -> int:
-    return report_checks(s, verify.run_all(s.seed))
+    return report_checks(s, sorted(verify.CHECKS))
 
 
 # -- entry point ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ Expo = Tuple[int, ...]
 
 BITS = 24
 MAX_EXP = (1 << BITS - 1) - 1  # also the mask of a field below its guard
+_RATIONAL = (int, Fraction)  # the types `eval` takes to its integer path
 
 
 @cache
@@ -218,9 +219,20 @@ class MPoly:
     # -- maps ----------------------------------------------------------
 
     def eval(self, point: Sequence):
-        """Evaluate at a point (entries in any commutative ring)."""
+        """Evaluate at a point (entries in any commutative ring).
+
+        At a rational point of a rational polynomial the value is formed on
+        integers: the point entries are put over the lcm L of their
+        denominators and the coefficients over the lcm D of theirs, the
+        integer monomials are summed per total degree k, and the value is
+        sum_k S_k L^(top - k) / (D L^top), one Fraction per call.  Other
+        entries (the RatFn images of `RatFn.subs`) take the ring loop.
+        """
         if len(point) != self.arity:
             raise ValueError("point has wrong length")
+        coeffs = self._packed.values()
+        if all(type(x) in _RATIONAL for x in point) and all(type(c) in _RATIONAL for c in coeffs):
+            return self._eval_rational(point)
         total = Fraction(0)
         for key, c in self._packed.items():
             m = c
@@ -228,6 +240,21 @@ class MPoly:
                 m = m * (point[i] if k == 1 else point[i] ** k)
             total = total + m
         return total
+
+    def _eval_rational(self, point: Sequence) -> Fraction:
+        """`eval` on integers, for rational entries and coefficients."""
+        scale = math.lcm(*(x.denominator for x in point))
+        ints = [x.numerator * (scale // x.denominator) for x in point]
+        den = math.lcm(*(c.denominator for c in self._packed.values()))
+        sums: Dict[int, int] = {}
+        for key, c in self._packed.items():
+            m, degree = c.numerator * (den // c.denominator), 0
+            for i, k in _fields(key, self.arity):
+                m *= ints[i] if k == 1 else ints[i] ** k
+                degree += k
+            sums[degree] = sums.get(degree, 0) + m
+        top = max(sums, default=0)
+        return Fraction(sum(s * scale ** (top - k) for k, s in sums.items()), den * scale**top)
 
     def subs_poly(self, images: Sequence["MPoly"]) -> "MPoly":
         """Substitute a polynomial for each variable.

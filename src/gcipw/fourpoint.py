@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .exact import MPoly, RatFn, divide_exact
+from .exact.series import common_denominator
 from .kinematics import (
     DegenerateConfiguration,
     PointConfig,
@@ -28,7 +29,13 @@ ONE = MPoly.const(2, 1)
 
 @dataclass(frozen=True)
 class PWParams:
-    """The (a0, a1, a2, b, c) 4-point parameters and the 2-point norm B."""
+    """The (a0, a1, a2, b, c) 4-point parameters and the 2-point norm B.
+
+    The integer form of a0..c is built once with them: `num` holds their
+    numerators over the lcm `den` of their denominators.  The two are
+    plain attributes, not fields, so equality, hashing, `fields`,
+    `asdict` and `replace` see only the six parameters.
+    """
 
     a0: Fraction = Fraction(0)
     a1: Fraction = Fraction(0)
@@ -42,6 +49,9 @@ class PWParams:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.B < 0:
             raise ValueError("the 2-point normalization B must be >= 0")
+        num, den = common_denominator([self.a0, self.a1, self.a2, self.b, self.c])
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def unit(cls, name: str) -> "PWParams":

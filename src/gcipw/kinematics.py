@@ -26,6 +26,13 @@ def vec4(*coords) -> Vec4:
     return tuple(Fraction(c) for c in coords)
 
 
+def integer_form(points: Sequence[Sequence]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """The lcm L of the denominators of rational coordinates, and the
+    integer vectors L z."""
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    return scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in p) for p in points)
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """A finite sequence of rational 4-vectors (Euclidean-chart points).
@@ -48,8 +55,7 @@ class PointConfig:
 
     def __init__(self, points: Sequence[Sequence]):
         pts = tuple(vec4(*p) for p in points)
-        scale = math.lcm(*(c.denominator for p in pts for c in p))
-        ipts = tuple(tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts)
+        scale, ipts = integer_form(pts)
         irho = tuple(
             tuple(sum((a - b) ** 2 for a, b in zip(p, q)) for q in ipts) for p in ipts
         )

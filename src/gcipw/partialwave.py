@@ -244,11 +244,12 @@ def solve_structure_constants(g: PSeries, kappa: int, max_spin: int) -> List[Fra
 
 def closed_form_B(kappa: int, ell: int, p: PWParams) -> Fraction:
     """Closed-form structure constants for twists 2, 4, 6: each an integer
-    linear form in the parameters' numerators over their lcm D, divided by
-    D times the binomial in one Fraction."""
+    linear form in the parameters' numerators over their lcm D (the
+    integer form `p.num` over `p.den`), divided by D times the binomial in
+    one Fraction."""
     if ell < 0:
         raise ValueError("need ell >= 0")
-    (a0, a1, a2, b, c), D = common_denominator([p.a0, p.a1, p.a2, p.b, p.c])
+    (a0, a1, a2, b, c), D = p.num, p.den
     if kappa == 1:
         n = 2 * a0 + 2 * ell * (2 * ell + 1) * (2 * a1 + (2 * ell - 1) * (ell + 1) * a2)
         return Fraction(n, D * math.comb(4 * ell, 2 * ell))

@@ -6,18 +6,21 @@ residuals (a list of floats) for a tolerance override to judge.
 `_check(id, budget)` registers the body as CHECKS[id], wrapped in the one
 runner.  The runner times the body and returns the result dict with keys
 id, passed, detail and elapsed, plus residuals where the body gave them.
-A body that raises fails its check: the detail is "<Type>: <message>" of
-the exception, and elapsed is still set.  A check with a time budget
-(seconds, next to its id) fails when elapsed reaches it; the other checks
-are never judged on time.  run_all runs every check in id order.
+A body that raises fails its check: the detail is "<Type>: <message> (at
+file:line in function)" of the exception and its innermost frame, and
+elapsed is still set.  A check with a time budget (seconds, next to its
+id) fails when elapsed reaches it; the other checks are never judged on
+time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import time
+import traceback
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
@@ -37,7 +40,7 @@ def _check(key: str, budget: Optional[float] = None):
             try:
                 passed, detail, *residuals = body(seed)
             except Exception as err:
-                passed, detail, residuals = False, f"{type(err).__name__}: {err}", []
+                passed, detail, residuals = False, _error_detail(err), []
             elapsed = time.perf_counter() - t0
             result = {
                 "id": key,
@@ -53,6 +56,14 @@ def _check(key: str, budget: Optional[float] = None):
         return body
 
     return register
+
+
+def _error_detail(err: Exception) -> str:
+    """The detail of a check body that raised: its type and message, and
+    the innermost frame of the traceback, where it was raised."""
+    frame = traceback.extract_tb(err.__traceback__)[-1]
+    where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+    return f"{type(err).__name__}: {err} (at {where})"
 
 
 def random_params(rng: random.Random, with_B: bool = True) -> PWParams:
@@ -443,7 +454,3 @@ def _positivity(seed: int):
                 if partialwave.closed_form_B(kappa, ell, p) < 0:
                     problems.append(f"scan {i} kappa={kappa} ell={ell}")
     return not problems, f"problems={problems}"
-
-
-def run_all(seed: int) -> List[dict]:
-    return [CHECKS[name](seed) for name in sorted(CHECKS)]

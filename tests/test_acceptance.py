@@ -99,7 +99,12 @@ def test_a_check_that_raises_fails(monkeypatch):
     monkeypatch.setattr(fourpoint, "eigen_check", broken)
     result = CHECKS["c03_eigenfunction"](SEED)
     assert result["passed"] is False
-    assert result["detail"] == "BasisIdentityError: symmetrization of t^3 j_0 is not J_0"
+    # the message, then the innermost frame, where the exception was raised
+    line = broken.__code__.co_firstlineno + 1
+    assert result["detail"] == (
+        "BasisIdentityError: symmetrization of t^3 j_0 is not J_0"
+        f" (at test_acceptance.py:{line} in broken)"
+    )
     assert type(result["elapsed"]) is float and result["elapsed"] >= 0
     assert set(result) == {"id", "passed", "detail", "elapsed"}
 

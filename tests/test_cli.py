@@ -165,6 +165,10 @@ class TestOracle:
         assert code == 1
         assert "c05_appendix_oracle: FAIL" in out
         assert "DegenerateConfiguration: coincident points on a pole pair" in out
+        # the innermost raising frame locates the fault on the same line
+        line = degenerate.__code__.co_firstlineno + 1
+        fail = next(l for l in out.splitlines() if l.startswith("c05_appendix_oracle: FAIL"))
+        assert fail.endswith(f"(at test_cli.py:{line} in degenerate)")
         assert "c06_sixpoint_oracle: PASS" in out
 
     def test_json_equals_the_checks(self, tmp_path, capsys):
@@ -314,16 +318,19 @@ class TestOutputErrors:
         [
             ["oracle", "--seed", "7", "--json", "{file}/x.json"],
             ["decompose", "--max-twist", "1", "--max-spin", "0", "--csv-dir", "{file}"],
+            ["verify-all", "--json", "{file}/x.json"],
         ],
     )
     def test_unwritable_path(self, args, tmp_path, capsys):
         blocker = tmp_path / "file"  # a regular file where a directory should be
         blocker.write_text("")
         code = main([a.format(file=blocker) for a in args])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 2
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("output error: ")
+        # the path is tried before any check or table is computed
+        assert out == ""
 
 
 class TestFlags:

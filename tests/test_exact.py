@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcipw.exact import (
     MPoly,
@@ -102,6 +102,26 @@ class TestMPoly:
     def test_subs_poly_matches_evaluation(self, polys, x):
         p, *imgs = polys
         assert p.subs_poly(imgs).eval(x) == p.eval([g.eval(x) for g in imgs])
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+            st.builds(F, st.integers(-9, 9), st.integers(1, 6)),
+            max_size=6,
+        ),
+        st.lists(st.one_of(st.integers(-5, 5), rationals), min_size=3, max_size=3),
+    )
+    @example(terms={}, x=[F(1, 3), 2, 0])
+    @example(terms={(3, 1, 0): F(1), (0, 2, 0): F(-1, 2), (0, 0, 0): F(5, 3)}, x=[0, F(-3, 7), 2])
+    @settings(max_examples=80)
+    def test_eval_matches_fraction_reference(self, terms, x):
+        # the integer path: non-homogeneous polynomials, the zero polynomial,
+        # mixed int/Fraction points and zero entries, over Fraction and int
+        # coefficients
+        p = MPoly(3, terms)
+        for q in (p, p.map_coeff(lambda c: c.numerator)):
+            got = q.eval(x)
+            assert type(got) is F and got == ref_eval(q.terms, x)
 
     def test_subs_poly_rejects_mixed_arity(self):
         x, _ = MPoly.variables(2)

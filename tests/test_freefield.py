@@ -656,3 +656,80 @@ class TestIntegerForm:
         with pytest.raises(DegenerateConfiguration):
             cycle_trace_2n(cfg, (0, 1, 2, 3))
         assert cycle_trace_2n(cfg, (0, 1, 3, 2)) != 0
+
+
+def hamilton(p, q):
+    """The Hamilton product of 4-tuples (a, b, c, d) = a + b i + c j + d k."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    )
+
+
+def cycle_trace_reference(seq, points):
+    """-(tr fwd + tr rev) over the alternating slash cycle of `seq`, each
+    orientation multiplied left to right on Fraction 4-tuples."""
+    m = len(seq)
+    fwd = []
+    for k in range(m):
+        z1, z2, z3, z4 = (x - y for x, y in zip(points[seq[k]], points[seq[(k + 1) % m]]))
+        fwd.append((z4, -z1, -z2, -z3) if k % 2 else (z4, z1, z2, z3))
+    rev = [fwd[0], *fwd[:0:-1]]
+    return -2 * (functools.reduce(hamilton, fwd)[0] + functools.reduce(hamilton, rev)[0])
+
+
+def weyl_connected_reference(cfg):
+    """One Fraction term per pole structure: its cycle trace over the
+    squared link intervals, halved."""
+    total = F(0)
+    for seq in orbit_enumerate(len(cfg) // 2):
+        pole = math.prod(interval(cfg, a, b) for a, b in links_of(seq))
+        total += cycle_trace_reference(seq, cfg.points) / pole**2
+    return total / 2
+
+
+class TestIntegerTraces:
+    """Traces at Fraction coordinates are formed on integer quaternions;
+    these compare them with Fraction references."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cycle_trace_numerator_matches_fraction_reference(self, n):
+        rng = random.Random(90 + n)
+        for dens in [(1,), (7, 11), (2, 3, 5)]:
+            cfg = config_over(rng, 2 * n, dens)
+            for seq in [tuple(range(2 * n)), *rng.sample(orbit_enumerate(n), 2)]:
+                got = cycle_trace_numerator(seq, cfg.points)
+                assert type(got) is F
+                assert got == cycle_trace_reference(seq, cfg.points)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_weyl_connected_matches_orbit_reference(self, n):
+        rng = random.Random(95 + n)
+        for dens in [(1,), (7, 11)]:
+            cfg = config_over(rng, 2 * n, dens)
+            assert v1_weyl_connected(cfg) == weyl_connected_reference(cfg)
+
+    def test_numeric_kernels_multiply_integers(self, monkeypatch):
+        # no Fraction may enter a quaternion product of the numeric kernels
+        mul = Quaternion.__mul__
+        calls = []
+
+        def int_only(self, o):
+            parts = [*self, *(o if isinstance(o, Quaternion) else (o,))]
+            assert all(type(x) is int for x in parts), parts
+            calls.append(1)
+            return mul(self, o)
+
+        monkeypatch.setattr(Quaternion, "__mul__", int_only)
+        with pytest.raises(AssertionError):
+            Quaternion(F(1, 2), 0, 0, 0) * Quaternion(1, 0, 0, 0)
+        rng = random.Random(99)
+        for n in (2, 3, 4):
+            cfg = config_over(rng, 2 * n, (7, 11))
+            cycle_trace_numerator(tuple(range(2 * n)), cfg.points)
+            v1_weyl_connected(cfg)
+        assert calls
