@@ -1,9 +1,10 @@
 """Chiral-variable bridge: s = u*v, t = (1-u)(1-v).
 
 chiral_slices expands a polynomial in s and t^(+-1) as a v-graded series
-in (u, v) about the origin; symmetric_reduce rewrites a symmetric
-polynomial in (u, v) through the elementary symmetric functions
-e1 = u+v, e2 = uv.
+in (u, v) about the origin.  The way back, from a symmetric function of
+(u, v) to (s, t), goes through e1 = u+v = 1+s-t and e2 = uv = s; the one
+such function, the twist-2 profile, is written in (e1, e2) directly by
+`partialwave.f1_rational`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .mpoly import MPoly
 from .series import Series2, common_denominator, unit_row
 
 
@@ -42,31 +42,3 @@ def chiral_slices(terms: Dict[Tuple[int, int], Fraction], order: int, depth: int
                 for i in range(a, order - j + 1):
                     out[i] += cj * w[i - a]
     return Series2(nums, D)
-
-
-def is_symmetric_uv(p: MPoly) -> bool:
-    u, v = MPoly.variables(2)
-    return p.subs_poly([v, u]) == p
-
-
-def symmetric_reduce(p: MPoly) -> MPoly:
-    """Rewrite a symmetric bivariate polynomial in terms of (e1, e2).
-
-    Classical elimination: repeatedly subtract c * e1^(a-b) * e2^b matching
-    the lex-leading term c * u^a v^b (a >= b by symmetry).
-    """
-    if p.arity != 2:
-        raise ValueError("symmetric_reduce needs a bivariate polynomial")
-    if not is_symmetric_uv(p):
-        raise ValueError("polynomial is not symmetric under u <-> v")
-    u, v = MPoly.variables(2)
-    e1uv, e2uv = u + v, u * v
-    out = MPoly.zero(2)  # in (e1, e2)
-    work = p
-    while not work.is_zero():
-        (a, b), c = work.lex_leading()
-        if a < b:
-            raise AssertionError("lex-leading term of a symmetric poly has a >= b")
-        out = out + MPoly(2, {(a - b, b): c})
-        work = work - c * e1uv ** (a - b) * e2uv**b
-    return out

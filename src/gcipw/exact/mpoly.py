@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-Coefficients are Fractions by default but any ring type works (e.g. plain
-ints), as long as it supports +, -, *, == 0 and bool().
+Coefficients are Fractions by default but the ring operations take any
+ring type (e.g. plain ints), as long as it supports +, -, *, == 0 and
+bool(); `eval` takes int and Fraction coefficients only.
 
 Each monomial is one packed integer key: the exponent of variable i fills
 a field of BITS bits, variable 0 the highest, so key order is lex order of
@@ -30,7 +31,6 @@ Expo = Tuple[int, ...]
 
 BITS = 24
 MAX_EXP = (1 << BITS - 1) - 1  # also the mask of a field below its guard
-_RATIONAL = (int, Fraction)  # the types `eval` takes to its integer path
 
 
 @cache
@@ -218,31 +218,19 @@ class MPoly:
 
     # -- maps ----------------------------------------------------------
 
-    def eval(self, point: Sequence):
-        """Evaluate at a point (entries in any commutative ring).
+    def eval(self, point: Sequence) -> Fraction:
+        """The value at a rational point, for int or Fraction coefficients.
 
-        At a rational point of a rational polynomial the value is formed on
-        integers: the point entries are put over the lcm L of their
-        denominators and the coefficients over the lcm D of theirs, the
-        integer monomials are summed per total degree k, and the value is
-        sum_k S_k L^(top - k) / (D L^top), one Fraction per call.  Other
-        entries (the RatFn images of `RatFn.subs`) take the ring loop.
+        The value is formed on integers: the point entries are put over the
+        lcm L of their denominators and the coefficients over the lcm D of
+        theirs, the integer monomials are summed per total degree k, and the
+        value is sum_k S_k L^(top - k) / (D L^top), one Fraction per call.
+        An entry or coefficient of any other type raises TypeError.
         """
         if len(point) != self.arity:
             raise ValueError("point has wrong length")
-        coeffs = self._packed.values()
-        if all(type(x) in _RATIONAL for x in point) and all(type(c) in _RATIONAL for c in coeffs):
-            return self._eval_rational(point)
-        total = Fraction(0)
-        for key, c in self._packed.items():
-            m = c
-            for i, k in _fields(key, self.arity):
-                m = m * (point[i] if k == 1 else point[i] ** k)
-            total = total + m
-        return total
-
-    def _eval_rational(self, point: Sequence) -> Fraction:
-        """`eval` on integers, for rational entries and coefficients."""
+        if not {*map(type, point), *map(type, self._packed.values())} <= {int, Fraction}:
+            raise TypeError("eval takes int or Fraction point entries and coefficients")
         scale = math.lcm(*(x.denominator for x in point))
         ints = [x.numerator * (scale // x.denominator) for x in point]
         den = math.lcm(*(c.denominator for c in self._packed.values()))

@@ -5,6 +5,9 @@ canonical sign for the denominator's lex-leading coefficient, and the
 common monomial factor divided out of the results of the operations.  No
 other multivariate gcd cancellation is attempted; equality is decided by
 cross-multiplication, which is exact and cheap at the sizes used here.
+The maps are evaluation at a rational point and partial derivatives; no
+function is substituted for a variable, as the crossing action
+(`kinematics.s3_action`) permutes exponents instead.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .mpoly import MPoly, cancel_monomial
+from .mpoly import MPoly, cancel_monomial, divide_exact
 
 
 def _joint_content(*polys: MPoly) -> Fraction:
@@ -124,8 +127,6 @@ class RatFn:
 
     def as_poly(self) -> MPoly:
         """Return the numerator/denominator quotient if it is a polynomial."""
-        from .mpoly import divide_exact
-
         if self.den == MPoly.const(self.arity, 1):
             return self.num
         if self.den.total_degree() == 0:
@@ -159,12 +160,6 @@ class RatFn:
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         return self.num.eval(point) / d
-
-    def subs(self, images: Sequence["RatFn"]) -> "RatFn":
-        """Substitute a rational function for each variable: num and den are
-        evaluated at the images, and a constant num is made a RatFn."""
-        num = self.num.eval(images)
-        return (RatFn.const(images[0].arity, 0) + num) / self.den.eval(images)
 
     def deriv(self, i: int) -> "RatFn":
         """Partial derivative via the quotient rule."""

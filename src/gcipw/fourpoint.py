@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .exact import MPoly, RatFn, divide_exact
+from .exact import MPoly, RatFn
 from .exact.series import common_denominator
 from .kinematics import (
     DegenerateConfiguration,
@@ -110,14 +110,12 @@ GAP_ORDERS = (2, 1, 3)
 
 def assemble_P4(p: PWParams) -> MPoly:
     """P4 = sum a_nu J_nu + st*(b*(Q1 - 2Q2) + c*Q2)."""
-    s, t = S, T
-    poly = (
+    return (
         p.a0 * basis_J(0)
         + p.a1 * basis_J(1)
         + p.a2 * basis_J(2)
-        + s * t * (p.b * (basis_Q(1) - 2 * basis_Q(2)) + p.c * basis_Q(2))
+        + S * T * (p.b * (basis_Q(1) - 2 * basis_Q(2)) + p.c * basis_Q(2))
     )
-    return poly if isinstance(poly, MPoly) else MPoly.const(2, 0)
 
 
 def crossing_check(poly: MPoly, d: int) -> bool:
@@ -145,7 +143,9 @@ def eigen_check(nu: int) -> Tuple[Fraction, int, MPoly]:
 
         lambda_nu (1 + s23 + s13)[t^3 j_nu] - t^3 j_nu = s^sigma_nu q_nu
 
-    with q_nu(0, t) != 0.
+    with q_nu(0, t) != 0: sigma_nu is the least power of s in the
+    difference, and q_nu the difference with every s-exponent lowered by
+    sigma_nu.
     """
     lam = EIGENVALUES[nu]
     t = RatFn.var(2, 1)
@@ -153,10 +153,9 @@ def eigen_check(nu: int) -> Tuple[Fraction, int, MPoly]:
     sym = lam * s3_symmetrize(t3j, 4)
     if not sym == RatFn(basis_J(nu)):
         raise BasisIdentityError(f"symmetrization of t^3 j_{nu} is not J_{nu}")
-    diff = (sym - t3j).as_poly()
-    sigma, q = 0, diff  # divide by s while q(0, t) = 0
-    while not q.is_zero() and q.subs_poly([MPoly.zero(2), T]).is_zero():
-        sigma, q = sigma + 1, divide_exact(q, S, 0)
+    diff = (sym - t3j).as_poly().terms
+    sigma = min((a for a, _ in diff), default=0)
+    q = MPoly(2, {(a - sigma, b): c for (a, b), c in diff.items()})
     if sigma < 1:
         raise BasisIdentityError(f"gap order sigma_{nu} = {sigma} < 1")
     if sigma != GAP_ORDERS[nu]:

@@ -1,5 +1,8 @@
 """Point configurations, squared intervals, cross-ratios, the S3 crossing
 action on functions of the cross-ratios, and seeded random configurations.
+
+The crossing action permutes the exponents of the numerator and
+denominator monomials; it substitutes nothing.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .exact import RatFn
+from .exact import MPoly, RatFn
+from .exact.mpoly import cancel_monomial
 
 Vec4 = Tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -129,19 +133,27 @@ def s3_action(gen: str, f: RatFn, d: int) -> RatFn:
 
     s12: f -> t^(2d-3) f(s/t, 1/t);  s23: f -> s^(2d-3) f(1/s, t/s).
     Both are involutions and (s12 s23) has order three.
+
+    Each acts by permuting exponents: with D the larger total degree of
+    num and den, a monomial s^a t^b of either is the triple (a, b, D-a-b),
+    s12 swaps its 2nd and 3rd slots and s23 its 1st and 3rd (the common
+    factor t^-D or s^-D cancels), and the weight 2d-3 goes on the moved
+    slot of num.  The common monomial of the images is divided out.
     """
     if d < 2:
         raise ValueError("need d >= 2")
     if f.arity != 2:
         raise ValueError("s3_action acts on functions of (s, t)")
-    w = 2 * d - 3
-    s = RatFn.var(2, 0)
-    t = RatFn.var(2, 1)
+    top = max(f.num.total_degree(), f.den.total_degree())
     if gen == "s12":
-        return t**w * f.subs([s / t, 1 / t])
-    if gen == "s23":
-        return s**w * f.subs([1 / s, t / s])
-    raise ValueError(f"unknown generator {gen!r} (use 's12' or 's23')")
+        move = lambda a, b, w: (a, top - a - b + w)
+    elif gen == "s23":
+        move = lambda a, b, w: (top - a - b + w, b)
+    else:
+        raise ValueError(f"unknown generator {gen!r} (use 's12' or 's23')")
+    num = MPoly(2, {move(a, b, 2 * d - 3): c for (a, b), c in f.num.terms.items()})
+    den = MPoly(2, {move(a, b, 0): c for (a, b), c in f.den.terms.items()})
+    return RatFn(*cancel_monomial(num, den))
 
 
 def s3_symmetrize(f: RatFn, d: int) -> RatFn:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .exact import MPoly, PSeries, RatFn, Series2, div_u_minus_v, divide_exact
-from .exact.chiral import chiral_slices, symmetric_reduce
+from .exact import MPoly, PSeries, RatFn, Series2, div_u_minus_v
+from .exact.chiral import chiral_slices
 from .exact.series import ZERO, common_denominator
 from .fourpoint import PWParams, assemble_P4
 
@@ -159,26 +159,37 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
 def f1_rational(p: PWParams) -> RatFn:
     """The twist-2 profile as a rational function of (s, t).
 
-    Built from g1(x) = x (1-x)^-3 P4(0, 1-x) via the symmetric quotient
-    (g1(u) - g1(v)) / (u - v), reduced through e1 = 1+s-t, e2 = s.
+    f1 is the divided difference (g1(u) - g1(v)) / (u - v) of
+    g1(x) = a(x) / b(x), with a = x P4(0, 1-x) and b = (1-x)^3, so its
+    denominator is b(u) b(v) = t^3.  With a = sum a_i x^i and
+    b = sum b_j x^j, and (u^i v^j - u^j v^i) / (u - v) = e2^j h_(i-j-1),
+    the numerator is
+
+        sum_(i > j) (a_i b_j - a_j b_i) e2^j h_(i-j-1)(e1, e2),
+
+    where h_0 = 1, h_1 = e1 and h_k = e1 h_(k-1) - e2 h_(k-2) are the
+    complete symmetric polynomials of (u, v), taken at e1 = u + v = 1+s-t
+    and e2 = uv = s.
     """
     x = MPoly.var(1, 0)
-    p4 = assemble_P4(p)
-    a = x * p4.subs_poly([MPoly.zero(1), 1 - x])  # x * P4(0, 1-x)
+    a = x * assemble_P4(p).subs_poly([MPoly.zero(1), 1 - x])
     b = (1 - x) ** 3
-    u_img = [MPoly.var(2, 0)]
-    v_img = [MPoly.var(2, 1)]
-    au, av = a.subs_poly(u_img), a.subs_poly(v_img)
-    bu, bv = b.subs_poly(u_img), b.subs_poly(v_img)
-    umv = MPoly.var(2, 0) - MPoly.var(2, 1)
-    num_uv = divide_exact(au * bv - av * bu, umv, 0)
-    den_uv = bu * bv
-    e_num = symmetric_reduce(num_uv)
-    e_den = symmetric_reduce(den_uv)
-    s = MPoly.var(2, 0)
-    t = MPoly.var(2, 1)
-    images = [1 + s - t, s]
-    return RatFn(e_num.subs_poly(images), e_den.subs_poly(images))
+    n = max(a.total_degree(), b.total_degree()) + 1
+    ac = [a.coeff((i,)) for i in range(n)]
+    bc = [b.coeff((i,)) for i in range(n)]
+    s, t = MPoly.variables(2)
+    e1 = 1 + s - t
+    h = [MPoly.const(2, 1), e1]
+    while len(h) < n:
+        h.append(e1 * h[-1] - s * h[-2])
+    num = MPoly.zero(2)
+    for j in range(n):
+        row = MPoly.zero(2)
+        for i in range(j + 1, n):
+            if c := ac[i] * bc[j] - ac[j] * bc[i]:
+                row = row + c * h[i - j - 1]
+        num = num + s**j * row
+    return RatFn(num, t**3)
 
 
 def laplace_st(f: RatFn) -> RatFn:

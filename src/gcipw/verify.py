@@ -162,20 +162,37 @@ def _rank(rows: List[List[Fraction]]) -> int:
     return rank
 
 
+def _substitution_oracle(poly: MPoly, points, w: int) -> int:
+    """How many of P(s, t) = t^w P(s/t, 1/t) and P(s, t) = s^w P(1/s, t/s),
+    the definitions of s12 and s23, hold at the points."""
+    held = 0
+    for s, t in points:
+        value = poly.eval([s, t])
+        held += value == t**w * poly.eval([s / t, 1 / t])
+        held += value == s**w * poly.eval([1 / s, t / s])
+    return held
+
+
 @_check("c04_crossing")
 def _crossing(seed: int):
-    """Criterion 4: crossing symmetry of the family, and the dimension count
-    against an independent one.  s12 and s23 permute the exponent triples
+    """Criterion 4: crossing symmetry of the family, checked by
+    `crossing_check` and against the definitions of s12 and s23 by
+    evaluation at seeded rational points, and the dimension count against
+    an independent one.  s12 and s23 permute the exponent triples
     (a, b, 2d-3-a-b) of s^a t^b, so the crossing-symmetric polynomials are
     spanned by the S3 orbit sums, one per partition of 2d-3 into at most
     three parts."""
     rng = random.Random(seed + 2)
-    ok = all(fourpoint.crossing_check(fourpoint.basis_J(nu), 4) for nu in range(3))
-    for _ in range(5):
-        ok = ok and fourpoint.crossing_check(
-            fourpoint.assemble_P4(random_params(rng)), 4
-        )
+    polys = [fourpoint.basis_J(nu) for nu in range(3)]
+    polys += [fourpoint.assemble_P4(random_params(rng)) for _ in range(5)]
+    ok = all(fourpoint.crossing_check(p, 4) for p in polys)
     ok = ok and not fourpoint.crossing_check(fourpoint.S, 4)
+    nonzero = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+    points = [(nonzero(), nonzero()) for _ in range(3)]
+    held = sum(_substitution_oracle(p, points, 5) for p in polys)
+    total = 2 * len(points) * len(polys)
+    s_held = _substitution_oracle(fourpoint.S, points, 5)
+    oracle_ok = held == total and s_held < 2 * len(points)
     counts_ok = all(
         len(_partitions3(2 * d - 3)) == fourpoint.crossing_dimension(d) for d in range(2, 11)
     )
@@ -191,7 +208,9 @@ def _crossing(seed: int):
         for row, f in zip(rows, family)
     )
     rank = _rank(rows) if spanned else None
-    return ok and counts_ok and orbits_ok and rank == 5, (
+    return ok and oracle_ok and counts_ok and orbits_ok and rank == 5, (
+        f"substitution oracle: {held}/{total} identities hold for J0-J2 and 5 random P4, "
+        f"{s_held}/{2 * len(points)} for S; "
         f"partition counts = crossing_dimension for d=2..10: {counts_ok}, "
         f"d=4 orbit sums crossing-symmetric: {orbits_ok}, family rank in orbit basis={rank}"
     )

@@ -116,3 +116,15 @@ def test_crossing_count_is_checked_independently(monkeypatch):
 
     monkeypatch.setattr(fourpoint, "crossing_dimension", lambda d: d * d // 3 + (d == 7))
     assert not CHECKS["c04_crossing"](SEED)["passed"]
+
+
+def test_crossing_is_checked_against_the_definition(monkeypatch):
+    # c04 evaluates the substitution definitions of s12 and s23 itself, so
+    # a crossing_check that accepts a non-symmetric P4 fails the check
+    from gcipw import fourpoint
+
+    monkeypatch.setattr(fourpoint, "crossing_check", lambda poly, d: poly != fourpoint.S)
+    monkeypatch.setattr(fourpoint, "assemble_P4", lambda p: fourpoint.S * fourpoint.T)
+    result = CHECKS["c04_crossing"](SEED)
+    assert not result["passed"]
+    assert "substitution oracle: 18/48" in result["detail"]  # only J0-J2 hold

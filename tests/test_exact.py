@@ -17,7 +17,7 @@ from gcipw.exact import (
     divide_exact,
     lambert_series,
 )
-from gcipw.exact.chiral import chiral_slices, symmetric_reduce
+from gcipw.exact.chiral import chiral_slices
 from gcipw.exact.mpoly import MAX_EXP, _pack, cancel_monomial
 
 rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 9))
@@ -122,6 +122,14 @@ class TestMPoly:
         for q in (p, p.map_coeff(lambda c: c.numerator)):
             got = q.eval(x)
             assert type(got) is F and got == ref_eval(q.terms, x)
+
+    def test_eval_rejects_non_rational_types(self):
+        p = MPoly.var(2, 0) + 1
+        for bad in (0.5, 1j, MPoly.var(2, 1)):
+            with pytest.raises(TypeError):
+                p.eval([bad, F(1)])
+            with pytest.raises(TypeError):
+                MPoly(2, {(1, 0): bad}).eval([F(1), F(2)])
 
     def test_subs_poly_rejects_mixed_arity(self):
         x, _ = MPoly.variables(2)
@@ -513,37 +521,6 @@ class TestSeries2:
         assert div_u_minus_v(half).coeffs == {(0, 0): F(1, 2)}
         with pytest.raises(ValueError):
             div_u_minus_v(Series2([[0, 3, 0], [-1, 0]], 6))
-
-
-class TestSymmetricReduce:
-    def test_newton(self):
-        u, v = MPoly.variables(2)
-        e1, e2 = MPoly.variables(2)
-        assert symmetric_reduce(u**2 + v**2) == e1**2 - 2 * e2
-
-    def test_product(self):
-        u, v = MPoly.variables(2)
-        assert symmetric_reduce(u * v) == MPoly.var(2, 1)
-
-    def test_cubic(self):
-        # expand-and-compare oracle: e1^3 - 3 e1 e2 backsubstitutes to u^3+v^3
-        u, v = MPoly.variables(2)
-        e1, e2 = MPoly.variables(2)
-        candidate = e1**3 - 3 * e1 * e2
-        assert candidate.subs_poly([u + v, u * v]) == u**3 + v**3
-        assert symmetric_reduce(u**3 + v**3) == candidate
-
-    def test_rejects_asymmetric(self):
-        u, v = MPoly.variables(2)
-        with pytest.raises(ValueError):
-            symmetric_reduce(u**2 + v)
-
-    @given(small_polys)
-    @settings(max_examples=30)
-    def test_roundtrip(self, p):
-        u, v = MPoly.variables(2)
-        sym = p + MPoly(2, {(b, a): c for (a, b), c in p.terms.items()})
-        assert symmetric_reduce(sym).subs_poly([u + v, u * v]) == sym
 
 
 class TestExpandToChiral:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gcipw.exact import MPoly, RatFn
+from gcipw.exact import MPoly
 from gcipw.fourpoint import (
     EIGENVALUES,
     GAP_ORDERS,
@@ -49,9 +49,8 @@ class TestBases:
         for s in (F(0), F(1), F(-3, 2)):
             assert j0.eval([s, F(1)]) == 2
         j1 = basis_j_small(1)
-        t = RatFn.var(2, 1)
-        restricted = j1.subs([RatFn.const(2, 0), t])
-        assert restricted == ((1 - t) / t) ** 2 * (1 + t)
+        for t in (F(1, 3), F(2), F(-5, 4)):
+            assert j1.eval([F(0), t]) == ((1 - t) / t) ** 2 * (1 + t)
         # direct evaluation of the displayed formula at (0, 1); the
         # bracket (1+s-t)^2 - s vanishes there, so the value is 0
         assert basis_j_small(2).eval([F(0), F(1)]) == 0
@@ -144,6 +143,14 @@ class TestCrossing:
 
     def test_d2_family(self):
         assert crossing_check(3 * (ONE + S + T), 2)
+
+    def test_rejects_d_below_two(self):
+        with pytest.raises(ValueError):
+            crossing_check(ONE + S + T, 1)
+
+    def test_rejects_non_bivariate(self):
+        with pytest.raises(ValueError):
+            crossing_check(MPoly.var(3, 0), 4)
 
     def test_dimension_count(self):
         assert crossing_dimension(2) == 1

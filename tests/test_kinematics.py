@@ -170,11 +170,16 @@ class TestS3Action:
                 assert max(p.degree_in(i) for p in (g.num, g.den) for i in (0, 1)) <= 8
 
     def test_s23_substitution_oracle(self):
-        # direct check at a rational point: (s23 f)(s,t) = s^(2d-3) f(1/s, t/s)
-        s0, t0 = F(3, 2), F(5, 7)
-        f = RatFn(MPoly.var(2, 0) ** 2)  # f = s^2
-        g = s3_action("s23", f, 2)
-        assert g.eval([s0, t0]) == s0 ** (2 * 2 - 3) * (1 / s0) ** 2
+        # the definitions, by evaluation at rational points:
+        # (s12 f)(s,t) = t^(2d-3) f(s/t, 1/t), (s23 f)(s,t) = s^(2d-3) f(1/s, t/s)
+        rng = random.Random(12)
+        points = [(F(3, 2), F(5, 7)), (F(-2, 3), F(4)), (F(7, 5), F(-1, 6))]
+        for f in [RatFn(MPoly.var(2, 0) ** 2)] + [random_ratfn(rng) for _ in range(8)]:
+            for d in (2, 4):
+                w = 2 * d - 3
+                for s0, t0 in points:
+                    assert s3_action("s12", f, d).eval([s0, t0]) == t0**w * f.eval([s0 / t0, 1 / t0])
+                    assert s3_action("s23", f, d).eval([s0, t0]) == s0**w * f.eval([1 / s0, t0 / s0])
 
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
