@@ -184,11 +184,6 @@ class MPoly:
         """The stored coefficients, none of them zero."""
         return self._packed.values()
 
-    def lex_leading(self) -> Tuple[Expo, object]:
-        """(exponent, coeff) of the lex-greatest term of a nonzero polynomial."""
-        key = max(self._packed)
-        return _unpack(key, self.arity), self._packed[key]
-
     def is_zero(self) -> bool:
         return not self._packed
 
@@ -202,9 +197,6 @@ class MPoly:
 
     def coeff(self, e: Expo):
         return self._packed.get(_pack(e, self.arity), Fraction(0))
-
-    def constant_term(self):
-        return self._packed.get(0, Fraction(0))
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
@@ -311,35 +303,3 @@ def cancel_monomial(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
         return num, den
     trim = lambda p: MPoly._trusted(p.arity, {k - low: c for k, c in p._packed.items()})
     return trim(num), trim(den)
-
-
-def divide_exact(num: MPoly, den: MPoly, main_var: int = 0) -> MPoly:
-    """Exact division num/den for den monic-leading in `main_var`.
-
-    Raises ValueError if the division leaves a remainder.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    arity = num.arity
-    shift = _shift(arity, main_var)
-    ddeg = den.degree_in(main_var)
-    lead = [(key, c) for key, c in den._packed.items() if key >> shift & MAX_EXP == ddeg]
-    if len(lead) != 1:
-        raise ValueError("divisor leading form in main_var is not a monomial")
-    (lkey, lc), = lead
-    guard = _guard(arity)  # a field that borrows in (key | guard) - lkey clears its guard
-    rem = num
-    quo = MPoly.zero(arity)
-    while not rem.is_zero():
-        rdeg = rem.degree_in(main_var)
-        if rdeg < ddeg:
-            raise ValueError("inexact polynomial division")
-        # peel one leading term of the remainder per pass
-        key, c = next((k, c) for k, c in rem._packed.items() if k >> shift & MAX_EXP == rdeg)
-        qkey = (key | guard) - lkey
-        if qkey & guard != guard:
-            raise ValueError("inexact polynomial division")
-        qt = MPoly._trusted(arity, {qkey ^ guard: c / lc})
-        quo = quo + qt
-        rem = rem - qt * den
-    return quo

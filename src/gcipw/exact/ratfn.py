@@ -1,13 +1,14 @@
-"""Normalized rational functions num/den over sparse polynomials.
+"""Rational functions num/den over sparse polynomials, with a monomial
+denominator.
 
-Normalization is deliberately cheap: joint content reduction plus a
-canonical sign for the denominator's lex-leading coefficient, and the
-common monomial factor divided out of the results of the operations.  No
-other multivariate gcd cancellation is attempted; equality is decided by
-cross-multiplication, which is exact and cheap at the sizes used here.
-The maps are evaluation at a rational point and partial derivatives; no
-function is substituted for a variable, as the crossing action
-(`kinematics.s3_action`) permutes exponents instead.
+Globally conformal invariant correlators have poles only where a squared
+interval vanishes, so every function of the cross-ratios handled here is a
+polynomial over a monomial c s^a t^b; a denominator of two or more terms
+raises ValueError.  Normalization is joint content reduction plus a
+positive denominator coefficient, and the operations divide the common
+monomial out of their results, so num and den share no monomial factor
+there.  Equality is decided by cross-multiplication.  The maps are
+evaluation at a rational point and partial derivatives.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .mpoly import MPoly, cancel_monomial, divide_exact
+from .mpoly import MPoly, cancel_monomial
 
 
 def _joint_content(*polys: MPoly) -> Fraction:
@@ -33,9 +34,10 @@ def _joint_content(*polys: MPoly) -> Fraction:
 
 
 class RatFn:
-    """Rational function in a fixed number of variables.  The constructor
-    keeps num and den up to content and sign; the operations divide the
-    common monomial out of their results, so chains keep their degrees low."""
+    """Polynomial over a monomial in a fixed number of variables.  The
+    constructor keeps num and den up to content and sign; the operations
+    divide the common monomial out of their results, so chains keep their
+    degrees low."""
 
     __slots__ = ("num", "den")
 
@@ -46,6 +48,8 @@ class RatFn:
             raise ZeroDivisionError("zero denominator")
         if num.arity != den.arity:
             raise ValueError("arity mismatch between num and den")
+        if len(den.coefficients()) != 1:
+            raise ValueError(f"denominator {den!r} is not a monomial")
         if num.is_zero():
             den = MPoly.const(num.arity, 1)
         else:
@@ -53,7 +57,7 @@ class RatFn:
             if c != 1:
                 num = num.map_coeff(lambda x: x / c)
                 den = den.map_coeff(lambda x: x / c)
-            if den.lex_leading()[1] < 0:
+            if next(iter(den.coefficients())) < 0:
                 num, den = -num, -den
         self.num = num
         self.den = den
@@ -116,8 +120,6 @@ class RatFn:
         return self._coerce(other) / self
 
     def __pow__(self, n: int):
-        if n < 0:
-            return RatFn(self.den, self.num) ** (-n)
         return RatFn(self.num**n, self.den**n)
 
     # -- structure ---------------------------------------------------------
@@ -126,20 +128,13 @@ class RatFn:
         return self.num.is_zero()
 
     def as_poly(self) -> MPoly:
-        """Return the numerator/denominator quotient if it is a polynomial."""
-        if self.den == MPoly.const(self.arity, 1):
-            return self.num
-        if self.den.total_degree() == 0:
-            c = self.den.constant_term()
-            return self.num.map_coeff(lambda x: x / c)
-        last_err = None
-        for v in range(self.arity):
-            if self.den.degree_in(v) > 0:
-                try:
-                    return divide_exact(self.num, self.den, v)
-                except ValueError as err:
-                    last_err = err
-        raise ValueError(f"not a polynomial: {last_err}")
+        """num/den as a polynomial; ValueError if the monomial den does not
+        divide num."""
+        num, den = cancel_monomial(self.num, self.den)
+        if den.total_degree() != 0:
+            raise ValueError(f"not a polynomial: {den!r} does not divide the numerator")
+        (c,) = den.coefficients()
+        return num if c == 1 else num.map_coeff(lambda x: x / c)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, MPoly)):

@@ -1,9 +1,10 @@
 """Crossing-symmetric truncated 4-point functions of a dimension-4 scalar.
 
 The five-parameter family is assembled from three twist-2 basis
-polynomials J_nu and two higher-twist blocks st*(Q1 - 2Q2), st*Q2.  The
-companion rational functions j_nu generate the J_nu under the weighted
-S3 symmetrization, with eigenvalues (1, 1, 1/2).
+polynomials J_nu and two higher-twist blocks st*(Q1 - 2Q2), st*Q2.  For
+the companion rational functions j_nu, the polynomials t^3 j_nu generate
+the J_nu under the weighted S3 symmetrization, with eigenvalues
+(1, 1, 1/2).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .kinematics import (
     DegenerateConfiguration,
     PointConfig,
     cross_ratios,
+    exact_rational,
     s3_action,
     s3_symmetrize,
 )
@@ -31,6 +33,7 @@ ONE = MPoly.const(2, 1)
 class PWParams:
     """The (a0, a1, a2, b, c) 4-point parameters and the 2-point norm B.
 
+    Each is an int, Fraction or str; a float or complex raises TypeError.
     The integer form of a0..c is built once with them: `num` holds their
     numerators over the lcm `den` of their denominators.  The two are
     plain attributes, not fields, so equality, hashing, `fields`,
@@ -46,7 +49,7 @@ class PWParams:
 
     def __post_init__(self):
         for name in ("a0", "a1", "a2", "b", "c", "B"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, exact_rational(getattr(self, name)))
         if self.B < 0:
             raise ValueError("the 2-point normalization B must be >= 0")
         num, den = common_denominator([self.a0, self.a1, self.a2, self.b, self.c])
@@ -119,9 +122,15 @@ def assemble_P4(p: PWParams) -> MPoly:
 
 
 def crossing_check(poly: MPoly, d: int) -> bool:
-    """True iff the polynomial is invariant under both S3 generators."""
-    f = RatFn(poly)
-    return s3_action("s12", f, d) == f and s3_action("s23", f, d) == f
+    """True iff the polynomial is invariant under both S3 generators.
+
+    A polynomial of total degree above 2d-3 is not: each generator would
+    give it a pole at s = 0 or t = 0."""
+    if d < 2:
+        raise ValueError("need d >= 2")
+    if poly.total_degree() > 2 * d - 3:
+        return False
+    return s3_action("s12", poly, d) == poly and s3_action("s23", poly, d) == poly
 
 
 def crossing_dimension(d: int) -> int:
@@ -148,12 +157,11 @@ def eigen_check(nu: int) -> Tuple[Fraction, int, MPoly]:
     sigma_nu.
     """
     lam = EIGENVALUES[nu]
-    t = RatFn.var(2, 1)
-    t3j = t**3 * basis_j_small(nu)
+    t3j = (RatFn.var(2, 1) ** 3 * basis_j_small(nu)).as_poly()
     sym = lam * s3_symmetrize(t3j, 4)
-    if not sym == RatFn(basis_J(nu)):
+    if sym != basis_J(nu):
         raise BasisIdentityError(f"symmetrization of t^3 j_{nu} is not J_{nu}")
-    diff = (sym - t3j).as_poly().terms
+    diff = (sym - t3j).terms
     sigma = min((a for a, _ in diff), default=0)
     q = MPoly(2, {(a - sigma, b): c for (a, b), c in diff.items()})
     if sigma < 1:

@@ -1,8 +1,9 @@
 """Point configurations, squared intervals, cross-ratios, the S3 crossing
-action on functions of the cross-ratios, and seeded random configurations.
+action on polynomials in the cross-ratios, and seeded random configurations.
 
-The crossing action permutes the exponents of the numerator and
-denominator monomials; it substitutes nothing.
+Crossing acts on polynomials of total degree at most 2d-3, the numerators
+of the truncated 4-point functions, by permuting the exponents of their
+monomials; it substitutes nothing.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .exact import MPoly, RatFn
-from .exact.mpoly import cancel_monomial
+from .exact import MPoly
 
 Vec4 = Tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -24,10 +24,18 @@ class DegenerateConfiguration(Exception):
     """A squared interval needed in a denominator vanishes."""
 
 
+def exact_rational(x) -> Fraction:
+    """x as a Fraction, for an int, Fraction or str.  A float or complex
+    raises TypeError: its binary fraction is not the rational meant."""
+    if isinstance(x, (float, complex)):
+        raise TypeError(f"{x!r} is inexact; pass an int, Fraction or str")
+    return Fraction(x)
+
+
 def vec4(*coords) -> Vec4:
     if len(coords) != 4:
         raise ValueError("points live in four dimensions")
-    return tuple(Fraction(c) for c in coords)
+    return tuple(map(exact_rational, coords))
 
 
 def integer_form(points: Sequence[Sequence]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
@@ -128,39 +136,37 @@ def cross_ratios(config: PointConfig) -> CrossRatios:
 # -- S3 crossing action -----------------------------------------------------
 
 
-def s3_action(gen: str, f: RatFn, d: int) -> RatFn:
-    """Apply a crossing generator to a function of the cross-ratios.
+def s3_action(gen: str, p: MPoly, d: int) -> MPoly:
+    """Apply a crossing generator to a polynomial in the cross-ratios.
 
-    s12: f -> t^(2d-3) f(s/t, 1/t);  s23: f -> s^(2d-3) f(1/s, t/s).
+    s12: P -> t^w P(s/t, 1/t);  s23: P -> s^w P(1/s, t/s), with w = 2d-3.
     Both are involutions and (s12 s23) has order three.
 
-    Each acts by permuting exponents: with D the larger total degree of
-    num and den, a monomial s^a t^b of either is the triple (a, b, D-a-b),
-    s12 swaps its 2nd and 3rd slots and s23 its 1st and 3rd (the common
-    factor t^-D or s^-D cancels), and the weight 2d-3 goes on the moved
-    slot of num.  The common monomial of the images is divided out.
+    Each permutes exponent triples: s^a t^b is the triple (a, b, w-a-b),
+    s12 swaps its 2nd and 3rd slots and s23 its 1st and 3rd.  A term of
+    total degree above w has no polynomial image and raises ValueError.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    if f.arity != 2:
-        raise ValueError("s3_action acts on functions of (s, t)")
-    top = max(f.num.total_degree(), f.den.total_degree())
+    if p.arity != 2:
+        raise ValueError("s3_action acts on polynomials in (s, t)")
+    w = 2 * d - 3
+    if p.total_degree() > w:
+        raise ValueError(f"degree {p.total_degree()} is above 2d-3 = {w}")
     if gen == "s12":
-        move = lambda a, b, w: (a, top - a - b + w)
+        move = lambda a, b: (a, w - a - b)
     elif gen == "s23":
-        move = lambda a, b, w: (top - a - b + w, b)
+        move = lambda a, b: (w - a - b, b)
     else:
         raise ValueError(f"unknown generator {gen!r} (use 's12' or 's23')")
-    num = MPoly(2, {move(a, b, 2 * d - 3): c for (a, b), c in f.num.terms.items()})
-    den = MPoly(2, {move(a, b, 0): c for (a, b), c in f.den.terms.items()})
-    return RatFn(*cancel_monomial(num, den))
+    return MPoly(2, {move(a, b): c for (a, b), c in p.terms.items()})
 
 
-def s3_symmetrize(f: RatFn, d: int) -> RatFn:
-    """(1 + s23 + s13) f, with s13 = s12 s23 s12."""
-    s23f = s3_action("s23", f, d)
-    s13f = s3_action("s12", s3_action("s23", s3_action("s12", f, d), d), d)
-    return f + s23f + s13f
+def s3_symmetrize(p: MPoly, d: int) -> MPoly:
+    """(1 + s23 + s13) P, with s13 = s12 s23 s12."""
+    s23p = s3_action("s23", p, d)
+    s13p = s3_action("s12", s3_action("s23", s3_action("s12", p, d), d), d)
+    return p + s23p + s13p
 
 
 # -- seeded random configurations ---------------------------------------------

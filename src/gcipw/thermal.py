@@ -202,10 +202,19 @@ def _csc(z: complex) -> complex:
 # -- elliptic functions --------------------------------------------------------------
 
 
+def _nome(tau: complex) -> complex:
+    """q = exp(2 pi i tau).  ValueError if the float |q| rounds to 1 (Im tau
+    below about 1e-17), where 1 - q^n in a q-expansion can vanish."""
+    q = cmath.exp(2j * math.pi * tau)
+    if abs(q) >= 1:
+        raise ValueError(f"tau={tau}: |q| rounds to 1, so the q-expansion diverges")
+    return q
+
+
 def elliptic_p1(zeta: complex, tau: complex, order: int) -> complex:
     """p1(zeta, tau) by its q-expansion:
     pi cot(pi zeta) + 4 pi sum_n q^n/(1-q^n) sin(2 pi n zeta)."""
-    q = cmath.exp(2j * math.pi * tau)
+    q = _nome(tau)
     total = math.pi * _cot(math.pi * zeta)
     for n in range(1, order + 1):
         qn = q**n
@@ -265,7 +274,7 @@ def gibbs_scalar_2pt(zeta: complex, alpha: float, tau: complex, order: int) -> c
 
 def gibbs_scalar_modes(zeta: complex, alpha: float, tau: complex, order: int) -> complex:
     """Mode-sum representation: vacuum + Planck-weighted angular cosines."""
-    q = cmath.exp(2j * math.pi * tau)
+    q = _nome(tau)
     sa = math.sin(TWO_PI * alpha)
     total = scalar_vacuum_2pt(zeta, alpha)
     for n in range(1, order + 1):

@@ -233,6 +233,8 @@ class TestBoundary:
             # a flag for the swept --axis parameter (b by default)
             ["positivity", "--b=-1/3", "--steps", "1"],
             ["positivity", "--axis", "a1", "--a1", "2", "--steps", "1"],
+            # the float q = exp(2 pi i tau) rounds to 1, so 1 - q^n = 0
+            ["thermal", "kms", "--tau", "1e-300i"],
         ],
     )
     def test_out_of_range_is_a_usage_error(self, args, capsys):

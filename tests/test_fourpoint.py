@@ -124,6 +124,16 @@ class TestAssemble:
         with pytest.raises(ValueError):
             PWParams(B=-1)
 
+    @pytest.mark.parametrize("x", [0.1, 2.0, 1j])
+    def test_inexact_parameters_rejected(self, x):
+        for name in ("a0", "c", "B"):
+            with pytest.raises(TypeError):
+                PWParams(**{name: x})
+
+    def test_exact_parameters_accepted(self):
+        p = PWParams(a0=2, a1=F(1, 3), b="-1/4", B="0.5")
+        assert (p.a0, p.a1, p.b, p.B) == (2, F(1, 3), F(-1, 4), F(1, 2))
+
 
 class TestCrossing:
     def test_all_bases(self):
@@ -140,6 +150,10 @@ class TestCrossing:
 
     def test_asymmetric_rejected(self):
         assert not crossing_check(S, 4)
+
+    def test_degree_above_bound_rejected(self):
+        # no polynomial of degree above 2d - 3 is crossing symmetric
+        assert crossing_check(S**6, 4) is False
 
     def test_d2_family(self):
         assert crossing_check(3 * (ONE + S + T), 2)

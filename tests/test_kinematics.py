@@ -7,13 +7,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from gcipw.exact import MPoly, RatFn
+from gcipw.exact import MPoly
 from gcipw.kinematics import (
     DegenerateConfiguration,
     PointConfig,
     cross_ratios,
     random_config,
     s3_action,
+    vec4,
 )
 from gcipw.thermal import harmonic_dimension
 
@@ -64,6 +65,16 @@ class TestIntegerForm:
         assert cfg.scale == 36
         assert cfg.int_points == ((9, 0, 24, 180), (-42, 36, 0, 4))
         assert PointConfig([E1, E2]).scale == 1
+
+    @pytest.mark.parametrize("x", [0.1, 1.0, 0.5j])
+    def test_inexact_coordinates_rejected(self, x):
+        with pytest.raises(TypeError):
+            vec4(x, 0, 0, 0)
+        with pytest.raises(TypeError):
+            PointConfig([ORIGIN, (0, 0, x, 0)])
+
+    def test_exact_coordinates_accepted(self):
+        assert vec4(1, F(2, 3), "-5/7", "0.25") == (1, F(2, 3), F(-5, 7), F(1, 4))
 
     def test_equality_ignores_integer_form(self):
         cfg = random_config(random.Random(22), 6)
@@ -123,67 +134,66 @@ class TestCrossRatios:
         assert cross_ratios(PointConfig([rot(p) for p in cfg.points])) == cross_ratios(cfg)
 
 
-def random_ratfn(rng) -> RatFn:
-    s, t = MPoly.variables(2)
-    num = MPoly(
-        2,
-        {
-            (rng.randint(0, 3), rng.randint(0, 3)): F(rng.randint(-5, 5))
-            for _ in range(4)
-        },
-    )
-    if num.is_zero():
-        num = MPoly.const(2, 1)
-    return RatFn(num, t ** rng.randint(0, 2) * s ** rng.randint(0, 1))
+def random_poly(rng, d) -> MPoly:
+    """A random polynomial in (s, t) of total degree at most 2d - 3."""
+    w = 2 * d - 3
+    terms = {}
+    for _ in range(4):
+        a = rng.randint(0, w)
+        terms[a, rng.randint(0, w - a)] = F(rng.randint(-5, 5), rng.randint(1, 3))
+    return MPoly(2, terms)
 
 
 class TestS3Action:
     def test_d2_invariant_polynomial(self):
         s, t = MPoly.variables(2)
-        f = RatFn(1 + s + t)
+        f = 1 + s + t
         assert s3_action("s12", f, 2) == f
         assert s3_action("s23", f, 2) == f
 
     def test_involutions(self):
         rng = random.Random(9)
-        for _ in range(8):
-            f = random_ratfn(rng)
-            for gen in ("s12", "s23"):
-                assert s3_action(gen, s3_action(gen, f, 4), 4) == f
+        for d in (2, 4):
+            for _ in range(8):
+                f = random_poly(rng, d)
+                for gen in ("s12", "s23"):
+                    assert s3_action(gen, s3_action(gen, f, d), d) == f
 
     def test_braid_relation(self):
         rng = random.Random(10)
-        f = random_ratfn(rng)
-        g = f
-        for _ in range(3):
-            g = s3_action("s23", s3_action("s12", g, 4), 4)
-        assert g == f
+        for d in (2, 4):
+            f = random_poly(rng, d)
+            g = f
+            for _ in range(3):
+                g = s3_action("s23", s3_action("s12", g, d), d)
+            assert g == f
 
-    def test_actions_keep_degrees_small(self):
-        # the common monomial is divided out at each step, so chains of
-        # actions stay near the true degrees instead of piling up powers
-        rng = random.Random(11)
-        for _ in range(6):
-            g = random_ratfn(rng)
-            for gen in ["s12", "s23"] * 6:
-                g = s3_action(gen, g, 4)
-                assert max(p.degree_in(i) for p in (g.num, g.den) for i in (0, 1)) <= 8
+    def test_degree_above_bound_raises(self):
+        # t^(2d-2) has no polynomial image: s12 sends it to t^(-1)
+        s, t = MPoly.variables(2)
+        for d in (2, 4):
+            for gen in ("s12", "s23"):
+                assert s3_action(gen, s ** (2 * d - 3), d).total_degree() <= 2 * d - 3
+                with pytest.raises(ValueError):
+                    s3_action(gen, t ** (2 * d - 2), d)
+                with pytest.raises(ValueError):
+                    s3_action(gen, 1 + s * t ** (2 * d - 3), d)
 
     def test_s23_substitution_oracle(self):
         # the definitions, by evaluation at rational points:
         # (s12 f)(s,t) = t^(2d-3) f(s/t, 1/t), (s23 f)(s,t) = s^(2d-3) f(1/s, t/s)
         rng = random.Random(12)
         points = [(F(3, 2), F(5, 7)), (F(-2, 3), F(4)), (F(7, 5), F(-1, 6))]
-        for f in [RatFn(MPoly.var(2, 0) ** 2)] + [random_ratfn(rng) for _ in range(8)]:
-            for d in (2, 4):
-                w = 2 * d - 3
+        for d in (2, 4):
+            w = 2 * d - 3
+            for f in [MPoly.var(2, 0) ** w] + [random_poly(rng, d) for _ in range(8)]:
                 for s0, t0 in points:
                     assert s3_action("s12", f, d).eval([s0, t0]) == t0**w * f.eval([s0 / t0, 1 / t0])
                     assert s3_action("s23", f, d).eval([s0, t0]) == s0**w * f.eval([1 / s0, t0 / s0])
 
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
-            s3_action("s13", RatFn.const(2, 1), 4)
+            s3_action("s13", MPoly.const(2, 1), 4)
 
 
 class TestHarmonicDimension:

@@ -239,6 +239,14 @@ class TestEllipticP1:
             b = p1_lattice(zeta, 1.5j, 25)
             assert abs(a - b) < 1e-12
 
+    @pytest.mark.parametrize("tau", [1e-300j, 0.3 + 1e-18j])
+    def test_q_rounding_to_one_raises(self, tau):
+        # |exp(2 pi i tau)| rounds to 1 in floats, so 1 - q^n can vanish
+        with pytest.raises(ValueError):
+            elliptic_p1(0.23, tau, 10)
+        with pytest.raises(ValueError):
+            gibbs_scalar_modes(0.1, 0.37, tau, 10)
+
 
 class TestEllipticP11:
     def test_antiperiodicity_in_unit_shift(self):
