@@ -1,6 +1,6 @@
-"""Exact arithmetic substrate: polynomials, rational functions with
-monomial denominators, truncated power series (univariate, and bivariate
-held by v-slices), half-integer q-series and quaternions.
+"""Exact arithmetic substrate: polynomials, truncated power series
+(univariate, and bivariate held by v-slices), half-integer q-series and
+quaternions.
 
 `fractions.Fraction` is the rational scalar type.  The series types
 `PSeries`, `Series2` and `QSeries` instead hold integer numerators over
@@ -10,12 +10,10 @@ one denominator and build Fractions only on access.
 from .mpoly import MPoly
 from .qseries import QSeries, lambert_series
 from .quaternion import Quaternion, chain_trace
-from .ratfn import RatFn
 from .series import PSeries, Series2, div_u_minus_v, unit_row
 
 __all__ = [
     "MPoly",
-    "RatFn",
     "PSeries",
     "Series2",
     "div_u_minus_v",

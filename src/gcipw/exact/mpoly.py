@@ -5,12 +5,11 @@ ring type (e.g. plain ints), as long as it supports +, -, *, == 0 and
 bool(); `eval` takes int and Fraction coefficients only.
 
 Each monomial is one packed integer key: the exponent of variable i fills
-a field of BITS bits, variable 0 the highest, so key order is lex order of
-exponent tuples.  The top bit of each field is a guard kept clear, so
-exponents are at most MAX_EXP, adding two keys multiplies the monomials
-without a carry between fields, and a product that would set a guard bit
-raises ValueError.  No other module reads the keys: `terms` is a read-only
-tuple-keyed view, unpacked on each read.
+a field of BITS bits, variable 0 the highest.  The top bit of each field
+is a guard kept clear, so exponents are at most MAX_EXP, adding two keys
+multiplies the monomials without a carry between fields, and a product
+that would set a guard bit raises ValueError.  No other module reads the
+keys: `terms` is a read-only tuple-keyed view, unpacked on each read.
 
 Invariant: no zero coefficient is stored and every key holds `arity` fields
 below the guard.  Only the public constructor `MPoly(arity, terms)` checks
@@ -291,15 +290,3 @@ class MPoly:
             )
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "MPoly(" + " + ".join(parts) + ")"
-
-
-def cancel_monomial(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
-    """num and den divided by the largest monomial that divides both: each
-    field of every key drops by its least value over all the keys."""
-    keys = [*num._packed, *den._packed]
-    shifts = [_shift(num.arity, i) for i in range(num.arity)]
-    low = sum(min(key >> shift & MAX_EXP for key in keys) << shift for shift in shifts)
-    if not low:
-        return num, den
-    trim = lambda p: MPoly._trusted(p.arity, {k - low: c for k, c in p._packed.items()})
-    return trim(num), trim(den)

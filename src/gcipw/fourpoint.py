@@ -1,10 +1,11 @@
 """Crossing-symmetric truncated 4-point functions of a dimension-4 scalar.
 
 The five-parameter family is assembled from three twist-2 basis
-polynomials J_nu and two higher-twist blocks st*(Q1 - 2Q2), st*Q2.  For
-the companion rational functions j_nu, the polynomials t^3 j_nu generate
-the J_nu under the weighted S3 symmetrization, with eigenvalues
-(1, 1, 1/2).
+polynomials J_nu and two higher-twist blocks st*(Q1 - 2Q2), st*Q2.  The
+companion twist-2 channel functions j_nu have poles only at t = 0, so
+each is held as the polynomial t^3 j_nu over t^3 (`OverT`); under the
+weighted S3 symmetrization the t^3 j_nu generate the J_nu, with
+eigenvalues (1, 1, 1/2).
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Sequence, Tuple
 
-from .exact import MPoly, RatFn
+from .exact import MPoly
 from .exact.series import common_denominator
 from .kinematics import (
     DegenerateConfiguration,
@@ -94,17 +95,34 @@ def basis_Q(j: int) -> MPoly:
     raise ValueError("j must be 1 or 2")
 
 
-def basis_j_small(nu: int) -> RatFn:
-    """The twist-2 channel functions j_nu(s, t)."""
-    s = RatFn.var(2, 0)
-    t = RatFn.var(2, 1)
+class OverT(NamedTuple):
+    """The function num / den of (s, t), den a monomial c t^k: j_nu, f1
+    and their conformal Laplacians.  No operations and no normalization."""
+
+    num: MPoly
+    den: MPoly
+
+    def eval(self, point: Sequence[Fraction]) -> Fraction:
+        return self.num.eval(point) / self.den.eval(point)
+
+
+def basis_j_small(nu: int) -> OverT:
+    """The twist-2 channel functions j_nu(s, t), as t^3 j_nu over t^3:
+
+        j0 = 1 + 1/t,
+        j1 = ((1 - t)/t)^2 (1 + t - s) - 2s/t,
+        j2 = (1 + 1/t^3) ((1 + s - t)^2 - s) - 3s (1 - t)/t^3.
+    """
+    s, t = S, T
     if nu == 0:
-        return 1 + 1 / t
-    if nu == 1:
-        return ((1 - t) / t) ** 2 * (1 + t - s) - 2 * s / t
-    if nu == 2:
-        return (1 + 1 / t**3) * ((1 + s - t) ** 2 - s) - 3 * s * (1 - t) / t**3
-    raise ValueError("nu must be 0, 1 or 2")
+        num = t**3 + t**2
+    elif nu == 1:
+        num = t * (1 - t) ** 2 * (1 + t - s) - 2 * s * t**2
+    elif nu == 2:
+        num = (1 + t**3) * ((1 + s - t) ** 2 - s) - 3 * s * (1 - t)
+    else:
+        raise ValueError("nu must be 0, 1 or 2")
+    return OverT(num, t**3)
 
 
 EIGENVALUES = (Fraction(1), Fraction(1), Fraction(1, 2))
@@ -157,7 +175,7 @@ def eigen_check(nu: int) -> Tuple[Fraction, int, MPoly]:
     sigma_nu.
     """
     lam = EIGENVALUES[nu]
-    t3j = (RatFn.var(2, 1) ** 3 * basis_j_small(nu)).as_poly()
+    t3j = basis_j_small(nu).num
     sym = lam * s3_symmetrize(t3j, 4)
     if sym != basis_J(nu):
         raise BasisIdentityError(f"symmetrization of t^3 j_{nu} is not J_{nu}")

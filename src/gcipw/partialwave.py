@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .exact import MPoly, PSeries, RatFn, Series2, div_u_minus_v
+from .exact import MPoly, PSeries, Series2, div_u_minus_v
 from .exact.chiral import chiral_slices
 from .exact.series import ZERO, common_denominator
-from .fourpoint import PWParams, assemble_P4
+from .fourpoint import OverT, PWParams, S, T, assemble_P4
 
 
 class PoleInParameters(Exception):
@@ -156,8 +156,8 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
     return tower
 
 
-def f1_rational(p: PWParams) -> RatFn:
-    """The twist-2 profile as a rational function of (s, t).
+def f1_rational(p: PWParams) -> OverT:
+    """The twist-2 profile as its numerator over t^3.
 
     f1 is the divided difference (g1(u) - g1(v)) / (u - v) of
     g1(x) = a(x) / b(x), with a = x P4(0, 1-x) and b = (1-x)^3, so its
@@ -169,7 +169,8 @@ def f1_rational(p: PWParams) -> RatFn:
 
     where h_0 = 1, h_1 = e1 and h_k = e1 h_(k-1) - e2 h_(k-2) are the
     complete symmetric polynomials of (u, v), taken at e1 = u + v = 1+s-t
-    and e2 = uv = s.
+    and e2 = uv = s.  It is returned as L num over L t^3, L the lcm of the
+    coefficient denominators of num, and f1 = 0 as 0 over 1.
     """
     x = MPoly.var(1, 0)
     a = x * assemble_P4(p).subs_poly([MPoly.zero(1), 1 - x])
@@ -189,23 +190,29 @@ def f1_rational(p: PWParams) -> RatFn:
             if c := ac[i] * bc[j] - ac[j] * bc[i]:
                 row = row + c * h[i - j - 1]
         num = num + s**j * row
-    return RatFn(num, t**3)
+    if num.is_zero():
+        return OverT(num, MPoly.const(2, 1))
+    L = math.lcm(*(c.denominator for c in num.coefficients()))
+    return OverT(num * L, t**3 * L)
 
 
-def laplace_st(f: RatFn) -> RatFn:
-    """s f_ss + t f_tt + (s + t - 1) f_st + 2 (f_s + f_t), exactly."""
-    if f.arity != 2:
-        raise ValueError("laplace_st acts on functions of (s, t)")
-    s = RatFn.var(2, 0)
-    t = RatFn.var(2, 1)
-    fs = f.deriv(0)
-    ft = f.deriv(1)
-    return (
-        s * fs.deriv(0)
-        + t * ft.deriv(1)
-        + (s + t - 1) * fs.deriv(1)
-        + 2 * (fs + ft)
-    )
+def laplace_st(f: OverT) -> OverT:
+    """The conformal Laplacian s f_ss + t f_tt + (s + t - 1) f_st + 2 (f_s + f_t)
+    of f = P / (c t^k), exactly, by one polynomial formula:
+
+        t^(k+1) lap(P t^-k) = t lap0(P) - 2k t P_t - k (s + t - 1) P_s + k (k - 1) P,
+
+    over c t^(k+1), lap0 being the same operator on polynomials.
+    ValueError if the denominator is not c t^k.
+    """
+    if f.den.arity != 2 or len(f.den.coefficients()) != 1 or f.den.degree_in(0):
+        raise ValueError(f"denominator {f.den!r} is not c t^k")
+    k = f.den.degree_in(1)
+    s, t, P = S, T, f.num
+    Ps, Pt = P.deriv(0), P.deriv(1)
+    lap0 = s * Ps.deriv(0) + t * Pt.deriv(1) + (s + t - 1) * Ps.deriv(1) + 2 * (Ps + Pt)
+    num = t * lap0 - 2 * k * t * Pt - k * (s + t - 1) * Ps + k * (k - 1) * P
+    return OverT(num, f.den * t)
 
 
 def default_order(max_spin: int, max_twist: int) -> int:

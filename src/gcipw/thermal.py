@@ -117,21 +117,19 @@ def energy_mean_weyl(order2: int) -> QSeries:
     return lambert_series(WEYL_VACUUM_ENERGY, terms, -1, order2)
 
 
-def weyl_modular_combination(order2: int, as_printed: bool = False) -> QSeries:
+def weyl_modular_combination(order2: int) -> QSeries:
     """(1/4){8 G4(tau) - G4((tau+1)/2) + G2((tau+1)/2) - 2 G2(tau)}.
 
-    With as_printed=True the overall sign of the braces is flipped,
-    reproducing the displayed (internally inconsistent) variant; see the
-    module docstring.
+    The displayed (internally inconsistent) variant is its negation; see
+    the module docstring.
     """
     g4 = eisenstein_G(2, order2)  # to q^order2, so that G((tau+1)/2) reaches key order2
     g2 = eisenstein_G(1, order2)
     g4_half = g4.halfperiod_substitute()
     g2_half = g2.halfperiod_substitute()
-    combo = (
+    return (
         Fraction(8) * g4.truncate(order2) - g4_half + g2_half - Fraction(2) * g2.truncate(order2)
     ) * Fraction(1, 4)
-    return -combo if as_printed else combo
 
 
 def theta_form_F(order: int) -> QSeries:

@@ -104,12 +104,12 @@ def _harmonicity(seed: int):
     rng = random.Random(seed + 1)
     problems = []
     for nu in range(3):
-        if not partialwave.laplace_st(fourpoint.basis_j_small(nu)).is_zero():
+        if not partialwave.laplace_st(fourpoint.basis_j_small(nu)).num.is_zero():
             problems.append(("laplace", f"j{nu}"))
     for i in range(20):
         p = random_params(rng)
         f1 = partialwave.f1_rational(p)
-        if not partialwave.laplace_st(f1).is_zero():
+        if not partialwave.laplace_st(f1).num.is_zero():
             problems.append(("laplace", i))
         prof = _boundary_profile(p)
         if prof.degree_in(0) > 5:
@@ -373,15 +373,14 @@ def _thermal_series(_seed: int):
         combo = thermal.weyl_modular_combination(n)
         if w != combo:
             problems.append(f"weyl two-line (sign-corrected) at order {n}")
-        if abs(w[0]) != Fraction(17, 960):
-            problems.append(f"weyl E0 magnitude at order {n}")
-        printed = thermal.weyl_modular_combination(n, as_printed=True)
-        if printed != -combo or printed[0] != Fraction(-17, 960):
-            problems.append(f"printed-form sign-flip documentation at order {n}")
+        if w[0] != Fraction(17, 960):
+            problems.append(f"weyl E0 at order {n}")
+        if -combo == w:
+            problems.append(f"printed (negated) form matches the Fermi series at order {n}")
     return not problems, (
         "E0=+17/960 with sign-corrected combination; printed form is its "
-        f"negation (constant -17/960); n=2 block weight 2 omitted from the "
-        f"displayed D=6 expansion; problems={problems}"
+        f"negation (constant -17/960) and disagrees with the Fermi series; n=2 block "
+        f"weight 2 omitted from the displayed D=6 expansion; problems={problems}"
     )
 
 
@@ -407,6 +406,10 @@ def _gibbs(_seed: int):
     rep_diff = abs(
         thermal.gibbs_scalar_2pt(za, aa, ta, 60) - thermal.gibbs_scalar_modes(za, aa, ta, 60)
     )
+    lattice = max(
+        abs(thermal.elliptic_p1(z, ta, 60) - thermal.p1_lattice(z, ta, 25))
+        for z in (za + aa, za - aa)
+    )
     kms = thermal.kms_translate_sum_check("scalar", za, aa, ta, 8)
     u1 = (0.0, 0.0, 0.0, 1.0)
     u2 = (math.sin(2 * math.pi * aa), 0.0, 0.0, math.cos(2 * math.pi * aa))
@@ -419,6 +422,7 @@ def _gibbs(_seed: int):
     kms_w = thermal.kms_translate_sum_check("weyl4", za, aa, ta, 8, u1, u2)
     passed = (
         rep_diff < 1e-12
+        and lattice < 1e-12
         and kms["passed"]
         and kms_w["passed"]
         and anti < 1e-8
@@ -428,8 +432,8 @@ def _gibbs(_seed: int):
         passed,
         f"p1-vs-modes={rep_diff:.2e}, scalar KMS residual={kms['residual']:.2e} "
         f"(bound {kms['edge_bound']:.2e}), weyl antiperiodicity={anti:.2e}, "
-        f"weyl vacuum match={vac:.2e}",
-        [rep_diff, kms["residual"], kms_w["residual"], anti, vac],
+        f"weyl vacuum match={vac:.2e}, p1-vs-lattice={lattice:.2e}",
+        [rep_diff, kms["residual"], kms_w["residual"], anti, vac, lattice],
     )
 
 

@@ -55,6 +55,21 @@ class TestBases:
         # bracket (1+s-t)^2 - s vanishes there, so the value is 0
         assert basis_j_small(2).eval([F(0), F(1)]) == 0
 
+    def test_j_matches_the_displayed_formulas(self):
+        def displayed(nu, s, t):
+            if nu == 0:
+                return 1 + 1 / t
+            if nu == 1:
+                return ((1 - t) / t) ** 2 * (1 + t - s) - 2 * s / t
+            return (1 + 1 / t**3) * ((1 + s - t) ** 2 - s) - 3 * s * (1 - t) / t**3
+
+        rng = random.Random(21)
+        for _ in range(20):
+            s = F(rng.randint(-9, 9), rng.randint(1, 6))
+            t = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+            for nu in range(3):
+                assert basis_j_small(nu).eval([s, t]) == displayed(nu, s, t)
+
     def test_bad_index(self):
         with pytest.raises(ValueError):
             basis_J(3)

@@ -9,8 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 from gcipw import partialwave
-from gcipw.exact import MPoly, PSeries, RatFn, unit_row
-from gcipw.fourpoint import PWParams, assemble_P4, basis_j_small
+from gcipw.exact import MPoly, PSeries, unit_row
+from gcipw.fourpoint import OverT, PWParams, assemble_P4, basis_j_small
 from gcipw.partialwave import (
     InconsistentExpansion,
     PoleInParameters,
@@ -26,6 +26,9 @@ from gcipw.partialwave import (
     solve_structure_constants,
     twist_extract,
 )
+
+
+S, T = MPoly.variables(2)
 
 
 def rand_params(rng, with_B=False):
@@ -288,14 +291,15 @@ class TestTwistExtract:
 class TestF1Rational:
     def test_unit_directions(self):
         for nu, name in ((0, "a0"), (1, "a1"), (2, "a2")):
-            assert f1_rational(PWParams.unit(name)) == basis_j_small(nu)
+            f, j = f1_rational(PWParams.unit(name)), basis_j_small(nu)
+            assert f.num * j.den == j.num * f.den
 
     def test_zero(self):
-        assert f1_rational(PWParams()).is_zero()
+        assert f1_rational(PWParams()).num.is_zero()
 
     def test_keeps_its_t_cubed_denominator(self):
         # at a2 = 0 the numerator is divisible by t; the returned form is
-        # still num / (c t^3), as the constructor divides out no monomial
+        # still num / (c t^3), as f1_rational divides out no monomial
         p = PWParams(F(1), F(-4, 3), F(0), F(-5, 3), F(-5, 4), F(0))
         f1 = f1_rational(p)
         assert f1.den == 3 * MPoly.var(2, 1) ** 3
@@ -309,13 +313,58 @@ class TestF1Rational:
             assert f1.eval([s / t, 1 / t]) / t == f1.eval([s, t])
 
 
+def quotient_deriv(f, i):
+    """(num, den) of the partial derivative of num/den by the quotient rule."""
+    num, den = f
+    return num.deriv(i) * den - num * den.deriv(i), den * den
+
+
+def quotient_laplace(num, den):
+    """s f_ss + t f_tt + (s + t - 1) f_st + 2 (f_s + f_t) of f = num/den,
+    as (num, den), by the quotient rule and cross-multiplied sums."""
+    fs, ft = quotient_deriv((num, den), 0), quotient_deriv((num, den), 1)
+    terms = [
+        (S, quotient_deriv(fs, 0)),
+        (T, quotient_deriv(ft, 1)),
+        (S + T - 1, quotient_deriv(fs, 1)),
+        (2, fs),
+        (2, ft),
+    ]
+    out = (MPoly.zero(2), MPoly.const(2, 1))
+    for w, (n, d) in terms:
+        out = (out[0] * d + w * n * out[1], out[1] * d)
+    return out
+
+
 class TestLaplace:
     def test_j_channels_harmonic(self):
         for nu in range(3):
-            assert laplace_st(basis_j_small(nu)).is_zero()
+            assert laplace_st(basis_j_small(nu)).num.is_zero()
 
     def test_s_not_harmonic(self):
-        assert laplace_st(RatFn.var(2, 0)) == RatFn.const(2, 2)
+        lap = laplace_st(OverT(S, MPoly.const(2, 1)))
+        assert lap.num == 2 * lap.den
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_matches_the_quotient_rule(self, k):
+        rng = random.Random(40 + k)
+        for _ in range(8):
+            terms = {
+                (rng.randint(0, 4), rng.randint(0, 4)): F(rng.randint(-9, 9), rng.randint(1, 5))
+                for _ in range(rng.randint(1, 6))
+            }
+            f = OverT(MPoly(2, terms), F(rng.randint(1, 7), rng.choice((1, -1, 3))) * T**k)
+            lap = laplace_st(f)
+            num, den = quotient_laplace(f.num, f.den)
+            assert lap.num * den == num * lap.den
+            assert lap.den == f.den * T
+
+    @pytest.mark.parametrize(
+        "den", [S * T**3, S, T**3 + S, MPoly.zero(2)], ids=["s t^3", "s", "t^3 + s", "0"]
+    )
+    def test_denominator_must_be_c_t_to_the_k(self, den):
+        with pytest.raises(ValueError):
+            laplace_st(OverT(T, den))
 
 
 class TestSolver:

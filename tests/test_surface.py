@@ -10,8 +10,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gcipw"
-# independent oracles kept for the tests
-ALLOWED = {"p1_lattice"}
 
 
 def _names(node: ast.AST) -> set:
@@ -52,8 +50,7 @@ def unused_public_names():
                         defined[f"{path.relative_to(ROOT)}: {node.name}.{part.name}"] = part.name
                 names.discard(node.name)
                 used |= names
-    return sorted(label for label, name in defined.items()
-                  if name not in used and name not in ALLOWED)
+    return sorted(label for label, name in defined.items() if name not in used)
 
 
 def test_every_public_name_has_a_caller():

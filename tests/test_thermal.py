@@ -106,12 +106,12 @@ class TestEnergyMeans:
 
     def test_weyl_printed_form_is_sign_flipped(self):
         # the printed combination is the negation of the correct one; its
-        # constant term -17/960 is what constant-matching alone would give
+        # constant term -17/960 is what constant-matching alone would give,
+        # and it disagrees with the Fermi series
         combo = weyl_modular_combination(50)
-        printed = weyl_modular_combination(50, as_printed=True)
-        assert printed == -combo
-        assert printed[0] == F(-17, 960)
-        assert energy_mean_weyl(50) != printed
+        assert combo[0] == F(17, 960)
+        assert (-combo)[0] == F(-17, 960)
+        assert energy_mean_weyl(50) != -combo
 
 
 class TestLambertOracle:
