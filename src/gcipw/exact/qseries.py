@@ -78,10 +78,6 @@ class QSeries:
         b = {k: n * self.den for k, n in other.num.items() if k <= max_exp}
         return a == b
 
-    def truncate(self, max_exp: int) -> "QSeries":
-        """The series to key max_exp; a truncation never widens the window."""
-        return QSeries(self.num, self.den, min(max_exp, self.max_exp))
-
     def halfperiod_substitute(self) -> "QSeries":
         """Apply q -> -q^(1/2) exactly.
 

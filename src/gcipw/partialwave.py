@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .exact import MPoly, PSeries, Series2, div_u_minus_v
 from .exact.chiral import chiral_slices
@@ -286,13 +286,9 @@ def closed_form_B(kappa: int, ell: int, p: PWParams) -> Fraction:
 
 @dataclass
 class PositivityReport:
-    params: PWParams
-    conditions: List[Tuple[str, Fraction, bool]]
-    scan_violations: List[Tuple[int, int, Fraction]]
     admissible: bool
     trivial: bool
     first_violation: str | None
-    gauge_box: List[Tuple[str, bool]] | None
 
 
 NECESSARY_CONDITIONS = (
@@ -305,54 +301,38 @@ NECESSARY_CONDITIONS = (
 )
 
 
-def positivity_check(p: PWParams, scan_spin: int = 20, solver_twist: int = 0) -> PositivityReport:
-    """Necessary positivity conditions plus explicit scans.
-
-    Always evaluates the six closed-form inequalities and scans the
-    closed-form constants for twists 2, 4, 6 up to `scan_spin`.  When
-    `solver_twist` >= 4, also extracts solver-based constants (which see
-    the 2-point normalization B) up to that twist.
-    """
-    conditions = []
-    first = None
+def _violations(p: PWParams, scan_spin: int, solver_twist: int) -> Iterator[str]:
+    """The name of every failed inequality, in the order `positivity_check`
+    states."""
     for name, expr in NECESSARY_CONDITIONS:
-        val = expr(p)
-        ok = val >= 0
-        conditions.append((name, val, ok))
-        if not ok and first is None:
-            first = name
-    violations: List[Tuple[int, int, Fraction]] = []
+        if expr(p) < 0:
+            yield name
     for kappa in (1, 2, 3):
         for ell in range(scan_spin + 1):
-            val = closed_form_B(kappa, ell, p)
-            if val < 0:
-                violations.append((kappa, ell, val))
+            if closed_form_B(kappa, ell, p) < 0:
+                yield f"B[{kappa},{ell}] < 0"
     if solver_twist >= 4:
         tower = twist_extract(p, solver_twist, default_order(scan_spin, solver_twist))
         for kappa in range(4, solver_twist + 1):
-            for ell, val in enumerate(
-                solve_structure_constants(tower.g[kappa], kappa, scan_spin)
-            ):
+            for ell, val in enumerate(solve_structure_constants(tower.g[kappa], kappa, scan_spin)):
                 if val < 0:
-                    violations.append((kappa, ell, val))
-    if violations and first is None:
-        k, l, _ = violations[0]
-        first = f"B[{k},{l}] < 0"
-    gauge_box = None
-    trivial = False
-    if p.a0 == 0 and p.c == 0:
-        gauge_box = [
-            ("a1 >= 0", p.a1 >= 0),
-            ("a2 >= 0", p.a2 >= 0),
-            ("a1 + a2 > 0", p.a1 + p.a2 > 0),
-            ("-3 a1 <= b", -3 * p.a1 <= p.b),
-            ("b <= a1/3", p.b <= p.a1 / 3),
-        ]
-        trivial = p.a1 + p.a2 == 0
-    admissible = all(ok for _, _, ok in conditions) and not violations
-    return PositivityReport(
-        p, conditions, violations, admissible, trivial, first, gauge_box
-    )
+                    yield f"B[{kappa},{ell}] < 0"
+
+
+def positivity_check(p: PWParams, scan_spin: int = 20, solver_twist: int = 0) -> PositivityReport:
+    """Necessary positivity conditions plus explicit scans; the first
+    failed inequality decides.
+
+    In order: the six `NECESSARY_CONDITIONS`; B[kappa, ell] >= 0 from the
+    closed forms for twists 2, 4, 6 (kappa = 1..3) and ell <= `scan_spin`;
+    and, when `solver_twist` >= 4, the same from the solver for
+    4 <= kappa <= `solver_twist` (these see the 2-point normalization B).
+    Nothing after the first failure is evaluated, so the solver runs only
+    on a point that passes everything before it.  `trivial` means P4 = 0,
+    that is a0 = a1 = a2 = b = c = 0.
+    """
+    first = next(_violations(p, scan_spin, solver_twist), None)
+    return PositivityReport(first is None, not any(p.num), first)
 
 
 # -- kernel Taylor coefficients -------------------------------------------------

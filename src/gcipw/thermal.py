@@ -127,15 +127,14 @@ def weyl_modular_combination(order2: int) -> QSeries:
     g2 = eisenstein_G(1, order2)
     g4_half = g4.halfperiod_substitute()
     g2_half = g2.halfperiod_substitute()
-    return (
-        Fraction(8) * g4.truncate(order2) - g4_half + g2_half - Fraction(2) * g2.truncate(order2)
-    ) * Fraction(1, 4)
+    # each sum keeps the smaller window, the half-period images' key order2
+    return (Fraction(8) * g4 - g4_half + g2_half - Fraction(2) * g2) * Fraction(1, 4)
 
 
 def theta_form_F(order: int) -> QSeries:
     """F = 2 G2(tau) - G2((tau+1)/2), a weight-2 form for the theta group."""
     g2 = eisenstein_G(1, order)
-    return Fraction(2) * g2.truncate(order) - g2.halfperiod_substitute()
+    return Fraction(2) * g2 - g2.halfperiod_substitute()
 
 
 # -- numeric modular checks -------------------------------------------------------
@@ -220,23 +219,22 @@ def elliptic_p1(zeta: complex, tau: complex, order: int) -> complex:
     return total
 
 
+def _lattice_sum(f, zeta: complex, tau: complex, window: int, sign: int = 1) -> complex:
+    """f(zeta) + sum_{n=1}^{window} sign^n (f(zeta + n tau) + f(zeta - n tau))."""
+    total = f(zeta)
+    for n in range(1, window + 1):
+        total += sign**n * (f(zeta + n * tau) + f(zeta - n * tau))
+    return total
+
+
 def p1_lattice(zeta: complex, tau: complex, m_window: int) -> complex:
     """Symmetric lattice partial sum for p1: rows of Euler cotangents."""
-    total = math.pi * _cot(math.pi * zeta)
-    for m in range(1, m_window + 1):
-        total += math.pi * (_cot(math.pi * (zeta + m * tau)) + _cot(math.pi * (zeta - m * tau)))
-    return total
+    return _lattice_sum(lambda z: math.pi * _cot(math.pi * z), zeta, tau, m_window)
 
 
 def elliptic_p1_11(zeta: complex, tau: complex, window: int) -> complex:
     """p1^{11}(zeta, tau) = pi sum_n (-1)^n / sin(pi (zeta + n tau))."""
-    total = math.pi * _csc(math.pi * zeta)
-    for n in range(1, window + 1):
-        sign = -1 if n % 2 else 1
-        total += sign * math.pi * (
-            _csc(math.pi * (zeta + n * tau)) + _csc(math.pi * (zeta - n * tau))
-        )
-    return total
+    return _lattice_sum(lambda z: math.pi * _csc(math.pi * z), zeta, tau, window, -1)
 
 
 def elliptic_p2_11(zeta: complex, tau: complex, window: int) -> complex:
@@ -245,11 +243,7 @@ def elliptic_p2_11(zeta: complex, tau: complex, window: int) -> complex:
     def term(z):
         return math.pi**2 * _cot(math.pi * z) * _csc(math.pi * z)
 
-    total = term(zeta)
-    for n in range(1, window + 1):
-        sign = -1 if n % 2 else 1
-        total += sign * (term(zeta + n * tau) + term(zeta - n * tau))
-    return total
+    return _lattice_sum(term, zeta, tau, window, -1)
 
 
 # -- Gibbs two-point functions ---------------------------------------------------------

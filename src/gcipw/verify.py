@@ -66,9 +66,9 @@ def _error_detail(err: Exception) -> str:
     return f"{type(err).__name__}: {err} (at {where})"
 
 
-def random_params(rng: random.Random, with_B: bool = True) -> PWParams:
+def random_params(rng: random.Random) -> PWParams:
     r = lambda: Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-    return PWParams(r(), r(), r(), r(), r(), abs(r()) if with_B else Fraction(0))
+    return PWParams(r(), r(), r(), r(), r(), abs(r()))
 
 
 def _positive_params(rng: random.Random) -> PWParams:
@@ -471,9 +471,7 @@ def _positivity(seed: int):
         problems.append("trivial flag")
     rng = random.Random(seed + 6)
     for i in range(20):
-        p = _positive_params(rng)
-        for kappa in (1, 2, 3):
-            for ell in range(51):
-                if partialwave.closed_form_B(kappa, ell, p) < 0:
-                    problems.append(f"scan {i} kappa={kappa} ell={ell}")
+        rep = partialwave.positivity_check(_positive_params(rng), scan_spin=50)
+        if not rep.admissible:
+            problems.append(f"scan {i}: {rep.first_violation}")
     return not problems, f"problems={problems}"

@@ -113,11 +113,15 @@ class TestPositivity:
 
     def test_trivial_point(self, capsys):
         code, out = run(
-            ["positivity", "--axis", "b", "--lo", "0", "--hi", "0", "--steps", "1"],
+            ["positivity", "--axis", "b", "--lo", "-1", "--hi", "0", "--steps", "1"],
             capsys,
         )
         rows = list(csv.reader(out.strip().splitlines()))[1:]
-        assert rows[0][6] == "True" and rows[0][7] == "True"
+        # P4 = b st(Q1 - 2 Q2) is zero only at b = 0
+        assert [(r[3], r[6], r[7]) for r in rows] == [
+            ("-1/1", "False", "False"),
+            ("0/1", "True", "True"),
+        ]
 
     def test_negative_a0_rejected(self, capsys):
         code, out = run(

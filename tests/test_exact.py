@@ -577,14 +577,6 @@ class TestQSeriesIntegerForm:
         assert_matches(x * 3, ref_qseries({k: 3 * c for k, c in coeffs.items()}, max_exp), max_exp)
 
     @settings(max_examples=40)
-    @given(qseries_refs, st.integers(0, 14))
-    def test_truncate(self, a, window):
-        coeffs, max_exp, scale = a
-        got = to_qseries(coeffs, max_exp, scale).truncate(window)
-        kept = min(window, max_exp)
-        assert_matches(got, ref_qseries(coeffs, kept), kept)
-
-    @settings(max_examples=40)
     @given(qseries_refs)
     def test_halfperiod_substitute(self, a):
         coeffs, max_exp, scale = a

@@ -487,11 +487,28 @@ class TestPositivity:
     def test_trivial_flag(self):
         rep = positivity_check(PWParams())
         assert rep.admissible and rep.trivial
-        assert ("a1 + a2 > 0", False) in rep.gauge_box
+        assert not positivity_check(PWParams(b=-4)).trivial
+        assert not positivity_check(PWParams(a1=1, a2=-1, b=5)).trivial
 
     def test_negative_a0_rejected(self):
+        # the sixth condition and B[1,0] fail too; the first named wins
         rep = positivity_check(PWParams(a0=-1))
         assert not rep.admissible
+        assert rep.first_violation == "a0 >= 0"
+
+    def test_solver_twist_finds_what_the_closed_forms_miss(self):
+        # a2 = 1/3 passes the six conditions and the closed forms, yet at B = 0
+        # B[5,0] < 0: the default verdict is wrong here, and this pins it
+        assert positivity_check(PWParams(a2=F(1, 3))).admissible
+        rep = positivity_check(PWParams(a2=F(1, 3)), solver_twist=8)
+        assert not rep.admissible and rep.first_violation == "B[5,0] < 0"
+
+    def test_stops_at_the_first_failure(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the solver ran after a failed condition")
+
+        monkeypatch.setattr(partialwave, "twist_extract", unreachable)
+        rep = positivity_check(PWParams(a0=-1), solver_twist=8)
         assert rep.first_violation == "a0 >= 0"
 
     def test_solver_scan_above_twist_six(self):

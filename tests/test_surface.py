@@ -1,9 +1,9 @@
 """Public surface: every top-level public function and class of the
 package, and every public method and property of its classes, has a
 caller in the package or the benchmark, so that no API is kept alive by
-its tests alone, no package module imports another's
-private names, and the free-field references in the tests share no
-kernel internals."""
+its tests alone, every field of its records is read, no package module
+imports another's private names, and the free-field references in the
+tests share no kernel internals."""
 
 import ast
 from pathlib import Path
@@ -102,3 +102,35 @@ def private_freefield_imports():
 def test_tests_import_no_freefield_internals():
     # the walk and trace references must not reuse the kernels they check
     assert private_freefield_imports() == []
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A `@dataclass` (with or without arguments) or a `NamedTuple`."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+        isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases
+    )
+
+
+def unread_fields():
+    """Annotated fields of the package's module-level records that no
+    attribute read in the package or the benchmark names."""
+    fields = {}  # "file: Class.field" -> field
+    read = set()
+    for path in [*PACKAGE.rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
+        tree = ast.parse(path.read_text())
+        read |= {sub.attr for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+        if PACKAGE not in path.parents:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                        fields[f"{path.relative_to(ROOT)}: {node.name}.{name}"] = name
+    return sorted(label for label, name in fields.items() if name not in read)
+
+
+def test_every_record_field_is_read():
+    assert unread_fields() == []
