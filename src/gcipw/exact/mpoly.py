@@ -2,7 +2,8 @@
 
 Coefficients are Fractions by default but the ring operations take any
 ring type (e.g. plain ints), as long as it supports +, -, *, == 0 and
-bool(); `eval` takes int and Fraction coefficients only.
+bool(), and keep it: products, powers and `subs_poly` of int polynomials
+have int coefficients.  `eval` takes int and Fraction coefficients only.
 
 Each monomial is one packed integer key: the exponent of variable i fills
 a field of BITS bits, variable 0 the highest.  The top bit of each field
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from operator import add, or_, sub
 from types import MappingProxyType
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 Expo = Tuple[int, ...]
 
@@ -194,6 +195,17 @@ class MPoly:
         shift = _shift(self.arity, i)
         return max((key >> shift & MAX_EXP for key in self._packed), default=-1)
 
+    def parity_split(self, variables: Iterable[int]) -> Tuple["MPoly", "MPoly"]:
+        """(even, odd): the terms of even and of odd total degree in the
+        given variables.  That degree is odd when an odd number of their
+        exponents are, so its parity is the popcount of the key's low
+        field bits of those variables."""
+        mask = sum(1 << _shift(self.arity, i) for i in set(variables))
+        parts: Tuple[Dict[int, object], Dict[int, object]] = ({}, {})
+        for key, c in self._packed.items():
+            parts[(key & mask).bit_count() & 1][key] = c
+        return MPoly._trusted(self.arity, parts[0]), MPoly._trusted(self.arity, parts[1])
+
     def coeff(self, e: Expo):
         return self._packed.get(_pack(e, self.arity), Fraction(0))
 
@@ -239,10 +251,12 @@ class MPoly:
         """Substitute a polynomial for each variable.
 
         Each power images[i] ** k is formed once per call, and every scaled
-        monomial image is added into one dict.  The coefficients of self are
-        brought over the lcm D of their denominators, the scaled images are
-        summed with those integer numerators, and each output coefficient is
-        one Fraction(total, D), as constants are Fractions in `const`.
+        monomial image is added into one dict.  The coefficient ring is kept:
+        if every coefficient of self is an int, the sums are the output
+        coefficients.  Otherwise the coefficients of self are brought over
+        the lcm D of their denominators, the scaled images are summed with
+        those integer numerators, and each output coefficient is one
+        Fraction(total, D).
         """
         if len(images) != self.arity:
             raise ValueError("need one image per variable")
@@ -264,6 +278,8 @@ class MPoly:
                 m = ps[k] if m is one else m * ps[k]
             for key2, v in m._packed.items():
                 packed[key2] = get(key2, 0) + c * v
+        if all(type(c) is int for c in self._packed.values()):
+            return MPoly._trusted(arity, {key: c for key, c in packed.items() if c})
         return MPoly._trusted(arity, {key: Fraction(c, den) for key, c in packed.items() if c})
 
     def deriv(self, i: int) -> "MPoly":

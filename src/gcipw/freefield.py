@@ -89,9 +89,8 @@ def interval_identities(points: Sequence[Vec4]) -> bool:
 def _sym_points(n_points: int) -> Tuple[Tuple[MPoly, ...], ...]:
     """n_points symbolic 4-vectors over 4*n_points coordinate variables.
 
-    Coefficients are plain integers, which keeps the trace expansions
-    fast; the results are mapped back to Fraction coefficients at the
-    boundary.
+    Coefficients are plain integers, and the traces, intervals and Wick
+    substitutions built from them keep int coefficients throughout.
     """
     xs = [x.map_coeff(int) for x in MPoly.variables(4 * n_points)]
     return tuple(tuple(xs[4 * i : 4 * i + 4]) for i in range(n_points))
@@ -167,7 +166,14 @@ def cycle_trace_numerator(seq: CycleSeq, points: Sequence[Vec4]) -> Fraction:
 
 def _cycle_factors(seq: CycleSeq, points) -> List[Quaternion]:
     """The forward factors slash(z_p1 - z_p2), slash+(z_p2 - z_p3), ... of
-    a cycle, in the ring of the coordinates."""
+    a cycle, in the ring of the coordinates.
+
+    ValueError unless `seq` is an even-length (>= 2) sequence of distinct
+    indices of the points.
+    """
+    m = len(seq)
+    if m < 2 or m % 2 or len(set(seq)) < m or not set(seq) <= set(range(len(points))):
+        raise ValueError(f"{seq} is not a cycle of distinct points among {len(points)}")
     steps = enumerate(zip(seq, seq[1:] + seq[:1]))
     return [slash(vsub(points[a], points[b]), k % 2 == 1) for k, (a, b) in steps]
 
@@ -179,7 +185,16 @@ def _reversed(fwd: Sequence) -> list:
 
 
 def _loop_trace(fwd: Sequence[Quaternion]):
-    """-(tr fwd + tr rev) of `cycle_trace_numerator`, from the forward factors."""
+    """-(tr fwd + tr rev) of `cycle_trace_numerator`, from the forward factors.
+
+    slash+(z) = conj slash(z) = slash(Pz), P the reflection of z1, z2 and
+    z3, so every factor of the conjugated reversed product is the forward
+    factor at the reflected points.  The real part is conjugation invariant
+    and cyclic, so tr rev at x is tr fwd at Px.  Numbers cannot be split
+    by parity in the coordinates, so both orientations are multiplied here;
+    this is the independent oracle of `cycle_trace_numerator_symbolic`,
+    which forms only the reflection-even half of one orientation.
+    """
     return -(chain_trace(fwd) + chain_trace(_reversed(fwd)))
 
 
@@ -244,7 +259,7 @@ def wick_numerator(n: int, ordering: CycleSeq | None = None) -> MPoly:
         e = [0] * arity
         for i, j in pairing:
             e[rho_variable_index(i, j, m)] += 1
-        terms[tuple(e)] = Fraction(crossing_sign(pairing, ordering))
+        terms[tuple(e)] = crossing_sign(pairing, ordering)
     return MPoly(arity, terms)
 
 
@@ -266,8 +281,24 @@ def rho_symbolic(n_points: int) -> List[MPoly]:
 
 
 def cycle_trace_numerator_symbolic(seq: CycleSeq, n_points: int) -> MPoly:
-    """The two-orientation trace as a polynomial in the coordinates."""
-    return _loop_trace(_cycle_factors(seq, _sym_points(n_points))).map_coeff(Fraction)
+    """The two-orientation trace as an int polynomial in the coordinates.
+
+    By the reflection identity of `_loop_trace` it is -(T(x) + T(Px)), T
+    the forward trace, which is -2 times the part of T even in the spatial
+    coordinates; so one orientation is multiplied out.  T = 2 Re(L R) over
+    the halves L, R of `chain_trace`, and the even part of each component
+    product L_c R_c is Le Re + Lo Ro over the even and odd parts of the
+    factors: half-size products that form no odd term.
+    """
+    fwd = _cycle_factors(seq, _sym_points(n_points))
+    h = len(fwd) // 2
+    left, right = (functools.reduce(operator.mul, part) for part in (fwd[:h], fwd[h:]))
+    spatial = [i for i in range(4 * n_points) if i % 4 != 3]
+    total = MPoly.zero(4 * n_points)
+    for sign, lc, rc in zip((-4, 4, 4, 4), left, right):  # -2 trace_mul, by component
+        (l_even, l_odd), (r_even, r_odd) = lc.parity_split(spatial), rc.parity_split(spatial)
+        total = total + (sign * l_even) * r_even + (sign * l_odd) * r_odd
+    return total
 
 
 def fit_cycle_constant(n: int, config: PointConfig) -> Fraction:

@@ -147,6 +147,31 @@ class TestMPoly:
         assert all(type(c) is int for c in cube.terms.values())
         assert p**0 == MPoly.const(1, 1)
 
+    def test_subs_poly_keeps_the_coefficient_ring(self):
+        u, v = (g.map_coeff(int) for g in MPoly.variables(2))
+        images = [u + v, u - 2 * v]
+        p = u * u - 3 * u * v + 2  # the constant enters as a Fraction
+        over_ints = MPoly(2, {(2, 0): 1, (1, 1): -3, (0, 0): 2})
+        assert [type(c) for c in p.coefficients()].count(F) == 1
+        got = over_ints.subs_poly(images)
+        assert all(type(c) is int for c in got.coefficients())
+        frac = p.subs_poly(images)
+        assert all(type(c) is F for c in frac.coefficients())
+        assert got == frac == (u + v) ** 2 - 3 * (u + v) * (u - 2 * v) + 2
+
+    @given(same_ring_polys3(1), st.sets(st.integers(0, 2)), st.integers(0, 2))
+    @settings(max_examples=40)
+    def test_parity_split(self, polys, chosen, i):
+        (p,) = polys
+        even, odd = p.parity_split(chosen)
+        assert even + odd == p
+        for part, parity in ((even, 0), (odd, 1)):
+            assert all(sum(e[j] for j in chosen) % 2 == parity for e in part.terms)
+        # a factor odd in the chosen variables moves every term across
+        x = MPoly.var(3, i)
+        want = (odd * x, even * x) if i in chosen else (even * x, odd * x)
+        assert (p * x).parity_split(chosen) == want
+
 
 # -- a tuple-keyed reference for the packed-key kernels -----------------------------
 

@@ -290,6 +290,66 @@ class TestCycleTraces:
     def test_links(self):
         assert links_of((0, 1, 2, 3)) == [(1, 2), (3, 0)]
 
+    @pytest.mark.parametrize(
+        "seq", [(), (0,), (0, 1, 2), (0, 1, 1, 2), (0, 0), (0, 1, 2, 4), (0, 1, 2, -1)]
+    )
+    def test_rejects_sequences_that_are_not_cycles(self, seq):
+        cfg = random_config(random.Random(5), 4)
+        with pytest.raises(ValueError):
+            cycle_trace_numerator(seq, cfg.points)
+        with pytest.raises(ValueError):
+            cycle_trace_numerator_symbolic(seq, 4)
+        with pytest.raises(ValueError):
+            cycle_trace_2n(cfg, seq)
+
+    @pytest.mark.parametrize("seq", [(0, 1), (2, 0), (3, 2, 1, 0)])
+    def test_accepts_cycles_of_distinct_points(self, seq):
+        cfg = random_config(random.Random(5), 4)
+        value = cycle_trace_numerator(seq, cfg.points)
+        assert cycle_trace_numerator_symbolic(seq, 4).eval(flat(cfg.points)) == value
+
+
+def flat(points):
+    """The coordinates of the points, in the variable order of the
+    symbolic traces."""
+    return [x for p in points for x in p]
+
+
+def orientation_traces(seq, points):
+    """(tr fwd, tr rev) over the alternating slash cycle of `seq`."""
+    m = len(seq)
+    fwd = [slash(vsub(points[seq[k]], points[seq[(k + 1) % m]]), k % 2 == 1) for k in range(m)]
+    return chain_trace(fwd), chain_trace([fwd[0], *fwd[:0:-1]])
+
+
+class TestOrientations:
+    """The symbolic kernel multiplies out one orientation: the reversed
+    trace at x is the forward trace at the spatially reflected points."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_reversed_trace_is_forward_trace_at_reflected_points(self, n):
+        rng = random.Random(110 + n)
+        chiral = 0  # cycles whose two orientations differ
+        for _ in range(3):
+            pts = random_config(rng, 2 * n).points
+            mirrored = [(-z1, -z2, -z3, z4) for z1, z2, z3, z4 in pts]
+            for seq in orbit_enumerate(n):
+                fwd, rev = orientation_traces(seq, pts)
+                assert rev == orientation_traces(seq, mirrored)[0]
+                assert cycle_trace_numerator(seq, pts) == -(fwd + rev)
+                chiral += fwd != rev
+        # at n = 2 the four steps sum to zero, so the det term of trace4
+        # vanishes and the two orientations agree
+        assert (chiral > 0) == (n > 2)
+
+    @pytest.mark.parametrize("seq", orbit_enumerate(2) + orbit_enumerate(3))
+    def test_symbolic_trace_matches_both_orientations(self, seq):
+        poly = cycle_trace_numerator_symbolic(seq, len(seq))
+        rng = random.Random(120 + len(seq))
+        for _ in range(3):
+            pts = random_config(rng, len(seq)).points
+            assert poly.eval(flat(pts)) == cycle_trace_numerator(seq, pts)
+
 
 class TestOrbits:
     def test_counts(self):
@@ -354,6 +414,17 @@ class TestWickNumerator:
         assert cycle_trace_numerator_symbolic(seq, 6) == c3 * (
             wick_numerator(3, seq).subs_poly(rho_symbolic(6))
         )
+
+    def test_symbolic_kernels_keep_int_coefficients(self):
+        rho4 = rho_symbolic(4)
+        polys = [
+            wick_numerator(2),
+            *rho4,
+            wick_numerator(2).subs_poly(rho4),
+            cycle_trace_numerator_symbolic((0, 1, 2, 3), 4),
+        ]
+        for p in polys:
+            assert p.coefficients() and all(type(c) is int for c in p.coefficients())
 
     def test_n4_numeric(self):
         rng = random.Random(11)
