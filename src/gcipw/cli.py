@@ -6,7 +6,7 @@ one table DEFAULTS.  Each subcommand takes --config and only the flags
 it reads:
 
   decompose        --a0 --a1 --a2 --b --c --B --max-twist --max-spin --order --csv-dir
-  positivity       --a0 --a1 --a2 --b --c --B --max-spin --csv-dir --axis --lo --hi --steps
+  positivity       --a0 --a1 --a2 --b --c --B --csv-dir --axis --lo --hi --steps
   oracle           --seed --json
   verify-all       --seed --json
   thermal energy   --model --order --csv-dir
@@ -185,14 +185,12 @@ def cmd_decompose(s) -> int:
 def cmd_positivity(s) -> int:
     if s.steps < 1 or s.hi < s.lo:
         raise ValueError("malformed grid")
-    if s.max_spin < 0:
-        raise ValueError(f"--max-spin must be >= 0, got {s.max_spin}")
     params = _params(s)
     header = [*PARAM_NAMES, "admissible", "trivial", "first_violation"]
     rows = []
     for i in range(s.steps + 1):
         p = dataclasses.replace(params, **{s.axis: s.lo + (s.hi - s.lo) * Fraction(i, s.steps)})
-        rep = partialwave.positivity_check(p, scan_spin=s.max_spin)
+        rep = partialwave.positivity_check(p)
         rows.append(
             [format_rat(getattr(p, k)) for k in PARAM_NAMES]
             + [rep.admissible, rep.trivial, rep.first_violation or ""]
@@ -362,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(sub, "decompose", cmd_decompose, "twist decomposition and structure constants",
         [*params, "--max-twist", "--max-spin", "--order", "--csv-dir"])
     add(sub, "positivity", cmd_positivity, "admissibility scan over a parameter grid",
-        [*params, "--max-spin", "--csv-dir", "--axis", "--lo", "--hi", "--steps"])
+        [*params, "--csv-dir", "--axis", "--lo", "--hi", "--steps"])
     add(sub, "oracle", cmd_oracle, "free-field trace and Wick-structure oracles (c05, c06)",
         ["--seed", "--json"])
     kinds = sub.add_parser("thermal", help="thermal series, tables and residuals")

@@ -182,8 +182,6 @@ def eigen_check(nu: int) -> Tuple[Fraction, int, MPoly]:
     diff = (sym - t3j).terms
     sigma = min((a for a, _ in diff), default=0)
     q = MPoly(2, {(a - sigma, b): c for (a, b), c in diff.items()})
-    if sigma < 1:
-        raise BasisIdentityError(f"gap order sigma_{nu} = {sigma} < 1")
     if sigma != GAP_ORDERS[nu]:
         raise BasisIdentityError(
             f"sigma_{nu} = {sigma}, expected {GAP_ORDERS[nu]}"

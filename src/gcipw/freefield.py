@@ -316,31 +316,15 @@ def fit_cycle_constant(n: int, config: PointConfig) -> Fraction:
 
 
 def v1_weyl_4pt(config: PointConfig) -> Fraction:
-    """4-point function of the Weyl bilocal, as the two-trace combination.
+    """4-point function of the Weyl bilocal, `v1_weyl_connected` at n = 2.
 
     Equals j_1(s, t) / (rho13 rho24) at any non-degenerate configuration;
     the raw two-trace combination with the unit spinor 2-point function is
     twice this, and the 1/2 pins the bilocal normalization to f_1 = j_1.
-    Each term is a quartic trace over an octic pole product, so the
-    integer-form value is rescaled by L^4.
     """
     if len(config) != 4:
         raise ValueError("need four points")
-    pts, r = config.int_points, config.int_rho
-    _interval_product(r, [(0, 3), (1, 2), (0, 2), (1, 3)])  # no vanishing pole
-
-    def term(p3: int, p4: int) -> Tuple[int, int]:
-        z12 = slash(vsub(pts[0], pts[1]))
-        z2a = slash(vsub(pts[1], pts[p3]), True)
-        zab = slash(vsub(pts[p3], pts[p4]))
-        z1b = slash(vsub(pts[0], pts[p4]), True)
-        trace = chain_trace([z12, z2a, zab, z1b]) + chain_trace([z12, z1b, zab, z2a])
-        return trace, (r[0][p4] * r[1][p3]) ** 2
-
-    # the second displayed term is the z3 <-> z4 image of the first (the
-    # relative minus sign is absorbed by the reversed difference vector)
-    (t1, d1), (t2, d2) = term(2, 3), term(3, 2)
-    return Fraction((t1 * d2 + t2 * d1) * config.scale**4, 2 * d1 * d2)
+    return v1_weyl_connected(config)
 
 
 def _link_pole(config: PointConfig) -> int:

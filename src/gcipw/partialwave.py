@@ -291,6 +291,7 @@ class PositivityReport:
     first_violation: str | None
 
 
+# necessary; at twist <= 6 also sufficient, at every spin (`positivity_check`)
 NECESSARY_CONDITIONS = (
     ("a0 >= 0", lambda p: p.a0),
     ("a1 >= 0", lambda p: p.a1),
@@ -307,10 +308,6 @@ def _violations(p: PWParams, scan_spin: int, solver_twist: int) -> Iterator[str]
     for name, expr in NECESSARY_CONDITIONS:
         if expr(p) < 0:
             yield name
-    for kappa in (1, 2, 3):
-        for ell in range(scan_spin + 1):
-            if closed_form_B(kappa, ell, p) < 0:
-                yield f"B[{kappa},{ell}] < 0"
     if solver_twist >= 4:
         tower = twist_extract(p, solver_twist, default_order(scan_spin, solver_twist))
         for kappa in range(4, solver_twist + 1):
@@ -320,16 +317,26 @@ def _violations(p: PWParams, scan_spin: int, solver_twist: int) -> Iterator[str]
 
 
 def positivity_check(p: PWParams, scan_spin: int = 20, solver_twist: int = 0) -> PositivityReport:
-    """Necessary positivity conditions plus explicit scans; the first
-    failed inequality decides.
+    """Necessary positivity conditions plus an optional solver scan; the
+    first failed inequality decides.
 
-    In order: the six `NECESSARY_CONDITIONS`; B[kappa, ell] >= 0 from the
-    closed forms for twists 2, 4, 6 (kappa = 1..3) and ell <= `scan_spin`;
-    and, when `solver_twist` >= 4, the same from the solver for
-    4 <= kappa <= `solver_twist` (these see the 2-point normalization B).
-    Nothing after the first failure is evaluated, so the solver runs only
-    on a point that passes everything before it.  `trivial` means P4 = 0,
-    that is a0 = a1 = a2 = b = c = 0.
+    In order: the six `NECESSARY_CONDITIONS`, which decide B[kappa, ell] >= 0
+    for twists 2, 4, 6 (kappa = 1..3) at every spin ell; and, when
+    `solver_twist` >= 4, B[kappa, ell] >= 0 from the solver for
+    4 <= kappa <= `solver_twist` and ell <= `scan_spin` (these see the
+    2-point normalization B).  Nothing after the first failure is
+    evaluated, so the solver runs only on a point that passes the six
+    conditions.  `trivial` means P4 = 0, that is a0 = a1 = a2 = b = c = 0.
+
+    Why the conditions suffice at kappa <= 3: the denominators of
+    `closed_form_B` are positive, so only its numerators matter.
+    kappa = 1: 2 a0 + 2l(2l+1)(2 a1 + (2l-1)(l+1) a2) is >= 0 term by term
+    (at l = 0 the a2 term has the factor l).
+    kappa = 2: c >= 0 at l = 0; for l >= 1, (l+1)(2l+1) a1 + 2b >=
+    2(3 a1 + b) >= 0.  kappa = 3: (l+1)(2l+3) X(l) - c, where
+    X(l) = (l+2)(2l+1)(2 a0 + a1) - 6b + 4c does not decrease in l and
+    3 X(0) - c is the sixth condition; so X(0) >= c/3 >= 0 and the
+    numerator is >= 3 X(0) - c >= 0.
     """
     first = next(_violations(p, scan_spin, solver_twist), None)
     return PositivityReport(first is None, not any(p.num), first)

@@ -463,15 +463,23 @@ def _positivity(seed: int):
         (Fraction(1, 3) + Fraction(1, 30), False),
         (Fraction(1), False),
     ]:
-        rep = partialwave.positivity_check(PWParams(a1=1, b=b), scan_spin=12)
+        rep = partialwave.positivity_check(PWParams(a1=1, b=b))
         if rep.admissible != expect:
             problems.append(f"b={b}")
     trivial = partialwave.positivity_check(PWParams())
     if not (trivial.admissible and trivial.trivial):
         problems.append("trivial flag")
+    # the six conditions imply every twist <= 6 closed form is >= 0
     rng = random.Random(seed + 6)
     for i in range(20):
-        rep = partialwave.positivity_check(_positive_params(rng), scan_spin=50)
+        p = _positive_params(rng)
+        rep = partialwave.positivity_check(p)
         if not rep.admissible:
             problems.append(f"scan {i}: {rep.first_violation}")
+        problems += [
+            f"scan {i}: B[{kappa},{ell}] < 0"
+            for kappa in (1, 2, 3)
+            for ell in range(51)
+            if partialwave.closed_form_B(kappa, ell, p) < 0
+        ]
     return not problems, f"problems={problems}"

@@ -228,7 +228,7 @@ class TestBoundary:
             ["thermal", "kms", "--tau", "0.0001i"],
             ["decompose", "--max-twist", "0"],
             ["decompose", "--max-spin", "-1"],
-            ["positivity", "--max-spin", "-1", "--steps", "1"],
+            ["positivity", "--steps", "0"],
             # PWParams rejects a negative 2-point normalization
             ["decompose", "--B", "-1"],
             ["positivity", "--B", "-1", "--steps", "1"],
@@ -353,6 +353,7 @@ class TestFlags:
             ["decompose", "--json", "out.json"],
             ["positivity", "--order", "5"],
             ["positivity", "--max-twist", "4"],
+            ["positivity", "--max-spin", "5"],
             ["thermal", "energy", "--a0", "5"],
             ["thermal", "energy", "--seed", "3"],
             ["thermal", "energy", "--tau", "2i"],

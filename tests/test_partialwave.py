@@ -7,6 +7,7 @@ from dataclasses import astuple
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gcipw import partialwave
 from gcipw.exact import MPoly, PSeries, unit_row
@@ -516,6 +517,107 @@ class TestPositivity:
             PWParams(a0=1, a1=1, B=1), scan_spin=2, solver_twist=4
         )
         assert rep.admissible
+
+
+def _positive_params(a0, a1, a2, c, b_at_top):
+    """A point that passes the six conditions, with b at an end of
+    [-3 a1, (2 (2 a0 + a1) + 11 c / 3) / 6], where the conditions are tight."""
+    hi = (2 * (2 * a0 + a1) + F(11, 3) * c) / 6
+    return PWParams(a0, a1, a2, hi if b_at_top else -3 * a1, c)
+
+
+def _all_closed_forms_nonnegative(p, max_ell=60):
+    return all(closed_form_B(k, ell, p) >= 0 for k in (1, 2, 3) for ell in range(max_ell + 1))
+
+
+nonnegative = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=8, max_denominator=6))
+
+
+class TestConditionsDecideTwistSix:
+    """The six conditions imply every closed form B[kappa, ell] >= 0 for
+    kappa <= 3 (the proof is in `positivity_check`), so the verdict needs
+    no spin scan below twist 8."""
+
+    @given(nonnegative, nonnegative, nonnegative, nonnegative, st.booleans())
+    @settings(max_examples=120, deadline=None)
+    @example(F(0), F(0), F(0), F(0), True)
+    @example(F(0), F(1), F(0), F(0), False)
+    @example(F(0), F(1), F(0), F(0), True)
+    @example(F(0), F(0), F(1), F(1), True)
+    def test_conditions_imply_the_closed_forms(self, a0, a1, a2, c, b_at_top):
+        p = _positive_params(a0, a1, a2, c, b_at_top)
+        assert positivity_check(p).admissible
+        assert _all_closed_forms_nonnegative(p)
+
+    def test_conditions_imply_the_closed_forms_seeded(self):
+        rng = random.Random(24)
+        r = lambda: F(rng.randint(0, 9), rng.randint(1, 5)) if rng.random() < 0.8 else F(0)
+        for _ in range(60):
+            p = _positive_params(r(), r(), r(), r(), rng.random() < 0.5)
+            assert positivity_check(p).admissible
+            assert _all_closed_forms_nonnegative(p)
+
+    def test_spin_zero_identities(self):
+        rng = random.Random(25)
+        units = [PWParams.unit(k) for k in ("a0", "a1", "a2", "b", "c")]
+        for p in units + [rand_params(rng) for _ in range(40)]:
+            a0, a1, _, b, c, _ = astuple(p)
+            assert closed_form_B(1, 0, p) == 2 * a0
+            assert closed_form_B(2, 0, p) == c
+            assert 6 * closed_form_B(3, 0, p) == 6 * (2 * a0 + a1 - 3 * b) + 11 * c
+
+    @staticmethod
+    def scanning_reference(p, scan_spin, solver_twist=0):
+        """The verdict with the kappa <= 3 spin scan between the six
+        conditions and the solver: (admissible, first_violation)."""
+        failed = [name for name, expr in partialwave.NECESSARY_CONDITIONS if expr(p) < 0]
+        failed += [
+            f"B[{k},{ell}] < 0"
+            for k in (1, 2, 3)
+            for ell in range(scan_spin + 1)
+            if closed_form_B(k, ell, p) < 0
+        ]
+        if not failed and solver_twist >= 4:
+            order = partialwave.default_order(scan_spin, solver_twist)
+            tower = twist_extract(p, solver_twist, order)
+            failed = [
+                f"B[{k},{ell}] < 0"
+                for k in range(4, solver_twist + 1)
+                for ell, v in enumerate(solve_structure_constants(tower.g[k], k, scan_spin))
+                if v < 0
+            ]
+        return not failed, (failed[0] if failed else None)
+
+    def test_same_verdicts_as_the_spin_scan(self):
+        rng = random.Random(26)
+        points = [rand_params(rng, with_B=i % 2) for i in range(1200)]
+        r = lambda: F(rng.randint(0, 6), rng.randint(1, 3))
+        # near the tight ends of b, on both sides
+        for _ in range(800):
+            p = _positive_params(r(), r(), r(), r(), rng.random() < 0.5)
+            nudge = F(rng.choice((-1, 0, 1)), rng.randint(1, 50))
+            points.append(PWParams(p.a0, p.a1, p.a2, p.b + nudge, p.c))
+        admissible = 0
+        for scan_spin in (0, 12, 20):
+            for p in points:
+                rep = positivity_check(p, scan_spin=scan_spin)
+                assert (rep.admissible, rep.first_violation) == self.scanning_reference(p, scan_spin)
+                admissible += rep.admissible
+        assert 0 < admissible < 3 * len(points)
+
+    def test_same_verdicts_with_the_solver(self):
+        rng = random.Random(27)
+        r = lambda: F(rng.randint(0, 6), rng.randint(1, 3))
+        points = [rand_params(rng, with_B=True) for _ in range(12)]
+        for i in range(24):
+            p = _positive_params(r(), r(), r(), r(), rng.random() < 0.5)
+            points.append(PWParams(*astuple(p)[:5], r() if i % 2 else 0))
+        verdicts = set()
+        for p in points:
+            rep = positivity_check(p, scan_spin=4, solver_twist=8)
+            assert (rep.admissible, rep.first_violation) == self.scanning_reference(p, 4, 8)
+            verdicts.add(rep.admissible)
+        assert verdicts == {True, False}
 
 
 class TestKernel:
