@@ -2,8 +2,9 @@
 
 Coefficients are Fractions by default but the ring operations take any
 ring type (e.g. plain ints), as long as it supports +, -, *, == 0 and
-bool(), and keep it: products, powers and `subs_poly` of int polynomials
-have int coefficients.  `eval` takes int and Fraction coefficients only.
+bool(), and keep it: int scalars stay ints, so sums, products, powers and
+`subs_poly` of int polynomials have int coefficients.  `eval` takes int
+and Fraction coefficients only.
 
 Each monomial is one packed integer key: the exponent of variable i fills
 a field of BITS bits, variable 0 the highest.  The top bit of each field
@@ -11,6 +12,11 @@ is a guard kept clear, so exponents are at most MAX_EXP, adding two keys
 multiplies the monomials without a carry between fields, and a product
 that would set a guard bit raises ValueError.  No other module reads the
 keys: `terms` is a read-only tuple-keyed view, unpacked on each read.
+
+Every product runs through one multiply-accumulate kernel, `_mac`, which
+adds c p q into an output dict in place: `__mul__` (c = 1, a fresh dict),
+`sum_of_products` (one dict for a whole sum) and the Horner recursion of
+`subs_poly` (each quotient times an image power, into the output).
 
 Invariant: no zero coefficient is stored and every key holds `arity` fields
 below the guard.  Only the public constructor `MPoly(arity, terms)` checks
@@ -63,6 +69,32 @@ def _unpack(key: int, arity: int) -> Expo:
     return tuple(key >> BITS * (arity - 1 - i) & MAX_EXP for i in range(arity))
 
 
+def _mac(out: Dict[int, object], c, p: Dict[int, object], q: Dict[int, object]) -> None:
+    """out += c p q on packed dicts, in place: the one product loop.
+
+    The keys of p and q must have clear guards, so their sums carry no bit
+    between fields.  Cancellation may leave zero coefficients in out; the
+    caller checks the guards of what it keeps and drops the zeros.
+    """
+    get = out.get
+    qs = list(q.items())
+    for k1, c1 in p.items() if c == 1 else ((k, c * v) for k, v in p.items()):
+        for k2, c2 in qs:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+
+
+def _check_guards(packed: Dict[int, object], arity: int) -> None:
+    if reduce(or_, packed, 0) & _guard(arity):
+        raise ValueError(f"an exponent exceeds {MAX_EXP}")
+
+
+def _drop_zeros(packed: Dict[int, object]) -> Dict[int, object]:
+    for key in [key for key, c in packed.items() if not c]:
+        del packed[key]
+    return packed
+
+
 class MPoly:
     """Polynomial in `arity` variables, stored as {packed key: coeff}."""
 
@@ -89,7 +121,7 @@ class MPoly:
 
     @classmethod
     def const(cls, arity: int, c) -> "MPoly":
-        c = Fraction(c) if isinstance(c, int) else c
+        """The constant c, in c's own ring (an int stays an int)."""
         return cls._trusted(arity, {0: c} if c else {})
 
     @classmethod
@@ -99,6 +131,20 @@ class MPoly:
     @classmethod
     def variables(cls, arity: int) -> Sequence["MPoly"]:
         return [cls.var(arity, i) for i in range(arity)]
+
+    @classmethod
+    def sum_of_products(
+        cls, arity: int, products: Iterable[Tuple[object, "MPoly", "MPoly"]]
+    ) -> "MPoly":
+        """sum c p q over the (c, p, q) triples, every product accumulated
+        by `_mac` into one dict, with zeros dropped once at the end."""
+        packed: Dict[int, object] = {}
+        for c, p, q in products:
+            if p.arity != arity or q.arity != arity:
+                raise ValueError("arity mismatch")
+            _mac(packed, c, p._packed, q._packed)
+        _check_guards(packed, arity)
+        return cls._trusted(arity, _drop_zeros(packed))
 
     # -- ring operations ----------------------------------------------
 
@@ -140,25 +186,13 @@ class MPoly:
         if not isinstance(other, MPoly):
             packed = {key: v for key, c in self._packed.items() if (v := c * other)}
             return MPoly._trusted(self.arity, packed)
-        other = self._coerce(other)
-        packed: Dict[int, object] = {}
-        get = packed.get
-        others = list(other._packed.items())
-        for k1, c1 in self._packed.items():
-            for k2, c2 in others:
-                key = k1 + k2
-                packed[key] = get(key, 0) + c1 * c2
-        for key in [key for key, c in packed.items() if not c]:
-            del packed[key]
-        if reduce(or_, packed, 0) & _guard(self.arity):
-            raise ValueError(f"an exponent exceeds {MAX_EXP}")
-        return MPoly._trusted(self.arity, packed)
+        return MPoly.sum_of_products(self.arity, [(1, self, other)])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         """Repeated squaring from the base itself, so the coefficient ring
-        is kept (int coefficients stay int); p ** 0 is the constant 1."""
+        is kept (int coefficients stay int); p ** 0 is the int constant 1."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if n == 0:
@@ -248,38 +282,65 @@ class MPoly:
         return Fraction(sum(s * scale ** (top - k) for k, s in sums.items()), den * scale**top)
 
     def subs_poly(self, images: Sequence["MPoly"]) -> "MPoly":
-        """Substitute a polynomial for each variable.
+        """Substitute a polynomial for each variable, by a Horner scheme.
 
-        Each power images[i] ** k is formed once per call, and every scaled
-        monomial image is added into one dict.  The coefficient ring is kept:
-        if every coefficient of self is an int, the sums are the output
-        coefficients.  Otherwise the coefficients of self are brought over
-        the lcm D of their denominators, the scaled images are summed with
-        those integer numerators, and each output coefficient is one
-        Fraction(total, D).
+        The terms are grouped by the exponent k of the first variable that
+        occurs in them.  Each group's quotient is substituted recursively
+        and multiplied once by the image power g^k, which is formed once per
+        call; the k = 0 group goes on into the same output dict, so every
+        product is one `_mac` into that dict.  For a signed pairing sum
+        (`wick_numerator`) this is the Pfaffian's Laplace expansion along
+        its first point.  The coefficient ring is kept: if every coefficient
+        of self is an int, the sums are the output coefficients.  Otherwise
+        the coefficients of self are brought over the lcm D of their
+        denominators, the recursion runs on those integer numerators, and
+        each output coefficient is one Fraction(total, D).
         """
         if len(images) != self.arity:
             raise ValueError("need one image per variable")
+        if not images:
+            raise ValueError("a polynomial in no variables has no image arity")
         arity = images[0].arity
         if any(g.arity != arity for g in images):
             raise ValueError("images have mixed arity")
-        one = MPoly._trusted(arity, {0: 1})
-        powers = [[one, g] for g in images]
+        ints = all(type(c) is int for c in self._packed.values())
         den = math.lcm(*(c.denominator for c in self._packed.values()))
+        terms = self._packed if ints else {
+            key: c.numerator * (den // c.denominator) for key, c in self._packed.items()
+        }
+        powers = [[g] for g in images]  # powers[i][k - 1] = images[i] ** k
+
+        def power(i: int, k: int) -> Dict[int, object]:
+            ps = powers[i]
+            while len(ps) < k:
+                ps.append(ps[-1] * ps[0])
+            return ps[k - 1]._packed
+
+        def horner(out: Dict[int, object], terms: Dict[int, object]) -> None:
+            """out += terms with images[i] put for variable i."""
+            while terms:
+                top = max(terms)
+                if not top:
+                    out[0] = out.get(0, 0) + terms[0]
+                    return
+                shift = (top.bit_length() - 1) // BITS * BITS
+                mask = (1 << shift) - 1
+                groups: Dict[int, Dict[int, object]] = {}
+                for key, c in terms.items():
+                    groups.setdefault(key >> shift, {})[key & mask] = c
+                terms = groups.pop(0, None)
+                i = self.arity - 1 - shift // BITS
+                for k, quotient in groups.items():
+                    q: Dict[int, object] = {}
+                    horner(q, quotient)
+                    _check_guards(q, arity)
+                    _mac(out, 1, _drop_zeros(q), power(i, k))
+
         packed: Dict[int, object] = {}
-        get = packed.get
-        for key, c in self._packed.items():
-            c = c.numerator * (den // c.denominator)
-            m = one
-            for i, k in _fields(key, self.arity):
-                ps = powers[i]
-                while len(ps) <= k:
-                    ps.append(ps[-1] * ps[1])
-                m = ps[k] if m is one else m * ps[k]
-            for key2, v in m._packed.items():
-                packed[key2] = get(key2, 0) + c * v
-        if all(type(c) is int for c in self._packed.values()):
-            return MPoly._trusted(arity, {key: c for key, c in packed.items() if c})
+        horner(packed, terms)
+        _check_guards(packed, arity)
+        if ints:
+            return MPoly._trusted(arity, _drop_zeros(packed))
         return MPoly._trusted(arity, {key: Fraction(c, den) for key, c in packed.items() if c})
 
     def deriv(self, i: int) -> "MPoly":

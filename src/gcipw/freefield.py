@@ -288,17 +288,18 @@ def cycle_trace_numerator_symbolic(seq: CycleSeq, n_points: int) -> MPoly:
     coordinates; so one orientation is multiplied out.  T = 2 Re(L R) over
     the halves L, R of `chain_trace`, and the even part of each component
     product L_c R_c is Le Re + Lo Ro over the even and odd parts of the
-    factors: half-size products that form no odd term.
+    factors: half-size products that form no odd term.  The 8 signed
+    products are accumulated into one dict by `MPoly.sum_of_products`.
     """
     fwd = _cycle_factors(seq, _sym_points(n_points))
     h = len(fwd) // 2
     left, right = (functools.reduce(operator.mul, part) for part in (fwd[:h], fwd[h:]))
     spatial = [i for i in range(4 * n_points) if i % 4 != 3]
-    total = MPoly.zero(4 * n_points)
+    products = []
     for sign, lc, rc in zip((-4, 4, 4, 4), left, right):  # -2 trace_mul, by component
         (l_even, l_odd), (r_even, r_odd) = lc.parity_split(spatial), rc.parity_split(spatial)
-        total = total + (sign * l_even) * r_even + (sign * l_odd) * r_odd
-    return total
+        products += [(sign, l_even, r_even), (sign, l_odd, r_odd)]
+    return MPoly.sum_of_products(4 * n_points, products)
 
 
 def fit_cycle_constant(n: int, config: PointConfig) -> Fraction:

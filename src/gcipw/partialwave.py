@@ -169,31 +169,44 @@ def f1_rational(p: PWParams) -> OverT:
 
     where h_0 = 1, h_1 = e1 and h_k = e1 h_(k-1) - e2 h_(k-2) are the
     complete symmetric polynomials of (u, v), taken at e1 = u + v = 1+s-t
-    and e2 = uv = s.  It is returned as L num over L t^3, L the lcm of the
-    coefficient denominators of num, and f1 = 0 as 0 over 1.
+    and e2 = uv = s.  The sum runs on integers: P4 is scaled by the lcm D
+    of its coefficient denominators, so the a_i, the h_k, the s^j and the
+    accumulated numerator N = D num are int polynomials.  It is returned
+    as L num over L t^3, L the lcm of the coefficient denominators of num,
+    which is D / G for G the gcd of D and the coefficients of N; so the
+    numerator coefficients are the integers N / G, one Fraction each.
+    f1 = 0 is returned as 0 over 1.
     """
-    x = MPoly.var(1, 0)
-    a = x * assemble_P4(p).subs_poly([MPoly.zero(1), 1 - x])
-    b = (1 - x) ** 3
-    n = max(a.total_degree(), b.total_degree()) + 1
-    ac = [a.coeff((i,)) for i in range(n)]
-    bc = [b.coeff((i,)) for i in range(n)]
-    s, t = MPoly.variables(2)
+    P4 = assemble_P4(p)
+    D = math.lcm(*(c.denominator for c in P4.coefficients()))
+    x = MPoly(1, {(1,): 1})
+    a = x * P4.map_coeff(lambda c: c.numerator * (D // c.denominator)).subs_poly(
+        [MPoly.zero(1), 1 - x]
+    )
+    n = max(a.total_degree(), 3) + 1
+    ac = [0] * n
+    for (i,), c in a.terms.items():
+        ac[i] = c
+    bc = [1, -3, 3, -1] + [0] * (n - 4)  # (1 - x)^3
+    s, t = MPoly(2, {(1, 0): 1}), MPoly(2, {(0, 1): 1})
     e1 = 1 + s - t
-    h = [MPoly.const(2, 1), e1]
+    h = [s**0, e1]
     while len(h) < n:
         h.append(e1 * h[-1] - s * h[-2])
-    num = MPoly.zero(2)
-    for j in range(n):
-        row = MPoly.zero(2)
-        for i in range(j + 1, n):
-            if c := ac[i] * bc[j] - ac[j] * bc[i]:
-                row = row + c * h[i - j - 1]
-        num = num + s**j * row
+    s_pow = [s**j for j in range(n)]
+    num = MPoly.sum_of_products(
+        2,
+        [
+            (c, s_pow[j], h[i - j - 1])
+            for j in range(n)
+            for i in range(j + 1, n)
+            if (c := ac[i] * bc[j] - ac[j] * bc[i])
+        ],
+    )
     if num.is_zero():
-        return OverT(num, MPoly.const(2, 1))
-    L = math.lcm(*(c.denominator for c in num.coefficients()))
-    return OverT(num * L, t**3 * L)
+        return OverT(num, MPoly.const(2, Fraction(1)))
+    G = math.gcd(D, *num.coefficients())
+    return OverT(num.map_coeff(lambda c: Fraction(c // G)), T**3 * (D // G))
 
 
 def laplace_st(f: OverT) -> OverT:

@@ -150,14 +150,23 @@ class TestMPoly:
     def test_subs_poly_keeps_the_coefficient_ring(self):
         u, v = (g.map_coeff(int) for g in MPoly.variables(2))
         images = [u + v, u - 2 * v]
-        p = u * u - 3 * u * v + 2  # the constant enters as a Fraction
-        over_ints = MPoly(2, {(2, 0): 1, (1, 1): -3, (0, 0): 2})
-        assert [type(c) for c in p.coefficients()].count(F) == 1
+        over_ints = u * u - 3 * u * v + 2
         got = over_ints.subs_poly(images)
         assert all(type(c) is int for c in got.coefficients())
-        frac = p.subs_poly(images)
+        frac = over_ints.map_coeff(F).subs_poly(images)
         assert all(type(c) is F for c in frac.coefficients())
         assert got == frac == (u + v) ** 2 - 3 * (u + v) * (u - 2 * v) + 2
+
+    def test_int_scalars_keep_the_ring(self):
+        x, y = (g.map_coeff(int) for g in MPoly.variables(2))
+        for p in (1 - x, x - 1, x + 2, 2 + x * y, 3 * x, x * 0 + 5, MPoly.const(2, 7), x**0):
+            assert p.coefficients() and all(type(c) is int for c in p.coefficients())
+        assert (1 - x).terms == {(0, 0): 1, (1, 0): -1}
+        assert 1 - x == MPoly(2, {(0, 0): F(1), (1, 0): F(-1)})
+
+    def test_subs_poly_without_variables_raises(self):
+        with pytest.raises(ValueError):
+            MPoly(0, {(): 3}).subs_poly([])
 
     @given(same_ring_polys3(1), st.sets(st.integers(0, 2)), st.integers(0, 2))
     @settings(max_examples=40)
@@ -226,6 +235,20 @@ def ref_subs(p, images, arity):
     return out
 
 
+def termwise_subs(p, images):
+    """subs_poly term by term: each monomial image multiplied out from the
+    image powers, scaled by its coefficient and added up."""
+    arity = images[0].arity
+    out = MPoly.zero(arity)
+    for e, c in p.terms.items():
+        m = MPoly.const(arity, c)
+        for g, k in zip(images, e):
+            if k:
+                m = m * g**k
+        out = out + m
+    return out
+
+
 def sparse_terms(arity, max_exp=2, max_vars=2, max_terms=3):
     """Tuple-keyed term dicts with at most max_vars variables per monomial."""
     expo = st.dictionaries(st.integers(0, arity - 1), st.integers(1, max_exp), max_size=max_vars)
@@ -258,6 +281,53 @@ class TestPackedKeys:
         images = data.draw(st.lists(image, min_size=arity, max_size=arity))
         got = P.subs_poly([MPoly(img_arity, g) for g in images])
         assert got.terms == ref_subs(p, [ref_add({}, g) for g in images], img_arity)
+
+    @pytest.mark.parametrize("ring", [int, F])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_horner_subs_matches_termwise(self, ring, data):
+        # exponents up to 3, constant terms and variables that occur in no
+        # term, over int and over Fraction coefficients
+        coeffs = st.integers(-4, 4)
+        if ring is F:
+            coeffs = st.builds(F, coeffs, st.integers(1, 3))
+        expo = st.tuples(*[st.integers(0, 3)] * 3, st.just(0))  # variable 3 never occurs
+        p = MPoly(4, data.draw(st.dictionaries(expo, coeffs, max_size=6)))
+        image = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3), max_size=3)
+        images = [MPoly(3, g) for g in data.draw(st.lists(image, min_size=4, max_size=4))]
+        got = p.subs_poly(images)
+        assert got == termwise_subs(p, images)
+        assert all(type(c) is ring for c in got.coefficients())
+        assert MPoly.zero(4).subs_poly(images).terms == {}
+
+    def test_subs_poly_exponent_past_the_field_raises(self):
+        # the partial product y^(2 MAX_EXP) of x1 x2 sets a guard bit; one
+        # more factor y^MAX_EXP would carry it into z and clear it
+        y = MPoly(2, {(MAX_EXP, 0): 1})
+        with pytest.raises(ValueError):
+            MPoly(3, {(1, 1, 1): 1}).subs_poly([y, y, y])
+        with pytest.raises(ValueError):
+            MPoly(1, {(2,): 1}).subs_poly([y])
+        assert MPoly(3, {(1, 0, 0): 1, (0, 0, 1): 2}).subs_poly([y, y, y]) == 3 * y
+
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), small_polys, small_polys), max_size=4),
+        small_polys,
+        small_polys,
+    )
+    @settings(max_examples=40)
+    def test_sum_of_products(self, triples, p, q):
+        want = MPoly.zero(2)
+        for c, f, g in triples:
+            want = want + c * f * g
+        assert MPoly.sum_of_products(2, triples) == want
+        # a sum that cancels to zero stores no term
+        assert MPoly.sum_of_products(2, [(2, p, q), (-1, q, p), (-1, p, q)]).terms == {}
+
+    def test_sum_of_products_rejects_mixed_arity(self):
+        x = MPoly.var(2, 0)
+        with pytest.raises(ValueError):
+            MPoly.sum_of_products(2, [(1, x, MPoly.var(3, 0))])
 
     @pytest.mark.parametrize("i", [0, 1])
     def test_exponent_past_the_field_raises(self, i):

@@ -415,6 +415,15 @@ class TestWickNumerator:
             wick_numerator(3, seq).subs_poly(rho_symbolic(6))
         )
 
+    def test_symbolic_identity_n4(self):
+        # exact at eight points, 234624 terms: trace = c4 * Wick, compared
+        # over the integers as den(c4) * trace = num(c4) * Wick
+        c4 = fit_cycle_constant(4, random_config(random.Random(11), 8))
+        trace = cycle_trace_numerator_symbolic(tuple(range(8)), 8)
+        assert len(trace.coefficients()) == 234624
+        wick = wick_numerator(4).subs_poly(rho_symbolic(8))
+        assert trace * c4.denominator == c4.numerator * wick
+
     def test_symbolic_kernels_keep_int_coefficients(self):
         rho4 = rho_symbolic(4)
         polys = [

@@ -289,7 +289,42 @@ class TestTwistExtract:
         assert t0.g[4].coeffs != t1.g[4].coeffs
 
 
+def f1_fraction_reference(p):
+    """f1_rational's divided difference summed in Fraction arithmetic,
+    then put over L t^3, L the lcm of the numerator's denominators."""
+    x = MPoly.var(1, 0)
+    a = x * assemble_P4(p).subs_poly([MPoly.zero(1), 1 - x])
+    b = (1 - x) ** 3
+    n = max(a.total_degree(), b.total_degree()) + 1
+    ac = [a.coeff((i,)) for i in range(n)]
+    bc = [b.coeff((i,)) for i in range(n)]
+    e1 = 1 + S - T
+    h = [MPoly.const(2, F(1)), e1]
+    while len(h) < n:
+        h.append(e1 * h[-1] - S * h[-2])
+    num = MPoly.zero(2)
+    for j in range(n):
+        row = MPoly.zero(2)
+        for i in range(j + 1, n):
+            if c := ac[i] * bc[j] - ac[j] * bc[i]:
+                row = row + c * h[i - j - 1]
+        num = num + S**j * row
+    if num.is_zero():
+        return OverT(num, MPoly.const(2, F(1)))
+    L = math.lcm(*(c.denominator for c in num.coefficients()))
+    return OverT(num * L, T**3 * L)
+
+
 class TestF1Rational:
+    def test_matches_the_fraction_reference(self):
+        rng = random.Random(26)
+        for p in [PWParams(), *(rand_params(rng) for _ in range(200))]:
+            got, want = f1_rational(p), f1_fraction_reference(p)
+            for part in ("num", "den"):
+                g, w = getattr(got, part), getattr(want, part)
+                assert g.terms == w.terms
+                assert all(type(c) is F for c in g.coefficients())
+
     def test_unit_directions(self):
         for nu, name in ((0, "a0"), (1, "a1"), (2, "a2")):
             f, j = f1_rational(PWParams.unit(name)), basis_j_small(nu)
