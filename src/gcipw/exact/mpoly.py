@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-Coefficients are Fractions by default but the ring operations take any
-ring type (e.g. plain ints), as long as it supports +, -, *, == 0 and
-bool(), and keep it: int scalars stay ints, so sums, products, powers and
-`subs_poly` of int polynomials have int coefficients.  `eval` takes int
-and Fraction coefficients only.
+The ring operations take coefficients of any ring type (ints, Fractions,
+...), as long as it supports +, -, *, == 0 and bool(), and keep it: the
+variables carry the int 1 and int scalars stay ints, so sums, products,
+powers and `subs_poly` of int polynomials have int coefficients.  `eval`
+takes int and Fraction coefficients only.
 
 Each monomial is one packed integer key: the exponent of variable i fills
 a field of BITS bits, variable 0 the highest.  The top bit of each field
@@ -98,7 +98,7 @@ def _drop_zeros(packed: Dict[int, object]) -> Dict[int, object]:
 class MPoly:
     """Polynomial in `arity` variables, stored as {packed key: coeff}."""
 
-    __slots__ = ("arity", "_packed")
+    __slots__ = ("arity", "_packed", "_integer")
 
     def __init__(self, arity: int, terms: Dict[Expo, object] | None = None):
         self.arity = arity
@@ -126,7 +126,8 @@ class MPoly:
 
     @classmethod
     def var(cls, arity: int, i: int) -> "MPoly":
-        return cls._trusted(arity, {1 << _shift(arity, i): Fraction(1)})
+        """Variable i, with the int coefficient 1."""
+        return cls._trusted(arity, {1 << _shift(arity, i): 1})
 
     @classmethod
     def variables(cls, arity: int) -> Sequence["MPoly"]:
@@ -241,7 +242,7 @@ class MPoly:
         return MPoly._trusted(self.arity, parts[0]), MPoly._trusted(self.arity, parts[1])
 
     def coeff(self, e: Expo):
-        return self._packed.get(_pack(e, self.arity), Fraction(0))
+        return self._packed.get(_pack(e, self.arity), 0)
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
@@ -260,26 +261,50 @@ class MPoly:
 
         The value is formed on integers: the point entries are put over the
         lcm L of their denominators and the coefficients over the lcm D of
-        theirs, the integer monomials are summed per total degree k, and the
-        value is sum_k S_k L^(top - k) / (D L^top), one Fraction per call.
-        An entry or coefficient of any other type raises TypeError.
+        theirs (`_integer_terms`), the integer monomials are summed per total
+        degree k, and the value is sum_k S_k L^(top - k) / (D L^top), one
+        Fraction per call.  An entry or coefficient of any other type raises
+        TypeError.
         """
         if len(point) != self.arity:
             raise ValueError("point has wrong length")
-        if not {*map(type, point), *map(type, self._packed.values())} <= {int, Fraction}:
+        if not {*map(type, point)} <= {int, Fraction}:
             raise TypeError("eval takes int or Fraction point entries and coefficients")
+        den, by_degree = self._integer_terms()
         scale = math.lcm(*(x.denominator for x in point))
         ints = [x.numerator * (scale // x.denominator) for x in point]
-        den = math.lcm(*(c.denominator for c in self._packed.values()))
         sums: Dict[int, int] = {}
-        for key, c in self._packed.items():
-            m, degree = c.numerator * (den // c.denominator), 0
-            for i, k in _fields(key, self.arity):
-                m *= ints[i] if k == 1 else ints[i] ** k
-                degree += k
-            sums[degree] = sums.get(degree, 0) + m
+        for degree, terms in by_degree.items():
+            total = 0
+            for m, fields in terms:
+                for i, k in fields:
+                    m *= ints[i] if k == 1 else ints[i] ** k
+                total += m
+            sums[degree] = total
         top = max(sums, default=0)
         return Fraction(sum(s * scale ** (top - k) for k, s in sums.items()), den * scale**top)
+
+    def _integer_terms(self):
+        """(D, {total degree k: [(D c, ((i, e_i), ...)), ...]}): the terms
+        of degree k with their coefficients c over the lcm D of their
+        denominators and their nonzero exponents.  A polynomial never
+        changes, so this is decoded on the first `eval` and kept."""
+        try:
+            return self._integer
+        except AttributeError:
+            pass
+        coeffs = self._packed.values()
+        if not {*map(type, coeffs)} <= {int, Fraction}:
+            raise TypeError("eval takes int or Fraction point entries and coefficients")
+        den = math.lcm(*(c.denominator for c in coeffs))
+        by_degree: Dict[int, list] = {}
+        for key, c in self._packed.items():
+            fields = tuple(_fields(key, self.arity))
+            by_degree.setdefault(sum(k for _, k in fields), []).append(
+                (c.numerator * (den // c.denominator), fields)
+            )
+        self._integer = (den, by_degree)
+        return self._integer
 
     def subs_poly(self, images: Sequence["MPoly"]) -> "MPoly":
         """Substitute a polynomial for each variable, by a Horner scheme.
@@ -357,13 +382,11 @@ class MPoly:
         return MPoly._trusted(self.arity, packed)
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "MPoly(0)"
         parts = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k
-            )
-            parts.append(f"{c}" + (f"*{mono}" if mono else ""))
+        for e in sorted(terms, key=lambda t: (sum(t), t), reverse=True):
+            mono = "*".join(f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k)
+            parts.append(f"{terms[e]}" + (f"*{mono}" if mono else ""))
         return "MPoly(" + " + ".join(parts) + ")"

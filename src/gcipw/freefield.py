@@ -15,6 +15,20 @@ coordinates, so its value is L^d times its value on the integer form: one
 exact rescaling per call.  Traces at rational coordinates given as a
 point list (`cycle_trace_numerator`) are formed on the same integer form
 of those points.
+
+The connected 2n-point function of the Weyl bilocal sums, over the pole
+structures of a cycle (`orbit_enumerate`), its two-orientation trace over
+its squared link poles.  Each such trace is c_n Pf(A_seq), with
+c_n = -2 (-1/2)^(n-2) (`cycle_constant`) and A_seq the antisymmetric
+matrix of the rho_ij read in the cycle's order, whose Pfaffian is the
+signed pairing sum `wick_numerator(n, seq)`.  The identity is proved for
+n <= 4 by the symbolic identity tests (the n = 4 one has 234624 terms)
+and is only measured for n >= 5.  `v1_weyl_connected` sums the Pfaffians
+on integers; a Pfaffian read along a cyclic order does not change when
+the order is rotated or reflected, since each pairing's sign is
+(-1)^(chord crossings), so the cycles share their sub-Pfaffians.  The
+quaternion traces (`cycle_trace_2n`, `cycle_trace_numerator`,
+`l1_truncated_npoint`) are its oracles.
 """
 
 from __future__ import annotations
@@ -92,7 +106,7 @@ def _sym_points(n_points: int) -> Tuple[Tuple[MPoly, ...], ...]:
     Coefficients are plain integers, and the traces, intervals and Wick
     substitutions built from them keep int coefficients throughout.
     """
-    xs = [x.map_coeff(int) for x in MPoly.variables(4 * n_points)]
+    xs = MPoly.variables(4 * n_points)
     return tuple(tuple(xs[4 * i : 4 * i + 4]) for i in range(n_points))
 
 
@@ -200,7 +214,7 @@ def _loop_trace(fwd: Sequence[Quaternion]):
 
 def _interval_product(rho, pairs) -> int:
     """prod rho_ij over the pairs; DegenerateConfiguration if one vanishes."""
-    prod = math.prod(rho[i][j] for i, j in pairs)
+    prod = math.prod([rho[i][j] for i, j in pairs])
     if prod == 0:
         raise DegenerateConfiguration("coincident points on a pole pair")
     return prod
@@ -346,25 +360,84 @@ def v1_scalar_connected(config: PointConfig) -> Fraction:
 
 
 @functools.cache
-def _orbit_plan(n: int):
-    """The `_loop_trace` of every `orbit_enumerate(n)` cycle as products of
-    halves, computed once per n.
+def cycle_constant(n: int) -> Fraction:
+    """c_n = -2 (-1/2)^(n-2), the ratio of a cycle's trace to its Pfaffian.
 
-    `chain_trace` splits each orientation's 2n factors into two halves of
-    n, and many cycles share a half: 24 distinct halves of 32 at n = 3, 96
-    of 192 at n = 4.  Returns the distinct halves, each a tuple of steps
-    (a, b), and per cycle the indices of its forward and reversed halves
-    with its links.
+    `cycle_trace_numerator(seq, points)` is c_n Pf(A_seq), A_seq the
+    antisymmetric matrix of the rho_ij with i, j read in the order of seq:
+    the signed pairing sum `wick_numerator(n, seq)`.  It is a polynomial
+    identity in the coordinates, and relabeling the points carries it from
+    one cycle to every other, so the symbolic tests of the identity for
+    the cycle (0, 1, ..., 2n - 1) prove it for n <= 4.  For n >= 5 it is
+    measured at seeded configurations only (`fit_cycle_constant`).
     """
-    halves: dict = {}
-    terms = []
-    for seq in orbit_enumerate(n):
-        fwd = list(zip(seq, seq[1:] + seq[:1]))
-        rev = _reversed(fwd)
-        parts = (fwd[:n], fwd[n:], rev[:n], rev[n:])
-        index = [halves.setdefault(tuple(h), len(halves)) for h in parts]
-        terms.append((*index, tuple(links_of(seq))))
-    return tuple(halves), tuple(terms)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return -2 * Fraction(-1, 2) ** (n - 2)
+
+
+def _dihedral_key(seq: CycleSeq) -> CycleSeq:
+    """The representative of a cyclic sequence up to rotation and
+    reflection: rotated to start at its lowest point, and read towards the
+    lower of that point's two neighbours."""
+    k = seq.index(min(seq))
+    rot = seq[k:] + seq[:k]
+    return rot if rot[1] <= rot[-1] else (rot[0], *rot[:0:-1])
+
+
+@functools.cache
+def _pfaffian_plan(n: int):
+    """Pf(A_seq) of every `orbit_enumerate(n)` cycle as one shared Laplace
+    expansion, built once per n.
+
+    A sub-Pfaffian is the Pfaffian of a cyclic subsequence L, and it
+    depends on L only up to rotation and reflection: each pairing's sign is
+    (-1)^(chord crossings), and whether two chords of a circle cross
+    depends on neither the cut point nor the direction.  So each node is
+    keyed by `_dihedral_key` and expanded along its first, lowest point:
+    Pf(L) = sum_j (-1)^(j-1) rho_{L0 Lj} Pf(L without L0, Lj).  A node is a
+    tuple of terms (sign, flat rho index L0 * 2n + Lj, child slot).  Slot 0
+    holds the empty sequence, whose Pfaffian is 1, and node k fills slot
+    k + 1 after its children.  That is 24 nodes with 76 terms at n = 3 and
+    168 with 836 at n = 4.  Returns the nodes and, per cycle, its root
+    slot and its links.
+    """
+    m = 2 * n
+    slots = {(): 0}
+    nodes = []
+
+    def visit(seq: CycleSeq) -> int:
+        key = _dihedral_key(seq) if seq else seq
+        if key not in slots:
+            terms = tuple(
+                ((-1) ** (j - 1), key[0] * m + key[j], visit(key[1:j] + key[j + 1 :]))
+                for j in range(1, len(key))
+            )
+            nodes.append(terms)
+            slots[key] = len(nodes)
+        return slots[key]
+
+    roots = tuple((visit(seq), tuple(links_of(seq))) for seq in orbit_enumerate(n))
+    return tuple(nodes), roots
+
+
+def cycle_pfaffians(config: PointConfig) -> List[int]:
+    """Pf(A_seq) on the integer intervals L^2 rho_ij of a configuration of
+    2n points, for each `orbit_enumerate(n)` cycle in order: L^(2n) times
+    the signed pairing sum `wick_numerator(n, seq)` at the configuration.
+    The nodes of `_pfaffian_plan` are evaluated in order on integers."""
+    nodes, roots = _pfaffian_plan(len(config) // 2)
+    flat = [r for row in config.int_rho for r in row]
+    values = [1]
+    for terms in nodes:
+        value = 0
+        for sign, k, child in terms:
+            if sign > 0:
+                value += flat[k] * values[child]
+            else:
+                value -= flat[k] * values[child]
+        values.append(value)
+    return [values[slot] for slot, _ in roots]
 
 
 def v1_weyl_connected(config: PointConfig) -> Fraction:
@@ -373,25 +446,26 @@ def v1_weyl_connected(config: PointConfig) -> Fraction:
     Normalized so that the 4-point value is j_1(s, t)/(rho13 rho24)
     exactly; with the unit-normalized spinor 2-point function the raw
     trace sum is twice this at every n, a constant the lambda fits of the
-    symmetrization ansatz would otherwise simply absorb.  The terms of
-    `cycle_trace_2n` take their slash factors from one table of the pair
-    differences (slash in a block, slash+ on a link), multiply each
-    distinct half of `_orbit_plan` once, and are summed as integers over
-    D = prod rho_ij^2 over the pairs in different blocks.
+    symmetrization ansatz would otherwise simply absorb.  The value is the
+    sum over `orbit_enumerate(n)` of the `cycle_trace_2n` terms, halved.
+    Each cycle's trace is c_n Pf(A_seq) (`cycle_constant`; proved for
+    n <= 4, measured above), so the sum is (c_n / 2) sum Pf(A_seq) / prod
+    over its links of rho^2.  The Pfaffians are formed on the integer
+    intervals with shared sub-Pfaffians (`cycle_pfaffians`) and summed as
+    integers over D = prod rho_ij^2 over the pairs in different blocks;
+    the sum has degree -2n in the coordinates and is rescaled by L^(2n).
+    No quaternion is multiplied: `cycle_trace_2n` keeps the traces as the
+    oracle.
     """
-    m, pts, rho = len(config), config.int_points, config.int_rho
+    m, rho = len(config), config.int_rho
     den = _link_pole(config) ** 2
-    table = [[None] * m for _ in range(m)]
-    for a, b in itertools.combinations(range(m), 2):
-        q = slash(vsub(pts[a], pts[b]), conjugate=a // 2 != b // 2)
-        table[a][b], table[b][a] = q, -q  # slash and slash+ are linear
-    halves, terms = _orbit_plan(m // 2)
-    prods = [functools.reduce(operator.mul, [table[a][b] for a, b in h]) for h in halves]
+    _, roots = _pfaffian_plan(m // 2)
     total = 0
-    for f1, f2, r1, r2, links in terms:
-        trace = -(prods[f1].trace_mul(prods[f2]) + prods[r1].trace_mul(prods[r2]))
-        total += trace * (den // _interval_product(rho, links) ** 2)
-    return Fraction(total * config.scale**m, 2 * den)
+    for pf, (_, links) in zip(cycle_pfaffians(config), roots):
+        pole = _interval_product(rho, links)
+        total += pf * (den // (pole * pole))
+    c = cycle_constant(m // 2)
+    return Fraction(total * c.numerator * config.scale**m, 2 * c.denominator * den)
 
 
 def full_from_connected(conn_eval, config: PointConfig) -> Fraction:

@@ -179,16 +179,14 @@ def f1_rational(p: PWParams) -> OverT:
     """
     P4 = assemble_P4(p)
     D = math.lcm(*(c.denominator for c in P4.coefficients()))
-    x = MPoly(1, {(1,): 1})
+    x = MPoly.var(1, 0)
     a = x * P4.map_coeff(lambda c: c.numerator * (D // c.denominator)).subs_poly(
         [MPoly.zero(1), 1 - x]
     )
     n = max(a.total_degree(), 3) + 1
-    ac = [0] * n
-    for (i,), c in a.terms.items():
-        ac[i] = c
+    ac = [a.coeff((i,)) for i in range(n)]
     bc = [1, -3, 3, -1] + [0] * (n - 4)  # (1 - x)^3
-    s, t = MPoly(2, {(1, 0): 1}), MPoly(2, {(0, 1): 1})
+    s, t = S, T
     e1 = 1 + s - t
     h = [s**0, e1]
     while len(h) < n:
@@ -206,7 +204,7 @@ def f1_rational(p: PWParams) -> OverT:
     if num.is_zero():
         return OverT(num, MPoly.const(2, Fraction(1)))
     G = math.gcd(D, *num.coefficients())
-    return OverT(num.map_coeff(lambda c: Fraction(c // G)), T**3 * (D // G))
+    return OverT(num.map_coeff(lambda c: Fraction(c // G)), T**3 * Fraction(D // G))
 
 
 def laplace_st(f: OverT) -> OverT:

@@ -218,15 +218,19 @@ def _crossing(seed: int):
 
 @_check("c05_appendix_oracle")
 def _appendix_oracle(seed: int):
-    """Criterion 5: the quaternion-trace realization of the j1 channel."""
+    """Criterion 5: the quaternion-trace realization of the j1 channel.
+
+    `v1_weyl_4pt` sums Pfaffians, so the quaternion cycle traces of its two
+    pole structures are compared with it as well."""
     rng = random.Random(seed + 3)
     j1 = fourpoint.basis_j_small(1)
     bad = 0
     for _ in range(100):
         cfg = kinematics.random_config(rng, 4)
         cr = kinematics.cross_ratios(cfg)
-        lhs = freefield.v1_weyl_4pt(cfg) * cfg.rho(0, 2) * cfg.rho(1, 3)
-        if lhs != j1.eval([cr.s, cr.t]):
+        v4 = freefield.v1_weyl_4pt(cfg)
+        traces = sum(freefield.cycle_trace_2n(cfg, s) for s in freefield.orbit_enumerate(2))
+        if v4 * cfg.rho(0, 2) * cfg.rho(1, 3) != j1.eval([cr.s, cr.t]) or 2 * v4 != traces:
             bad += 1
     sym_ok = (
         freefield.trace4_identity_symbolic()
@@ -257,10 +261,11 @@ def _sixpoint_oracle(seed: int):
         cfg = kinematics.random_config(rng, 6)
         if freefield.cycle_trace_2n(cfg, (0, 1, 2, 3, 4, 5)) != _w_sixpoint_braces(cfg):
             bad += 1
-    # per-n constants, fitted once and reverified symbolically (n = 2, 3)
-    # and numerically (n = 4)
+    # the closed-form constants, fitted at one config each (n = 2..5) and
+    # reverified symbolically (n = 2, 3) and numerically (n = 4)
+    c = {n: freefield.cycle_constant(n) for n in (2, 3, 4, 5)}
     fit = freefield.fit_cycle_constant
-    c = {n: fit(n, kinematics.random_config(rng, 2 * n)) for n in (2, 3, 4)}
+    fitted = all(fit(n, kinematics.random_config(rng, 2 * n)) == c[n] for n in c)
     sym = [
         freefield.cycle_trace_numerator_symbolic(tuple(range(2 * n)), 2 * n)
         == c[n] * freefield.wick_numerator(n).subs_poly(freefield.rho_symbolic(2 * n))
@@ -273,8 +278,9 @@ def _sixpoint_oracle(seed: int):
         lhs = freefield.cycle_trace_numerator((0, 1, 2, 3, 4, 5, 6, 7), cc.points)
         if lhs == c[4] * wick4.eval(freefield.rho_point(cc)):
             num_ok += 1
-    return bad == 0 and all(sym) and num_ok == 10, (
-        f"braces mismatches={bad}/25, c2={c[2]}, c3={c[3]}, c4={c[4]}, "
+    return bad == 0 and fitted and all(sym) and num_ok == 10, (
+        f"braces mismatches={bad}/25, c2={c[2]}, c3={c[3]}, c4={c[4]}, c5={c[5]}, "
+        f"fitted=closed form (n=2..5): {fitted}, "
         f"symbolic(n=2,3)=({sym[0]},{sym[1]}), numeric n=4: {num_ok}/10"
     )
 

@@ -121,6 +121,16 @@ class TestMPoly:
             got = q.eval(x)
             assert type(got) is F and got == ref_eval(q.terms, x)
 
+    def test_repeated_eval_matches_the_reference(self):
+        # the decoded terms are kept after the first eval and reused
+        p = MPoly(3, {(3, 1, 0): F(1, 2), (0, 2, 0): -3, (0, 0, 0): F(5, 3), (1, 1, 1): 2})
+        for x in ([F(1, 3), 2, 0], [F(-2, 7), F(5, 3), F(1, 2)], [1, 1, 1], [0, 0, F(9, 4)]):
+            assert p.eval(x) == ref_eval(p.terms, x)
+        bad = MPoly(2, {(1, 0): 0.5})
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                bad.eval([F(1), F(2)])
+
     def test_eval_rejects_non_rational_types(self):
         p = MPoly.var(2, 0) + 1
         for bad in (0.5, 1j, MPoly.var(2, 1)):
@@ -148,7 +158,7 @@ class TestMPoly:
         assert p**0 == MPoly.const(1, 1)
 
     def test_subs_poly_keeps_the_coefficient_ring(self):
-        u, v = (g.map_coeff(int) for g in MPoly.variables(2))
+        u, v = MPoly.variables(2)
         images = [u + v, u - 2 * v]
         over_ints = u * u - 3 * u * v + 2
         got = over_ints.subs_poly(images)
@@ -157,8 +167,16 @@ class TestMPoly:
         assert all(type(c) is F for c in frac.coefficients())
         assert got == frac == (u + v) ** 2 - 3 * (u + v) * (u - 2 * v) + 2
 
+    def test_variables_and_absent_coefficients_are_ints(self):
+        x, y = MPoly.variables(2)
+        for p in (x, y, MPoly.var(2, 1)):
+            assert [type(c) for c in p.coefficients()] == [int]
+        assert x.coeff((1, 0)) == 1 and type(x.coeff((1, 0))) is int
+        assert x.coeff((0, 1)) == 0 and type(x.coeff((0, 1))) is int
+        assert type(MPoly(1, {(1,): F(1, 2)}).coeff((0,))) is int
+
     def test_int_scalars_keep_the_ring(self):
-        x, y = (g.map_coeff(int) for g in MPoly.variables(2))
+        x, y = MPoly.variables(2)
         for p in (1 - x, x - 1, x + 2, 2 + x * y, 3 * x, x * 0 + 5, MPoly.const(2, 7), x**0):
             assert p.coefficients() and all(type(c) is int for c in p.coefficients())
         assert (1 - x).terms == {(0, 0): 1, (1, 0): -1}
@@ -352,6 +370,28 @@ class TestPackedKeys:
             u.deriv(i)
         with pytest.raises(ValueError):
             u.degree_in(i)
+
+    def test_repr(self):
+        p = MPoly(3, {(2, 0, 1): F(1, 2), (0, 1, 0): F(-3), (0, 0, 0): F(7), (1, 1, 1): F(2, 3)})
+        assert repr(p) == "MPoly(1/2*x0^2*x2 + 2/3*x0*x1*x2 + -3*x1 + 7)"
+        assert repr(MPoly.zero(2)) == "MPoly(0)"
+        assert repr(MPoly.const(2, 5)) == "MPoly(5)"
+        u, v = MPoly.variables(2)
+        assert repr((u - v) ** 2) == "MPoly(1*x0^2 + -2*x0*x1 + 1*x1^2)"
+
+    def test_repr_reads_the_terms_once(self, monkeypatch):
+        # each read of `terms` unpacks every key, so one read keeps repr linear
+        reads = []
+        terms = MPoly.terms
+
+        def counted(self):
+            reads.append(1)
+            return terms.fget(self)
+
+        monkeypatch.setattr(MPoly, "terms", property(counted))
+        u, v = MPoly.variables(2)
+        repr((u + v + 1) ** 6)
+        assert len(reads) == 1
 
     def test_terms_is_a_stable_read_only_view(self):
         u, v = MPoly.variables(2)

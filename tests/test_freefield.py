@@ -18,6 +18,8 @@ from gcipw.freefield import (
     cycle_trace_numerator,
     cycle_trace_numerator_symbolic,
     crossing_sign,
+    cycle_constant,
+    cycle_pfaffians,
     det4,
     fit_cycle_constant,
     interval_identities,
@@ -237,7 +239,7 @@ def w_sixpoint(c):
 
 def sym_points(n):
     """n symbolic 4-vectors over 4n integer-coefficient variables."""
-    xs = [x.map_coeff(int) for x in MPoly.variables(4 * n)]
+    xs = MPoly.variables(4 * n)
     return [xs[4 * i : 4 * i + 4] for i in range(n)]
 
 
@@ -444,6 +446,49 @@ class TestWickNumerator:
             cfg = random_config(rng, 8)
             lhs = cycle_trace_numerator(tuple(range(8)), cfg.points)
             assert lhs == c4 * wick4.eval(rho_point(cfg))
+
+    def test_closed_form_constants_are_the_fitted_ones(self):
+        rng = random.Random(12)
+        assert [cycle_constant(n) for n in range(2, 7)] == [-2, 1, F(-1, 2), F(1, 4), F(-1, 8)]
+        for n in range(2, 6):
+            assert fit_cycle_constant(n, random_config(rng, 2 * n)) == cycle_constant(n)
+        with pytest.raises(ValueError):
+            cycle_constant(1)
+
+
+def pfaffian_reference(cfg, seq):
+    """Pf of the rho_ij read along seq, by the Laplace expansion along the
+    first point, on Fraction intervals."""
+    if not seq:
+        return F(1)
+    return sum(
+        (-1) ** (j - 1) * interval(cfg, seq[0], seq[j])
+        * pfaffian_reference(cfg, seq[1:j] + seq[j + 1 :])
+        for j in range(1, len(seq))
+    )
+
+
+class TestCyclePfaffians:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_is_the_signed_pairing_sum_of_its_cycle(self, n):
+        cfg = config_over(random.Random(70 + n), 2 * n, (7, 11))
+        pfaffians = cycle_pfaffians(cfg)
+        assert all(type(pf) is int for pf in pfaffians)
+        scale = cfg.scale ** (2 * n)
+        for seq, pf in zip(orbit_enumerate(n), pfaffians, strict=True):
+            assert pf == scale * wick_numerator(n, seq).eval(rho_point(cfg))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rotation_and_reflection_keep_the_pfaffian(self, n):
+        rng = random.Random(75 + n)
+        cfg = random_config(rng, 2 * n)
+        for seq in rng.sample(orbit_enumerate(n), 2):
+            pf = pfaffian_reference(cfg, seq)
+            assert pf == wick_numerator(n, seq).eval(rho_point(cfg)) != 0
+            for k in range(2 * n):
+                turned = seq[k:] + seq[:k]
+                assert pfaffian_reference(cfg, turned) == pf
+                assert pfaffian_reference(cfg, turned[::-1]) == pf
 
 
 class TestScalarBilocal:
@@ -786,10 +831,11 @@ class TestIntegerTraces:
                 assert type(got) is F
                 assert got == cycle_trace_reference(seq, cfg.points)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_weyl_connected_matches_orbit_reference(self, n):
+        # proved for n <= 4 by the symbolic identities; checked here at n = 5
         rng = random.Random(95 + n)
-        for dens in [(1,), (7, 11)]:
+        for dens in [(1,), (7, 11)] if n < 5 else [(7, 11)]:
             cfg = config_over(rng, 2 * n, dens)
             assert v1_weyl_connected(cfg) == weyl_connected_reference(cfg)
 
@@ -811,5 +857,9 @@ class TestIntegerTraces:
         for n in (2, 3, 4):
             cfg = config_over(rng, 2 * n, (7, 11))
             cycle_trace_numerator(tuple(range(2 * n)), cfg.points)
+            # the Weyl function sums integer Pfaffians: no quaternion product
+            assert all(type(pf) is int for pf in cycle_pfaffians(cfg))
+            before = len(calls)
             v1_weyl_connected(cfg)
+            assert len(calls) == before
         assert calls
