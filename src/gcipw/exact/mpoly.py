@@ -95,6 +95,12 @@ def _drop_zeros(packed: Dict[int, object]) -> Dict[int, object]:
     return packed
 
 
+def _require_exact(values) -> None:
+    """TypeError unless every value is an int or a Fraction, as `eval` needs."""
+    if not {*map(type, values)} <= {int, Fraction}:
+        raise TypeError("eval takes int or Fraction point entries and coefficients")
+
+
 class MPoly:
     """Polynomial in `arity` variables, stored as {packed key: coeff}."""
 
@@ -268,8 +274,7 @@ class MPoly:
         """
         if len(point) != self.arity:
             raise ValueError("point has wrong length")
-        if not {*map(type, point)} <= {int, Fraction}:
-            raise TypeError("eval takes int or Fraction point entries and coefficients")
+        _require_exact(point)
         den, by_degree = self._integer_terms()
         scale = math.lcm(*(x.denominator for x in point))
         ints = [x.numerator * (scale // x.denominator) for x in point]
@@ -294,8 +299,7 @@ class MPoly:
         except AttributeError:
             pass
         coeffs = self._packed.values()
-        if not {*map(type, coeffs)} <= {int, Fraction}:
-            raise TypeError("eval takes int or Fraction point entries and coefficients")
+        _require_exact(coeffs)
         den = math.lcm(*(c.denominator for c in coeffs))
         by_degree: Dict[int, list] = {}
         for key, c in self._packed.items():

@@ -214,7 +214,7 @@ def _loop_trace(fwd: Sequence[Quaternion]):
 
 def _interval_product(rho, pairs) -> int:
     """prod rho_ij over the pairs; DegenerateConfiguration if one vanishes."""
-    prod = math.prod([rho[i][j] for i, j in pairs])
+    prod = math.prod(rho[i][j] for i, j in pairs)
     if prod == 0:
         raise DegenerateConfiguration("coincident points on a pole pair")
     return prod
@@ -421,11 +421,12 @@ def _pfaffian_plan(n: int):
     return tuple(nodes), roots
 
 
-def cycle_pfaffians(config: PointConfig) -> List[int]:
-    """Pf(A_seq) on the integer intervals L^2 rho_ij of a configuration of
-    2n points, for each `orbit_enumerate(n)` cycle in order: L^(2n) times
-    the signed pairing sum `wick_numerator(n, seq)` at the configuration.
-    The nodes of `_pfaffian_plan` are evaluated in order on integers."""
+def cycle_pfaffians(config: PointConfig) -> List[Tuple[int, tuple]]:
+    """(Pf(A_seq), links) of each `orbit_enumerate(n)` cycle in order, on
+    the integer intervals L^2 rho_ij of a configuration of 2n points, so
+    the Pfaffian is L^(2n) times the signed pairing sum
+    `wick_numerator(n, seq)` at the configuration.  The nodes of
+    `_pfaffian_plan` are evaluated in order on integers."""
     nodes, roots = _pfaffian_plan(len(config) // 2)
     flat = [r for row in config.int_rho for r in row]
     values = [1]
@@ -437,7 +438,7 @@ def cycle_pfaffians(config: PointConfig) -> List[int]:
             else:
                 value -= flat[k] * values[child]
         values.append(value)
-    return [values[slot] for slot, _ in roots]
+    return [(values[slot], links) for slot, links in roots]
 
 
 def v1_weyl_connected(config: PointConfig) -> Fraction:
@@ -459,9 +460,8 @@ def v1_weyl_connected(config: PointConfig) -> Fraction:
     """
     m, rho = len(config), config.int_rho
     den = _link_pole(config) ** 2
-    _, roots = _pfaffian_plan(m // 2)
     total = 0
-    for pf, (_, links) in zip(cycle_pfaffians(config), roots):
+    for pf, links in cycle_pfaffians(config):
         pole = _interval_product(rho, links)
         total += pf * (den // (pole * pole))
     c = cycle_constant(m // 2)

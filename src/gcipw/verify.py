@@ -147,7 +147,8 @@ def _partitions3(w: int) -> List[tuple]:
 
 
 def _rank(rows: List[List[Fraction]]) -> int:
-    """The rank of a matrix over Q, by Gaussian elimination."""
+    """The rank of a matrix over Q, by Gaussian elimination in Fractions
+    (int entries too, so that no quotient is a float)."""
     rows, rank = [list(r) for r in rows], 0
     for col in range(len(rows[0])):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
@@ -156,7 +157,7 @@ def _rank(rows: List[List[Fraction]]) -> int:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         top = rows[rank]
         for i in range(rank + 1, len(rows)):
-            f = rows[i][col] / top[col]
+            f = Fraction(rows[i][col], top[col])
             rows[i] = [x - f * y for x, y in zip(rows[i], top)]
         rank += 1
     return rank

@@ -7,6 +7,7 @@ the CLI as `gcipw verify-all`.
 
 import functools
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -107,6 +108,16 @@ def test_a_check_that_raises_fails(monkeypatch):
     )
     assert type(result["elapsed"]) is float and result["elapsed"] >= 0
     assert set(result) == {"id", "passed", "detail", "elapsed"}
+
+
+def test_rank_is_exact_on_int_rows():
+    # c04's rows are int coefficients; a float quotient would leave a
+    # rounding residue in the third row and report rank 3
+    r1, r2 = [-5, 9, -7, -1], [-6, 6, 5, 6]
+    r3 = [3 * x - 4 * y for x, y in zip(r1, r2)]
+    assert verify._rank([r1, r2, r3]) == 2
+    assert verify._rank([r1, r2, [x + (i == 3) for i, x in enumerate(r3)]]) == 3
+    assert verify._rank([[Fraction(1, 3), 2], [1, 6]]) == 1
 
 
 def test_crossing_count_is_checked_independently(monkeypatch):
