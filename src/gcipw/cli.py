@@ -107,13 +107,20 @@ def _known(doc, names, what: str):
     return doc.items()
 
 
+def _json_int(value) -> int:
+    """An integer setting: a JSON integer, not a float, string or boolean."""
+    if type(value) is not int:
+        raise ValueError(f"integer settings take JSON integers, got {json.dumps(value)}")
+    return value
+
+
 # how the value of each config key is read
 CONFIG_READERS = {
-    "params": lambda d: {k: Fraction(str(v)) for k, v in _known(d, PARAM_NAMES, "params")},
-    "max_twist": int,
-    "max_spin": int,
-    "series_order": int,
-    "seed": int,
+    "params": lambda d: {k: parse_rat(str(v)) for k, v in _known(d, PARAM_NAMES, "params")},
+    "max_twist": _json_int,
+    "max_spin": _json_int,
+    "series_order": _json_int,
+    "seed": _json_int,
     "tolerances": lambda d: {k: float(v) for k, v in _known(d, TOLERANCE_NAMES, "tolerances")},
     "tau_points": lambda ts: [parse_tau(str(t)) for t in ts],
 }
@@ -381,7 +388,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if err.code not in (0, None) else 0
     try:
         config = load_config(flags.pop("config")) if "config" in flags else {}
-    except (OSError, ValueError, TypeError, argparse.ArgumentTypeError) as err:
+    except (OSError, ValueError, TypeError, ArithmeticError, argparse.ArgumentTypeError) as err:
         print(f"bad config: {err}", file=sys.stderr)
         return USAGE_ERROR
     s = argparse.Namespace(**{**DEFAULTS, **config, **flags})

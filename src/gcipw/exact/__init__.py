@@ -9,7 +9,7 @@ one denominator and build Fractions only on access.
 
 from .mpoly import MPoly
 from .qseries import QSeries, lambert_series
-from .quaternion import Quaternion, chain_trace
+from .quaternion import Quaternion, chain_trace, slash
 from .series import PSeries, Series2, div_u_minus_v, unit_row
 
 __all__ = [
@@ -22,4 +22,5 @@ __all__ = [
     "lambert_series",
     "Quaternion",
     "chain_trace",
+    "slash",
 ]

@@ -59,6 +59,14 @@ class Quaternion:
         return f"Quaternion({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
+def slash(z: Sequence, conjugate: bool = False) -> Quaternion:
+    """z-slash (or its quaternion conjugate) for entries of any ring."""
+    z1, z2, z3, z4 = z
+    if conjugate:
+        return Quaternion(z4, -z1, -z2, -z3)
+    return Quaternion(z4, z1, z2, z3)
+
+
 def chain_trace(factors: Sequence[Quaternion]):
     """2 Re(q1 q2 ... qn), the matrix trace of the product, for n >= 2.
 

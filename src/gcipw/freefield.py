@@ -29,6 +29,17 @@ the order is rotated or reflected, since each pairing's sign is
 (-1)^(chord crossings), so the cycles share their sub-Pfaffians.  The
 quaternion traces (`cycle_trace_2n`, `cycle_trace_numerator`,
 `l1_truncated_npoint`) are its oracles.
+
+The composites psi+ chi + chi+ psi (`l1_truncated_npoint`) and its
+commuting scalar analogue (`l0_truncated_npoint`) are summed over their
+single-loop Wick contractions.  Each loop is walked once as a (cycle from
+0, parity) pair: a directed Hamiltonian cycle from point 0 and the kind
+of its first edge, which fixes the points that carry psi+ chi, since the
+two kinds alternate along the loop; 2 (m - 1)! walks in all.  A closed
+fermion loop carries -1 on every walk: the product of the chord-crossing
+sign -(-1)^d of its contraction pattern, d the walk's descents, and the
+(-1)^d of the d contractions whose conjugate's slot comes first, which
+locality flips.
 """
 
 from __future__ import annotations
@@ -40,17 +51,9 @@ import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .exact import MPoly, Quaternion, chain_trace
+from .exact import MPoly, Quaternion, chain_trace, slash
 from .kinematics import DegenerateConfiguration, PointConfig, Vec4, dot4, integer_form, vsub
 from .symmetrize import enumerate_patterns
-
-
-def slash(z: Sequence, conjugate: bool = False) -> Quaternion:
-    """z-slash (or its quaternion conjugate) for entries of any ring."""
-    z1, z2, z3, z4 = z
-    if conjugate:
-        return Quaternion(z4, -z1, -z2, -z3)
-    return Quaternion(z4, z1, z2, z3)
 
 
 def det4(a: Vec4, b: Vec4, c: Vec4, d: Vec4):
@@ -468,40 +471,29 @@ def v1_weyl_connected(config: PointConfig) -> Fraction:
     return Fraction(total * c.numerator * config.scale**m, 2 * c.denominator * den)
 
 
-def full_from_connected(conn_eval, config: PointConfig) -> Fraction:
-    """Full 2n-point function of a bilocal with vanishing 1-point part:
-    sum over partitions of the blocks into groups of >= 2, of products of
-    connected functions."""
-    n = len(config) // 2
-    blocks = list(range(n))
-    total = Fraction(0)
-    for partition in _all_partitions_min2(blocks):
-        prod = Fraction(1)
-        for part in partition:
-            idx = [p for b in part for p in (2 * b, 2 * b + 1)]
-            prod *= conn_eval(config.subset(idx) if len(part) < n else config)
-        total += prod
-    return total
-
-
-def _all_partitions_min2(blocks: List[int]):
-    """All partitions (including the trivial one) with parts of size >= 2."""
-    if not blocks:
-        yield []
-        return
-    first, rest = blocks[0], blocks[1:]
-    for k in range(1, len(rest) + 1):
-        for mates in itertools.combinations(rest, k):
-            part = [first, *mates]
-            remaining = [b for b in rest if b not in mates]
-            for tail in _all_partitions_min2(remaining):
-                yield [part] + tail
-
-
 def v1_weyl_npoint(config: PointConfig) -> Fraction:
-    """Full 2n-point function of the Weyl bilocal.  Below eight points the
-    only partition is the trivial one, so it equals `v1_weyl_connected`."""
-    return full_from_connected(v1_weyl_connected, config)
+    """Full 2n-point function of the Weyl bilocal, which has no 1-point
+    part: the sum, over the parts P of at least two blocks that hold block
+    0, of the connected function on P times the full function on the other
+    blocks (1 on none, 0 on one).  Below eight points P holds every block,
+    so it equals `v1_weyl_connected`."""
+    n = len(config) // 2
+
+    def full(blocks: Tuple[int, ...]):
+        if not blocks:
+            return 1
+        first, others = blocks[0], blocks[1:]
+        total = 0
+        for k in range(1, len(others) + 1):
+            for mates in itertools.combinations(others, k):
+                rest = tuple(b for b in others if b not in mates)
+                if len(rest) != 1:
+                    part = [p for b in (first, *mates) for p in (2 * b, 2 * b + 1)]
+                    sub = config if k + 1 == n else config.subset(part)
+                    total += v1_weyl_connected(sub) * full(rest)
+        return total
+
+    return Fraction(full(tuple(range(n))))
 
 
 # -- first-principles Wick network for the composite scalars ------------------------
@@ -511,99 +503,82 @@ def _fermion_table(config: PointConfig, kind: str) -> List[List]:
     """Wick contractions between a field operator (at vertex fv) and its
     conjugate (at vertex cv), as matrices indexed (fv, cv): the step from
     the field to its conjugate along a loop.  Entry (fv, cv) is the pair
-    (signed integer slash quaternion, integer weight) of the integer form.
+    (integer slash quaternion, integer weight) of the integer form.
 
     kind "psi": <psi(x) psi+(y)> = slash+(x - y) / rho^2;
     kind "chi": <chi(x) chi+(y)> = slash(x - y) / rho^3.
-    When the conjugate's operator slot comes first (cv < fv), locality
-    fixes the contraction in slot order to the transposed matrix with a
-    sign flip; transposed back to (fv, cv) order, only the sign remains.
+    No entry carries a sign: the loop's -1 is applied once to the sum.
     """
     pts, rho = config.int_points, config.int_rho
     power = 2 if kind == "psi" else 3
     m = len(pts)
     table = [[None] * m for _ in range(m)]
     for fv, cv in itertools.permutations(range(m), 2):
-        q = slash(vsub(pts[fv], pts[cv]), conjugate=(kind == "psi"))
-        table[fv][cv] = (q if fv < cv else -q, rho[fv][cv] ** power)
+        table[fv][cv] = (slash(vsub(pts[fv], pts[cv]), kind == "psi"), rho[fv][cv] ** power)
     return table
 
 
-def _walk_sums(rho, tables, one, close) -> Tuple[int, int, int]:
-    """R of `l1_truncated_npoint` and the sums over its walks with an even
-    and with an odd number of descents.
+def _walk_sums(rho, tables, one, close) -> Tuple[int, int]:
+    """R of `l1_truncated_npoint` and the sum over its walks.
 
     Step k of a walk (cycle from 0, parity) takes a (value, weight) entry
     from table (k + parity) mod 2.  Depth first from the value `one`, each
     node extends its parent's value and weight products by one entry; the
-    last two steps u -> v -> 0 (the second a descent) come from a table of
-    entry products.  A leaf adds close(value product, last value) *
-    (R // weight product).
+    last two steps u -> v -> 0 come from a table of entry products.  A
+    leaf adds close(value product, last value) * (R // weight product).
     """
     m = len(rho)
     pole = _interval_product(rho, itertools.combinations(range(m), 2)) ** (3 if m > 2 else 5)
-    sums = [0, 0]
 
-    def walk(steps, last, u, depth, prod, weight, odd, left):
+    def walk(steps, last, u, depth, prod, weight, left):
         if len(left) == 1:
             (v,) = left
             value, w = last[u, v]
-            sums[not (odd ^ (v < u))] += close(prod, value) * (pole // (weight * w))
-            return
+            return close(prod, value) * (pole // (weight * w))
+        total = 0
         for v in left:
             value, w = steps[depth][u][v]
-            walk(steps, last, v, depth + 1, prod * value, weight * w, odd ^ (v < u), left - {v})
+            total += walk(steps, last, v, depth + 1, prod * value, weight * w, left - {v})
+        return total
 
+    total = 0
     for parity in (0, 1):
         steps = [tables[(k + parity) % 2] for k in range(m)]
         a, b = steps[-2], steps[-1]
         last = {(u, v): (a[u][v][0] * b[v][0][0], a[u][v][1] * b[v][0][1])
                 for u, v in itertools.permutations(range(m), 2) if v}
-        walk(steps, last, 0, 0, one, 1, False, frozenset(range(1, m)))
-    return pole, *sums
+        total += walk(steps, last, 0, 0, one, 1, frozenset(range(1, m)))
+    return pole, total
 
 
 def l1_truncated_npoint(config: PointConfig) -> Fraction:
     """Truncated 2n-point function of the composite psi+ chi + chi+ psi.
 
-    Direct fermionic Wick sum over single-loop contraction patterns.
-    Vertices in a set A of n points carry psi+ chi and the rest chi+ psi;
-    a single loop alternates psi and chi contractions, and so A and its
-    complement.  Starting at point 0 and leaving it along the contraction
-    of its own field (psi outside A, chi in A), every loop is walked as
-    exactly one directed Hamiltonian cycle from 0 together with a parity,
-    the kind of its first edge, which fixes A as the odd or the even
-    positions.  Loops and (cycle, parity) pairs are in bijection, so
-    there are 2 (m-1)! of them over all splits A.  Each step runs from a
-    field to its conjugate, so one table per kind holds every propagator
-    and the chords (2a + 1, 2b) of the operator slots do not depend on
-    the parity.  The chord-crossing parity of each pattern supplies the
-    sign: in walk order the pairs (2a + 1, 2b) list the 2m slots as an odd
-    permutation (a fixed shuffle of sign (-1)^m times an m-cycle), the
-    crossing parity is the sign of that list with each pair put in
-    increasing order, and a pair is out of order exactly when b < a.  So a
-    walk with d descents has sign -(-1)^d.  The spinor indices contract to
-    the trace along the walk.  The walks are summed depth first
-    (`_walk_sums`) as integers over R = prod_{i<j} rho_ij^3: a loop
-    through m > 2 points joins each pair at most once, so R is a multiple
-    of every weight product; at m = 2 both steps join one pair, and R is
-    rho^5.  Each loop has m/2 edges of each kind, of degrees -3 and -5 in
-    the coordinates, so the integer-form sum is rescaled by L^(4m).
+    Direct fermionic Wick sum over the single-loop contraction patterns,
+    walked as the (cycle from 0, parity) pairs of the module docstring:
+    each step runs from a field to its conjugate, so one table per kind
+    holds every propagator, the spinor indices contract to the trace along
+    the walk, and the closed loop gives each walk the sign -1.  The walks
+    are summed depth first (`_walk_sums`) as integers over
+    R = prod_{i<j} rho_ij^3: a loop through m > 2 points joins each pair
+    at most once, so R is a multiple of every weight product; at m = 2
+    both steps join one pair, and R is rho^5.  Each loop has m/2 edges of
+    each kind, of degrees -3 and -5 in the coordinates, so the
+    integer-form sum is rescaled by L^(4m).
     Serves as the independent reference correlator for the
     symmetrization ansatz, and is why lambda_n = 2 at every n: each walk
     is, term by term, one (pattern, block cycle, orientation) triple of
     `symmetrized_wt`, with the chi edges on the pattern pairs and the psi
-    edges on the links; the loop sign times the d sign flips of the
-    tables, -(-1)^d (-1)^d = -1, is the overall minus of
-    `cycle_trace_numerator` (the argument is in `symmetrized_wt`).
+    edges on the links, and the loop's -1 is the overall minus of
+    `cycle_trace_numerator`.
     """
     m = len(config)
     if m % 2:
         raise ValueError("need an even number of points")
     tables = [_fermion_table(config, kind) for kind in ("psi", "chi")]
     one = Quaternion(1, 0, 0, 0)
-    pole, even, odd = _walk_sums(config.int_rho, tables, one, Quaternion.trace_mul)
-    return Fraction((odd - even) * config.scale ** (4 * m), pole)
+    pole, total = _walk_sums(config.int_rho, tables, one, Quaternion.trace_mul)
+    return Fraction(-total * config.scale ** (4 * m), pole)
 
 
 def l0_truncated_npoint(config: PointConfig) -> Fraction:
@@ -620,5 +595,5 @@ def l0_truncated_npoint(config: PointConfig) -> Fraction:
     """
     m, rho = len(config), config.int_rho
     tables = [[[(1, r**k) for r in row] for row in rho] for k in (1, 3)]
-    pole, even, odd = _walk_sums(rho, tables, 1, operator.mul)
-    return Fraction((even + odd) * config.scale ** (4 * m), pole * (2 if m > 2 else 1))
+    pole, total = _walk_sums(rho, tables, 1, operator.mul)
+    return Fraction(total * config.scale ** (4 * m), pole * (2 if m > 2 else 1))

@@ -85,9 +85,10 @@ def symmetrized_wt(
     (2n - 1)!! 2^(n-1) (n - 1)! 2 = 2 (2n - 1)! triples, one per walk of
     `l1_truncated_npoint`.  A pair edge carries slash(z_a - z_b) / rho^3,
     the chi propagator, and a link carries slash+(z_a - z_b) / rho^2,
-    the psi propagator, so each triple is one walk of l1 term by term:
-    l1's loop sign times its tables' sign flips on descending steps is -1
-    on every walk, the overall minus of `cycle_trace_numerator`.
+    the psi propagator, so each triple is one walk of l1 term by term,
+    and the -1 of a closed fermion loop (the walks and their sign are in
+    the `freefield` module docstring) is the overall minus of
+    `cycle_trace_numerator`.
     The `/ 2` in `v1_weyl_connected` leaves lambda_n = 2.  The scalar
     terms carry 1/rho^3 and 1/rho with one orientation per cycle, the
     walks of `l0_truncated_npoint`, so lambda_n = 1.

@@ -35,8 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import QSeries, Quaternion, lambert_series
-from .freefield import slash
+from .exact import QSeries, Quaternion, lambert_series, slash
 
 TWO_PI = 2 * math.pi
 
@@ -318,9 +317,9 @@ def gibbs_weyl_2pt(
     normalization note); the q -> 0 limit is the vacuum matrix.
     """
     sa = math.sin(TWO_PI * alpha)
-    ca = _cot(complex(TWO_PI * alpha))
     if abs(sa) < 1e-14:
         raise ValueError("collinear frame vectors")
+    ca = _cot(complex(TWO_PI * alpha))
     v, vbar = solve_isotropic(u1, u2, alpha)
     zp, zm = zeta + alpha, zeta - alpha
     p1m = elliptic_p1_11(zm, tau, window) / math.pi

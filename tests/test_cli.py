@@ -424,6 +424,10 @@ class TestConfigAndOutput:
             {"tolerances": {"modulus": 1e-3}},
             {"tau_points": ["1-1i"]},
             ["max_spin", 2],
+            {"params": {"a0": "1/0"}},
+            {"series_order": 1e400},
+            {"max_spin": 2.7},
+            {"max_spin": True},
         ],
         ids=json.dumps,
     )

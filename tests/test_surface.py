@@ -2,8 +2,9 @@
 package, and every public method and property of its classes, has a
 caller in the package or the benchmark, so that no API is kept alive by
 its tests alone, every field of its records is read, no package module
-imports another's private names, and the free-field references in the
-tests share no kernel internals."""
+imports another's private names, only the checks build on the free-field
+oracles, and the free-field references in the tests share no kernel
+internals."""
 
 import ast
 from pathlib import Path
@@ -74,6 +75,28 @@ def private_imports():
 
 def test_no_private_import_between_modules():
     assert private_imports() == []
+
+
+def imported_modules(path: Path) -> set:
+    """The absolute names a package file imports: each module, and each
+    module followed by a name it takes from it."""
+    package = ["gcipw", *path.parent.relative_to(PACKAGE).parts]
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level] if node.level else []
+            module = ".".join(filter(None, [*base, node.module]))
+            out |= {module, *(f"{module}.{alias.name}" for alias in node.names)}
+    return out
+
+
+def test_only_verify_imports_freefield():
+    # the free-field correlators are oracles for the checks, not a layer to build on
+    importers = sorted(str(path.relative_to(ROOT)) for path in PACKAGE.rglob("*.py")
+                       if "gcipw.freefield" in imported_modules(path))
+    assert importers == ["src/gcipw/verify.py"]
 
 
 def packed_key_readers():

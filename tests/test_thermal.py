@@ -312,8 +312,9 @@ class TestGibbsWeyl:
         assert max(map(abs, wq - w0)) < 1e-10
 
     def test_collinear_rejected(self):
-        with pytest.raises(ValueError):
-            gibbs_weyl_2pt(0.13, 0.5, U1, U1, 1.5j, 20)
+        for alpha in (0.5, 0):
+            with pytest.raises(ValueError, match="collinear"):
+                gibbs_weyl_2pt(0.13, alpha, U1, U1, 1.5j, 20)
 
 
 class TestKMS:
