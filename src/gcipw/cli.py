@@ -37,6 +37,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -114,6 +115,13 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_tolerance(value) -> float:
+    """A tolerance: a finite, positive JSON number, not a string or boolean."""
+    if type(value) not in (int, float) or not 0 < value < math.inf:
+        raise ValueError(f"tolerances take finite positive JSON numbers, got {json.dumps(value)}")
+    return float(value)
+
+
 # how the value of each config key is read
 CONFIG_READERS = {
     "params": lambda d: {k: parse_rat(str(v)) for k, v in _known(d, PARAM_NAMES, "params")},
@@ -121,7 +129,7 @@ CONFIG_READERS = {
     "max_spin": _json_int,
     "series_order": _json_int,
     "seed": _json_int,
-    "tolerances": lambda d: {k: float(v) for k, v in _known(d, TOLERANCE_NAMES, "tolerances")},
+    "tolerances": lambda d: {k: _json_tolerance(v) for k, v in _known(d, TOLERANCE_NAMES, "tolerances")},
     "tau_points": lambda ts: [parse_tau(str(t)) for t in ts],
 }
 

@@ -25,6 +25,17 @@ A third correction is derived rather than read off a display, and lives in
 the partial-wave layer: the disconnected 2-point tail of the twist
 expansion is B^2 s^3 (1 + t^-4), entering at twist 8, pinned by a
 generalized-free-field oracle test (see the partialwave module docstring).
+
+Series windows.  Each exact series builder keeps the longest series it has
+built in this process (one per builder and weight k or dimension D) and
+cuts every request of the same or a lower order from it; only a longer
+request builds again, and its series replaces the stored one.  A window is
+the same series a fresh build gives, integers and denominator alike: a
+Lambert term w q^(n2/2) / (1 - sign q^(n2/2)) touches only keys >= n2, so
+the terms a longer build adds leave the shorter window alone; the
+denominator is the vacuum constant's, which does not depend on the order;
+and the derived series keep the smaller window of what they merge.  Each
+request gets its own fresh dict, so callers never share state.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Dict, Sequence
 
 from .exact import QSeries, Quaternion, lambert_series, slash
 
@@ -56,12 +67,30 @@ def bernoulli(n: int) -> Fraction:
     return -total / (n + 1)
 
 
+# the longest series each builder has made, by builder and weight or dimension
+_SERIES: Dict[tuple, QSeries] = {}
+
+
+def _window(key: tuple, max_exp: int, build: Callable[[], QSeries]) -> QSeries:
+    """The series build() gives to key max_exp, as a fresh copy cut from the
+    longest one stored under key; build() runs only if that one is shorter,
+    and its series is stored in its place (see the module docstring)."""
+    s = _SERIES.get(key)
+    if s is None or s.max_exp < max_exp:
+        s = _SERIES[key] = build()
+    return QSeries(s.num, s.den, max_exp)
+
+
 def eisenstein_G(k: int, order: int) -> QSeries:
     """G_{2k} = -B_{2k}/(4k) + sum_{n>=1} n^(2k-1) q^n/(1-q^n), to q^order."""
     if k < 1 or order < 1:
         raise ValueError("need k >= 1 and order >= 1")
-    terms = ((2 * n, n ** (2 * k - 1)) for n in range(1, order + 1))
-    return lambert_series(-bernoulli(2 * k) / (4 * k), terms, 1, 2 * order)
+
+    def build():
+        terms = ((2 * n, n ** (2 * k - 1)) for n in range(1, order + 1))
+        return lambert_series(-bernoulli(2 * k) / (4 * k), terms, 1, 2 * order)
+
+    return _window(("eisenstein_G", k), 2 * order, build)
 
 
 WEYL_VACUUM_ENERGY = Fraction(17, 960)
@@ -99,9 +128,15 @@ def energy_mean_scalar(D: int, order: int) -> QSeries:
     """
     if D % 2 or D < 4:
         raise ValueError("only even D >= 4 is supported")
+    if order < 1:
+        raise ValueError("need order >= 1")
     d0 = (D - 2) // 2
-    terms = ((2 * n, n * harmonic_dimension(n - d0, D)) for n in range(d0, order + 1))
-    return lambert_series(_scalar_vacuum_constant(D), terms, 1, 2 * order)
+
+    def build():
+        terms = ((2 * n, n * harmonic_dimension(n - d0, D)) for n in range(d0, order + 1))
+        return lambert_series(_scalar_vacuum_constant(D), terms, 1, 2 * order)
+
+    return _window(("energy_mean_scalar", D), 2 * order, build)
 
 
 def energy_mean_weyl(order2: int) -> QSeries:
@@ -112,8 +147,14 @@ def energy_mean_weyl(order2: int) -> QSeries:
     (equivalently by zeta regularization of the mode sum).  `order2` is
     the doubled exponent window (coefficients through q^(order2/2)).
     """
-    terms = ((2 * n + 1, (2 * n + 1) * n * (n + 1)) for n in range(1, (order2 + 1) // 2))
-    return lambert_series(WEYL_VACUUM_ENERGY, terms, -1, order2)
+    if order2 < 1:
+        raise ValueError("need order2 >= 1")
+
+    def build():
+        terms = ((2 * n + 1, (2 * n + 1) * n * (n + 1)) for n in range(1, (order2 + 1) // 2))
+        return lambert_series(WEYL_VACUUM_ENERGY, terms, -1, order2)
+
+    return _window(("energy_mean_weyl",), order2, build)
 
 
 def weyl_modular_combination(order2: int) -> QSeries:
@@ -122,18 +163,30 @@ def weyl_modular_combination(order2: int) -> QSeries:
     The displayed (internally inconsistent) variant is its negation; see
     the module docstring.
     """
-    g4 = eisenstein_G(2, order2)  # to q^order2, so that G((tau+1)/2) reaches key order2
-    g2 = eisenstein_G(1, order2)
-    g4_half = g4.halfperiod_substitute()
-    g2_half = g2.halfperiod_substitute()
-    # each sum keeps the smaller window, the half-period images' key order2
-    return (Fraction(8) * g4 - g4_half + g2_half - Fraction(2) * g2) * Fraction(1, 4)
+    if order2 < 1:
+        raise ValueError("need order2 >= 1")
+
+    def build():
+        g4 = eisenstein_G(2, order2)  # to q^order2, so that G((tau+1)/2) reaches key order2
+        g2 = eisenstein_G(1, order2)
+        g4_half = g4.halfperiod_substitute()
+        g2_half = g2.halfperiod_substitute()
+        # each sum keeps the smaller window, the half-period images' key order2
+        return (Fraction(8) * g4 - g4_half + g2_half - Fraction(2) * g2) * Fraction(1, 4)
+
+    return _window(("weyl_modular_combination",), order2, build)
 
 
 def theta_form_F(order: int) -> QSeries:
     """F = 2 G2(tau) - G2((tau+1)/2), a weight-2 form for the theta group."""
-    g2 = eisenstein_G(1, order)
-    return Fraction(2) * g2 - g2.halfperiod_substitute()
+    if order < 1:
+        raise ValueError("need order >= 1")
+
+    def build():
+        g2 = eisenstein_G(1, order)
+        return Fraction(2) * g2 - g2.halfperiod_substitute()
+
+    return _window(("theta_form_F",), order, build)
 
 
 # -- numeric modular checks -------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from gcipw import thermal
 from gcipw.cli import main, parse_rat, parse_tau
+from gcipw.exact import lambert_series
 
 
 def run(args, capsys):
@@ -213,6 +214,23 @@ class TestThermal:
     def test_kms(self, capsys):
         code, out = run(["thermal", "kms", "--tau", "1.5i"], capsys)
         assert code == 0
+
+    def test_modular_builds_one_series(self, tmp_path, capsys, monkeypatch):
+        # the order search and every check share one G4, cut from its window
+        builds = []
+
+        def counting(const, terms, sign, max_exp):
+            builds.append(max_exp)
+            return lambert_series(const, terms, sign, max_exp)
+
+        monkeypatch.setattr(thermal, "lambert_series", counting)
+        monkeypatch.setattr(thermal, "_SERIES", {})
+        path = tmp_path / "taus.json"
+        path.write_text(json.dumps({"tau_points": ["1.5i", "1i", "0.3+1.2i", "-0.4+2i"]}))
+        code, out = run(["thermal", "modular", "--config", str(path)], capsys)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 5
+        assert builds == [400]  # G4 to q^200
 
     def test_unknown_model(self, capsys):
         code, _ = run(["thermal", "energy", "--model", "maxwell"], capsys)
@@ -428,6 +446,12 @@ class TestConfigAndOutput:
             {"series_order": 1e400},
             {"max_spin": 2.7},
             {"max_spin": True},
+            {"tolerances": {"kms": True}},
+            {"tolerances": {"kms": "nan"}},
+            {"tolerances": {"kms": float("nan")}},
+            {"tolerances": {"modular": float("inf")}},
+            {"tolerances": {"numeric": -1}},
+            {"tolerances": {"modular": 0}},
         ],
         ids=json.dumps,
     )

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gcipw import thermal
 from gcipw.exact import QSeries
 from gcipw.thermal import (
     WEYL_VACUUM_ENERGY,
@@ -112,6 +113,67 @@ class TestEnergyMeans:
         assert combo[0] == F(17, 960)
         assert (-combo)[0] == F(-17, 960)
         assert energy_mean_weyl(50) != -combo
+
+
+BUILDERS = {
+    "G2": lambda n: eisenstein_G(1, n),
+    "G4": lambda n: eisenstein_G(2, n),
+    "G6": lambda n: eisenstein_G(3, n),
+    "E4": lambda n: energy_mean_scalar(4, n),
+    "E6": lambda n: energy_mean_scalar(6, n),
+    "E8": lambda n: energy_mean_scalar(8, n),
+    "weyl": energy_mean_weyl,
+    "combo": weyl_modular_combination,
+    "F": theta_form_F,
+}
+
+
+class TestSeriesWindows:
+    """Each builder cuts shorter requests from the longest series it has
+    built; a window must be exactly the series a fresh build gives."""
+
+    @pytest.mark.parametrize(
+        "orders",
+        [[61, 40, 17, 3, 1], [1, 3, 17, 40, 61], [17, 17, 40, 40, 17, 61, 61]],
+        ids=["descending", "ascending", "repeated"],
+    )
+    def test_window_is_a_fresh_build(self, orders, monkeypatch):
+        shared = {}
+        for n in orders:
+            for name, build in BUILDERS.items():
+                monkeypatch.setattr(thermal, "_SERIES", shared)
+                got = build(n)
+                monkeypatch.setattr(thermal, "_SERIES", {})
+                want = build(n)
+                assert (got.num, got.den, got.max_exp) == (want.num, want.den, want.max_exp), (name, n)
+        assert len(shared) == len(BUILDERS)
+        assert {s.max_exp for s in shared.values()} == {max(orders), 2 * max(orders)}
+
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    def test_mutating_a_result_leaves_the_next_call_alone(self, name, monkeypatch):
+        monkeypatch.setattr(thermal, "_SERIES", {})
+        build = BUILDERS[name]
+        first = build(30)
+        want = (dict(first.num), first.den, first.max_exp)
+        first.num[0] = 99
+        for n in (30, 12):
+            build(n).num[0] = 99
+        again = build(30)
+        assert (again.num, again.den, again.max_exp) == want
+
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    @pytest.mark.parametrize("n", [0, -3, -5])
+    def test_order_below_one_is_rejected(self, name, n, monkeypatch):
+        # also with a series stored, and nothing is stored for the bad order
+        monkeypatch.setattr(thermal, "_SERIES", {})
+        with pytest.raises(ValueError):
+            BUILDERS[name](n)
+        assert thermal._SERIES == {}
+        BUILDERS[name](10)
+        stored = dict(thermal._SERIES)
+        with pytest.raises(ValueError):
+            BUILDERS[name](n)
+        assert thermal._SERIES == stored
 
 
 class TestLambertOracle:
