@@ -10,7 +10,7 @@ it reads:
   oracle           --seed --json
   verify-all       --seed --json
   thermal energy   --model --order --csv-dir
-  thermal modular  --k --order --tau --csv-dir
+  thermal modular  --k --tau --csv-dir
   thermal kms      --tau --csv-dir
 
 The document's keys are setting names: "params" (an object over a0, a1,
@@ -19,14 +19,15 @@ a2, b, c, B), "max_twist", "max_spin", "series_order", "seed",
 An unknown key is a config error; a key the subcommand does not read is
 ignored, so one document can serve several subcommands.  `positivity`
 sweeps the --axis parameter, so a flag for that parameter is an error.
+`thermal modular` takes no --order: it works out its truncation order
+from each tau and the tolerance (`modular_order`).
 
 Rationals are read and written as "p/q" strings so no float ever
 contaminates an exact value; an argument that starts like a negative
 number (-1/3, -0.5+1i) is a value, not a flag.  Exit codes: 0 pass,
 1 verification failure (a check that raises fails), 2 usage/config error,
-an input the computation cannot take (an inconsistent expansion, a
-parameter pole) or an output path that cannot be written, each reported
-as one line on stderr.
+an input the computation cannot take (an inconsistent expansion) or an
+output path that cannot be written, each reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -49,13 +50,11 @@ from .fourpoint import PWParams
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-# inputs a computation cannot take; reported like usage errors
-INPUT_ERRORS = (partialwave.InconsistentExpansion, partialwave.PoleInParameters)
 # `thermal modular` doubles its truncation order up to this ceiling
 MODULAR_MAX_ORDER = 12800
 # `thermal kms` doubles its translate window up to this ceiling
 KMS_MAX_WINDOW = 4096
-# `thermal energy` and `thermal modular` truncate here without --order
+# `thermal energy` truncates here without --order
 THERMAL_ORDER = 100
 # the checks `gcipw oracle` runs
 ORACLE_CHECKS = ("c05_appendix_oracle", "c06_sixpoint_oracle")
@@ -214,22 +213,15 @@ def cmd_positivity(s) -> int:
     return 0
 
 
-def _thermal_order(s) -> int:
-    order = THERMAL_ORDER if s.series_order is None else s.series_order
-    if order < 1:
-        raise ValueError(f"--order must be >= 1, got {order}")
-    return order
-
-
-def modular_order(k: int, tau: complex, order: int, tol: float) -> int:
-    """Truncation order for `thermal modular`: max(order, 200), doubled
-    until the G_2k tail bound is at most tol at tau, -1/tau and tau + 1,
-    the points `modular_check_G` evaluates.  ValueError at the ceiling
-    MODULAR_MAX_ORDER."""
-    n = max(order, 200)
+def modular_order(k: int, tau: complex, tol: float) -> int:
+    """Truncation order for `thermal modular`: 200, doubled until the G_2k
+    tail bound (`QSeries.tail_bound`) is at most tol at tau, -1/tau and
+    tau + 1, the points `modular_check_G` evaluates.  ValueError at the
+    ceiling MODULAR_MAX_ORDER."""
+    n = 200
     while True:
         g = thermal.eisenstein_G(k, n)
-        if all(g.eval(t)[1] <= tol for t in (tau, -1 / tau, tau + 1)):
+        if all(g.tail_bound(t) <= tol for t in (tau, -1 / tau, tau + 1)):
             return n
         if n >= MODULAR_MAX_ORDER:
             raise ValueError(f"tau={tau}: the series tail bound exceeds {tol} at order {n}")
@@ -252,7 +244,9 @@ def kms_report(tau: complex, tol: float) -> dict:
 
 
 def cmd_energy(s) -> int:
-    order = _thermal_order(s)
+    order = THERMAL_ORDER if s.series_order is None else s.series_order
+    if order < 1:
+        raise ValueError(f"--order must be >= 1, got {order}")
     if s.model == "weyl":
         series = thermal.energy_mean_weyl(2 * order)
     else:
@@ -271,12 +265,11 @@ def cmd_energy(s) -> int:
 
 
 def cmd_modular(s) -> int:
-    order = _thermal_order(s)
     tol = s.tolerances.get("modular", 1e-10)
     failed = False
     rows = []
     for tau in s.tau_points:
-        r = thermal.modular_check_G(s.k_weight, tau, modular_order(s.k_weight, tau, order, tol))
+        r = thermal.modular_check_G(s.k_weight, tau, modular_order(s.k_weight, tau, tol))
         rows.append([s.k_weight, str(tau), f"{r:.3e}", tol])
         failed |= r > tol
     _write_csv(s, "modular_residuals.csv", ["k", "tau", "residual", "tolerance"], rows)
@@ -383,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(kinds, "energy", cmd_energy, "energy mean value as an exact q-series",
         ["--model", "--order", "--csv-dir"])
     add(kinds, "modular", cmd_modular, "modular residual of G_2k at each tau",
-        ["--k", "--order", "--tau", "--csv-dir"])
+        ["--k", "--tau", "--csv-dir"])
     add(kinds, "kms", cmd_kms, "KMS translate-sum residual at each tau", ["--tau", "--csv-dir"])
     add(sub, "verify-all", cmd_verify_all, "run the full acceptance suite", ["--seed", "--json"])
     return parser
@@ -407,7 +400,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except INPUT_ERRORS as err:
+    except partialwave.InconsistentExpansion as err:
         print(f"input error: {type(err).__name__}: {err}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as err:

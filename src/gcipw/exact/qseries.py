@@ -90,31 +90,44 @@ class QSeries:
         return QSeries(out, self.den, self.max_exp // 2)
 
     def eval(self, tau: complex) -> tuple[complex, float]:
-        """Numeric value at q = exp(2*pi*i*tau), with a truncation bound.
+        """Numeric value at q = exp(2*pi*i*tau), with its `tail_bound`.
 
-        Returns (value, bound) where bound estimates the magnitude of the
-        omitted tail as (largest |coefficient| in the window) * r^(max_exp+1)
-        / (1 - r) with r = |q^(1/2)|.  Each num[k] / den is one correctly
-        rounded integer division, the same float as float(Fraction).
+        Each num[k] / den is one correctly rounded integer division, the
+        same float as float(Fraction).
         """
-        if tau.imag <= 0:
-            raise ValueError("need Im tau > 0")
-        qh = cmath.exp(1j * cmath.pi * tau)  # q^(1/2)
-        r = abs(qh)
+        qh = _half_nome(tau)
         num, den = self.num, self.den
         total = 0j
         for k in sorted(num):
             total += (num[k] / den) * qh**k
-        # tail estimate: coefficients of the series used here grow at most
-        # polynomially, so a geometric majorant scaled by the largest kept
-        # coefficient is a safe order-of-magnitude bound
-        edge = max(map(abs, num.values()), default=den) / den
-        bound = edge * r ** (self.max_exp + 1) / (1 - r) if r < 1 else float("inf")
-        return total, bound
+        return total, self._tail(abs(qh))
+
+    def tail_bound(self, tau: complex) -> float:
+        """The bound `eval` returns at tau, without summing the series.
+
+        It estimates the magnitude of the omitted tail as (largest
+        |coefficient| in the window) * r^(max_exp+1) / (1 - r) with
+        r = |q^(1/2)|.
+        """
+        return self._tail(abs(_half_nome(tau)))
+
+    def _tail(self, r: float) -> float:
+        # coefficients of the series used here grow at most polynomially,
+        # so a geometric majorant scaled by the largest kept coefficient
+        # is a safe order-of-magnitude bound
+        edge = max(map(abs, self.num.values()), default=self.den) / self.den
+        return edge * r ** (self.max_exp + 1) / (1 - r) if r < 1 else float("inf")
 
     def __repr__(self):
         items = {Fraction(k, 2): c for k, c in sorted(self.coeffs.items())}
         return f"QSeries({items!r}, max q^{Fraction(self.max_exp, 2)})"
+
+
+def _half_nome(tau: complex) -> complex:
+    """q^(1/2) = exp(pi*i*tau); ValueError unless Im tau > 0."""
+    if tau.imag <= 0:
+        raise ValueError("need Im tau > 0")
+    return cmath.exp(1j * cmath.pi * tau)
 
 
 def lambert_series(const, terms, sign: int, max_exp: int) -> QSeries:

@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .exact import MPoly, Quaternion, chain_trace, slash
-from .kinematics import DegenerateConfiguration, PointConfig, Vec4, dot4, integer_form, vsub
+from .kinematics import PointConfig, Vec4, dot4, integer_form, vsub
 from .symmetrize import enumerate_patterns
 
 
@@ -215,14 +214,6 @@ def _loop_trace(fwd: Sequence[Quaternion]):
     return -(chain_trace(fwd) + chain_trace(_reversed(fwd)))
 
 
-def _interval_product(rho, pairs) -> int:
-    """prod rho_ij over the pairs; DegenerateConfiguration if one vanishes."""
-    prod = math.prod(rho[i][j] for i, j in pairs)
-    if prod == 0:
-        raise DegenerateConfiguration("coincident points on a pole pair")
-    return prod
-
-
 def cycle_trace_2n(config: PointConfig, seq: CycleSeq) -> Fraction:
     """Elementary contribution: cycle trace over its squared link poles.
 
@@ -230,7 +221,7 @@ def cycle_trace_2n(config: PointConfig, seq: CycleSeq) -> Fraction:
     so the integer-form ratio is rescaled by L^(2n).
     """
     num = _loop_trace(_cycle_factors(seq, config.int_points))
-    den = _interval_product(config.int_rho, links_of(seq)) ** 2
+    den = config.pole(links_of(seq)) ** 2
     return Fraction(num * config.scale ** len(seq), den)
 
 
@@ -348,7 +339,7 @@ def v1_weyl_4pt(config: PointConfig) -> Fraction:
 def _link_pole(config: PointConfig) -> int:
     """prod rho_ij over the pairs in different blocks, the possible links."""
     pairs = itertools.combinations(range(len(config)), 2)
-    return _interval_product(config.int_rho, [(i, j) for i, j in pairs if i // 2 != j // 2])
+    return config.pole((i, j) for i, j in pairs if i // 2 != j // 2)
 
 
 def v1_scalar_connected(config: PointConfig) -> Fraction:
@@ -358,7 +349,7 @@ def v1_scalar_connected(config: PointConfig) -> Fraction:
     as integers over D = prod rho_ij over the pairs in different blocks."""
     n = len(config) // 2
     den = _link_pole(config)
-    total = sum(den // _interval_product(config.int_rho, links_of(s)) for s in orbit_enumerate(n))
+    total = sum(den // config.pole(links_of(s)) for s in orbit_enumerate(n))
     return Fraction(total * config.scale ** (2 * n), den)
 
 
@@ -461,11 +452,11 @@ def v1_weyl_connected(config: PointConfig) -> Fraction:
     No quaternion is multiplied: `cycle_trace_2n` keeps the traces as the
     oracle.
     """
-    m, rho = len(config), config.int_rho
+    m = len(config)
     den = _link_pole(config) ** 2
     total = 0
     for pf, links in cycle_pfaffians(config):
-        pole = _interval_product(rho, links)
+        pole = config.pole(links)
         total += pf * (den // (pole * pole))
     c = cycle_constant(m // 2)
     return Fraction(total * c.numerator * config.scale**m, 2 * c.denominator * den)
@@ -518,7 +509,7 @@ def _fermion_table(config: PointConfig, kind: str) -> List[List]:
     return table
 
 
-def _walk_sums(rho, tables, one, close) -> Tuple[int, int]:
+def _walk_sums(config: PointConfig, tables, one, close) -> Tuple[int, int]:
     """R of `l1_truncated_npoint` and the sum over its walks.
 
     Step k of a walk (cycle from 0, parity) takes a (value, weight) entry
@@ -527,8 +518,8 @@ def _walk_sums(rho, tables, one, close) -> Tuple[int, int]:
     last two steps u -> v -> 0 come from a table of entry products.  A
     leaf adds close(value product, last value) * (R // weight product).
     """
-    m = len(rho)
-    pole = _interval_product(rho, itertools.combinations(range(m), 2)) ** (3 if m > 2 else 5)
+    m = len(config)
+    pole = config.pole(itertools.combinations(range(m), 2)) ** (3 if m > 2 else 5)
 
     def walk(steps, last, u, depth, prod, weight, left):
         if len(left) == 1:
@@ -577,7 +568,7 @@ def l1_truncated_npoint(config: PointConfig) -> Fraction:
         raise ValueError("need an even number of points")
     tables = [_fermion_table(config, kind) for kind in ("psi", "chi")]
     one = Quaternion(1, 0, 0, 0)
-    pole, total = _walk_sums(config.int_rho, tables, one, Quaternion.trace_mul)
+    pole, total = _walk_sums(config, tables, one, Quaternion.trace_mul)
     return Fraction(-total * config.scale ** (4 * m), pole)
 
 
@@ -595,5 +586,5 @@ def l0_truncated_npoint(config: PointConfig) -> Fraction:
     """
     m, rho = len(config), config.int_rho
     tables = [[[(1, r**k) for r in row] for row in rho] for k in (1, 3)]
-    pole, total = _walk_sums(rho, tables, 1, operator.mul)
+    pole, total = _walk_sums(config, tables, 1, operator.mul)
     return Fraction(total * config.scale ** (4 * m), pole * (2 if m > 2 else 1))

@@ -89,6 +89,14 @@ class PointConfig:
             raise IndexError("point index out of range")
         return Fraction(self.int_rho[i][j], self.scale**2)
 
+    def pole(self, pairs) -> int:
+        """prod L^2 rho_ij over the pairs (i, j), on the integer table;
+        DegenerateConfiguration if one vanishes."""
+        prod = math.prod(self.int_rho[i][j] for i, j in pairs)
+        if prod == 0:
+            raise DegenerateConfiguration("coincident points on a pole pair")
+        return prod
+
     def is_nondegenerate(self) -> bool:
         n = len(self.points)
         return all(

@@ -4,7 +4,9 @@ The expansion  t^-3 P4(s,t) + B^2 s^3 (1 + t^-4) = sum_k s^(k-1) f_k(s,t)
 is driven in the chiral variables (u, v), held by its first max_twist
 v-slices; each twist sector contributes through a one-variable profile
 g_k(u) = u f_k(0, 1-u) whose coefficients carry the structure constants,
-with the universal hypergeometric kernels F(2l+k, 2l+k; 4l+2k; u).
+with the universal hypergeometric kernels F(a, a; 2a; u) at a = 2l+k
+(`hypergeom_series`, the only Gauss series the package needs: the twist
+recursion reads the same kernel at a = k-1).
 
 The 2-point tail is derived, not read off a displayed formula: with the
 normalization of fourpoint.truncated_4pt_value, (rho12 rho34)^4 times the
@@ -28,10 +30,6 @@ from .exact.series import ZERO, common_denominator
 from .fourpoint import OverT, PWParams, S, T, assemble_P4
 
 
-class PoleInParameters(Exception):
-    pass
-
-
 class InconsistentExpansion(Exception):
     """The input is not in the expected family or the truncation is too small."""
 
@@ -43,38 +41,33 @@ def pochhammer(a: int, n: int) -> Fraction:
     return out
 
 
-# F(a, b; c; x) per (a, b, c): an integer row and its denominator
-_GAUSS: Dict[Tuple[int, int, int], Tuple[List[int], int]] = {}
+# F(a, a; 2a; x) per a: an integer row and its denominator
+_GAUSS: Dict[int, Tuple[List[int], int]] = {}
 
 
-def hypergeom_series(a: int, b: int, c: int, order: int) -> PSeries:
-    """Gauss series F(a, b; c; x) to the given order, exactly, as a fresh
-    PSeries.
+def hypergeom_series(a: int, order: int) -> PSeries:
+    """The kernel F(a, a; 2a; x) to the given order, exactly, as a fresh
+    PSeries: its terms are (a)_n^2 / ((2a)_n n!), each the last times
+    (a + n)^2 / ((n + 1)(2a + n)).
 
-    Terminating numerators take precedence (so F(0, 0; 0; x) = 1); a
-    nonpositive integer c that is hit before the numerator terminates is
-    a pole in the parameters.  Each (a, b, c) is stored once, as integer
-    numerators over the lcm of its terms' denominators.  A longer order
-    extends it from its last stored term and puts the whole row over the
-    new lcm, so the stored row is the one a fresh build would give; a
-    stored zero term means the numerator has terminated the series.
+    At a >= 1 no factor of that ratio vanishes; a = 0 is the constant 1.
+    Each a is stored once, as integer numerators over the lcm of its
+    terms' denominators.  A longer order extends it from its last stored
+    term and puts the whole row over the new lcm, so the stored row is the
+    one a fresh build would give.
     """
-    key = (a, b, c)
-    row, den = _GAUSS.get(key, ([1], 1))
+    if a < 0:
+        raise ValueError(f"need a >= 0, got {a}")
+    if a == 0:
+        return PSeries([1] + [0] * order, 1)
+    row, den = _GAUSS.get(a, ([1], 1))
     if len(row) <= order:
         terms = [Fraction(x, den) for x in row]
         term = terms[-1]
         for n in range(len(row) - 1, order):
-            num = (a + n) * (b + n)
-            if not term or num == 0:
-                terms.extend([ZERO] * (order - n))
-                break
-            d = (n + 1) * (c + n)
-            if d == 0:
-                raise PoleInParameters(f"F({a},{b};{c};x) has a parameter pole at n={n + 1}")
-            term = Fraction(term.numerator * num, term.denominator * d)
+            term = Fraction(term.numerator * (a + n) ** 2, term.denominator * (n + 1) * (2 * a + n))
             terms.append(term)
-        row, den = _GAUSS[key] = common_denominator(terms)
+        row, den = _GAUSS[a] = common_denominator(terms)
     return PSeries(list(row[: order + 1]), den)
 
 
@@ -131,7 +124,7 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
         phi = low[k - 1 :]
         G = [0, *phi]
         work = order - 2 * k + 3  # the degree of g_k
-        hyp = hypergeom_series(k - 1, k - 1, 2 * k - 2, work)
+        hyp = hypergeom_series(k - 1, work)
         F, dF = hyp.num, hyp.den
         D = den * dF
         numerator = Series2(
@@ -260,7 +253,7 @@ def solve_structure_constants(g: PSeries, kappa: int, max_spin: int) -> List[Fra
         out.append(val)
         if val:
             a = power + kappa
-            hyp = hypergeom_series(a, a, 2 * a, top - power)
+            hyp = hypergeom_series(a, top - power)
             F, e = hyp.num, hyp.den
             step = val.denominator * e
             new = math.lcm(den, step)

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
-from .kinematics import DegenerateConfiguration, PointConfig
+from .kinematics import PointConfig
 
 Pattern = Tuple[Tuple[int, int], ...]
 Evaluator = Callable[[PointConfig], Fraction]
@@ -55,14 +55,8 @@ def w1_full(v1_eval: Evaluator, config: PointConfig, pattern: Pattern) -> Fracti
     The prefactor is formed on the integer intervals of the configuration
     and rescaled by L^(6n), the degree of its n cubed poles.
     """
-    idx = [p for pair in pattern for p in pair]
-    sub = config.subset(idx)
-    den = 1
-    for i, j in pattern:
-        r = config.int_rho[i][j]
-        if r == 0:
-            raise DegenerateConfiguration(f"rho({i + 1},{j + 1}) = 0 in a prefactor")
-        den *= r**3
+    den = config.pole(pattern) ** 3
+    sub = config.subset([p for pair in pattern for p in pair])
     return Fraction(config.scale ** (6 * len(pattern)), den) * v1_eval(sub)
 
 

@@ -6,12 +6,13 @@ the CLI as `gcipw verify-all`.
 """
 
 import functools
+import random
 import types
 from fractions import Fraction
 
 import pytest
 
-from gcipw import verify
+from gcipw import freefield, kinematics, verify
 from gcipw.verify import CHECKS
 
 SEED = 20240801
@@ -118,6 +119,17 @@ def test_rank_is_exact_on_int_rows():
     assert verify._rank([r1, r2, r3]) == 2
     assert verify._rank([r1, r2, [x + (i == 3) for i, x in enumerate(r3)]]) == 3
     assert verify._rank([[Fraction(1, 3), 2], [1, 6]]) == 1
+
+
+def test_braces_is_the_pfaffian():
+    # c06's displayed 6-point braces is the Pfaffian of A_ij = rho_ij along
+    # 0..5 (its Laplace expansion on row 0) over the squared link poles
+    rng = random.Random(3)
+    wick = freefield.wick_numerator(3)
+    for _ in range(5):
+        cfg = kinematics.random_config(rng, 6)
+        poles = cfg.rho(0, 5) * cfg.rho(1, 2) * cfg.rho(3, 4)
+        assert verify._w_sixpoint_braces(cfg) * poles**2 == wick.eval(freefield.rho_point(cfg))
 
 
 def test_crossing_count_is_checked_independently(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 
 from gcipw import thermal
 from gcipw.cli import main, parse_rat, parse_tau
-from gcipw.exact import lambert_series
+from gcipw.exact import QSeries, lambert_series
 
 
 def run(args, capsys):
@@ -232,6 +232,25 @@ class TestThermal:
         assert len(out.strip().splitlines()) == 5
         assert builds == [400]  # G4 to q^200
 
+    def test_modular_sums_each_point_once(self, capsys, monkeypatch):
+        # the order search reads only tail bounds; the series is summed at
+        # tau, -1/tau and tau + 1 by the check alone, even where the search
+        # doubles the order (10+1i needs 800)
+        calls = []
+        eval_ = QSeries.eval
+
+        def counting(series, tau):
+            calls.append(tau)
+            return eval_(series, tau)
+
+        monkeypatch.setattr(QSeries, "eval", counting)
+        for tau in ("1.5i", "10+1i"):
+            calls.clear()
+            code, _ = run(["thermal", "modular", "--tau", tau], capsys)
+            t = parse_tau(tau)
+            assert code == 0
+            assert calls == [t, -1 / t, t + 1]
+
     def test_unknown_model(self, capsys):
         code, _ = run(["thermal", "energy", "--model", "maxwell"], capsys)
         assert code == 2
@@ -324,14 +343,6 @@ class TestInputErrors:
         args = ["decompose", "--max-twist", "1", "--max-spin", "2"]
         self.expect_one_line(args, "InconsistentExpansion", capsys)
 
-    def test_parameter_pole(self, monkeypatch, capsys):
-        from gcipw import partialwave
-
-        hyp = partialwave.hypergeom_series
-        monkeypatch.setattr(partialwave, "hypergeom_series", lambda a, b, c, n: hyp(1, 1, 0, n))
-        args = ["decompose", "--a0", "1", "--max-twist", "2", "--max-spin", "2"]
-        self.expect_one_line(args, "PoleInParameters", capsys)
-
 
 class TestOutputErrors:
     """An output path that cannot be written ends in one stderr line and
@@ -377,6 +388,7 @@ class TestFlags:
             ["thermal", "energy", "--tau", "2i"],
             ["thermal", "energy", "--k", "3"],
             ["thermal", "modular", "--model", "weyl"],
+            ["thermal", "modular", "--order", "5"],
             ["thermal", "kms", "--order", "5"],
             ["thermal", "kms", "--k", "3"],
         ],

@@ -14,7 +14,6 @@ from gcipw.exact import MPoly, PSeries, unit_row
 from gcipw.fourpoint import OverT, PWParams, assemble_P4, basis_j_small
 from gcipw.partialwave import (
     InconsistentExpansion,
-    PoleInParameters,
     closed_form_B,
     f1_rational,
     hypergeom_series,
@@ -39,65 +38,67 @@ def rand_params(rng, with_B=False):
 
 class TestHypergeom:
     def test_degenerate_convention(self):
-        f = hypergeom_series(0, 0, 0, 8)
+        f = hypergeom_series(0, 8)
         assert f.coeffs[0] == 1 and all(c == 0 for c in f.coeffs[1:])
+        with pytest.raises(ValueError):
+            hypergeom_series(-1, 4)
 
     def test_value_at_zero(self):
-        assert hypergeom_series(3, 5, 7, 6).coeffs[0] == 1
+        assert hypergeom_series(3, 6).coeffs[0] == 1
 
     def test_log_series(self):
-        f = hypergeom_series(1, 1, 2, 10)
+        f = hypergeom_series(1, 10)
         assert f.coeffs == [F(1, n + 1) for n in range(11)]
-
-    def test_parameter_pole(self):
-        with pytest.raises(PoleInParameters):
-            hypergeom_series(1, 1, 0, 4)
 
     def test_memo_is_not_aliased(self):
         # a caller that mutates its result must not change later results
-        first = hypergeom_series(5, 5, 10, 12)
+        first = hypergeom_series(5, 12)
         want = list(first.coeffs)
         tower = twist_extract(PWParams(a0=1, a2=F(1, 3)), 3, 2 * 6 + 2 * 3 + 8)
         sol = solve_structure_constants(tower.g[3], 3, 6)
         first.num[3] = -7
         first.num.append(1)
-        assert hypergeom_series(5, 5, 10, 12).coeffs == want
-        assert hypergeom_series(5, 5, 10, 6).coeffs == want[:7]
+        assert hypergeom_series(5, 12).coeffs == want
+        assert hypergeom_series(5, 6).coeffs == want[:7]
         assert solve_structure_constants(tower.g[3], 3, 6) == sol
         for ell in range(7):
-            f = hypergeom_series(2 * ell + 3, 2 * ell + 3, 4 * ell + 6, 20)
+            f = hypergeom_series(2 * ell + 3, 20)
             f.num[:] = [0] * len(f.num)
         assert solve_structure_constants(tower.g[3], 3, 6) == sol
 
     def test_extension_matches_a_fresh_series(self):
-        # a longer order extends the stored prefix; terminating and
-        # Pochhammer-ratio coefficients agree with the closed form
-        short = hypergeom_series(7, 4, 9, 3).coeffs
-        long = hypergeom_series(7, 4, 9, 15).coeffs
+        # a longer order extends the stored prefix; its coefficients are
+        # the closed form (a)_n^2 / ((2a)_n n!)
+        short = hypergeom_series(7, 3).coeffs
+        long = hypergeom_series(7, 15).coeffs
         assert long[:4] == short
         assert long == [
-            pochhammer(7, n) * pochhammer(4, n) / (pochhammer(9, n) * math.factorial(n))
-            for n in range(16)
+            pochhammer(7, n) ** 2 / (pochhammer(14, n) * math.factorial(n)) for n in range(16)
         ]
-        assert hypergeom_series(-2, 3, 1, 1).coeffs == [1, -6]
-        assert hypergeom_series(-2, 3, 1, 4).coeffs == [1, -6, 6, 0, 0]
-        assert hypergeom_series(-2, 3, 1, 9).coeffs == [1, -6, 6] + [0] * 7
 
-    @pytest.mark.parametrize("abc", [(7, 4, 9), (5, 5, 10), (0, 0, 0), (-2, 3, 1), (1, 1, 2)])
+    @pytest.mark.parametrize("abc", [(7, 7, 14), (5, 5, 10), (0, 0, 0), (3, 3, 6), (1, 1, 2)])
     def test_short_then_long_is_a_fresh_build(self, abc, monkeypatch):
-        # the stored row, extended and put over the new lcm, is the row a
-        # fresh build gives: the same integers over the same denominator
+        # the stored row of F(a, a; 2a) = F(a, b; c), extended and put over
+        # the new lcm, is the row a fresh build gives: the same integers over
+        # the same denominator, and the Gauss terms (a)_n (b)_n / ((c)_n n!)
+        a, b, c = abc
         monkeypatch.setattr(partialwave, "_GAUSS", {})
-        short = hypergeom_series(*abc, 3)
-        long = hypergeom_series(*abc, 17)
+        short = hypergeom_series(a, 3)
+        long = hypergeom_series(a, 17)
         monkeypatch.setattr(partialwave, "_GAUSS", {})
-        fresh = hypergeom_series(*abc, 17)
+        fresh = hypergeom_series(a, 17)
         assert (long.num, long.den) == (fresh.num, fresh.den)
         assert long.coeffs[:4] == short.coeffs == fresh.coeffs[:4]
-        assert long.den == math.lcm(*(c.denominator for c in fresh.coeffs))
-        assert all(type(c) is F for c in long.coeffs)
-        if abc == (0, 0, 0):
-            assert long.coeffs == [1] + [0] * 17
+        assert long.den == math.lcm(*(x.denominator for x in fresh.coeffs))
+        assert all(type(x) is F for x in long.coeffs)
+        if a:
+            gauss = [
+                pochhammer(a, n) * pochhammer(b, n) / (pochhammer(c, n) * math.factorial(n))
+                for n in range(18)
+            ]
+        else:
+            gauss = [1] + [0] * 17  # F(0, 0; 0; x) = 1
+        assert long.coeffs == gauss
 
 
 def retained(series):
@@ -226,7 +227,7 @@ class TestTwistExtract:
         u, v = MPoly.variables(2)
         for k in (2, 3):
             g, f_k = tower.g[k], tower.f[k]
-            hyp = hypergeom_series(k - 1, k - 1, 2 * k - 2, g.order)
+            hyp = hypergeom_series(k - 1, g.order)
             rhs = in_var(g, 0) * in_var(hyp, 1) - in_var(hyp, 0) * in_var(g, 1)
             lhs = (u - v) * as_poly(f_k)
             assert len(f_k.rows) == 4 - k + 1

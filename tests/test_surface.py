@@ -3,10 +3,11 @@ package, and every public method and property of its classes, has a
 caller in the package or the benchmark, so that no API is kept alive by
 its tests alone, every field of its records is read, no package module
 imports another's private names, only the checks build on the free-field
-oracles, and the free-field references in the tests share no kernel
-internals."""
+oracles, the free-field references in the tests share no kernel
+internals, and every exception class of the package is raised in it."""
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -157,3 +158,25 @@ def unread_fields():
 
 def test_every_record_field_is_read():
     assert unread_fields() == []
+
+
+def unraised_exceptions():
+    """Exception classes defined in the package that no `raise` in the
+    package names, so that a deleted raise cannot leave its class behind."""
+    classes, raised = [], set()  # (label, name, the names of its bases)
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = set().union(*map(_names, node.bases))
+                classes.append((f"{path.relative_to(ROOT)}: {node.name}", node.name, bases))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= _names(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+    errors = {name for name, value in vars(builtins).items()
+              if isinstance(value, type) and issubclass(value, BaseException)}
+    for _ in classes:  # a subclass of a package exception is one too
+        errors |= {name for _, name, bases in classes if bases & errors}
+    return sorted(label for label, name, _ in classes if name in errors and name not in raised)
+
+
+def test_every_exception_class_is_raised():
+    assert unraised_exceptions() == []

@@ -20,7 +20,13 @@ from gcipw.freefield import (
     v1_scalar_connected,
     v1_weyl_connected,
 )
-from gcipw.kinematics import PointConfig, cross_ratios, random_config, vsub
+from gcipw.kinematics import (
+    DegenerateConfiguration,
+    PointConfig,
+    cross_ratios,
+    random_config,
+    vsub,
+)
 from gcipw.symmetrize import (
     NotSymmetrizable,
     double_factorial_odd,
@@ -226,6 +232,14 @@ class TestW1:
             / (r(0, 1) * r(2, 3)) ** 3
         )
         assert w1_full(v1_scalar_connected, cfg, pat) == expected
+
+    def test_coincident_pattern_pair_raises(self):
+        # points 0 and 1 coincide: a pattern that pairs them has a zero
+        # prefactor pole, and one that splits them does not
+        cfg = PointConfig([(0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0)])
+        with pytest.raises(DegenerateConfiguration):
+            w1_full(lambda c: F(1), cfg, ((0, 1), (2, 3)))
+        assert w1_full(lambda c: F(1), cfg, ((0, 2), (1, 3))) == F(1, 64)  # 1 / (rho02 rho13)^3
 
 
 class TestSymmetrizedWt:
