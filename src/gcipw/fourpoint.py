@@ -129,14 +129,26 @@ EIGENVALUES = (Fraction(1), Fraction(1), Fraction(1, 2))
 GAP_ORDERS = (2, 1, 3)
 
 
+@functools.cache
+def basis_P4() -> Tuple[MPoly, ...]:
+    """The five int polynomials J0, J1, J2, st(Q1 - 2Q2), st Q2 that the
+    parameters a0, a1, a2, b, c multiply in P4, built once and shared."""
+    st = S * T
+    return (*(basis_J(nu) for nu in range(3)), st * (basis_Q(1) - 2 * basis_Q(2)), st * basis_Q(2))
+
+
+def P4_numerator(p: PWParams) -> MPoly:
+    """den P4 as an int polynomial, den = `p.den`: the sum of the
+    parameters' integer numerators `p.num` times the `basis_P4` polynomials,
+    accumulated in one dict."""
+    return MPoly.sum_of_products(2, [(n, b, ONE) for n, b in zip(p.num, basis_P4()) if n])
+
+
 def assemble_P4(p: PWParams) -> MPoly:
-    """P4 = sum a_nu J_nu + st*(b*(Q1 - 2Q2) + c*Q2)."""
-    return (
-        p.a0 * basis_J(0)
-        + p.a1 * basis_J(1)
-        + p.a2 * basis_J(2)
-        + S * T * (p.b * (basis_Q(1) - 2 * basis_Q(2)) + p.c * basis_Q(2))
-    )
+    """P4 = sum a_nu J_nu + st*(b*(Q1 - 2Q2) + c*Q2), every coefficient one
+    Fraction: the int `P4_numerator` over `p.den`."""
+    den = p.den
+    return P4_numerator(p).map_coeff(lambda n: Fraction(n, den))
 
 
 def crossing_check(poly: MPoly, d: int) -> bool:

@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Tuple
 from .exact import MPoly, PSeries, Series2, div_u_minus_v
 from .exact.chiral import chiral_slices
 from .exact.series import ZERO, common_denominator
-from .fourpoint import OverT, PWParams, S, T, assemble_P4
+from .fourpoint import OverT, PWParams, P4_numerator, S, T
 
 
 class InconsistentExpansion(Exception):
@@ -56,8 +56,8 @@ def hypergeom_series(a: int, order: int) -> PSeries:
     term and puts the whole row over the new lcm, so the stored row is the
     one a fresh build would give.
     """
-    if a < 0:
-        raise ValueError(f"need a >= 0, got {a}")
+    if a < 0 or order < 0:
+        raise ValueError(f"need a >= 0 and order >= 0, got a={a}, order={order}")
     if a == 0:
         return PSeries([1] + [0] * order, 1)
     row, den = _GAUSS.get(a, ([1], 1))
@@ -73,12 +73,13 @@ def hypergeom_series(a: int, order: int) -> PSeries:
 
 def lhs_series(p: PWParams, order: int, depth: int) -> Series2:
     """t^-3 P4 + B^2 s^3 (1 + t^-4) in the chiral variables, by its first
-    `depth` v-slices (slice j to u-degree order - j)."""
-    terms = {(a, b - 3): c for (a, b), c in assemble_P4(p).terms.items()}
+    `depth` v-slices (slice j to u-degree order - j): the int
+    `P4_numerator` over `p.den`, with B^2 p.den added to the two tail terms."""
+    terms = {(a, b - 3): c for (a, b), c in P4_numerator(p).terms.items()}
     if p.B:
         for key in ((3, 0), (3, -4)):
-            terms[key] = terms.get(key, 0) + p.B * p.B
-    return chiral_slices(terms, order, depth)
+            terms[key] = terms.get(key, 0) + p.B * p.B * p.den
+    return chiral_slices(terms, order, depth, p.den)
 
 
 @dataclass
@@ -107,6 +108,8 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
     denominator of F's integer row.  The rows still to be read are then
     divided by their gcd with R dF, which is the next R.
     """
+    if max_twist < 1:
+        raise ValueError(f"need max_twist >= 1, got {max_twist}")
     if order < 2 * max_twist + 4:
         raise ValueError("series order too small for the requested twist depth")
     tower = TwistTower()
@@ -162,20 +165,17 @@ def f1_rational(p: PWParams) -> OverT:
 
     where h_0 = 1, h_1 = e1 and h_k = e1 h_(k-1) - e2 h_(k-2) are the
     complete symmetric polynomials of (u, v), taken at e1 = u + v = 1+s-t
-    and e2 = uv = s.  The sum runs on integers: P4 is scaled by the lcm D
-    of its coefficient denominators, so the a_i, the h_k, the s^j and the
+    and e2 = uv = s.  The sum runs on integers: P4 is read as the int
+    `P4_numerator` over D = `p.den`, so the a_i, the h_k, the s^j and the
     accumulated numerator N = D num are int polynomials.  It is returned
     as L num over L t^3, L the lcm of the coefficient denominators of num,
     which is D / G for G the gcd of D and the coefficients of N; so the
     numerator coefficients are the integers N / G, one Fraction each.
     f1 = 0 is returned as 0 over 1.
     """
-    P4 = assemble_P4(p)
-    D = math.lcm(*(c.denominator for c in P4.coefficients()))
+    D = p.den
     x = MPoly.var(1, 0)
-    a = x * P4.map_coeff(lambda c: c.numerator * (D // c.denominator)).subs_poly(
-        [MPoly.zero(1), 1 - x]
-    )
+    a = x * P4_numerator(p).subs_poly([MPoly.zero(1), 1 - x])
     n = max(a.total_degree(), 3) + 1
     ac = [a.coeff((i,)) for i in range(n)]
     bc = [1, -3, 3, -1] + [0] * (n - 4)  # (1 - x)^3
@@ -236,6 +236,8 @@ def solve_structure_constants(g: PSeries, kappa: int, max_spin: int) -> List[Fra
     the denominator of B_l / e.  The odd powers carry no new unknowns and
     must be reproduced exactly.
     """
+    if kappa < 1 or max_spin < 0:
+        raise ValueError(f"need kappa >= 1 and max_spin >= 0, got {kappa}, {max_spin}")
     if g.order < 2 * max_spin + 1:
         raise ValueError("series too short for the requested spin range")
     h = g.shift(-1)
@@ -342,6 +344,8 @@ def positivity_check(p: PWParams, scan_spin: int = 20, solver_twist: int = 0) ->
     3 X(0) - c is the sixth condition; so X(0) >= c/3 >= 0 and the
     numerator is >= 3 X(0) - c >= 0.
     """
+    if scan_spin < 0:
+        raise ValueError(f"need scan_spin >= 0, got {scan_spin}")
     first = next(_violations(p, scan_spin, solver_twist), None)
     return PositivityReport(first is None, not any(p.num), first)
 

@@ -200,9 +200,7 @@ def _crossing(seed: int):
     parts = _partitions3(5)  # 2d - 3 at d = 4
     orbits = [MPoly(2, {e[:2]: Fraction(1) for e in itertools.permutations(p)}) for p in parts]
     orbits_ok = all(fourpoint.crossing_check(o, 4) for o in orbits)
-    st = fourpoint.S * fourpoint.T
-    Q1, Q2 = fourpoint.basis_Q(1), fourpoint.basis_Q(2)
-    family = [fourpoint.basis_J(nu) for nu in range(3)] + [st * (Q1 - 2 * Q2), st * Q2]
+    family = fourpoint.basis_P4()
     rows = [[f.coeff(p[:2]) for p in parts] for f in family]
     spanned = all(
         sum((c * o for c, o in zip(row, orbits)), MPoly.zero(2)) == f

@@ -339,7 +339,7 @@ class TestInputErrors:
         from gcipw.exact import MPoly
 
         # t^-3 P4 = 1 is not in the family: its g_1/u = 1 leaves an odd power
-        monkeypatch.setattr(partialwave, "assemble_P4", lambda p: MPoly(2, {(0, 3): F(1)}))
+        monkeypatch.setattr(partialwave, "P4_numerator", lambda p: MPoly(2, {(0, 3): 1}))
         args = ["decompose", "--max-twist", "1", "--max-spin", "2"]
         self.expect_one_line(args, "InconsistentExpansion", capsys)
 

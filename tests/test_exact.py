@@ -14,9 +14,11 @@ from gcipw.exact import (
     Series2,
     div_u_minus_v,
     lambert_series,
+    unit_row,
 )
 from gcipw.exact.chiral import chiral_slices
 from gcipw.exact.mpoly import MAX_EXP
+from gcipw.exact.series import common_denominator
 
 rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 9))
 
@@ -605,6 +607,38 @@ class TestExpandToChiral:
         zero = chiral_slices({(2, 5): 0, (1, -1): F(0)}, order, depth)
         assert zero.coeffs == {}
         assert zero.rows == [[0] * (order - j + 1) for j in range(depth)]
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 12), st.integers(-7, 6)),
+            st.one_of(st.just(0), st.integers(-30, 30), rationals),
+            max_size=8,
+        ),
+        st.integers(0, 12),
+        st.integers(0, 16),
+        st.integers(1, 60),
+    )
+    @example({(9, -7): F(1, 3), (0, 6): 0, (2, -1): 5}, 6, 15, 4)  # a > depth and order
+    @example({(1, 0): 0, (0, -3): F(0)}, 3, 2, 6)
+    @settings(max_examples=120)
+    def test_running_sums_match_termwise_expansion(self, terms, order, depth, den):
+        # the term-by-term integer expansion: each c s^a t^b added to every
+        # slice it reaches through the full rows of (1-x)^b
+        def termwise(terms, den=1):
+            scaled, D = common_denominator([F(c, den) for c in terms.values()])
+            nums = [[0] * (order - j + 1) for j in range(depth)]
+            for (a, b), c in zip(terms, scaled):
+                w = unit_row(b, order)
+                for j in range(a, min(depth, order + 1)):
+                    for i in range(a, order - j + 1):
+                        nums[j][i] += c * w[j - a] * w[i - a]
+            return nums, D
+
+        got = chiral_slices(terms, order, depth)
+        assert (got.rows, got.den) == termwise(terms)
+        ints = {key: F(c).numerator for key, c in terms.items()}
+        got = chiral_slices(ints, order, depth, den)
+        assert (got.rows, got.den) == termwise(ints, den)
 
     @given(small_polys, small_polys)
     @settings(max_examples=20)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gcipw.exact import MPoly
 from gcipw.fourpoint import (
@@ -13,6 +14,7 @@ from gcipw.fourpoint import (
     PWParams,
     assemble_P4,
     basis_J,
+    basis_P4,
     basis_Q,
     basis_j_small,
     crossing_check,
@@ -134,6 +136,32 @@ class TestAssemble:
         rng = random.Random(1)
         p = PWParams(*[F(rng.randint(-5, 5)) for _ in range(5)])
         assert assemble_P4(p).total_degree() <= 5
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-9, 9), st.builds(F, st.integers(-40, 40), st.integers(1, 12))),
+            min_size=5,
+            max_size=5,
+        )
+    )
+    @example([0, 0, 0, 0, 0])
+    @example([3, -1, 0, 2, 7])
+    @example([F(1, 2), F(-1, 3), F(5, 4), F(2, 7), 0])
+    @settings(max_examples=60)
+    def test_integer_form_matches_the_fraction_sum(self, values):
+        # the parameters times the bases in Fraction arithmetic, term by term
+        # and coefficient by coefficient, types included
+        p = PWParams(*values)
+        q1, q2 = basis_Q(1), basis_Q(2)
+        want = (
+            p.a0 * basis_J(0) + p.a1 * basis_J(1) + p.a2 * basis_J(2)
+            + S * T * (p.b * (q1 - 2 * q2) + p.c * q2)
+        )
+        got = assemble_P4(p)
+        assert got.terms == want.terms
+        assert all(type(c) is F for c in got.coefficients())
+        assert basis_P4() is basis_P4()
+        assert all(type(c) is int for b in basis_P4() for c in b.coefficients())
 
     def test_negative_B_rejected(self):
         with pytest.raises(ValueError):

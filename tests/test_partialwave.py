@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gcipw import partialwave
 from gcipw.exact import MPoly, PSeries, unit_row
+from gcipw.exact.chiral import chiral_slices
 from gcipw.fourpoint import OverT, PWParams, assemble_P4, basis_j_small
 from gcipw.partialwave import (
     InconsistentExpansion,
@@ -42,6 +43,11 @@ class TestHypergeom:
         assert f.coeffs[0] == 1 and all(c == 0 for c in f.coeffs[1:])
         with pytest.raises(ValueError):
             hypergeom_series(-1, 4)
+
+    @pytest.mark.parametrize("a", [0, 3])
+    def test_negative_order_rejected(self, a):
+        with pytest.raises(ValueError):
+            hypergeom_series(a, -1)
 
     def test_value_at_zero(self):
         assert hypergeom_series(3, 6).coeffs[0] == 1
@@ -145,6 +151,60 @@ class TestLhsSeries:
         coeffs = series.coeffs
         for key in retained(series):
             assert coeffs.get(key, 0) == expected.coeff(key)
+
+    def test_integer_terms_match_the_fraction_expansion(self):
+        # on the benchmark's grid (twist 3-6, spin 10-24): t^-3 P4 + B^2
+        # s^3 (1 + t^-4) from assemble_P4's Fractions, expanded term by term
+        # in Fractions; the rows are the integers over the lcm of the term
+        # denominators
+        rng = random.Random(17)
+        for twist in range(3, 7):
+            for spin in (10, 15, 20, 24):
+                p = rand_params(rng, with_B=spin % 2 == 0)
+                order = partialwave.default_order(spin, twist)
+                terms = {(a, b - 3): c for (a, b), c in assemble_P4(p).terms.items()}
+                for key in ((3, 0), (3, -4)):
+                    terms[key] = terms.get(key, 0) + p.B * p.B
+                want = [[F(0)] * (order - j + 1) for j in range(twist)]
+                for (a, b), c in terms.items():
+                    w = unit_row(b, order)
+                    for j in range(a, twist):
+                        for i in range(a, order - j + 1):
+                            want[j][i] += c * w[j - a] * w[i - a]
+                den = math.lcm(*(F(c).denominator for c in terms.values()))
+                got = lhs_series(p, order, twist)
+                assert got.den == den
+                assert got.rows == [[int(x * den) for x in row] for row in want]
+
+
+class TestIntegerFrontEnd:
+    """P4 and its chiral slices are built on integers: the only Fractions
+    are the coefficients that assemble_P4 returns (and B^2, when B != 0)."""
+
+    @pytest.fixture
+    def fractions_built(self, monkeypatch):
+        count = [0]
+        new = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            count[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counting))
+        return count
+
+    def test_assemble_builds_one_fraction_per_term(self, fractions_built):
+        p = PWParams(a0=F(1, 2), a1=3, a2=F(-2, 3), b=F(1, 6), c=5)
+        fractions_built[0] = 0
+        P4 = assemble_P4(p)
+        assert fractions_built[0] == len(P4.terms) > 0
+
+    def test_slices_of_integers_build_none(self, fractions_built):
+        p = PWParams(a0=F(1, 2), a1=3, a2=F(-2, 3), b=F(1, 6), c=5)
+        fractions_built[0] = 0
+        chiral_slices({(0, -3): 4, (2, 1): -6, (1, 0): 0}, 20, 4, 6)
+        lhs_series(p, 30, 6)
+        assert fractions_built[0] == 0
 
 
 def gauss_fractions(a, b, c, order):
@@ -277,6 +337,10 @@ class TestTwistExtract:
         # order-inflation precondition instead (too-small order)
         with pytest.raises(ValueError):
             twist_extract(PWParams(a0=1), 5, 8)
+
+    def test_max_twist_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            twist_extract(PWParams(a0=1), 0, 12)
 
     def test_B_enters_at_twist_eight(self):
         # the 2-point tail B^2 s^3 (1 + t^-4) starts at kappa = 4: the first
@@ -422,6 +486,16 @@ class TestSolver:
         with pytest.raises(InconsistentExpansion):
             solve_structure_constants(g, 1, 3)
 
+    def test_kappa_below_one_rejected(self):
+        g = twist_extract(PWParams(a0=1), 1, 12).g[1]
+        with pytest.raises(ValueError):
+            solve_structure_constants(g, 0, 2)
+
+    def test_negative_max_spin_rejected(self):
+        g = twist_extract(PWParams(a0=1), 1, 12).g[1]
+        with pytest.raises(ValueError):
+            solve_structure_constants(g, 1, -1)
+
     def test_matches_closed_forms(self):
         rng = random.Random(15)
         for _ in range(4):
@@ -553,6 +627,10 @@ class TestPositivity:
             PWParams(a0=1, a1=1, B=1), scan_spin=2, solver_twist=4
         )
         assert rep.admissible
+
+    def test_negative_scan_spin_rejected(self):
+        with pytest.raises(ValueError):
+            positivity_check(PWParams(a0=1, B=1), scan_spin=-1, solver_twist=4)
 
 
 def _positive_params(a0, a1, a2, c, b_at_top):
