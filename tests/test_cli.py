@@ -277,6 +277,7 @@ class TestBoundary:
             # the float q = exp(2 pi i tau) rounds to 1, so 1 - q^n = 0
             ["thermal", "kms", "--tau", "1e-300i"],
         ],
+        ids=" ".join,
     )
     def test_out_of_range_is_a_usage_error(self, args, capsys):
         code = main(args)
