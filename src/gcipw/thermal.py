@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Dict, Sequence
 
 from .exact import QSeries, Quaternion, lambert_series, slash
@@ -192,39 +193,28 @@ def theta_form_F(order: int) -> QSeries:
 # -- numeric modular checks -------------------------------------------------------
 
 
+def _modular_residuals(f: QSeries, w: int, tau: complex, h: int, anomaly: complex = 0):
+    """The S and T^h residuals of the weight-w series f at tau:
+    |tau^-w f(-1/tau) - f(tau) - anomaly/tau| and |f(tau + h) - f(tau)|."""
+    base, _ = f.eval(tau)
+    s_val, _ = f.eval(-1 / tau)
+    t_val, _ = f.eval(tau + h)
+    return abs(tau ** (-w) * s_val - base - anomaly / tau), abs(t_val - base)
+
+
 def modular_check_G(k: int, tau: complex, order: int) -> float:
     """Max residual of the weight-2k transformation law for gamma = S, T."""
-    if tau.imag <= 0:
-        raise ValueError("need Im tau > 0")
-    g = eisenstein_G(k, order)
-    base, _ = g.eval(tau)
-    s_val, _ = g.eval(-1 / tau)
-    res_s = abs(tau ** (-2 * k) * s_val - base)
-    t_val, _ = g.eval(tau + 1)
-    res_t = abs(t_val - base)
-    return max(res_s, res_t)
+    return max(_modular_residuals(eisenstein_G(k, order), 2 * k, tau, 1))
 
 
 def g2_anomaly_check(tau: complex, order: int) -> float:
     """Residual of tau^-2 G2(-1/tau) = G2(tau) + i/(4 pi tau)."""
-    if tau.imag <= 0:
-        raise ValueError("need Im tau > 0")
-    g2 = eisenstein_G(1, order)
-    lhs, _ = g2.eval(-1 / tau)
-    rhs, _ = g2.eval(tau)
-    return abs(lhs / tau**2 - rhs - 1j / (4 * math.pi * tau))
+    return _modular_residuals(eisenstein_G(1, order), 2, tau, 1, 1j / (4 * math.pi))[0]
 
 
 def theta_form_checks(tau: complex, order: int) -> dict:
     """S and T^2 residuals for the weight-2 theta-group form F."""
-    f = theta_form_F(order)
-    base, _ = f.eval(tau)
-    s_val, _ = f.eval(-1 / tau)
-    t2_val, _ = f.eval(tau + 2)
-    return {
-        "S": abs(s_val / tau**2 - base),
-        "T2": abs(t2_val - base),
-    }
+    return dict(zip(("S", "T2"), _modular_residuals(theta_form_F(order), 2, tau, 2)))
 
 
 # -- stable elementary functions ---------------------------------------------------
@@ -405,55 +395,36 @@ def kms_translate_sum_check(
     """
     q_abs = abs(cmath.exp(2j * math.pi * tau))
     if model == "scalar":
-        sign, norm, zero = 1, abs, 0j
-
-        def w0(z):
-            return scalar_vacuum_2pt(z, alpha)
-
-        def closed_form(z):
-            return gibbs_scalar_2pt(z, alpha, tau, 4 * window + 40)
-
+        sign, norm, frame = 1, abs, ()
+        vacuum, closed_form, order = scalar_vacuum_2pt, gibbs_scalar_2pt, 4 * window + 40
     elif model == "weyl4":
         if u1 is None or u2 is None:
             raise ValueError("the Weyl check needs the frame vectors")
-        sign, norm, zero = -1, _max_abs, Quaternion(0j, 0j, 0j, 0j)
-
-        def w0(z):
-            return weyl_vacuum_2pt(z, alpha, u1, u2)
-
-        def closed_form(z):
-            return gibbs_weyl_2pt(z, alpha, u1, u2, tau, 2 * window + 20)
-
+        sign, norm, frame = -1, _max_abs, (u1, u2)
+        vacuum, closed_form, order = weyl_vacuum_2pt, gibbs_weyl_2pt, 2 * window + 20
     else:
         raise ValueError(f"unknown model {model!r}")
 
-    def translate_sum(z):
-        total = zero
-        scale = 0.0
-        for k in range(-window, window + 1):
-            sgn = sign**abs(k)
-            term = w0(z + k * tau)
-            scale = max(scale, norm(term))
-            total = total + term * sgn
-        return total, scale
-
-    total, scale = translate_sum(zeta)
-    closed = closed_form(zeta)
+    terms = [  # sign^|k| w0(zeta + k tau) for |k| <= window + 1
+        vacuum(zeta + k * tau, alpha, *frame) * sign ** abs(k)
+        for k in range(-window - 1, window + 2)
+    ]
+    total = reduce(operator.add, terms[1:-1])
+    closed = closed_form(zeta, alpha, *frame, tau, order)
     residual = norm(total - closed)
-    # zeta -> zeta + 1 on the closed form is exact trigonometry; the
-    # zeta -> zeta + tau shift reindexes the translate sum, so both are
-    # controlled by the same edge estimate (plus the floating floor)
-    shifted_1 = closed_form(zeta + 1)
-    per_1 = norm(shifted_1 - closed * sign)
-    shifted_tau, _ = translate_sum(zeta + tau)
-    per_tau = norm(shifted_tau - total * sign)
-    edge = norm(w0(zeta + (window + 1) * tau)) + norm(w0(zeta - (window + 1) * tau))
-    float_floor = 1e-13 * max(scale, norm(closed), 1.0)
-    bound = 4 * edge / max(1 - q_abs, 1e-12) + float_floor
+    # zeta -> zeta + 1 on the closed form is exact trigonometry; zeta -> zeta + tau
+    # reads the translates one index on (sign^|k - 1| = sign sign^|k|, and sign
+    # drops out of the norm), so both are controlled by the same edge estimate
+    # (plus the floating floor)
+    per_1 = norm(closed_form(zeta + 1, alpha, *frame, tau, order) - closed * sign)
+    per_tau = norm(reduce(operator.add, terms[2:]) - total)
+    scale = max(map(norm, terms[1:-1]))
+    edge = 4 * (norm(terms[-1]) + norm(terms[0])) / max(1 - q_abs, 1e-12)
+    bound = edge + 1e-13 * max(scale, norm(closed), 1.0)
     return {
         "residual": residual,
         "periodicity_residual": max(per_1, per_tau),
         "edge_bound": bound,
-        "edge_term": 4 * edge / max(1 - q_abs, 1e-12),
+        "edge_term": edge,
         "passed": residual <= bound and max(per_1, per_tau) <= bound,
     }

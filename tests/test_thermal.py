@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from gcipw import thermal
-from gcipw.exact import QSeries
+from gcipw.exact import QSeries, Quaternion
 from gcipw.thermal import (
     WEYL_VACUUM_ENERGY,
     bernoulli,
@@ -229,6 +229,26 @@ class TestModular:
         assert g2_anomaly_check(1.3j, 300) < 1e-10
         assert g2_anomaly_check(1j, 300) < 1e-10
 
+    @pytest.mark.parametrize("tau", [1.1j, 0.3 + 1.2j])
+    def test_weight4_is_the_max_of_the_s_and_t_residuals(self, tau):
+        g = eisenstein_G(2, 200)
+        base, _ = g.eval(tau)
+        s_val, _ = g.eval(-1 / tau)
+        t_val, _ = g.eval(tau + 1)
+        want = max(abs(tau ** (-4) * s_val - base), abs(t_val - base))
+        assert modular_check_G(2, tau, 200) == want
+
+    @pytest.mark.parametrize("tau", [0j, 2.0, -1j, 0.5 - 0.2j])
+    def test_im_tau_must_be_positive(self, tau):
+        # QSeries.eval at tau, the first point each check evaluates, rejects it
+        for check in (
+            lambda: modular_check_G(2, tau, 20),
+            lambda: g2_anomaly_check(tau, 20),
+            lambda: theta_form_checks(tau, 20),
+        ):
+            with pytest.raises(ValueError, match="Im tau > 0"):
+                check()
+
     def test_g2_anomaly_large_imag(self):
         assert g2_anomaly_check(4j, 300) < 1e-10
 
@@ -379,6 +399,56 @@ class TestGibbsWeyl:
                 gibbs_weyl_2pt(0.13, alpha, U1, U1, 1.5j, 20)
 
 
+
+def _two_pass_kms(model, zeta, alpha, tau, window, u1=None, u2=None):
+    """The translate-sum KMS check with every translate evaluated twice: one
+    pass at zeta and one at zeta + tau, each from zero."""
+    if model == "scalar":
+        sign, norm, zero = 1, abs, 0j
+
+        def w0(z):
+            return scalar_vacuum_2pt(z, alpha)
+
+        def closed_form(z):
+            return gibbs_scalar_2pt(z, alpha, tau, 4 * window + 40)
+
+    else:
+        sign, zero = -1, Quaternion(0j, 0j, 0j, 0j)
+
+        def norm(q):
+            return max(map(abs, q))
+
+        def w0(z):
+            return weyl_vacuum_2pt(z, alpha, u1, u2)
+
+        def closed_form(z):
+            return gibbs_weyl_2pt(z, alpha, u1, u2, tau, 2 * window + 20)
+
+    def translate_sum(z):
+        total, scale = zero, 0.0
+        for k in range(-window, window + 1):
+            term = w0(z + k * tau)
+            scale = max(scale, norm(term))
+            total = total + term * sign ** abs(k)
+        return total, scale
+
+    q_abs = abs(cmath.exp(2j * math.pi * tau))
+    total, scale = translate_sum(zeta)
+    closed = closed_form(zeta)
+    residual = norm(total - closed)
+    per_1 = norm(closed_form(zeta + 1) - closed * sign)
+    per_tau = norm(translate_sum(zeta + tau)[0] - total * sign)
+    edge = norm(w0(zeta + (window + 1) * tau)) + norm(w0(zeta - (window + 1) * tau))
+    bound = 4 * edge / max(1 - q_abs, 1e-12) + 1e-13 * max(scale, norm(closed), 1.0)
+    return {
+        "residual": residual,
+        "periodicity_residual": max(per_1, per_tau),
+        "edge_bound": bound,
+        "edge_term": 4 * edge / max(1 - q_abs, 1e-12),
+        "passed": residual <= bound and max(per_1, per_tau) <= bound,
+    }
+
+
 class TestKMS:
     def test_scalar_translate_sum(self):
         rep = kms_translate_sum_check("scalar", 0.13, 0.37, 1.5j, 8)
@@ -401,3 +471,23 @@ class TestKMS:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             kms_translate_sum_check("maxwell", 0.1, 0.3, 1j, 4)
+
+    @pytest.mark.parametrize(
+        "model, tau, frame",
+        [
+            ("scalar", 1.5j, ()),
+            ("scalar", 0.2 + 1.3j, ()),
+            ("scalar", 0.8j, ()),
+            # the edge term, and so the zeta -> zeta + tau residual, is far above the float floor
+            ("scalar", 0.25j, ()),
+            ("weyl4", 1.5j, (U1, U2)),
+        ],
+    )
+    def test_one_pass_kms_matches_the_two_pass_form(self, model, tau, frame):
+        # the shifted sum reads the same translates one index on, so only the
+        # arguments' rounding moves the periodicity residual
+        got = kms_translate_sum_check(model, 0.13, ALPHA, tau, 8, *frame)
+        want = _two_pass_kms(model, 0.13, ALPHA, tau, 8, *frame)
+        for key in ("residual", "edge_term", "edge_bound", "passed"):
+            assert got[key] == want[key], key
+        assert abs(got["periodicity_residual"] - want["periodicity_residual"]) <= 1e-14
