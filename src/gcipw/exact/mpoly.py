@@ -26,12 +26,13 @@ valid keys, or check the guards, and wrap them with `MPoly._trusted`.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cache, reduce
 from operator import add, or_, sub
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+
+from .series import common_denominator
 
 Expo = Tuple[int, ...]
 
@@ -276,8 +277,7 @@ class MPoly:
             raise ValueError("point has wrong length")
         _require_exact(point)
         den, by_degree = self._integer_terms()
-        scale = math.lcm(*(x.denominator for x in point))
-        ints = [x.numerator * (scale // x.denominator) for x in point]
+        ints, scale = common_denominator(point)
         sums: Dict[int, int] = {}
         for degree, terms in by_degree.items():
             total = 0
@@ -300,13 +300,11 @@ class MPoly:
             pass
         coeffs = self._packed.values()
         _require_exact(coeffs)
-        den = math.lcm(*(c.denominator for c in coeffs))
+        nums, den = common_denominator(coeffs)
         by_degree: Dict[int, list] = {}
-        for key, c in self._packed.items():
+        for key, num in zip(self._packed, nums):
             fields = tuple(_fields(key, self.arity))
-            by_degree.setdefault(sum(k for _, k in fields), []).append(
-                (c.numerator * (den // c.denominator), fields)
-            )
+            by_degree.setdefault(sum(k for _, k in fields), []).append((num, fields))
         self._integer = (den, by_degree)
         return self._integer
 
@@ -333,10 +331,8 @@ class MPoly:
         if any(g.arity != arity for g in images):
             raise ValueError("images have mixed arity")
         ints = all(type(c) is int for c in self._packed.values())
-        den = math.lcm(*(c.denominator for c in self._packed.values()))
-        terms = self._packed if ints else {
-            key: c.numerator * (den // c.denominator) for key, c in self._packed.items()
-        }
+        nums, den = common_denominator(self._packed.values())
+        terms = dict(zip(self._packed, nums))
         powers = [[g] for g in images]  # powers[i][k - 1] = images[i] ** k
 
         def power(i: int, k: int) -> Dict[int, object]:

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Collection, Dict, List, Tuple
 
 ZERO = Fraction(0)
 
 
-def common_denominator(coeffs: List[Fraction]) -> Tuple[List[int], int]:
-    """The integer numerators of `coeffs` over the lcm D of their
-    denominators, and D."""
+def common_denominator(coeffs: Collection[Fraction]) -> Tuple[List[int], int]:
+    """The integer numerators of `coeffs` (Fractions or ints) over the lcm
+    D of their denominators, and D; ([], 1) for none.  The one place that
+    clears denominators."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 

@@ -23,12 +23,16 @@ c_n = -2 (-1/2)^(n-2) (`cycle_constant`) and A_seq the antisymmetric
 matrix of the rho_ij read in the cycle's order, whose Pfaffian is the
 signed pairing sum `wick_numerator(n, seq)`.  The identity is proved for
 n <= 4 by the symbolic identity tests (the n = 4 one has 234624 terms)
-and is only measured for n >= 5.  `v1_weyl_connected` sums the Pfaffians
-on integers; a Pfaffian read along a cyclic order does not change when
-the order is rotated or reflected, since each pairing's sign is
-(-1)^(chord crossings), so the cycles share their sub-Pfaffians.  The
-quaternion traces (`cycle_trace_2n`, `cycle_trace_numerator`,
-`l1_truncated_npoint`) are its oracles.
+and is only measured for n >= 5.  Every Pfaffian here is expanded by
+one Laplace step, `symmetrize.laplace_step`, of sign (-1)^(j-1):
+`wick_numerator` runs it to the end, into signed pairings, and
+`cycle_pfaffians` takes one step per shared node.  The step gives each
+pairing the sign (-1)^(chord crossings) along the order, so a Pfaffian
+read along a cyclic order does not change when the order is rotated or
+reflected, and the cycles share their sub-Pfaffians.  `v1_weyl_connected`
+and `v1_scalar_connected` sum over the pole structures on integers by one
+sum, `_pole_structure_sum`.  The quaternion traces (`cycle_trace_2n`,
+`cycle_trace_numerator`, `l1_truncated_npoint`) are the oracles.
 
 The composites psi+ chi + chi+ psi (`l1_truncated_npoint`) and its
 commuting scalar analogue (`l0_truncated_npoint`) are summed over their
@@ -52,7 +56,7 @@ from typing import List, Sequence, Tuple
 
 from .exact import MPoly, Quaternion, chain_trace, slash
 from .kinematics import PointConfig, Vec4, dot4, integer_form, vsub
-from .symmetrize import enumerate_patterns
+from .symmetrize import laplace_step, signed_pairings
 
 
 def det4(a: Vec4, b: Vec4, c: Vec4, d: Vec4):
@@ -228,64 +232,43 @@ def cycle_trace_2n(config: PointConfig, seq: CycleSeq) -> Fraction:
 # -- signed pairing (Wick) numerators ----------------------------------------------
 
 
-def crossing_sign(pairing: Sequence[Tuple[int, int]], ordering: Sequence[int]) -> int:
-    """Parity of chord crossings of the pairing drawn along `ordering`."""
-    pos = {p: k for k, p in enumerate(ordering)}
-    chords = [tuple(sorted((pos[i], pos[j]))) for i, j in pairing]
-    crossings = 0
-    for (a, b), (c, d) in itertools.combinations(chords, 2):
-        lo, hi = (a, b) if a < c else (c, d)
-        other = (c, d) if a < c else (a, b)
-        if lo < other[0] < hi < other[1]:
-            crossings += 1
-    return -1 if crossings % 2 else 1
-
-
-def rho_variable_index(i: int, j: int, n_points: int) -> int:
-    """Index of rho_ij (i < j, 0-based) among the C(n,2) interval variables."""
-    if i > j:
-        i, j = j, i
-    return i * (2 * n_points - i - 3) // 2 + j - 1
-
-
 def wick_numerator(n: int, ordering: CycleSeq | None = None) -> MPoly:
     """Signed sum over perfect pairings of products of rho variables.
 
-    The sign of a pairing is its chord-crossing parity along the cycle
-    ordering (default: 1, 2, ..., 2n).  The result is a polynomial in the
-    C(2n, 2) interval variables rho_ij; the per-n normalization constant
-    relating it to the cycle traces is fitted separately.
+    The pairings and their signs are `signed_pairings` along the cycle
+    ordering (default: 1, 2, ..., 2n), so the sum is the Pfaffian of the
+    rho_ij read in that order.  The result is a polynomial in the C(2n, 2)
+    interval variables rho_ij, numbered in the `itertools.combinations`
+    order of `rho_point` and `rho_symbolic`; a cycle's trace is c_n times
+    it (`cycle_constant`).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     m = 2 * n
-    if ordering is None:
-        ordering = tuple(range(m))
-    arity = m * (m - 1) // 2
+    ordering = tuple(range(m)) if ordering is None else tuple(ordering)
+    if sorted(ordering) != list(range(m)):
+        raise ValueError(f"{ordering} is not an ordering of {m} points")
+    index = {pair: k for k, pair in enumerate(itertools.combinations(range(m), 2))}
+    arity = len(index)
     terms = {}  # distinct pairings are distinct monomials
-    for pairing in enumerate_patterns(n):
+    for sign, pairing in signed_pairings(ordering):
         e = [0] * arity
         for i, j in pairing:
-            e[rho_variable_index(i, j, m)] += 1
-        terms[tuple(e)] = crossing_sign(pairing, ordering)
+            e[index[min(i, j), max(i, j)]] += 1
+        terms[tuple(e)] = sign
     return MPoly(arity, terms)
 
 
 def rho_point(config: PointConfig) -> List[Fraction]:
     """All rho_ij of a configuration, ordered like the rho variables."""
-    m = len(config)
-    return [config.rho(i, j) for i in range(m) for j in range(i + 1, m)]
+    return [config.rho(i, j) for i, j in itertools.combinations(range(len(config)), 2)]
 
 
 def rho_symbolic(n_points: int) -> List[MPoly]:
     """The rho_ij as polynomials in the 4*n coordinate variables."""
     pts = _sym_points(n_points)
-    out = []
-    for i in range(n_points):
-        for j in range(i + 1, n_points):
-            d = vsub(pts[i], pts[j])
-            out.append(dot4(d, d))
-    return out
+    diffs = (vsub(pts[i], pts[j]) for i, j in itertools.combinations(range(n_points), 2))
+    return [dot4(d, d) for d in diffs]
 
 
 def cycle_trace_numerator_symbolic(seq: CycleSeq, n_points: int) -> MPoly:
@@ -336,21 +319,28 @@ def v1_weyl_4pt(config: PointConfig) -> Fraction:
     return v1_weyl_connected(config)
 
 
-def _link_pole(config: PointConfig) -> int:
-    """prod rho_ij over the pairs in different blocks, the possible links."""
-    pairs = itertools.combinations(range(len(config)), 2)
-    return config.pole((i, j) for i, j in pairs if i // 2 != j // 2)
+def _pole_structure_sum(config: PointConfig, terms, p: int, a: int, b: int) -> Fraction:
+    """a/b times the sum of num / prod over links of rho^p, over the
+    (num, links) terms of the pole structures of a configuration of 2n
+    points, of degree -2n in the coordinates.  The terms are summed as
+    integers over D^p, D the product of rho_ij over the pairs in different
+    blocks (the possible links), on the integer intervals, and rescaled by
+    L^(2n) and weighted in one Fraction."""
+    m = len(config)
+    pairs = itertools.combinations(range(m), 2)
+    den = config.pole((i, j) for i, j in pairs if i // 2 != j // 2) ** p
+    total = 0
+    for num, links in terms:
+        total += num * (den // config.pole(links) ** p)
+    return Fraction(total * a * config.scale**m, b * den)
 
 
 def v1_scalar_connected(config: PointConfig) -> Fraction:
     """Connected 2n-point function of the scalar bilocal: one-loop cycles
-    with propagator 1/rho over each pole structure's links, of degree -2n
-    in the coordinates (rescaled by L^(2n) from the integer form), summed
-    as integers over D = prod rho_ij over the pairs in different blocks."""
-    n = len(config) // 2
-    den = _link_pole(config)
-    total = sum(den // config.pole(links_of(s)) for s in orbit_enumerate(n))
-    return Fraction(total * config.scale ** (2 * n), den)
+    with propagator 1/rho over each pole structure's links, summed by
+    `_pole_structure_sum`."""
+    structures = orbit_enumerate(len(config) // 2)
+    return _pole_structure_sum(config, ((1, links_of(s)) for s in structures), 1, 1, 1)
 
 
 @functools.cache
@@ -385,10 +375,11 @@ def _pfaffian_plan(n: int):
     expansion, built once per n.
 
     A sub-Pfaffian is the Pfaffian of a cyclic subsequence L, and it
-    depends on L only up to rotation and reflection: each pairing's sign is
-    (-1)^(chord crossings), and whether two chords of a circle cross
-    depends on neither the cut point nor the direction.  So each node is
-    keyed by `_dihedral_key` and expanded along its first, lowest point:
+    depends on L only up to rotation and reflection: the `laplace_step`
+    sign of each pairing is (-1)^(chord crossings), and whether two chords
+    of a circle cross depends on neither the cut point nor the direction.
+    So each node is keyed by `_dihedral_key` and expanded by one
+    `laplace_step` along its first, lowest point:
     Pf(L) = sum_j (-1)^(j-1) rho_{L0 Lj} Pf(L without L0, Lj).  A node is a
     tuple of terms (sign, flat rho index L0 * 2n + Lj, child slot).  Slot 0
     holds the empty sequence, whose Pfaffian is 1, and node k fills slot
@@ -403,11 +394,8 @@ def _pfaffian_plan(n: int):
     def visit(seq: CycleSeq) -> int:
         key = _dihedral_key(seq) if seq else seq
         if key not in slots:
-            terms = tuple(
-                ((-1) ** (j - 1), key[0] * m + key[j], visit(key[1:j] + key[j + 1 :]))
-                for j in range(1, len(key))
-            )
-            nodes.append(terms)
+            steps = laplace_step(key)
+            nodes.append(tuple((sign, a * m + b, visit(rest)) for sign, (a, b), rest in steps))
             slots[key] = len(nodes)
         return slots[key]
 
@@ -446,20 +434,13 @@ def v1_weyl_connected(config: PointConfig) -> Fraction:
     Each cycle's trace is c_n Pf(A_seq) (`cycle_constant`; proved for
     n <= 4, measured above), so the sum is (c_n / 2) sum Pf(A_seq) / prod
     over its links of rho^2.  The Pfaffians are formed on the integer
-    intervals with shared sub-Pfaffians (`cycle_pfaffians`) and summed as
-    integers over D = prod rho_ij^2 over the pairs in different blocks;
-    the sum has degree -2n in the coordinates and is rescaled by L^(2n).
+    intervals with shared sub-Pfaffians (`cycle_pfaffians`) and summed
+    over their squared link poles by `_pole_structure_sum`.
     No quaternion is multiplied: `cycle_trace_2n` keeps the traces as the
     oracle.
     """
-    m = len(config)
-    den = _link_pole(config) ** 2
-    total = 0
-    for pf, links in cycle_pfaffians(config):
-        pole = config.pole(links)
-        total += pf * (den // (pole * pole))
-    c = cycle_constant(m // 2)
-    return Fraction(total * c.numerator * config.scale**m, 2 * c.denominator * den)
+    c = cycle_constant(len(config) // 2)
+    return _pole_structure_sum(config, cycle_pfaffians(config), 2, c.numerator, 2 * c.denominator)
 
 
 def v1_weyl_npoint(config: PointConfig) -> Fraction:

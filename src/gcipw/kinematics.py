@@ -8,6 +8,7 @@ monomials; it substitutes nothing.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -16,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .exact import MPoly
+from .exact.series import common_denominator
 
 Vec4 = Tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -41,8 +43,9 @@ def vec4(*coords) -> Vec4:
 def integer_form(points: Sequence[Sequence]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """The lcm L of the denominators of rational coordinates, and the
     integer vectors L z."""
-    scale = math.lcm(*(c.denominator for p in points for c in p))
-    return scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in p) for p in points)
+    nums, scale = common_denominator([c for p in points for c in p])
+    it = iter(nums)
+    return scale, tuple(tuple(itertools.islice(it, len(p))) for p in points)
 
 
 @dataclass(frozen=True)

@@ -20,28 +20,37 @@ class NotSymmetrizable(Exception):
     """The fitted ratio is not constant across configurations."""
 
 
+def laplace_step(seq: Sequence[int]):
+    """One step of the Laplace expansion of a Pfaffian along seq[0]:
+    (sign, (seq[0], seq[j]), seq without both) for j = 1, 2, ..., with
+    sign (-1)^(j-1).  Expanding to the end pairs up seq, and a pairing's
+    sign is then (-1)^(chord crossings) of its pairs drawn along seq."""
+    for j in range(1, len(seq)):
+        yield (-1) ** (j - 1), (seq[0], seq[j]), seq[1:j] + seq[j + 1 :]
+
+
+def signed_pairings(seq: Sequence[int]):
+    """(sign, pairing) for every perfect pairing of seq, by `laplace_step`
+    to the end: the terms of the Pfaffian of a matrix read along seq."""
+    if not seq:
+        yield 1, ()
+        return
+    for sign, pair, rest in laplace_step(seq):
+        for tail_sign, tail in signed_pairings(rest):
+            yield sign * tail_sign, (pair, *tail)
+
+
 @functools.cache
 def enumerate_patterns(n: int) -> Tuple[Pattern, ...]:
     """All (2n-1)!! pairings of {1..2n} in canonical order, computed once
-    per n.
+    per n: the `signed_pairings` of 0, 1, ..., 2n - 1 without their signs.
 
     Each pattern has 1 as its first entry, increasing first elements,
     and each pair sorted; indices here are 0-based.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-
-    def rec(items: Tuple[int, ...]):
-        if not items:
-            yield ()
-            return
-        first = items[0]
-        for k in range(1, len(items)):
-            rest = items[1:k] + items[k + 1 :]
-            for tail in rec(rest):
-                yield ((first, items[k]),) + tail
-
-    return tuple(rec(tuple(range(2 * n))))
+    return tuple(pairing for _, pairing in signed_pairings(tuple(range(2 * n))))
 
 
 def double_factorial_odd(n: int) -> int:

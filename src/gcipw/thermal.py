@@ -242,11 +242,12 @@ def _csc(z: complex) -> complex:
 
 
 def _nome(tau: complex) -> complex:
-    """q = exp(2 pi i tau).  ValueError if the float |q| rounds to 1 (Im tau
-    below about 1e-17), where 1 - q^n in a q-expansion can vanish."""
+    """q = exp(2 pi i tau).  ValueError unless the float |q| is below 1:
+    Im tau <= 0, or below about 1e-17, where |q| rounds to 1 and 1 - q^n
+    in a q-expansion can vanish."""
     q = cmath.exp(2j * math.pi * tau)
     if abs(q) >= 1:
-        raise ValueError(f"tau={tau}: |q| rounds to 1, so the q-expansion diverges")
+        raise ValueError(f"tau={tau}: |q| is not below 1, so the q-expansion diverges")
     return q
 
 
@@ -357,8 +358,11 @@ def gibbs_weyl_2pt(
 
     Assembled from the translate-sum normalized elliptic functions
     p1^{11}/pi and p2^{11}/pi^2 (see the module docstring for the
-    normalization note); the q -> 0 limit is the vacuum matrix.
+    normalization note); the q -> 0 limit is the vacuum matrix.  The
+    translate sums converge only for Im tau > 0: ValueError otherwise, as
+    `_nome` raises.
     """
+    _nome(tau)
     sa = math.sin(TWO_PI * alpha)
     if abs(sa) < 1e-14:
         raise ValueError("collinear frame vectors")
@@ -391,9 +395,11 @@ def kms_translate_sum_check(
 
     Scalar: w_q(zeta) = sum_k w0(zeta + k tau); Weyl: alternating signs.
     Returns the max residual against the closed form, the (anti)periodicity
-    residuals, and the edge-term bound that should dominate them.
+    residuals, and the edge-term bound that should dominate them.  Both
+    models raise ValueError, before any evaluation, unless Im tau > 0
+    (`_nome`).
     """
-    q_abs = abs(cmath.exp(2j * math.pi * tau))
+    q_abs = abs(_nome(tau))
     if model == "scalar":
         sign, norm, frame = 1, abs, ()
         vacuum, closed_form, order = scalar_vacuum_2pt, gibbs_scalar_2pt, 4 * window + 40

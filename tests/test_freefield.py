@@ -17,7 +17,6 @@ from gcipw.freefield import (
     cycle_trace_2n,
     cycle_trace_numerator,
     cycle_trace_numerator_symbolic,
-    crossing_sign,
     cycle_constant,
     cycle_pfaffians,
     det4,
@@ -48,7 +47,7 @@ from gcipw.kinematics import (
     random_config,
     vsub,
 )
-from gcipw.symmetrize import symmetrized_wt
+from gcipw.symmetrize import double_factorial_odd, signed_pairings, symmetrized_wt
 
 E1 = (F(1), F(0), F(0), F(0))
 E2 = (F(0), F(1), F(0), F(0))
@@ -456,6 +455,35 @@ class TestWickNumerator:
             cycle_constant(1)
 
 
+def chord_parity(pairing, ordering):
+    """(-1)^(chord crossings) of a pairing drawn along `ordering`: chords
+    at positions a < b and c < d cross when exactly one of c, d lies
+    strictly between a and b."""
+    pos = {p: k for k, p in enumerate(ordering)}
+    chords = [sorted((pos[i], pos[j])) for i, j in pairing]
+    pairs = itertools.combinations(chords, 2)
+    return (-1) ** sum((a < c < b) != (a < d < b) for (a, b), (c, d) in pairs)
+
+
+class TestLaplaceSign:
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+    def test_laplace_sign_is_the_chord_crossing_parity(self, m):
+        # the fact that lets `cycle_pfaffians` share sub-Pfaffians between
+        # rotated and reflected cycles
+        rng = random.Random(90 + m)
+        orderings = [tuple(range(m))] + [tuple(rng.sample(range(m), m)) for _ in range(3)]
+        for ordering in orderings:
+            signed = list(signed_pairings(ordering))
+            assert len({frozenset(p) for _, p in signed}) == double_factorial_odd(m // 2)
+            for sign, pairing in signed:
+                assert sign == chord_parity(pairing, ordering)
+
+    @pytest.mark.parametrize("ordering", [(0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 4)])
+    def test_wick_numerator_needs_an_ordering_of_its_points(self, ordering):
+        with pytest.raises(ValueError):
+            wick_numerator(2, ordering)
+
+
 def pfaffian_reference(cfg, seq):
     """Pf of the rho_ij read along seq, by the Laplace expansion along the
     first point, on Fraction intervals."""
@@ -584,7 +612,7 @@ def all_matchings_l1(config):
                     for v, w in zip(fvs, cvs):
                         chords.append((2 * v + 1, 2 * w))
                         mats.append(edge(kind, v, w, 2 * v + 1, 2 * w))
-                total += crossing_sign(chords, range(2 * m)) * contract(mats)
+                total += chord_parity(chords, range(2 * m)) * contract(mats)
     return total
 
 

@@ -4,7 +4,8 @@ caller in the package or the benchmark, so that no API is kept alive by
 its tests alone, every field of its records is read, no package module
 imports another's private names, only the checks build on the free-field
 oracles, the free-field references in the tests share no kernel
-internals, and every exception class of the package is raised in it."""
+internals, denominators are cleared by one helper, and every exception
+class of the package is raised in it."""
 
 import ast
 import builtins
@@ -110,6 +111,27 @@ def packed_key_readers():
 
 def test_packed_keys_stay_inside_mpoly():
     assert packed_key_readers() == []
+
+
+def denominator_clearers():
+    """`math.lcm` calls that read a `.denominator`, outside the package's
+    one helper for them, `exact.series.common_denominator`."""
+    out = []
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        helpers = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "common_denominator"]
+        inside = {id(sub) for node in helpers for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "lcm" and "denominator" in _names(node)
+                    and id(node) not in inside):
+                out.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return sorted(out)
+
+
+def test_denominators_are_cleared_in_one_place():
+    assert denominator_clearers() == []
 
 
 def private_freefield_imports():

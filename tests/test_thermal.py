@@ -472,6 +472,17 @@ class TestKMS:
         with pytest.raises(ValueError):
             kms_translate_sum_check("maxwell", 0.1, 0.3, 1j, 4)
 
+    @pytest.mark.parametrize("tau", [0.3 - 1j, 0.4 + 1e-20j, 0.7])
+    def test_tau_outside_the_upper_half_plane_raises(self, tau):
+        # the translate sums diverge: the Weyl check once passed at 0.3 - 1i,
+        # and at 0.4 + 1e-20i with an edge bound of 1.2e13
+        with pytest.raises(ValueError):
+            kms_translate_sum_check("scalar", 0.13, ALPHA, tau, 8)
+        with pytest.raises(ValueError):
+            kms_translate_sum_check("weyl4", 0.13, ALPHA, tau, 8, U1, U2)
+        with pytest.raises(ValueError):
+            gibbs_weyl_2pt(0.13, ALPHA, U1, U2, tau, 20)
+
     @pytest.mark.parametrize(
         "model, tau, frame",
         [
