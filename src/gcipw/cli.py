@@ -26,8 +26,10 @@ Rationals are read and written as "p/q" strings so no float ever
 contaminates an exact value; an argument that starts like a negative
 number (-1/3, -0.5+1i) is a value, not a flag.  Exit codes: 0 pass,
 1 verification failure (a check that raises fails), 2 usage/config error,
-an input the computation cannot take (an inconsistent expansion) or an
-output path that cannot be written, each reported as one line on stderr.
+an input the computation cannot take (an inconsistent expansion, or a
+`thermal modular` tau where the G_2k tail bound is not finite: a
+coefficient past the float range, or |q| rounding to 1) or an output path
+that cannot be written, each reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -217,12 +219,17 @@ def modular_order(k: int, tau: complex, tol: float) -> int:
     """Truncation order for `thermal modular`: 200, doubled until the G_2k
     tail bound (`QSeries.tail_bound`) is at most tol at tau, -1/tau and
     tau + 1, the points `modular_check_G` evaluates.  ValueError at the
-    ceiling MODULAR_MAX_ORDER."""
+    ceiling MODULAR_MAX_ORDER, or at once if a bound is not finite: a
+    longer series only raises its largest coefficient, and |q| rounding
+    to 1 stays so."""
     n = 200
     while True:
         g = thermal.eisenstein_G(k, n)
-        if all(g.tail_bound(t) <= tol for t in (tau, -1 / tau, tau + 1)):
+        bounds = [g.tail_bound(t) for t in (tau, -1 / tau, tau + 1)]
+        if all(b <= tol for b in bounds):
             return n
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"tau={tau}: the G_{2 * k} tail bound is not finite at order {n}")
         if n >= MODULAR_MAX_ORDER:
             raise ValueError(f"tau={tau}: the series tail bound exceeds {tol} at order {n}")
         n *= 2

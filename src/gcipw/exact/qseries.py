@@ -93,13 +93,34 @@ class QSeries:
         """Numeric value at q = exp(2*pi*i*tau), with its `tail_bound`.
 
         Each num[k] / den is one correctly rounded integer division, the
-        same float as float(Fraction).
+        same float as float(Fraction); ValueError, naming the key, if one
+        it reads is past the float range.
+
+        The keys are summed in ascending order up to the first whose power
+        qh**k (qh = q^(1/2)) is exactly zero; the terms after it would
+        leave the sum unchanged.  Above k = 100, CPython forms qh**k as
+        pow(|qh|, k) times a phase, which does not grow with k, so every
+        later power is zero too.  At k <= 100 it multiplies repeated
+        squares instead: a zero there needs |qh|^k, and so |qh|^100, to be
+        about the smallest float 2^-1074 or less, so |qh| < 2^-10, and each
+        later power is at least 2^10 times smaller, too small for any of
+        the four float products of a complex product to round away from
+        zero.  Each skipped term
+        is then a finite coefficient times a signed zero, and adding a
+        signed zero changes no component of the sum, which starts at +0
+        and so is never -0.
         """
         qh = _half_nome(tau)
         num, den = self.num, self.den
         total = 0j
-        for k in sorted(num):
-            total += (num[k] / den) * qh**k
+        try:
+            for k in sorted(num):
+                power = qh**k
+                if not power:
+                    break
+                total += (num[k] / den) * power
+        except OverflowError:  # only the division can overflow
+            raise ValueError(f"the coefficient at key {k} is past the float range") from None
         return total, self._tail(abs(qh))
 
     def tail_bound(self, tau: complex) -> float:
@@ -107,7 +128,8 @@ class QSeries:
 
         It estimates the magnitude of the omitted tail as (largest
         |coefficient| in the window) * r^(max_exp+1) / (1 - r) with
-        r = |q^(1/2)|.
+        r = |q^(1/2)|; inf if r rounds to 1 or that coefficient is past
+        the float range.
         """
         return self._tail(abs(_half_nome(tau)))
 
@@ -115,7 +137,10 @@ class QSeries:
         # coefficients of the series used here grow at most polynomially,
         # so a geometric majorant scaled by the largest kept coefficient
         # is a safe order-of-magnitude bound
-        edge = max(map(abs, self.num.values()), default=self.den) / self.den
+        try:
+            edge = max(map(abs, self.num.values()), default=self.den) / self.den
+        except OverflowError:
+            return float("inf")
         return edge * r ** (self.max_exp + 1) / (1 - r) if r < 1 else float("inf")
 
     def __repr__(self):

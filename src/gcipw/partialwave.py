@@ -60,6 +60,14 @@ def hypergeom_series(a: int, order: int) -> PSeries:
         raise ValueError(f"need a >= 0 and order >= 0, got a={a}, order={order}")
     if a == 0:
         return PSeries([1] + [0] * order, 1)
+    row, den = _gauss_row(a, order)
+    return PSeries(row[: order + 1], den)
+
+
+def _gauss_row(a: int, order: int) -> Tuple[List[int], int]:
+    """The stored integer row of F(a, a; 2a; x) at a >= 1, at least to the
+    given order, and its denominator (see `hypergeom_series`).  The row is
+    the stored list itself: callers read it and never change it."""
     row, den = _GAUSS.get(a, ([1], 1))
     if len(row) <= order:
         terms = [Fraction(x, den) for x in row]
@@ -68,7 +76,7 @@ def hypergeom_series(a: int, order: int) -> PSeries:
             term = Fraction(term.numerator * (a + n) ** 2, term.denominator * (n + 1) * (2 * a + n))
             terms.append(term)
         row, den = _GAUSS[a] = common_denominator(terms)
-    return PSeries(list(row[: order + 1]), den)
+    return row, den
 
 
 def lhs_series(p: PWParams, order: int, depth: int) -> Series2:
@@ -231,7 +239,7 @@ def solve_structure_constants(g: PSeries, kappa: int, max_spin: int) -> List[Fra
     One in-place forward substitution over ascending powers of g/u, held
     as integer numerators over a common denominator D (g's own row to
     start): the power 2l reads B_l and subtracts B_l u^(2l) F from the
-    powers above it, F read as the stored integer row of
+    powers above it, F read in place as the stored integer row of
     `hypergeom_series` over its denominator e, D becoming the lcm of D and
     the denominator of B_l / e.  The odd powers carry no new unknowns and
     must be reproduced exactly.
@@ -254,9 +262,7 @@ def solve_structure_constants(g: PSeries, kappa: int, max_spin: int) -> List[Fra
             continue
         out.append(val)
         if val:
-            a = power + kappa
-            hyp = hypergeom_series(a, top - power)
-            F, e = hyp.num, hyp.den
+            F, e = _gauss_row(power + kappa, top - power)
             step = val.denominator * e
             new = math.lcm(den, step)
             up, scaled = new // den, val.numerator * (new // step)

@@ -34,8 +34,10 @@ the same series a fresh build gives, integers and denominator alike: a
 Lambert term w q^(n2/2) / (1 - sign q^(n2/2)) touches only keys >= n2, so
 the terms a longer build adds leave the shorter window alone; the
 denominator is the vacuum constant's, which does not depend on the order;
-and the derived series keep the smaller window of what they merge.  Each
-request gets its own fresh dict, so callers never share state.
+and the derived series keep the smaller window of what they merge.  The
+stored series holds its keys in ascending order, so a window is a prefix
+of it, copied without filtering its entries again.  Each request gets its
+own fresh dict, so callers never share state.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import islice
 from typing import Callable, Dict, Sequence
 
 from .exact import QSeries, Quaternion, lambert_series, slash
@@ -75,11 +79,16 @@ _SERIES: Dict[tuple, QSeries] = {}
 def _window(key: tuple, max_exp: int, build: Callable[[], QSeries]) -> QSeries:
     """The series build() gives to key max_exp, as a fresh copy cut from the
     longest one stored under key; build() runs only if that one is shorter,
-    and its series is stored in its place (see the module docstring)."""
+    and its series is stored in its place with its keys in ascending order,
+    so that the cut is a prefix (see the module docstring)."""
     s = _SERIES.get(key)
     if s is None or s.max_exp < max_exp:
         s = _SERIES[key] = build()
-    return QSeries(s.num, s.den, max_exp)
+        if list(s.num) != sorted(s.num):  # only a merge leaves its keys unsorted
+            s.num = dict(sorted(s.num.items()))
+    cut = QSeries({}, s.den, max_exp)
+    cut.num = dict(islice(s.num.items(), bisect_right(list(s.num), max_exp)))
+    return cut
 
 
 def eisenstein_G(k: int, order: int) -> QSeries:
@@ -251,15 +260,24 @@ def _nome(tau: complex) -> complex:
     return q
 
 
+def _p1_sums(zetas: Sequence[complex], tau: complex, order: int) -> list:
+    """p1 at each of zetas by its q-expansion, forming q^n and
+    4 pi q^n/(1-q^n) once per n for all of them."""
+    q = _nome(tau)
+    totals = [math.pi * _cot(math.pi * zeta) for zeta in zetas]
+    indices = range(len(zetas))
+    for n in range(1, order + 1):
+        qn = q**n
+        weight, angle = 4 * math.pi * qn / (1 - qn), TWO_PI * n
+        for i in indices:
+            totals[i] += weight * cmath.sin(angle * zetas[i])
+    return totals
+
+
 def elliptic_p1(zeta: complex, tau: complex, order: int) -> complex:
     """p1(zeta, tau) by its q-expansion:
     pi cot(pi zeta) + 4 pi sum_n q^n/(1-q^n) sin(2 pi n zeta)."""
-    q = _nome(tau)
-    total = math.pi * _cot(math.pi * zeta)
-    for n in range(1, order + 1):
-        qn = q**n
-        total += 4 * math.pi * qn / (1 - qn) * cmath.sin(TWO_PI * n * zeta)
-    return total
+    return _p1_sums((zeta,), tau, order)[0]
 
 
 def _lattice_sum(f, zeta: complex, tau: complex, window: int, sign: int = 1) -> complex:
@@ -303,8 +321,8 @@ def gibbs_scalar_2pt(zeta: complex, alpha: float, tau: complex, order: int) -> c
     sa = math.sin(TWO_PI * alpha)
     if abs(sa) < 1e-14:
         raise ValueError("sin(2 pi alpha) = 0 is a degenerate angle")
-    zp, zm = zeta + alpha, zeta - alpha
-    return (elliptic_p1(zp, tau, order) - elliptic_p1(zm, tau, order)) / (4 * math.pi * sa)
+    p1p, p1m = _p1_sums((zeta + alpha, zeta - alpha), tau, order)
+    return (p1p - p1m) / (4 * math.pi * sa)
 
 
 def gibbs_scalar_modes(zeta: complex, alpha: float, tau: complex, order: int) -> complex:

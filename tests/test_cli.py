@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gcipw import thermal
-from gcipw.cli import main, parse_rat, parse_tau
+from gcipw.cli import main, modular_order, parse_rat, parse_tau
 from gcipw.exact import QSeries, lambert_series
 
 
@@ -276,6 +276,10 @@ class TestBoundary:
             ["positivity", "--axis", "a1", "--a1", "2", "--steps", "1"],
             # the float q = exp(2 pi i tau) rounds to 1, so 1 - q^n = 0
             ["thermal", "kms", "--tau", "1e-300i"],
+            # a G_2k coefficient past the float range: the tail bound is inf
+            # (at order 12800 for G_80, at once for G_400)
+            ["thermal", "modular", "--k", "40", "--tau", "0.01i"],
+            ["thermal", "modular", "--k", "200", "--tau", "1i"],
         ],
         ids=" ".join,
     )
@@ -285,6 +289,14 @@ class TestBoundary:
         assert code == 2
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("k, tau", [(200, 1j), (2, 1e-300j)])
+    def test_an_infinite_tail_bound_stops_the_order_search(self, k, tau, monkeypatch):
+        # a longer series cannot lower it, so no order past the first is built
+        monkeypatch.setattr(thermal, "_SERIES", {})
+        with pytest.raises(ValueError, match="not finite at order 200"):
+            modular_order(k, tau, 1e-10)
+        assert [s.max_exp for s in thermal._SERIES.values()] == [400]
 
     def test_negative_rational_parameter(self, capsys):
         code, out = run(

@@ -4,7 +4,8 @@ caller in the package or the benchmark, so that no API is kept alive by
 its tests alone, every field of its records is read, no package module
 imports another's private names, only the checks build on the free-field
 oracles, the free-field references in the tests share no kernel
-internals, denominators are cleared by one helper, and every exception
+internals, denominators are cleared by one helper, floats enter the
+exact layers only where a q-series is evaluated, and every exception
 class of the package is raised in it."""
 
 import ast
@@ -132,6 +133,42 @@ def denominator_clearers():
 
 def test_denominators_are_cleared_in_one_place():
     assert denominator_clearers() == []
+
+
+# the one place the exact layers meet floats: evaluating a q-series at tau
+FLOAT_SITES = {"eval", "tail_bound", "_tail", "_half_nome"}
+
+
+def float_uses():
+    """Float or complex literals, `float(`/`complex(` calls and `cmath` in
+    src/gcipw/exact/, outside QSeries.eval, tail_bound and _tail and the
+    function _half_nome of exact/qseries.py (`import cmath` included)."""
+    out = []
+    for path in (PACKAGE / "exact").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "qseries.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name in FLOAT_SITES:
+                    allowed |= {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (
+                (isinstance(node, ast.Constant) and type(node.value) in (float, complex))
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("float", "complex"))
+                or (isinstance(node, ast.Name) and node.id == "cmath")
+                or (isinstance(node, ast.Import) and path.name != "qseries.py"
+                    and any(alias.name == "cmath" for alias in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.module == "cmath")
+            ):
+                out.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return sorted(out)
+
+
+def test_floats_stay_in_the_qseries_evaluation():
+    assert float_uses() == []
 
 
 def private_freefield_imports():

@@ -3,6 +3,7 @@ modular / KMS checks."""
 
 import cmath
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -272,6 +273,26 @@ def fraction_eval(series, tau):
     return total, edge * r ** (series.max_exp + 1) / (1 - r)
 
 
+def bits(z: complex) -> tuple:
+    """z exactly, with the signs of zeros."""
+    return z.real.hex(), z.imag.hex()
+
+
+class CountingDict(dict):
+    """A dict that records the keys read through d[k]."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def __getitem__(self, k):
+        self.reads.append(k)
+        return super().__getitem__(k)
+
+
+# Im tau from 0.01 to 4, with Re tau across a period
+GRID_IMAGS = (0.01, 0.05, 0.2, 0.8, 1.2, 1.9, 2.4, 3.1, 4.0)
+GRID_REALS = (-0.5, -0.13, 0.0, 0.3, 0.5)
 TAU = -0.41 + 0.85j
 EVAL_TAUS = [1.1j, 0.3 + 1.2j, 1.3j, TAU, -1 / TAU, TAU + 1]  # c10 points, then an S/T orbit
 
@@ -289,8 +310,14 @@ class TestQSeriesEval:
         ids=["G2", "G4", "G6", "weyl", "G4_unreduced"],
     )
     def test_floats_equal_the_fraction_evaluation(self, series):
-        for tau in EVAL_TAUS:
-            assert series.eval(tau) == fraction_eval(series, tau), tau
+        """eval stops at the first zero power; the reference sums every key.
+        From Im tau = 2.4 on the stop falls at a key <= 100, where CPython
+        forms qh**k by repeated squaring rather than by pow(|qh|, k)."""
+        assert cmath.exp(-cmath.pi * 2.4) ** 100 == 0  # |qh|^100
+        grid = [complex(x, y) for y in GRID_IMAGS for x in GRID_REALS]
+        for tau in [*EVAL_TAUS, *grid]:
+            got, want = series.eval(tau), fraction_eval(series, tau)
+            assert (bits(got[0]), got[1].hex()) == (bits(want[0]), want[1].hex()), tau
 
     @pytest.mark.parametrize("order", [50, 200])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -302,6 +329,41 @@ class TestQSeriesEval:
             tau = complex(0.3, y)
             value, bound = short.eval(tau)
             assert abs(long.eval(tau)[0] - value) <= bound, y
+
+    def test_powers_stay_zero_after_the_first_zero(self):
+        # what the stop relies on, on both sides of CPython's switch from
+        # repeated squaring (k <= 100) to pow(|qh|, k) times a phase
+        for y in (*GRID_IMAGS, 5.0, 12.5, 40.0):
+            for x in (*GRID_REALS, 0.25, 1 / 3):
+                qh = cmath.exp(1j * cmath.pi * complex(x, y))
+                powers = [qh**k for k in range(1300)]
+                first = next((k for k, p in enumerate(powers) if not p), len(powers))
+                assert not any(powers[first:]), (x, y, first)
+
+    def test_eval_reads_no_coefficient_past_the_stop(self):
+        series = eisenstein_G(2, 400)
+        series.num = CountingDict(series.num)
+        tau = 0.1 + 1.2j
+        series.eval(tau)
+        qh = cmath.exp(1j * cmath.pi * tau)
+        stop = next(k for k in sorted(series.num) if not qh**k)
+        assert 0 < stop < series.max_exp
+        assert series.num.reads == [k for k in sorted(series.num) if k < stop]
+
+    def test_a_coefficient_past_the_float_range_is_a_value_error(self):
+        # not an OverflowError from the integer division, which the CLI would
+        # not catch
+        with pytest.raises(ValueError, match="key 2 "):
+            QSeries({0: 1, 2: 10**400}, 3, 2).eval(1j)
+        # q^1000 is 0.0 at tau = i, so the sum stops before the key 2000
+        assert QSeries({0: 1, 2000: 10**400}, 3, 2000).eval(1j) == (1 / 3, math.inf)
+        g = eisenstein_G(200, 10)  # the constant -B_400 / 800 is near 1e546
+        with pytest.raises(ValueError, match="key 0 "):
+            g.eval(1j)
+        assert g.tail_bound(1j) == math.inf
+        with pytest.raises(ValueError):
+            modular_check_G(200, 1j, 10)
+
 
 class TestEllipticP1:
     def test_odd(self):
@@ -373,6 +435,28 @@ class TestGibbsScalar:
     def test_degenerate_alpha(self):
         with pytest.raises(ValueError):
             gibbs_scalar_2pt(0.13, 0.5, 1.5j, 40)
+
+    def test_one_pass_equals_two_p1_loops(self):
+        # gibbs_scalar_2pt forms q^n and its weight once for both zeta +- alpha;
+        # the floats are those of one elliptic_p1 loop per zeta, written out here
+        def p1(zeta, tau, order):
+            q = cmath.exp(2j * math.pi * tau)
+            total = math.pi * thermal._cot(math.pi * zeta)
+            for n in range(1, order + 1):
+                qn = q**n
+                total += 4 * math.pi * qn / (1 - qn) * cmath.sin(2 * math.pi * n * zeta)
+            return total
+
+        rng = random.Random(20)
+        for _ in range(100):
+            zeta = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
+            alpha = rng.uniform(0.05, 0.45)
+            tau = complex(rng.uniform(-1, 1), rng.uniform(0.1, 3))
+            want = (p1(zeta + alpha, tau, 72) - p1(zeta - alpha, tau, 72)) / (
+                4 * math.pi * math.sin(2 * math.pi * alpha)
+            )
+            assert bits(gibbs_scalar_2pt(zeta, alpha, tau, 72)) == bits(want), (zeta, alpha, tau)
+            assert bits(elliptic_p1(zeta, tau, 40)) == bits(p1(zeta, tau, 40)), (zeta, tau)
 
 
 class TestGibbsWeyl:
