@@ -43,7 +43,9 @@ two kinds alternate along the loop; 2 (m - 1)! walks in all.  A closed
 fermion loop carries -1 on every walk: the product of the chord-crossing
 sign -(-1)^d of its contraction pattern, d the walk's descents, and the
 (-1)^d of the d contractions whose conjugate's slot comes first, which
-locality flips.
+locality flips.  A subset DP over (points visited, last point) sums the
+walks on integers, each state scaled by the cubed intervals of the pairs
+it visited, so only the closing step divides, exactly (`_walk_sums`).
 """
 
 from __future__ import annotations
@@ -198,12 +200,6 @@ def _cycle_factors(seq: CycleSeq, points) -> List[Quaternion]:
     return [slash(vsub(points[a], points[b]), k % 2 == 1) for k, (a, b) in steps]
 
 
-def _reversed(fwd: Sequence) -> list:
-    """The reverse orientation of a cycle's factors (or steps): the first
-    is kept and the rest are reversed."""
-    return [fwd[0], *fwd[:0:-1]]
-
-
 def _loop_trace(fwd: Sequence[Quaternion]):
     """-(tr fwd + tr rev) of `cycle_trace_numerator`, from the forward factors.
 
@@ -215,7 +211,7 @@ def _loop_trace(fwd: Sequence[Quaternion]):
     this is the independent oracle of `cycle_trace_numerator_symbolic`,
     which forms only the reflection-even half of one orientation.
     """
-    return -(chain_trace(fwd) + chain_trace(_reversed(fwd)))
+    return -(chain_trace(fwd) + chain_trace([fwd[0], *fwd[:0:-1]]))
 
 
 def cycle_trace_2n(config: PointConfig, seq: CycleSeq) -> Fraction:
@@ -448,8 +444,10 @@ def v1_weyl_npoint(config: PointConfig) -> Fraction:
     part: the sum, over the parts P of at least two blocks that hold block
     0, of the connected function on P times the full function on the other
     blocks (1 on none, 0 on one).  Below eight points P holds every block,
-    so it equals `v1_weyl_connected`."""
+    so it is `v1_weyl_connected`."""
     n = len(config) // 2
+    if 1 < n < 4:
+        return v1_weyl_connected(config)
 
     def full(blocks: Tuple[int, ...]):
         if not blocks:
@@ -461,8 +459,7 @@ def v1_weyl_npoint(config: PointConfig) -> Fraction:
                 rest = tuple(b for b in others if b not in mates)
                 if len(rest) != 1:
                     part = [p for b in (first, *mates) for p in (2 * b, 2 * b + 1)]
-                    sub = config if k + 1 == n else config.subset(part)
-                    total += v1_weyl_connected(sub) * full(rest)
+                    total += v1_weyl_connected(config.subset(part)) * full(rest)
         return total
 
     return Fraction(full(tuple(range(n))))
@@ -471,55 +468,67 @@ def v1_weyl_npoint(config: PointConfig) -> Fraction:
 # -- first-principles Wick network for the composite scalars ------------------------
 
 
-def _fermion_table(config: PointConfig, kind: str) -> List[List]:
+def _fermion_table(config: PointConfig, kind: str) -> List[List[tuple]]:
     """Wick contractions between a field operator (at vertex fv) and its
     conjugate (at vertex cv), as matrices indexed (fv, cv): the step from
-    the field to its conjugate along a loop.  Entry (fv, cv) is the pair
-    (integer slash quaternion, integer weight) of the integer form.
-
-    kind "psi": <psi(x) psi+(y)> = slash+(x - y) / rho^2;
-    kind "chi": <chi(x) chi+(y)> = slash(x - y) / rho^3.
-    No entry carries a sign: the loop's -1 is applied once to the sum.
-    """
-    pts, rho = config.int_points, config.int_rho
-    power = 2 if kind == "psi" else 3
-    m = len(pts)
-    table = [[None] * m for _ in range(m)]
-    for fv, cv in itertools.permutations(range(m), 2):
-        table[fv][cv] = (slash(vsub(pts[fv], pts[cv]), kind == "psi"), rho[fv][cv] ** power)
-    return table
+    the field to its conjugate along a loop.  Entry (fv, cv) is the slash
+    quaternion of the integer form, as an int 4-tuple, times rho^(3 - p):
+    kind "psi": <psi(x) psi+(y)> = slash+(x - y) / rho^2, p = 2;
+    kind "chi": <chi(x) chi+(y)> = slash(x - y) / rho^3, p = 3.
+    No entry carries a sign: the loop's -1 is applied once to the sum."""
+    sign, lift = (-1, 1) if kind == "psi" else (1, 0)
+    pts = config.int_points
+    return [
+        [(z[3] * w, sign * z[0] * w, sign * z[1] * w, sign * z[2] * w)
+         for z, w in ((vsub(a, b), r**lift) for b, r in zip(pts, row))]
+        for a, row in zip(pts, config.int_rho)
+    ]
 
 
-def _walk_sums(config: PointConfig, tables, one, close) -> Tuple[int, int]:
-    """R of `l1_truncated_npoint` and the sum over its walks.
+def _quaternion_sum(terms) -> tuple:
+    """Sum of state * entry * factor over the terms, on int 4-tuples."""
+    sa = sb = sc = sd = 0
+    for (a, b, c, d), (w, x, y, z), f in terms:
+        sa += (a * w - b * x - c * y - d * z) * f
+        sb += (a * x + b * w + c * z - d * y) * f
+        sc += (a * y - b * z + c * w + d * x) * f
+        sd += (a * z + b * y - c * x + d * w) * f
+    return sa, sb, sc, sd
 
-    Step k of a walk (cycle from 0, parity) takes a (value, weight) entry
-    from table (k + parity) mod 2.  Depth first from the value `one`, each
-    node extends its parent's value and weight products by one entry; the
-    last two steps u -> v -> 0 come from a table of entry products.  A
-    leaf adds close(value product, last value) * (R // weight product).
-    """
-    m = len(config)
-    pole = config.pole(itertools.combinations(range(m), 2)) ** (3 if m > 2 else 5)
 
-    def walk(steps, last, u, depth, prod, weight, left):
-        if len(left) == 1:
-            (v,) = left
-            value, w = last[u, v]
-            return close(prod, value) * (pole // (weight * w))
-        total = 0
-        for v in left:
-            value, w = steps[depth][u][v]
-            total += walk(steps, last, v, depth + 1, prod * value, weight * w, left - {v})
-        return total
-
+def _walk_sums(config: PointConfig, tables, combine, close) -> Tuple[int, int]:
+    """R of `l1_truncated_npoint` and the sum over its walks, by a subset
+    DP (Held-Karp).  Step k of a walk (cycle from 0, parity) takes an entry
+    value * rho^(3 - p) of table (k + parity) mod 2, p its pole power.  State
+    (S, u), S a bitmask of the points 1..m-1 and u the last, sums over the
+    walks from 0 through S to u their value products times W_S / weight,
+    W_S = prod rho^3 over the pairs in S and 0: an integer, as a walk joins
+    a pair at most once.  Step u -> x multiplies W by M(S, x) = prod rho_ix^3
+    over i in S and 0 and divides by rho_ux^p: `combine` sums the terms
+    (state, entry, M(S - u, x)).  Closing at u divides by rho_u0^3 exactly:
+    above two points no walk ending at u used (u, 0).  The full W is
+    R = prod_{i<j} rho_ij^3; at m = 2, R is rho^5 and the sum is lifted by
+    rho^2."""
+    m, rho = len(config), config.int_rho
+    lift = rho[0][1] ** 2 if m == 2 else 1
+    pole = config.pole(itertools.combinations(range(m), 2)) ** 3 * lift
+    size, bit = 1 << (m - 1), [1 << i >> 1 for i in range(m)]
+    members = [[u for u in range(1, m) if s & bit[u]] for s in range(size)]
+    cubed = [[rho[0][x] ** 3] for x in range(m)]  # cubed[x][S] = M(S, x)
+    for s in range(1, size):
+        for x, col in enumerate(cubed):
+            col.append(col[s ^ bit[members[s][0]]] * rho[members[s][0]][x] ** 3)
     total = 0
     for parity in (0, 1):
-        steps = [tables[(k + parity) % 2] for k in range(m)]
-        a, b = steps[-2], steps[-1]
-        last = {(u, v): (a[u][v][0] * b[v][0][0], a[u][v][1] * b[v][0][1])
-                for u, v in itertools.permutations(range(m), 2) if v}
-        total += walk(steps, last, 0, 0, one, 1, frozenset(range(1, m)))
+        kinds = [tables[(k + parity) % 2] for k in range(m)]
+        states = [[None] * m for _ in range(size)]
+        for t in range(1, size):
+            for x in members[t]:
+                s, table, col = t ^ bit[x], kinds[len(members[t]) - 1], cubed[x]
+                terms = [(states[s][u], table[u][x], col[s ^ bit[u]]) for u in members[s]]
+                states[t][x] = combine(terms) if s else table[0][x]
+        for u in members[-1]:
+            total += close(states[-1][u], kinds[-1][u][0]) * lift // cubed[u][0]
     return pole, total
 
 
@@ -531,10 +540,9 @@ def l1_truncated_npoint(config: PointConfig) -> Fraction:
     each step runs from a field to its conjugate, so one table per kind
     holds every propagator, the spinor indices contract to the trace along
     the walk, and the closed loop gives each walk the sign -1.  The walks
-    are summed depth first (`_walk_sums`) as integers over
-    R = prod_{i<j} rho_ij^3: a loop through m > 2 points joins each pair
-    at most once, so R is a multiple of every weight product; at m = 2
-    both steps join one pair, and R is rho^5.  Each loop has m/2 edges of
+    are summed by the subset DP of `_walk_sums` on integer quaternion
+    4-tuples, as integers over R = prod_{i<j} rho_ij^3 (rho^5 at m = 2),
+    and closed by the trace 2 Re(state entry).  Each loop has m/2 edges of
     each kind, of degrees -3 and -5 in the coordinates, so the
     integer-form sum is rescaled by L^(4m).
     Serves as the independent reference correlator for the
@@ -542,14 +550,15 @@ def l1_truncated_npoint(config: PointConfig) -> Fraction:
     is, term by term, one (pattern, block cycle, orientation) triple of
     `symmetrized_wt`, with the chi edges on the pattern pairs and the psi
     edges on the links, and the loop's -1 is the overall minus of
-    `cycle_trace_numerator`.
+    `cycle_trace_numerator`.  No Pfaffian enters, so the two sides of c08
+    stay independent.
     """
     m = len(config)
     if m % 2:
         raise ValueError("need an even number of points")
     tables = [_fermion_table(config, kind) for kind in ("psi", "chi")]
-    one = Quaternion(1, 0, 0, 0)
-    pole, total = _walk_sums(config, tables, one, Quaternion.trace_mul)
+    trace = lambda s, q: 2 * (s[0] * q[0] - s[1] * q[1] - s[2] * q[2] - s[3] * q[3])
+    pole, total = _walk_sums(config, tables, _quaternion_sum, trace)
     return Fraction(-total * config.scale ** (4 * m), pole)
 
 
@@ -559,13 +568,14 @@ def l0_truncated_npoint(config: PointConfig) -> Fraction:
 
     Connected diagrams are Hamiltonian cycles through the points with the
     two propagators 1/rho and 1/rho^3 alternating along the cycle.  They
-    are summed as the walks of `l1_truncated_npoint`, with value 1 and
-    weights rho and rho^3, over the same R: reversing a walk and switching
-    its parity keeps its weight, so above two points every diagram is
-    walked twice, while at m = 2 the one cycle is its own reverse.  The
-    sum, of degree -4m in the coordinates, is rescaled by L^(4m).
+    are summed as the walks of `l1_truncated_npoint` on ints, entries rho^2
+    and 1, over the same R: reversing a walk and switching its parity keeps
+    its weight, so above two points every diagram is walked twice, while at
+    m = 2 the one cycle is its own reverse.  The sum, of degree -4m in the
+    coordinates, is rescaled by L^(4m).
     """
     m, rho = len(config), config.int_rho
-    tables = [[[(1, r**k) for r in row] for row in rho] for k in (1, 3)]
-    pole, total = _walk_sums(config, tables, 1, operator.mul)
+    tables = [[[r ** (3 - p) for r in row] for row in rho] for p in (1, 3)]
+    combine = lambda terms: sum(s * e * f for s, e, f in terms)
+    pole, total = _walk_sums(config, tables, combine, operator.mul)
     return Fraction(total * config.scale ** (4 * m), pole * (2 if m > 2 else 1))

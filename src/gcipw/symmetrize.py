@@ -6,10 +6,12 @@ correlator and exact ratio fitting of the per-n constants.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
+from .exact.series import common_denominator
 from .kinematics import PointConfig
 
 Pattern = Tuple[Tuple[int, int], ...]
@@ -58,21 +60,11 @@ def double_factorial_odd(n: int) -> int:
     return math.prod(range(1, 2 * n, 2))
 
 
-def w1_full(v1_eval: Evaluator, config: PointConfig, pattern: Pattern) -> Fraction:
-    """w1 for one pattern: the bilocal 2n-point over cubed pair intervals.
-
-    The prefactor is formed on the integer intervals of the configuration
-    and rescaled by L^(6n), the degree of its n cubed poles.
-    """
-    den = config.pole(pattern) ** 3
-    sub = config.subset([p for pair in pattern for p in pair])
-    return Fraction(config.scale ** (6 * len(pattern)), den) * v1_eval(sub)
-
-
 def symmetrized_wt(
     n: int, lam: Fraction, v1_eval: Evaluator, config: PointConfig
 ) -> Fraction:
-    """lambda_n times the constrained-pairing sum of truncated w1's.
+    """lambda_n times the constrained-pairing sum of truncated w1's: v1 on
+    a pattern's points over the cubed intervals of its pairs.
 
     `v1_eval` is the connected bilocal 2n-point function.  The full one is
     a sum, over partitions of the blocks into parts of at least two, of
@@ -95,13 +87,19 @@ def symmetrized_wt(
     The `/ 2` in `v1_weyl_connected` leaves lambda_n = 2.  The scalar
     terms carry 1/rho^3 and 1/rho with one orientation per cycle, the
     walks of `l0_truncated_npoint`, so lambda_n = 1.
+    The v1 values are summed over one denominator (`common_denominator`)
+    and the prefactors over R, rho^3 over all pairs on the integer form, a
+    multiple of each pattern's; R comes first, so a coincident pair raises.
     """
     if len(config) != 2 * n:
         raise ValueError("configuration size mismatch")
-    total = Fraction(0)
-    for pattern in enumerate_patterns(n):
-        total += w1_full(v1_eval, config, pattern)
-    return Fraction(lam) * total
+    patterns = enumerate_patterns(n)
+    pole = config.pole(itertools.combinations(range(2 * n), 2)) ** 3
+    nums, den = common_denominator(
+        [v1_eval(config.subset([p for pair in pat for p in pair])) for pat in patterns]
+    )
+    total = sum(num * (pole // config.pole(pat) ** 3) for num, pat in zip(nums, patterns))
+    return Fraction(lam) * Fraction(total * config.scale ** (6 * n), den * pole)
 
 
 def fit_lambda(

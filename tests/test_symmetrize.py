@@ -33,7 +33,6 @@ from gcipw.symmetrize import (
     enumerate_patterns,
     fit_lambda,
     symmetrized_wt,
-    w1_full,
 )
 
 
@@ -123,10 +122,18 @@ def l0_walk_terms(cfg):
     return out
 
 
+def w1(v1_eval, config, pattern):
+    """w1 of one pattern: v1_eval on the pattern's points over the cubed
+    intervals of its pairs, from the Fraction intervals; a coincident
+    pair raises DegenerateConfiguration from `PointConfig.pole`."""
+    pole = F(config.pole(pattern), config.scale ** (2 * len(pattern)))
+    return v1_eval(config.subset([p for pair in pattern for p in pair])) / pole**3
+
+
 def w1_truncated_reference(n, v1_eval, config, pattern):
     """w1 of the full function v1_eval, with the products over the
     partitions of the n pairs into groups of at least two subtracted."""
-    total = w1_full(v1_eval, config, pattern)
+    total = w1(v1_eval, config, pattern)
     for partition in partitions_min2(list(range(n))):
         if len(partition) == 1:
             continue
@@ -176,7 +183,7 @@ class TestW1:
         rng = random.Random(0)
         cfg = random_config(rng, 4)
         pat = ((0, 1), (2, 3))
-        val = w1_full(v1_scalar_connected, cfg, pat)
+        val = w1(v1_scalar_connected, cfg, pat)
         r = cfg.rho
         assert val == v1_scalar_connected(cfg) / (r(0, 1) * r(2, 3)) ** 3
 
@@ -185,7 +192,7 @@ class TestW1:
         cfg = random_config(rng, 6)
         pat = enumerate_patterns(3)[0]
         full = full_from(v1_scalar_connected)
-        assert w1_truncated_reference(3, full, cfg, pat) == w1_full(full, cfg, pat)
+        assert w1_truncated_reference(3, full, cfg, pat) == w1(full, cfg, pat)
         # below eight points the full function is the connected one
         assert full(cfg) == v1_scalar_connected(cfg)
 
@@ -218,7 +225,7 @@ class TestW1:
         full = full_from(conn)
         cfg = random_config(random.Random(20 + n), 2 * n)
         for pat in enumerate_patterns(n):
-            assert w1_full(conn, cfg, pat) == w1_truncated_reference(n, full, cfg, pat)
+            assert w1(conn, cfg, pat) == w1_truncated_reference(n, full, cfg, pat)
 
     def test_scalar_w1_equals_prefactored_j0(self):
         rng = random.Random(3)
@@ -231,18 +238,31 @@ class TestW1:
             / (r(0, 2) * r(1, 3))
             / (r(0, 1) * r(2, 3)) ** 3
         )
-        assert w1_full(v1_scalar_connected, cfg, pat) == expected
+        assert w1(v1_scalar_connected, cfg, pat) == expected
 
     def test_coincident_pattern_pair_raises(self):
         # points 0 and 1 coincide: a pattern that pairs them has a zero
         # prefactor pole, and one that splits them does not
         cfg = PointConfig([(0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0)])
         with pytest.raises(DegenerateConfiguration):
-            w1_full(lambda c: F(1), cfg, ((0, 1), (2, 3)))
-        assert w1_full(lambda c: F(1), cfg, ((0, 2), (1, 3))) == F(1, 64)  # 1 / (rho02 rho13)^3
+            w1(lambda c: F(1), cfg, ((0, 1), (2, 3)))
+        assert w1(lambda c: F(1), cfg, ((0, 2), (1, 3))) == F(1, 64)  # 1 / (rho02 rho13)^3
+        # every pair is in some pattern, so the sum raises before any division
+        with pytest.raises(DegenerateConfiguration):
+            symmetrized_wt(2, F(1), lambda c: F(1), cfg)
 
 
 class TestSymmetrizedWt:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(CONNECTED))
+    def test_sum_of_pattern_w1s(self, kind, n):
+        # one integer sum over one denominator against one Fraction per pattern
+        cfg = random_config(random.Random(110 + n), 2 * n)
+        assert cfg.scale > 1
+        lam = F(-5, 3)
+        expected = lam * sum(w1(CONNECTED[kind], cfg, pat) for pat in enumerate_patterns(n))
+        assert symmetrized_wt(n, lam, CONNECTED[kind], cfg) == expected
+
     def test_zero_lambda(self):
         rng = random.Random(4)
         cfg = random_config(rng, 4)
@@ -374,10 +394,25 @@ class TestWhyLambda:
         assert total == symmetrized_wt(n, F(1), v1_scalar_connected, ints)
         assert total == l0_truncated_npoint(ints)
 
+    def test_scalar_ratio_is_one_at_n5(self):
+        # the scalar composite equals the ansatz with lambda_5 = 1: 945
+        # patterns of 384 pole structures each, about 1 s on one core
+        cfg = random_config(random.Random(130), 10)
+        assert l0_truncated_npoint(cfg) == symmetrized_wt(5, F(1), v1_scalar_connected, cfg)
+
 
 class TestWalkReference:
-    """The depth-first kernels against the per-walk enumeration, with the
+    """The subset-DP kernels against the per-walk enumeration, with the
     L^(4m) rescaling of configurations off the integer lattice."""
+
+    def test_moving_the_start_point_keeps_both_sums(self):
+        # every DP walk starts at point 0, so a relabeling that moves it
+        # changes every state but neither sum (10 points, about 0.2 s)
+        cfg = random_config(random.Random(120), 10)
+        perm = (3, 7, 0, 9, 1, 5, 2, 8, 6, 4)
+        moved = PointConfig([cfg.points[i] for i in perm])
+        assert l1_truncated_npoint(moved) == l1_truncated_npoint(cfg)
+        assert l0_truncated_npoint(moved) == l0_truncated_npoint(cfg)
 
     @pytest.mark.parametrize("m", [2, 4, 6, 8])
     def test_l1_equals_walk_sum(self, m):
