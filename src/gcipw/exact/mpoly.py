@@ -66,10 +66,6 @@ def _fields(key: int, arity: int) -> Iterator[Tuple[int, int]]:
         key &= (1 << low) - 1
 
 
-def _unpack(key: int, arity: int) -> Expo:
-    return tuple(key >> BITS * (arity - 1 - i) & MAX_EXP for i in range(arity))
-
-
 def _mac(out: Dict[int, object], c, p: Dict[int, object], q: Dict[int, object]) -> None:
     """out += c p q on packed dicts, in place: the one product loop.
 
@@ -220,7 +216,10 @@ class MPoly:
     @property
     def terms(self) -> Mapping[Expo, object]:
         """Read-only {exponent tuple: coeff} view, unpacked on each read."""
-        return MappingProxyType({_unpack(key, self.arity): c for key, c in self._packed.items()})
+        shifts = range(BITS * (self.arity - 1), -1, -BITS)  # variable 0 first
+        return MappingProxyType(
+            {tuple([key >> s & MAX_EXP for s in shifts]): c for key, c in self._packed.items()}
+        )
 
     def coefficients(self):
         """The stored coefficients, none of them zero."""

@@ -6,16 +6,19 @@ Weyl-type series q^(n+1/2) coexist with ordinary q-expansions without a
 fraction type in the keys.
 
 Coefficients are integer numerators over one positive denominator: the
-coefficient at key k is num[k] / den.  The denominator is not reduced, so
-equal series may hold different (num, den) pairs.  All arithmetic stays
-on integers; `coeffs` and `[k]` build Fractions only when asked.
+coefficient at key k is num[k] / den, keys ascending; `num` is read-only
+after construction.  The denominator is not reduced, so equal series may
+hold different (num, den) pairs.  All arithmetic stays on integers;
+`coeffs` and `[k]` build Fractions only when asked.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate, islice
 from numbers import Rational
 from typing import Dict
 
@@ -23,14 +26,25 @@ from typing import Dict
 class QSeries:
     """Truncated series sum_k (num[k] / den) q^(k/2), with keys in [0, max_exp]."""
 
-    __slots__ = ("num", "den", "max_exp")
+    __slots__ = ("num", "den", "max_exp", "_peaks")
 
     def __init__(self, num: Dict[int, int], den: int, max_exp: int):
         if den <= 0:
             raise ValueError("need a positive denominator")
-        self.num: Dict[int, int] = {k: n for k, n in num.items() if n and 0 <= k <= max_exp}
+        self.num: Dict[int, int] = {k: n for k, n in sorted(num.items()) if n and 0 <= k <= max_exp}
         self.den = den
         self.max_exp = max_exp
+        self._peaks = None
+
+    def prefix(self, max_exp: int) -> "QSeries":
+        """The keys up to max_exp as a fresh series, with the largest |num[k]|
+        up to each key, found once per series, cut with it for `tail_bound`."""
+        if self._peaks is None:
+            self._peaks = list(accumulate(map(abs, self.num.values()), max))
+        cut = QSeries({}, self.den, max_exp)
+        cut.num = dict(islice(self.num.items(), bisect_right(list(self.num), max_exp)))
+        cut._peaks = self._peaks[: len(cut.num)]
+        return cut
 
     @property
     def coeffs(self) -> Dict[int, Fraction]:
@@ -114,7 +128,7 @@ class QSeries:
         num, den = self.num, self.den
         total = 0j
         try:
-            for k in sorted(num):
+            for k in num:
                 power = qh**k
                 if not power:
                     break
@@ -136,9 +150,10 @@ class QSeries:
     def _tail(self, r: float) -> float:
         # coefficients of the series used here grow at most polynomially,
         # so a geometric majorant scaled by the largest kept coefficient
-        # is a safe order-of-magnitude bound
+        # is a safe order-of-magnitude bound; a `prefix` cut carries its peaks
+        peaks = self._peaks or [max(map(abs, self.num.values()), default=self.den)]
         try:
-            edge = max(map(abs, self.num.values()), default=self.den) / self.den
+            edge = peaks[-1] / self.den
         except OverflowError:
             return float("inf")
         return edge * r ** (self.max_exp + 1) / (1 - r) if r < 1 else float("inf")

@@ -8,8 +8,9 @@ for the symbolic identity checks, integer polynomials, so every value here
 is an exact rational number.
 
 The numeric correlators run on the integer form of a `PointConfig`: its
-coordinates scaled by the lcm L of their denominators, and the integer
-squared intervals L^2 rho_ij.  Numerators and pole products are then plain
+coordinates scaled by the lcm L of their denominators, and its one table
+of integer squared intervals L^2 rho_ij, read by flat index (`flat_rho`)
+and relabeled by `subset`.  Numerators and pole products are then plain
 integers.  Each correlator is homogeneous of a known degree -d in the
 coordinates, so its value is L^d times its value on the integer form: one
 exact rescaling per call.  Traces at rational coordinates given as a
@@ -52,12 +53,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .exact import MPoly, Quaternion, chain_trace, slash
-from .kinematics import PointConfig, Vec4, dot4, integer_form, vsub
+from .kinematics import DegenerateConfiguration, PointConfig, Vec4, dot4, integer_form, vsub
 from .symmetrize import laplace_step, signed_pairings
 
 
@@ -315,28 +317,31 @@ def v1_weyl_4pt(config: PointConfig) -> Fraction:
     return v1_weyl_connected(config)
 
 
-def _pole_structure_sum(config: PointConfig, terms, p: int, a: int, b: int) -> Fraction:
+def _pole_structure_sum(config: PointConfig, nums, p: int, a: int, b: int) -> Fraction:
     """a/b times the sum of num / prod over links of rho^p, over the
-    (num, links) terms of the pole structures of a configuration of 2n
-    points, of degree -2n in the coordinates.  The terms are summed as
-    integers over D^p, D the product of rho_ij over the pairs in different
-    blocks (the possible links), on the integer intervals, and rescaled by
-    L^(2n) and weighted in one Fraction."""
-    m = len(config)
-    pairs = itertools.combinations(range(m), 2)
-    den = config.pole((i, j) for i, j in pairs if i // 2 != j // 2) ** p
+    numerators `nums` of the `orbit_enumerate(n)` pole structures of 2n
+    points, of degree -2n in the coordinates: as integers over D^p, D the
+    product of rho_ij over the pairs in different blocks (the possible
+    links), then rescaled by L^(2n) and weighted in one Fraction.  Every
+    product reads `PointConfig.flat_rho` by the flat indices of
+    `_pfaffian_plan`; D comes first, so a coincident link raises."""
+    _, roots, cross = _pfaffian_plan(len(config))
+    rho = config.flat_rho.__getitem__
+    den = math.prod(map(rho, cross))
+    if not den:
+        raise DegenerateConfiguration("coincident points on a pole pair")
+    den **= p
     total = 0
-    for num, links in terms:
-        total += num * (den // config.pole(links) ** p)
-    return Fraction(total * a * config.scale**m, b * den)
+    for num, (_, _, links) in zip(nums, roots):
+        total += num * (den // math.prod(map(rho, links)) ** p)
+    return Fraction(total * a * config.scale ** len(config), b * den)
 
 
 def v1_scalar_connected(config: PointConfig) -> Fraction:
     """Connected 2n-point function of the scalar bilocal: one-loop cycles
     with propagator 1/rho over each pole structure's links, summed by
     `_pole_structure_sum`."""
-    structures = orbit_enumerate(len(config) // 2)
-    return _pole_structure_sum(config, ((1, links_of(s)) for s in structures), 1, 1, 1)
+    return _pole_structure_sum(config, itertools.repeat(1), 1, 1, 1)
 
 
 @functools.cache
@@ -366,9 +371,9 @@ def _dihedral_key(seq: CycleSeq) -> CycleSeq:
 
 
 @functools.cache
-def _pfaffian_plan(n: int):
+def _pfaffian_plan(m: int):
     """Pf(A_seq) of every `orbit_enumerate(n)` cycle as one shared Laplace
-    expansion, built once per n.
+    expansion, built once per point count m = 2n; ValueError on an odd m.
 
     A sub-Pfaffian is the Pfaffian of a cyclic subsequence L, and it
     depends on L only up to rotation and reflection: the `laplace_step`
@@ -380,10 +385,12 @@ def _pfaffian_plan(n: int):
     tuple of terms (sign, flat rho index L0 * 2n + Lj, child slot).  Slot 0
     holds the empty sequence, whose Pfaffian is 1, and node k fills slot
     k + 1 after its children.  That is 24 nodes with 76 terms at n = 3 and
-    168 with 836 at n = 4.  Returns the nodes and, per cycle, its root
-    slot and its links.
+    168 with 836 at n = 4.  Returns the nodes, per cycle its root slot and
+    links (as pairs and as flat indices i * 2n + j of `PointConfig.flat_rho`),
+    and the flat indices of the pairs in different blocks.
     """
-    m = 2 * n
+    if m % 2:
+        raise ValueError(f"need an even number of points, not {m}")
     slots = {(): 0}
     nodes = []
 
@@ -395,8 +402,10 @@ def _pfaffian_plan(n: int):
             slots[key] = len(nodes)
         return slots[key]
 
-    roots = tuple((visit(seq), tuple(links_of(seq))) for seq in orbit_enumerate(n))
-    return tuple(nodes), roots
+    pairs = itertools.combinations(range(m), 2)
+    roots = [(visit(seq), tuple(links_of(seq))) for seq in orbit_enumerate(m // 2)]
+    roots = tuple((slot, links, tuple(i * m + j for i, j in links)) for slot, links in roots)
+    return tuple(nodes), roots, tuple(i * m + j for i, j in pairs if i // 2 != j // 2)
 
 
 def cycle_pfaffians(config: PointConfig) -> List[Tuple[int, tuple]]:
@@ -405,8 +414,8 @@ def cycle_pfaffians(config: PointConfig) -> List[Tuple[int, tuple]]:
     the Pfaffian is L^(2n) times the signed pairing sum
     `wick_numerator(n, seq)` at the configuration.  The nodes of
     `_pfaffian_plan` are evaluated in order on integers."""
-    nodes, roots = _pfaffian_plan(len(config) // 2)
-    flat = [r for row in config.int_rho for r in row]
+    nodes, roots, _ = _pfaffian_plan(len(config))
+    flat = config.flat_rho
     values = [1]
     for terms in nodes:
         value = 0
@@ -416,7 +425,7 @@ def cycle_pfaffians(config: PointConfig) -> List[Tuple[int, tuple]]:
             else:
                 value -= flat[k] * values[child]
         values.append(value)
-    return [(values[slot], links) for slot, links in roots]
+    return [(values[slot], links) for slot, links, _ in roots]
 
 
 def v1_weyl_connected(config: PointConfig) -> Fraction:
@@ -435,8 +444,9 @@ def v1_weyl_connected(config: PointConfig) -> Fraction:
     No quaternion is multiplied: `cycle_trace_2n` keeps the traces as the
     oracle.
     """
+    pfaffians = (pf for pf, _ in cycle_pfaffians(config))
     c = cycle_constant(len(config) // 2)
-    return _pole_structure_sum(config, cycle_pfaffians(config), 2, c.numerator, 2 * c.denominator)
+    return _pole_structure_sum(config, pfaffians, 2, c.numerator, 2 * c.denominator)
 
 
 def v1_weyl_npoint(config: PointConfig) -> Fraction:
@@ -444,9 +454,9 @@ def v1_weyl_npoint(config: PointConfig) -> Fraction:
     part: the sum, over the parts P of at least two blocks that hold block
     0, of the connected function on P times the full function on the other
     blocks (1 on none, 0 on one).  Below eight points P holds every block,
-    so it is `v1_weyl_connected`."""
+    so it is `v1_weyl_connected`, which also rejects an odd point count."""
     n = len(config) // 2
-    if 1 < n < 4:
+    if 1 < n < 4 or len(config) % 2:
         return v1_weyl_connected(config)
 
     def full(blocks: Tuple[int, ...]):
@@ -468,21 +478,22 @@ def v1_weyl_npoint(config: PointConfig) -> Fraction:
 # -- first-principles Wick network for the composite scalars ------------------------
 
 
-def _fermion_table(config: PointConfig, kind: str) -> List[List[tuple]]:
-    """Wick contractions between a field operator (at vertex fv) and its
-    conjugate (at vertex cv), as matrices indexed (fv, cv): the step from
-    the field to its conjugate along a loop.  Entry (fv, cv) is the slash
-    quaternion of the integer form, as an int 4-tuple, times rho^(3 - p):
-    kind "psi": <psi(x) psi+(y)> = slash+(x - y) / rho^2, p = 2;
-    kind "chi": <chi(x) chi+(y)> = slash(x - y) / rho^3, p = 3.
+def _fermion_tables(config: PointConfig) -> List[List[List[tuple]]]:
+    """The psi and chi Wick contractions between a field operator (at
+    vertex fv) and its conjugate (at vertex cv), as matrices indexed
+    (fv, cv), filled in one pass over the pairs (no walk reads the diagonal).
+    Entry (fv, cv) is the slash quaternion, as an int 4-tuple, times rho^(3 - p):
+    psi: <psi(x) psi+(y)> = slash+(x - y) / rho^2, p = 2;
+    chi: <chi(x) chi+(y)> = slash(x - y) / rho^3, p = 3.
     No entry carries a sign: the loop's -1 is applied once to the sum."""
-    sign, lift = (-1, 1) if kind == "psi" else (1, 0)
-    pts = config.int_points
-    return [
-        [(z[3] * w, sign * z[0] * w, sign * z[1] * w, sign * z[2] * w)
-         for z, w in ((vsub(a, b), r**lift) for b, r in zip(pts, row))]
-        for a, row in zip(pts, config.int_rho)
-    ]
+    pts, rho = config.int_points, config.int_rho
+    psi, chi = [[None] * len(pts) for _ in pts], [[None] * len(pts) for _ in pts]
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        (x0, x1, x2, x3), r = vsub(pts[i], pts[j]), rho[i][j]
+        chi[i][j], chi[j][i] = (x3, x0, x1, x2), (-x3, -x0, -x1, -x2)
+        y0, y1, y2, y3 = x3 * r, x0 * r, x1 * r, x2 * r
+        psi[i][j], psi[j][i] = (y0, -y1, -y2, -y3), (-y0, y1, y2, y3)
+    return [psi, chi]
 
 
 def _quaternion_sum(terms) -> tuple:
@@ -507,17 +518,21 @@ def _walk_sums(config: PointConfig, tables, combine, close) -> Tuple[int, int]:
     over i in S and 0 and divides by rho_ux^p: `combine` sums the terms
     (state, entry, M(S - u, x)).  Closing at u divides by rho_u0^3 exactly:
     above two points no walk ending at u used (u, 0).  The full W is
-    R = prod_{i<j} rho_ij^3; at m = 2, R is rho^5 and the sum is lifted by
-    rho^2."""
+    R = prod_{i<j} rho_ij^3 (rho^5 at m = 2, the sum lifted by rho^2); M
+    reads a table of rho^3 cubed once.  ValueError unless m is even, >= 2."""
     m, rho = len(config), config.int_rho
+    if m < 2 or m % 2:
+        raise ValueError(f"need an even number of points, at least two, not {m}")
     lift = rho[0][1] ** 2 if m == 2 else 1
     pole = config.pole(itertools.combinations(range(m), 2)) ** 3 * lift
     size, bit = 1 << (m - 1), [1 << i >> 1 for i in range(m)]
     members = [[u for u in range(1, m) if s & bit[u]] for s in range(size)]
-    cubed = [[rho[0][x] ** 3] for x in range(m)]  # cubed[x][S] = M(S, x)
+    cube = [[r**3 for r in row] for row in rho]
+    cubed = [[cube[0][x]] for x in range(m)]  # cubed[x][S] = M(S, x)
     for s in range(1, size):
+        prev, row = s ^ bit[members[s][0]], cube[members[s][0]]
         for x, col in enumerate(cubed):
-            col.append(col[s ^ bit[members[s][0]]] * rho[members[s][0]][x] ** 3)
+            col.append(col[prev] * row[x])
     total = 0
     for parity in (0, 1):
         kinds = [tables[(k + parity) % 2] for k in range(m)]
@@ -537,13 +552,13 @@ def l1_truncated_npoint(config: PointConfig) -> Fraction:
 
     Direct fermionic Wick sum over the single-loop contraction patterns,
     walked as the (cycle from 0, parity) pairs of the module docstring:
-    each step runs from a field to its conjugate, so one table per kind
-    holds every propagator, the spinor indices contract to the trace along
-    the walk, and the closed loop gives each walk the sign -1.  The walks
-    are summed by the subset DP of `_walk_sums` on integer quaternion
-    4-tuples, as integers over R = prod_{i<j} rho_ij^3 (rho^5 at m = 2),
-    and closed by the trace 2 Re(state entry).  Each loop has m/2 edges of
-    each kind, of degrees -3 and -5 in the coordinates, so the
+    each step runs from a field to its conjugate, so two tables filled in
+    one pass hold every propagator, the spinor indices contract to the
+    trace along the walk, and the closed loop gives each walk the sign -1.
+    The walks are summed by the subset DP of `_walk_sums` on integer
+    quaternion 4-tuples, as integers over R = prod_{i<j} rho_ij^3 (rho^5
+    at m = 2), and closed by the trace 2 Re(state entry).  Each loop has
+    m/2 edges of each kind, of degrees -3 and -5 in the coordinates, so the
     integer-form sum is rescaled by L^(4m).
     Serves as the independent reference correlator for the
     symmetrization ansatz, and is why lambda_n = 2 at every n: each walk
@@ -551,12 +566,10 @@ def l1_truncated_npoint(config: PointConfig) -> Fraction:
     `symmetrized_wt`, with the chi edges on the pattern pairs and the psi
     edges on the links, and the loop's -1 is the overall minus of
     `cycle_trace_numerator`.  No Pfaffian enters, so the two sides of c08
-    stay independent.
+    stay independent.  An odd or zero point count is a ValueError.
     """
     m = len(config)
-    if m % 2:
-        raise ValueError("need an even number of points")
-    tables = [_fermion_table(config, kind) for kind in ("psi", "chi")]
+    tables = _fermion_tables(config)
     trace = lambda s, q: 2 * (s[0] * q[0] - s[1] * q[1] - s[2] * q[2] - s[3] * q[3])
     pole, total = _walk_sums(config, tables, _quaternion_sum, trace)
     return Fraction(-total * config.scale ** (4 * m), pole)
@@ -572,7 +585,7 @@ def l0_truncated_npoint(config: PointConfig) -> Fraction:
     and 1, over the same R: reversing a walk and switching its parity keeps
     its weight, so above two points every diagram is walked twice, while at
     m = 2 the one cycle is its own reverse.  The sum, of degree -4m in the
-    coordinates, is rescaled by L^(4m).
+    coordinates, is rescaled by L^(4m).  An odd or zero point count is a ValueError.
     """
     m, rho = len(config), config.int_rho
     tables = [[[r ** (3 - p) for r in row] for row in rho] for p in (1, 3)]

@@ -31,7 +31,7 @@ def exact_rational(x) -> Fraction:
     raises TypeError: its binary fraction is not the rational meant."""
     if isinstance(x, (float, complex)):
         raise TypeError(f"{x!r} is inexact; pass an int, Fraction or str")
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def vec4(*coords) -> Vec4:
@@ -55,32 +55,36 @@ class PointConfig:
     `points` holds the Fraction coordinates.  The integer form is built
     once with them: `scale` is a common multiple L of every coordinate
     denominator (their lcm, or for a `subset` the scale of the parent
-    configuration, whose integer tables it shares), `int_points` are the
-    integer vectors L z_i, and `int_rho[i][j]` is the integer squared
-    interval L^2 rho_ij.  The free-field correlators are homogeneous in the
-    coordinates, so their kernels run on the integer form and rescale their
-    result exactly by a power of L once per call.  Only `points` takes part
-    in equality and hashing.
+    configuration, whose integer rows it relabels), `int_points` are the
+    integer vectors L z_i, `int_rho[i][j]` is the integer squared interval
+    L^2 rho_ij, summed for i < j and mirrored, and `flat_rho` is that table
+    row-major, entry i * len + j.  The free-field correlators are
+    homogeneous in the coordinates, so their kernels run on the integer form
+    and rescale their result exactly by a power of L once per call.  Only
+    `points` takes part in equality and hashing.
     """
 
     points: Tuple[Vec4, ...]
     scale: int = field(compare=False, repr=False)
     int_points: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
     int_rho: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
+    flat_rho: Tuple[int, ...] = field(compare=False, repr=False)
 
     def __init__(self, points: Sequence[Sequence]):
         pts = tuple(vec4(*p) for p in points)
         scale, ipts = integer_form(pts)
-        irho = tuple(
-            tuple(sum((a - b) ** 2 for a, b in zip(p, q)) for q in ipts) for p in ipts
-        )
-        self._set(pts, scale, ipts, irho)
+        rows = [[0] * len(ipts) for _ in ipts]
+        for i, j in itertools.combinations(range(len(ipts)), 2):
+            d0, d1, d2, d3 = map(operator.sub, ipts[i], ipts[j])
+            rows[i][j] = rows[j][i] = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+        self._set(pts, scale, ipts, tuple(map(tuple, rows)))
 
     def _set(self, points, scale, int_points, int_rho) -> None:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "int_points", int_points)
         object.__setattr__(self, "int_rho", int_rho)
+        object.__setattr__(self, "flat_rho", tuple(itertools.chain.from_iterable(int_rho)))
 
     def __len__(self):
         return len(self.points)
@@ -101,21 +105,17 @@ class PointConfig:
         return prod
 
     def is_nondegenerate(self) -> bool:
-        n = len(self.points)
-        return all(
-            self.int_rho[i][j] != 0 for i in range(n) for j in range(i + 1, n)
-        )
+        return self.flat_rho.count(0) == len(self.points)  # the diagonal's zeros only
 
     def subset(self, indices: Sequence[int]) -> "PointConfig":
-        """The points at `indices`, with rows of this integer form."""
+        """The points at `indices`, with this integer form's rows relabeled."""
+        if len(indices) > 1:
+            pick = operator.itemgetter(*indices)
+        else:  # an itemgetter of one index returns the item, not a tuple
+            pick = lambda row: tuple(row[i] for i in indices)
         sub = object.__new__(PointConfig)
-        rho = self.int_rho
-        sub._set(
-            tuple(self.points[i] for i in indices),
-            self.scale,
-            tuple(self.int_points[i] for i in indices),
-            tuple(tuple(rho[i][j] for j in indices) for i in indices),
-        )
+        sub._set(pick(self.points), self.scale, pick(self.int_points),
+                 tuple(map(pick, pick(self.int_rho))))
         return sub
 
 

@@ -90,15 +90,15 @@ def symmetrized_wt(
     The v1 values are summed over one denominator (`common_denominator`)
     and the prefactors over R, rho^3 over all pairs on the integer form, a
     multiple of each pattern's; R comes first, so a coincident pair raises.
+    A pattern's pole is read from the flat table of its relabeled points.
     """
     if len(config) != 2 * n:
         raise ValueError("configuration size mismatch")
-    patterns = enumerate_patterns(n)
     pole = config.pole(itertools.combinations(range(2 * n), 2)) ** 3
-    nums, den = common_denominator(
-        [v1_eval(config.subset([p for pair in pat for p in pair])) for pat in patterns]
-    )
-    total = sum(num * (pole // config.pole(pat) ** 3) for num, pat in zip(nums, patterns))
+    subs = [config.subset([p for pair in pat for p in pair]) for pat in enumerate_patterns(n)]
+    nums, den = common_denominator([v1_eval(sub) for sub in subs])
+    pairs = slice(1, None, 4 * n + 2)  # the entries (2k, 2k + 1) of a flat table
+    total = sum(num * (pole // math.prod(sub.flat_rho[pairs]) ** 3) for num, sub in zip(nums, subs))
     return Fraction(lam) * Fraction(total * config.scale ** (6 * n), den * pole)
 
 

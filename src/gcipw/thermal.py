@@ -45,10 +45,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import islice
 from typing import Callable, Dict, Sequence
 
 from .exact import QSeries, Quaternion, lambert_series, slash
@@ -79,16 +77,11 @@ _SERIES: Dict[tuple, QSeries] = {}
 def _window(key: tuple, max_exp: int, build: Callable[[], QSeries]) -> QSeries:
     """The series build() gives to key max_exp, as a fresh copy cut from the
     longest one stored under key; build() runs only if that one is shorter,
-    and its series is stored in its place with its keys in ascending order,
-    so that the cut is a prefix (see the module docstring)."""
+    and its series is stored in its place.  The cut is `QSeries.prefix`."""
     s = _SERIES.get(key)
     if s is None or s.max_exp < max_exp:
         s = _SERIES[key] = build()
-        if list(s.num) != sorted(s.num):  # only a merge leaves its keys unsorted
-            s.num = dict(sorted(s.num.items()))
-    cut = QSeries({}, s.den, max_exp)
-    cut.num = dict(islice(s.num.items(), bisect_right(list(s.num), max_exp)))
-    return cut
+    return s.prefix(max_exp)
 
 
 def eisenstein_G(k: int, order: int) -> QSeries:

@@ -811,6 +811,50 @@ class TestIntegerForm:
             cycle_trace_2n(cfg, (0, 1, 2, 3))
         assert cycle_trace_2n(cfg, (0, 1, 3, 2)) != 0
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            v1_weyl_connected,
+            v1_scalar_connected,
+            lambda c: symmetrized_wt(3, F(1), v1_weyl_connected, c),
+        ],
+        ids=["v1_weyl_connected", "v1_scalar_connected", "symmetrized_wt"],
+    )
+    def test_coincident_cross_pair_raises(self, f):
+        # points 1 and 4 lie in different blocks: a link of some structures
+        cfg = random_config(random.Random(44), 6)
+        pts = list(cfg.points)
+        pts[4] = pts[1]
+        with pytest.raises(DegenerateConfiguration):
+            f(PointConfig(pts))
+
+
+class TestPointCounts:
+    @pytest.mark.parametrize("m", [5, 7, 9])
+    @pytest.mark.parametrize(
+        "f",
+        [
+            v1_weyl_connected,
+            v1_scalar_connected,
+            v1_weyl_npoint,
+            cycle_pfaffians,
+            l1_truncated_npoint,
+            l0_truncated_npoint,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_an_odd_count_is_a_value_error(self, f, m):
+        # a plan for n = m // 2 would read the stride-m table with stride 2n
+        with pytest.raises(ValueError, match="even number of points"):
+            f(random_config(random.Random(m), m))
+
+    @pytest.mark.parametrize(
+        "f", [l1_truncated_npoint, l0_truncated_npoint], ids=lambda f: f.__name__
+    )
+    def test_no_points_is_a_value_error(self, f):
+        with pytest.raises(ValueError, match="even number of points"):
+            f(PointConfig([]))
+
 
 def hamilton(p, q):
     """The Hamilton product of 4-tuples (a, b, c, d) = a + b i + c j + d k."""

@@ -85,6 +85,37 @@ class TestIntegerForm:
         assert sub == direct and hash(sub) == hash(direct)
         assert all(sub.rho(i, j) == direct.rho(i, j) for i in range(3) for j in range(3))
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 6, 8])
+    def test_table_is_the_mirrored_sum_of_squares(self, m):
+        rng = random.Random(40 + m)
+        pts = [[F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(4)] for _ in range(m)]
+        if m > 2:
+            pts[-1] = pts[0]  # a coincident pair, off the diagonal
+        cfg = PointConfig(pts)
+        ints = [[cfg.scale * c for c in p] for p in pts]
+        assert len(cfg.int_rho) == m
+        for i in range(m):
+            assert cfg.int_rho[i][i] == 0
+            for j in range(m):
+                direct = sum((a - b) ** 2 for a, b in zip(ints[i], ints[j]))
+                assert cfg.int_rho[i][j] == cfg.int_rho[j][i] == direct
+        assert cfg.flat_rho == tuple(r for row in cfg.int_rho for r in row)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[5, 0, 3, 1, 4, 2], [3], [2, 2, 4], []],
+        ids=["permutation", "single", "repeated", "empty"],
+    )
+    def test_subset_relabels_the_parent_rows(self, indices):
+        cfg = random_config(random.Random(23), 6)
+        sub = cfg.subset(indices)
+        assert sub.scale == cfg.scale
+        assert sub.points == tuple(cfg.points[i] for i in indices)
+        assert sub.int_points == tuple(cfg.int_points[i] for i in indices)
+        assert sub.int_rho == tuple(tuple(cfg.int_rho[i][j] for j in indices) for i in indices)
+        size = len(indices)
+        assert sub.flat_rho == tuple(sub.int_rho[k // size][k % size] for k in range(size**2))
+
 
 class TestCrossRatios:
     def test_unit_tetrad(self):

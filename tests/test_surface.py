@@ -4,7 +4,8 @@ caller in the package or the benchmark, so that no API is kept alive by
 its tests alone, every field of its records is read, no package module
 imports another's private names, only the checks build on the free-field
 oracles, the free-field references in the tests share no kernel
-internals, denominators are cleared by one helper, floats enter the
+internals, denominators are cleared by one helper, the free-field sums
+call no pole product per structure or pattern, floats enter the
 exact layers only where a q-series is evaluated, and every exception
 class of the package is raised in it."""
 
@@ -169,6 +170,37 @@ def float_uses():
 
 def test_floats_stay_in_the_qseries_evaluation():
     assert float_uses() == []
+
+
+LOOPS = (ast.For, ast.While)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def pole_calls_in_loops():
+    """`.pole(` calls in freefield.py and symmetrize.py that run once per
+    iteration of a loop or comprehension (the first iterable of a
+    comprehension runs once, so it is outside).  Per-structure and
+    per-pattern products read the configuration's flat table instead."""
+    out = []
+    for name in ("freefield.py", "symmetrize.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        looped = set()
+        for node in ast.walk(tree):
+            if isinstance(node, LOOPS):
+                parts = [*node.body, *([node.test] if isinstance(node, ast.While) else [])]
+                looped |= {id(sub) for part in parts for sub in ast.walk(part)}
+            elif isinstance(node, COMPREHENSIONS):
+                once = {id(sub) for sub in ast.walk(node.generators[0].iter)}
+                looped |= {id(sub) for sub in ast.walk(node)} - once
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "pole" and id(node) in looped):
+                out.append(f"{name}:{node.lineno}")
+    return sorted(out)
+
+
+def test_no_pole_product_per_structure():
+    assert pole_calls_in_loops() == []
 
 
 def private_freefield_imports():
