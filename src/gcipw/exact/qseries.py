@@ -26,7 +26,7 @@ from typing import Dict
 class QSeries:
     """Truncated series sum_k (num[k] / den) q^(k/2), with keys in [0, max_exp]."""
 
-    __slots__ = ("num", "den", "max_exp", "_peaks")
+    __slots__ = ("num", "den", "max_exp", "_keys", "_peaks")
 
     def __init__(self, num: Dict[int, int], den: int, max_exp: int):
         if den <= 0:
@@ -34,16 +34,19 @@ class QSeries:
         self.num: Dict[int, int] = {k: n for k, n in sorted(num.items()) if n and 0 <= k <= max_exp}
         self.den = den
         self.max_exp = max_exp
-        self._peaks = None
+        self._keys = self._peaks = None
 
     def prefix(self, max_exp: int) -> "QSeries":
-        """The keys up to max_exp as a fresh series, with the largest |num[k]|
-        up to each key, found once per series, cut with it for `tail_bound`."""
+        """The keys up to max_exp as a fresh series.  The ascending key list
+        and the largest |num[k]| up to each key are found once per series
+        and cut with it, the peaks for `tail_bound`."""
         if self._peaks is None:
+            self._keys = list(self.num)
             self._peaks = list(accumulate(map(abs, self.num.values()), max))
+        n = bisect_right(self._keys, max_exp)
         cut = QSeries({}, self.den, max_exp)
-        cut.num = dict(islice(self.num.items(), bisect_right(list(self.num), max_exp)))
-        cut._peaks = self._peaks[: len(cut.num)]
+        cut.num = dict(islice(self.num.items(), n))
+        cut._keys, cut._peaks = self._keys[:n], self._peaks[:n]
         return cut
 
     @property

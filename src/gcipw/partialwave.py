@@ -8,6 +8,14 @@ with the universal hypergeometric kernels F(a, a; 2a; u) at a = 2l+k
 (`hypergeom_series`, the only Gauss series the package needs: the twist
 recursion reads the same kernel at a = k-1).
 
+The expansion is linear in theta = (a0, a1, a2, b, c, B^2), and so is the
+twist recursion, so each g_k is sum theta_i times the g_k of a unit point.
+The recursion runs only on the six unit points, once per
+(max_twist, order), its tower kept for the 32 most recent keys; a first
+call at a key pays for six recursions, one per unit point.  `twist_extract`
+then forms every g_k as one integer combination of the unit rows and
+builds f_k from that g_k.
+
 The 2-point tail is derived, not read off a displayed formula: with the
 normalization of fourpoint.truncated_4pt_value, (rho12 rho34)^4 times the
 full 4-point function is B^2 (1 + s^4 + s^4 t^-4) + s t^-3 P4, and the
@@ -19,6 +27,7 @@ where the structure constants are the generalized-free-field ones,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,33 +104,49 @@ class TwistTower:
     """The twist sectors k = 1..max_twist that `twist_extract` found.
 
     g[k] is the profile u f_k(0, 1-u), so g[k].shift(-1) is the boundary
-    value f_k(0, 1-u) that the structure-constant solve reads.  f[k] is f_k
-    by its v-slices j <= max_twist - k, the ones the recursion reads.
+    value f_k(0, 1-u) that the structure-constant solve reads; its
+    denominator is the lcm of its coefficients' reduced denominators.
+    f[k] is f_k by its v-slices j <= max_twist - k, the ones the recursion
+    reads, formed from g[k] by `_profile_quotient`.  Every list in a tower
+    is its own, so a caller may change it.
     """
 
     g: Dict[int, PSeries] = field(default_factory=dict)
     f: Dict[int, Series2] = field(default_factory=dict)
 
 
-def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
-    """Recursively extract f_k and g_k for k = 1..max_twist.
+def _profile_quotient(G: List[int], den: int, k: int, depth: int) -> Series2:
+    """f_k by its first `depth` v-slices from g_k = G / den, by
+    (u - v) f_k = g_k(u) F(v) - F(u) g_k(v), F = F(k-1, k-1; 2k-2; x):
+    the numerator held over den dF, dF the denominator of F's integer row,
+    and its exact quotient by (u - v), over the same den dF."""
+    work = len(G) - 1  # the degree of g_k
+    hyp = hypergeom_series(k - 1, work)
+    F = hyp.num
+    numerator = Series2(
+        [[G[n] * F[i] - F[n] * G[i] for n in range(work - i + 1)] for i in range(depth)],
+        den * hyp.den,
+    )
+    try:
+        return div_u_minus_v(numerator)
+    except ValueError as err:
+        raise InconsistentExpansion(f"(u - v) does not divide the f_{k} numerator") from err
+
+
+def _twist_recursion(lhs: Series2) -> TwistTower:
+    """g_k and f_k for k = 1..len(lhs.rows), by the remainder recursion on
+    the expansion `lhs` of `lhs_series`.
 
     The remainder after removing the first k-1 sectors must vanish below
     v^(k-1); its v^(k-1) slice, divided by u^(k-1), is the boundary value
-    f_k(0, 1-u), and g_k = u f_k(0, 1-u).  The retained slices of f_k
-    follow from (u - v) f_k = g_k(u) F(v) - F(u) g_k(v),
-    F = F(k-1, k-1; 2k-2; x).  The remainder is held as integer rows over
-    one running denominator R: g_k is over R, and the numerator, its
-    (u - v) quotient and the updated remainder over R dF, with dF the
-    denominator of F's integer row.  The rows still to be read are then
-    divided by their gcd with R dF, which is the next R.
+    f_k(0, 1-u), and g_k = u f_k(0, 1-u); f_k follows by
+    `_profile_quotient`.  The remainder is held as integer rows over one
+    running denominator R: g_k is over R, and f_k and the updated
+    remainder over R dF.  The rows still to be read are then divided by
+    their gcd with R dF, which is the next R.
     """
-    if max_twist < 1:
-        raise ValueError(f"need max_twist >= 1, got {max_twist}")
-    if order < 2 * max_twist + 4:
-        raise ValueError("series order too small for the requested twist depth")
+    max_twist = len(lhs.rows)
     tower = TwistTower()
-    lhs = lhs_series(p, order, max_twist)
     remainder, den = lhs.rows, lhs.den
     for k in range(1, max_twist + 1):
         for j in range(k - 1):
@@ -132,31 +157,80 @@ def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
         low = remainder[k - 1]
         if any(low[: k - 1]):
             raise InconsistentExpansion(f"v^{k - 1} slice not divisible by u^{k - 1}")
-        phi = low[k - 1 :]
-        G = [0, *phi]
-        work = order - 2 * k + 3  # the degree of g_k
-        hyp = hypergeom_series(k - 1, work)
-        F, dF = hyp.num, hyp.den
-        D = den * dF
-        numerator = Series2(
-            [
-                [G[n] * F[i] - F[n] * G[i] for n in range(work - i + 1)]
-                for i in range(max_twist - k + 1)
-            ],
-            D,
-        )
-        try:
-            f_k = div_u_minus_v(numerator)
-        except ValueError as err:
-            raise InconsistentExpansion(f"(u - v) does not divide the f_{k} numerator") from err
+        G = [0, *low[k - 1 :]]
+        f_k = _profile_quotient(G, den, k, max_twist - k + 1)
+        dF = f_k.den // den
         tower.g[k] = PSeries(G, den)
         tower.f[k] = f_k
         for m, row in enumerate(f_k.rows, k - 1):  # s^(k-1) f_k: slice j at v^(j+k-1)
             remainder[m] = [x * dF - y for x, y in zip(remainder[m], [0] * (k - 1) + row)]
-        r = math.gcd(D, *(x for row in remainder[k:] for x in row))
+        r = math.gcd(f_k.den, *(x for row in remainder[k:] for x in row))
         if r > 1:  # keep R from growing as the product of every dF
             remainder[k:] = [[x // r for x in row] for row in remainder[k:]]
-        den = D // r
+        den = f_k.den // r
+    return tower
+
+
+# theta = (a0, a1, a2, b, c, B^2): the family is linear in it
+_UNITS = ("a0", "a1", "a2", "b", "c", "B")
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_tower(max_twist: int, order: int) -> List[Tuple[List[List[int]], int]]:
+    """For k = 1..max_twist, g_k of the six unit points `PWParams.unit`
+    (a0..c and B = 1, in `_UNITS` order) as six integer rows over one
+    denominator, the lcm of theirs.  Each unit runs `_twist_recursion`,
+    which checks its expansion.  The 32 most recently used
+    (max_twist, order) are kept; callers read the rows and never change
+    them."""
+    units = [lhs_series(PWParams.unit(name), order, max_twist) for name in _UNITS]
+    towers = [_twist_recursion(lhs) for lhs in units]
+    out = []
+    for k in range(1, max_twist + 1):
+        gs = [tower.g[k] for tower in towers]
+        den = math.lcm(*(g.den for g in gs))
+        out.append(([[x * (den // g.den) for x in g.num] for g in gs], den))
+    return out
+
+
+def twist_extract(p: PWParams, max_twist: int, order: int) -> TwistTower:
+    """f_k and g_k for k = 1..max_twist, as integer combinations of the
+    six unit towers.
+
+    The expansion `lhs_series` is linear in theta = (a0, a1, a2, b, c, B^2),
+    and so is every step of `_twist_recursion` (each g_k and f_k reads the
+    remainder linearly, and the remainder update subtracts them), so g_k
+    is sum theta_i times g_k of the i-th unit point, and p's remainder is
+    the same combination of the unit remainders.  The vanishing and
+    divisibility checks of the recursion therefore run once, on the units:
+    when they pass there, they pass for every p.
+
+    The units' rows come from `_unit_tower`, built once per
+    (max_twist, order) and kept for the 32 most recent keys; the first
+    call at a key costs six recursions, one per unit point.  Every call then
+    forms each g_k in one integer pass, sum c_i row_i with
+    c = (p.num Bd^2, Bn^2 p.den) over p.den Bd^2 (B = Bn / Bd) times the
+    rows' denominator, reduced by one gcd, and f_k from that g_k by
+    `_profile_quotient`, whose (u - v) division is checked on every call.
+    """
+    if max_twist < 1:
+        raise ValueError(f"need max_twist >= 1, got {max_twist}")
+    if order < 2 * max_twist + 4:
+        raise ValueError("series order too small for the requested twist depth")
+    Bn, Bd = p.B.numerator, p.B.denominator
+    c0, c1, c2, c3, c4 = (n * Bd * Bd for n in p.num)
+    c5, scale = Bn * Bn * p.den, p.den * Bd * Bd
+    tower = TwistTower()
+    for k, (rows, den) in enumerate(_unit_tower(max_twist, order), 1):
+        G = [
+            c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 + c4 * x4 + c5 * x5
+            for x0, x1, x2, x3, x4, x5 in zip(*rows)
+        ]
+        D = den * scale
+        r = math.gcd(D, *G)
+        G, D = [x // r for x in G], D // r
+        tower.g[k] = PSeries(G, D)
+        tower.f[k] = _profile_quotient(G, D, k, max_twist - k + 1)
     return tower
 
 

@@ -83,7 +83,10 @@ def _positive_params(rng: random.Random) -> PWParams:
 
 @_check("c01_structure_constants", budget=60)
 def _structure_constants(seed: int):
-    """Criterion 1: solver B's equal the closed forms, exactly."""
+    """Criterion 1: solver B's equal the closed forms, exactly.
+
+    The five unit sets read the unit towers that the twist recursion
+    builds; the 20 random sets read their integer combination."""
     rng = random.Random(seed)
     params = [PWParams.unit(k) for k in ("a0", "a1", "a2", "b", "c")]
     params += [random_params(rng) for _ in range(20)]

@@ -351,10 +351,16 @@ class TestInputErrors:
         from gcipw import partialwave
         from gcipw.exact import MPoly
 
-        # t^-3 P4 = 1 is not in the family: its g_1/u = 1 leaves an odd power
-        monkeypatch.setattr(partialwave, "P4_numerator", lambda p: MPoly(2, {(0, 3): 1}))
-        args = ["decompose", "--max-twist", "1", "--max-spin", "2"]
-        self.expect_one_line(args, "InconsistentExpansion", capsys)
+        # t^-3 P4 = a0 is not in the family: its g_1/u = 1 leaves an odd
+        # power.  The fake reaches only a fresh build of the unit towers,
+        # and the towers built from it must not outlive the test.
+        partialwave._unit_tower.cache_clear()
+        monkeypatch.setattr(partialwave, "P4_numerator", lambda p: MPoly(2, {(0, 3): p.num[0]}))
+        args = ["decompose", "--a0", "1", "--max-twist", "1", "--max-spin", "2"]
+        try:
+            self.expect_one_line(args, "InconsistentExpansion", capsys)
+        finally:
+            partialwave._unit_tower.cache_clear()
 
 
 class TestOutputErrors:

@@ -219,13 +219,10 @@ def gauss_fractions(a, b, c, order):
 
 def fraction_twist_extract(p, max_twist, order):
     """The twist recursion on Fraction slices, an independent reference for
-    the integer rows: (g, f) as {k: list} and {k: list of slices},
-    and den {k: the lcm of the denominators of the remainder rows v^(k-1)
-    and up at step k}."""
+    the integer rows: (g, f) as {k: list} and {k: list of slices}."""
     remainder = fraction_rows(lhs_series(p, order, max_twist))
-    g, f, den = {}, {}, {}
+    g, f = {}, {}
     for k in range(1, max_twist + 1):
-        den[k] = math.lcm(*(c.denominator for row in remainder[k - 1 :] for c in row))
         assert not any(c for j in range(k - 1) for c in remainder[j])
         assert not any(remainder[k - 1][: k - 1])
         phi = remainder[k - 1][k - 1 :]
@@ -244,7 +241,7 @@ def fraction_twist_extract(p, max_twist, order):
         for j, sl in enumerate(quotient):
             rem = remainder[j + k - 1]
             remainder[j + k - 1] = rem[: k - 1] + [x - y for x, y in zip(rem[k - 1 :], sl)]
-    return g, f, den
+    return g, f
 
 
 class TestTwistExtract:
@@ -318,19 +315,43 @@ class TestTwistExtract:
 
     @pytest.mark.parametrize("max_twist", range(1, 9))
     def test_matches_the_fraction_recursion(self, max_twist):
-        # entry for entry against the recursion on Fraction lists, at the
-        # least order and a longer one, with B = 0 and B != 0
+        # entry for entry against the recursion on Fraction lists and the
+        # integer recursion run on p itself, at the least order and a
+        # longer one, with B = 0 and B != 0
         rng = random.Random(40 + max_twist)
         for with_B in (False, True):
             p = rand_params(rng, with_B)
             for order in (2 * max_twist + 4, 2 * max_twist + 13):
                 tower = twist_extract(p, max_twist, order)
-                g, f, den = fraction_twist_extract(p, max_twist, order)
+                g, f = fraction_twist_extract(p, max_twist, order)
+                direct = partialwave._twist_recursion(lhs_series(p, order, max_twist))
                 for k in range(1, max_twist + 1):
-                    assert tower.g[k].coeffs == g[k]
-                    if k > 1:  # R is reduced after every step, so it is the lcm
-                        assert tower.g[k].den == den[k]
-                    assert fraction_rows(tower.f[k]) == f[k]
+                    coeffs = tower.g[k].coeffs
+                    assert coeffs == g[k] == direct.g[k].coeffs
+                    # the combination is reduced by one gcd, so den is the lcm
+                    assert tower.g[k].den == math.lcm(*(c.denominator for c in coeffs))
+                    assert fraction_rows(tower.f[k]) == f[k] == fraction_rows(direct.f[k])
+
+    @pytest.mark.parametrize("p", [PWParams.unit("a0"), rand_params(random.Random(17), True)])
+    def test_a_changed_tower_leaves_the_next_call_alone(self, p):
+        first = twist_extract(p, 4, 20)
+        want = {k: (g.coeffs, fraction_rows(first.f[k])) for k, g in first.g.items()}
+        for k, g in first.g.items():
+            g.num[:] = [7] * len(g.num)
+            g.num.append(1)
+            for row in first.f[k].rows:
+                row[:] = [-1] * len(row)
+            first.f[k].rows.append([1])
+        again = twist_extract(p, 4, 20)
+        assert {k: (g.coeffs, fraction_rows(again.f[k])) for k, g in again.g.items()} == want
+
+    @pytest.mark.parametrize("max_twist, order", [(0, 12), (-1, 40), (5, 13), (3, 0)])
+    def test_invalid_arguments_add_no_cache_entry(self, max_twist, order):
+        partialwave._unit_tower.cache_clear()
+        with pytest.raises(ValueError):
+            twist_extract(PWParams(a0=1), max_twist, order)
+        info = partialwave._unit_tower.cache_info()
+        assert (info.currsize, info.misses) == (0, 0)
 
     def test_remainder_diagnostics(self):
         # feeding a non-family series must raise: fake it by breaking the

@@ -5,9 +5,10 @@ its tests alone, every field of its records is read, no package module
 imports another's private names, only the checks build on the free-field
 oracles, the free-field references in the tests share no kernel
 internals, denominators are cleared by one helper, the free-field sums
-call no pole product per structure or pattern, floats enter the
-exact layers only where a q-series is evaluated, and every exception
-class of the package is raised in it."""
+call no pole product per structure or pattern, the twist recursion
+runs only on the unit points, floats enter the exact layers only where a
+q-series is evaluated, and every exception class of the package is
+raised in it."""
 
 import ast
 import builtins
@@ -201,6 +202,35 @@ def pole_calls_in_loops():
 
 def test_no_pole_product_per_structure():
     assert pole_calls_in_loops() == []
+
+
+# the twist recursion runs on the unit points only; every other tower is
+# their integer combination
+UNIT_ONLY = ("lhs_series", "_twist_recursion")
+
+
+def unit_only_callers():
+    """For each name of UNIT_ONLY, the innermost function or class of the
+    package and the benchmark around each mention of it, once per mention
+    ("<module>" outside any; its own definition does not mention it)."""
+    out = {name: [] for name in UNIT_ONLY}
+
+    def visit(node, owner, label):
+        for child in ast.iter_child_nodes(node):
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in out:
+                out[name].append(f"{label}: {owner}")
+            visit(child, child.name if isinstance(child, DEFINITIONS) else owner, label)
+
+    for path in [*PACKAGE.rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
+        visit(ast.parse(path.read_text()), "<module>", path.relative_to(ROOT))
+    return out
+
+
+def test_the_recursion_runs_only_in_the_unit_builder():
+    want = ["src/gcipw/partialwave.py: _unit_tower"]
+    assert unit_only_callers() == {name: want for name in UNIT_ONLY}
 
 
 def private_freefield_imports():
