@@ -8,7 +8,7 @@ one denominator and build Fractions only on access.
 """
 
 from .mpoly import MPoly
-from .qseries import QSeries, lambert_series
+from .qseries import QSeries, lambert_series, settled
 from .quaternion import Quaternion, chain_trace, slash
 from .series import PSeries, Series2, div_u_minus_v, unit_row
 
@@ -20,6 +20,7 @@ __all__ = [
     "unit_row",
     "QSeries",
     "lambert_series",
+    "settled",
     "Quaternion",
     "chain_trace",
     "slash",

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, islice
 from numbers import Rational
-from typing import Dict
+from typing import Dict, Sequence
 
 
 class QSeries:
@@ -113,32 +113,50 @@ class QSeries:
         same float as float(Fraction); ValueError, naming the key, if one
         it reads is past the float range.
 
-        The keys are summed in ascending order up to the first whose power
-        qh**k (qh = q^(1/2)) is exactly zero; the terms after it would
-        leave the sum unchanged.  Above k = 100, CPython forms qh**k as
-        pow(|qh|, k) times a phase, which does not grow with k, so every
-        later power is zero too.  At k <= 100 it multiplies repeated
-        squares instead: a zero there needs |qh|^k, and so |qh|^100, to be
-        about the smallest float 2^-1074 or less, so |qh| < 2^-10, and each
-        later power is at least 2^10 times smaller, too small for any of
-        the four float products of a complex product to round away from
-        zero.  Each skipped term
-        is then a finite coefficient times a signed zero, and adding a
-        signed zero changes no component of the sum, which starts at +0
-        and so is never -0.
+        The keys are summed in ascending order, and the sum stops before
+        the first key k at which either
+
+        * `settled` holds for the running sum and the majorant
+          peak * |qh**k| (qh = q^(1/2), peak the largest |coefficient| in
+          the window): twice the majorant is below a quarter ulp of each
+          component of the sum.  Every later term is a coefficient of at
+          most peak times a power of modulus at most |qh|^k, so none can
+          change the sum; the factor 2 covers the rounding of qh**k and of
+          the product.  A component that is 0.0 never licenses this stop.
+          A `prefix` cut carries its peak; any other series takes one max
+          over its coefficients.  If the peak is past the float range the
+          majorant is inf and never stops the sum, so the ValueError for
+          the key still fires when the sum reaches it; or
+
+        * the power qh**k is exactly zero.  Above k = 100, CPython forms
+          qh**k as pow(|qh|, k) times a phase, which does not grow with k,
+          so every later power is zero too.  At k <= 100 it multiplies
+          repeated squares instead: a zero there needs |qh|^k, and so
+          |qh|^100, to be about the smallest float 2^-1074 or less, so
+          |qh| < 2^-10, and each later power is at least 2^10 times
+          smaller, too small for any of the four float products of a
+          complex product to round away from zero.  Each skipped term is
+          then a finite coefficient times a signed zero, and adding a
+          signed zero changes no component of the sum, which starts at +0
+          and so is never -0.  This stop is the one left where a component
+          of the sum is 0.0, as at pure-imaginary tau for a real series.
+
+        Either way the float sum is the one the full loop over every key
+        gives, bit for bit.
         """
         qh = _half_nome(tau)
         num, den = self.num, self.den
+        edge = self._edge()
         total = 0j
         try:
             for k in num:
                 power = qh**k
-                if not power:
+                if not power or settled((total,), edge * abs(power)):
                     break
                 total += (num[k] / den) * power
         except OverflowError:  # only the division can overflow
             raise ValueError(f"the coefficient at key {k} is past the float range") from None
-        return total, self._tail(abs(qh))
+        return total, self._tail(abs(qh), edge)
 
     def tail_bound(self, tau: complex) -> float:
         """The bound `eval` returns at tau, without summing the series.
@@ -148,18 +166,24 @@ class QSeries:
         r = |q^(1/2)|; inf if r rounds to 1 or that coefficient is past
         the float range.
         """
-        return self._tail(abs(_half_nome(tau)))
+        return self._tail(abs(_half_nome(tau)), self._edge())
 
-    def _tail(self, r: float) -> float:
-        # coefficients of the series used here grow at most polynomially,
-        # so a geometric majorant scaled by the largest kept coefficient
-        # is a safe order-of-magnitude bound; a `prefix` cut carries its peaks
+    def _edge(self) -> float:
+        """The largest |coefficient| in the window (1 if it is empty), inf
+        past the float range; a `prefix` cut carries its peaks."""
         peaks = self._peaks or [max(map(abs, self.num.values()), default=self.den)]
         try:
-            edge = peaks[-1] / self.den
+            return peaks[-1] / self.den
         except OverflowError:
             return float("inf")
-        return edge * r ** (self.max_exp + 1) / (1 - r) if r < 1 else float("inf")
+
+    def _tail(self, r: float, edge: float) -> float:
+        # coefficients of the series used here grow at most polynomially,
+        # so a geometric majorant scaled by the largest kept coefficient
+        # is a safe order-of-magnitude bound
+        if r >= 1 or edge == float("inf"):
+            return float("inf")
+        return edge * r ** (self.max_exp + 1) / (1 - r)
 
     def __repr__(self):
         items = {Fraction(k, 2): c for k, c in sorted(self.coeffs.items())}
@@ -171,6 +195,28 @@ def _half_nome(tau: complex) -> complex:
     if tau.imag <= 0:
         raise ValueError("need Im tau > 0")
     return cmath.exp(1j * cmath.pi * tau)
+
+
+def settled(totals: Sequence[complex], majorant: float) -> bool:
+    """Whether float sums may stop: True when no term whose exact modulus
+    is at most majorant can change any of the float totals.
+
+    Twice the majorant must be below a quarter ulp of each component of
+    each total.  The factor 2 covers the rounding of the float term against
+    its exact value.  A float t with |t| < ulp(x)/4 leaves x + t rounding
+    to x: the floats next to x lie at least ulp(x)/2 away, the half being
+    the spacing just below a power of two.  So the total is unchanged, and
+    if the majorant bounds every term still to come, the total stays fixed
+    through all of them and the sum may stop here, bit for bit.  A
+    component that is 0.0 (or subnormal) has ulp(x)/4 == 0 and never
+    licenses a stop, since a signed zero or a tiny term could still move
+    it; an inf or nan majorant never does either.
+    """
+    bound = 2 * majorant
+    for total in totals:
+        if not (bound < math.ulp(total.real) / 4 and bound < math.ulp(total.imag) / 4):
+            return False
+    return True
 
 
 def lambert_series(const, terms, sign: int, max_exp: int) -> QSeries:

@@ -38,6 +38,25 @@ and the derived series keep the smaller window of what they merge.  The
 stored series holds its keys in ascending order, so a window is a prefix
 of it, copied without filtering its entries again.  Each request gets its
 own fresh dict, so callers never share state.
+
+Stopping the float sums.  Every float q-expansion loop -- `QSeries.eval`
+(see its docstring), the p1 sums behind `elliptic_p1` and
+`gibbs_scalar_2pt`, and `gibbs_scalar_modes` -- stops before term n once
+`exact.settled` holds: twice a majorant of every remaining term is below a
+quarter ulp of each component of the running sum.  No such term can change
+the float sum (the floats next to x lie at least ulp(x)/2 away, the half
+being the spacing just below a power of two), so the sum is fixed from n
+on and the result is the full loop's, bit for bit; the factor 2 covers the
+rounding of the term against its exact value.  A component that is 0.0
+never licenses a stop, so at pure-imaginary tau and real zeta, where one
+component of p1 stays 0.0, the loops run to the end as before.  The
+majorant of the n-th p1 term is 4 pi |q|^n e^(2 pi n y) / (1 - |q|), with
+y = max |Im zeta|, from |sin(x + iy)| <= e^|y| and |1 - q^n| >= 1 - |q|;
+that of the mode sum is 2 |q|^n e^(2 pi n y) / ((1 - |q|) |sin 2 pi alpha|).
+Both fall with n only while y < Im tau, outside which the expansions
+diverge: there the functions raise ValueError before summing.  Inside,
+sin or cos(2 pi n zeta) alone can pass the float range while q^n times it
+is tiny, so such a term is formed as q^n e^(+-2 pi i n zeta) instead.
 """
 
 from __future__ import annotations
@@ -47,9 +66,10 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate, islice
 from typing import Callable, Dict, Sequence
 
-from .exact import QSeries, Quaternion, lambert_series, slash
+from .exact import QSeries, Quaternion, lambert_series, settled, slash
 
 TWO_PI = 2 * math.pi
 
@@ -106,6 +126,22 @@ def harmonic_dimension(m: int, D: int) -> int:
     return math.comb(m + D - 1, D - 1) - math.comb(m + D - 3, D - 1)
 
 
+def _harmonic_dimensions(D: int, count: int) -> list:
+    """[harmonic_dimension(m, D) for m in range(count)], in integers.  The
+    dimension is a polynomial of degree D - 2 in m, so the leading
+    differences of its first D - 1 values fix it, and D - 2 running sums
+    rebuild every later value from them without a binomial per m."""
+    row = [harmonic_dimension(m, D) for m in range(D - 1)]
+    heads = []  # the differences of order 0, 1, ..., D - 2 at m = 0
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    values = [heads.pop()] * count  # the constant top difference
+    for head in reversed(heads):
+        values = list(islice(accumulate(values, initial=head), count))
+    return values
+
+
 @lru_cache(maxsize=None)
 def _scalar_vacuum_constant(D: int) -> Fraction:
     """The constant term of sum_j c_j G_{2j+2}, where sum_j c_j n^(2j+1) =
@@ -127,7 +163,8 @@ def energy_mean_scalar(D: int, order: int) -> QSeries:
     the series is sum_j c_j G_{2j+2}, so the vacuum constant is
     E(d0) = sum_j c_j (-B_{2j+2} / (4 (j+1))), the zeta-regularized Casimir
     energy on R x S^(D-1): 1/240 at D = 4, -31/60480 at D = 6,
-    289/3628800 at D = 8.  It is derived once per D.
+    289/3628800 at D = 8.  It is derived once per D.  The weights come from
+    `_harmonic_dimensions`, by running sums rather than binomials per n.
     """
     if D % 2 or D < 4:
         raise ValueError("only even D >= 4 is supported")
@@ -136,7 +173,9 @@ def energy_mean_scalar(D: int, order: int) -> QSeries:
     d0 = (D - 2) // 2
 
     def build():
-        terms = ((2 * n, n * harmonic_dimension(n - d0, D)) for n in range(d0, order + 1))
+        ns = range(d0, order + 1)
+        weights = map(operator.mul, ns, _harmonic_dimensions(D, len(ns)))
+        terms = zip(range(2 * d0, 2 * order + 1, 2), weights)
         return lambert_series(_scalar_vacuum_constant(D), terms, 1, 2 * order)
 
     return _window(("energy_mean_scalar", D), 2 * order, build)
@@ -253,17 +292,47 @@ def _nome(tau: complex) -> complex:
     return q
 
 
+def _decay(zetas: Sequence[complex], tau: complex) -> tuple:
+    """q, and the ratio rho = |q| e^(2 pi y), y = max |Im zeta|, by which a
+    bound on the n-th term of a q-expansion in sin or cos(2 pi n zeta)
+    falls with n.  ValueError unless rho < 1, that is y < Im tau: the
+    expansion diverges otherwise."""
+    q = _nome(tau)
+    y = max(abs(zeta.imag) for zeta in zetas)
+    if y >= tau.imag:
+        raise ValueError(
+            f"|Im zeta|={y} is not below Im tau={tau.imag}, so the q-expansion diverges"
+        )
+    return q, math.exp(TWO_PI * (y - tau.imag))
+
+
+def _qn_exp_pair(n: int, tau: complex, z: complex, sign: int) -> complex:
+    """q^n (e^(iz) + sign e^(-iz)) / 2: q^n cos z for sign 1 and i q^n sin z
+    for sign -1.  Both exponentials have modulus below 1 while |Im z| <
+    2 pi n Im tau, so this holds where cmath.sin or cos of z overflows."""
+    a = 1j * TWO_PI * n * tau
+    return (cmath.exp(a + 1j * z) + sign * cmath.exp(a - 1j * z)) / 2
+
+
 def _p1_sums(zetas: Sequence[complex], tau: complex, order: int) -> list:
     """p1 at each of zetas by its q-expansion, forming q^n and
-    4 pi q^n/(1-q^n) once per n for all of them."""
-    q = _nome(tau)
+    4 pi q^n/(1-q^n) once per n for all of them; the sum stops once every
+    total is `settled` (see the module docstring)."""
+    q, rho = _decay(zetas, tau)
+    scale = 4 * math.pi / (1 - abs(q))
     totals = [math.pi * _cot(math.pi * zeta) for zeta in zetas]
     indices = range(len(zetas))
     for n in range(1, order + 1):
+        if settled(totals, scale * rho**n):
+            break
         qn = q**n
         weight, angle = 4 * math.pi * qn / (1 - qn), TWO_PI * n
         for i in indices:
-            totals[i] += weight * cmath.sin(angle * zetas[i])
+            try:
+                term = weight * cmath.sin(angle * zetas[i])
+            except OverflowError:
+                term = 4 * math.pi / (1 - qn) * -1j * _qn_exp_pair(n, tau, angle * zetas[i], -1)
+            totals[i] += term
     return totals
 
 
@@ -319,13 +388,23 @@ def gibbs_scalar_2pt(zeta: complex, alpha: float, tau: complex, order: int) -> c
 
 
 def gibbs_scalar_modes(zeta: complex, alpha: float, tau: complex, order: int) -> complex:
-    """Mode-sum representation: vacuum + Planck-weighted angular cosines."""
-    q = _nome(tau)
+    """Mode-sum representation: vacuum + Planck-weighted angular cosines;
+    the sum stops once it is `settled` (see the module docstring)."""
+    q, rho = _decay((zeta,), tau)
     sa = math.sin(TWO_PI * alpha)
+    scale = 2 / ((1 - abs(q)) * abs(sa))
     total = scalar_vacuum_2pt(zeta, alpha)
     for n in range(1, order + 1):
+        if settled((total,), scale * rho**n):
+            break
         qn = q**n
-        total += 2 * qn / (1 - qn) * math.sin(TWO_PI * n * alpha) / sa * cmath.cos(TWO_PI * n * zeta)
+        angle = TWO_PI * n
+        try:
+            term = 2 * qn / (1 - qn) * math.sin(angle * alpha) / sa * cmath.cos(angle * zeta)
+        except OverflowError:
+            pair = _qn_exp_pair(n, tau, angle * zeta, 1)
+            term = 2 / (1 - qn) * math.sin(angle * alpha) / sa * pair
+        total += term
     return total
 
 

@@ -7,8 +7,8 @@ oracles, the free-field references in the tests share no kernel
 internals, denominators are cleared by one helper, the free-field sums
 call no pole product per structure or pattern, the twist recursion
 runs only on the unit points, floats enter the exact layers only where a
-q-series is evaluated, and every exception class of the package is
-raised in it."""
+q-series is evaluated, one helper decides when a float q-expansion sum
+stops, and every exception class of the package is raised in it."""
 
 import ast
 import builtins
@@ -138,13 +138,13 @@ def test_denominators_are_cleared_in_one_place():
 
 
 # the one place the exact layers meet floats: evaluating a q-series at tau
-FLOAT_SITES = {"eval", "tail_bound", "_tail", "_half_nome"}
+FLOAT_SITES = {"eval", "tail_bound", "_edge", "_tail", "_half_nome"}
 
 
 def float_uses():
     """Float or complex literals, `float(`/`complex(` calls and `cmath` in
-    src/gcipw/exact/, outside QSeries.eval, tail_bound and _tail and the
-    function _half_nome of exact/qseries.py (`import cmath` included)."""
+    src/gcipw/exact/, outside QSeries.eval, tail_bound, _edge and _tail and
+    the function _half_nome of exact/qseries.py (`import cmath` included)."""
     out = []
     for path in (PACKAGE / "exact").rglob("*.py"):
         tree = ast.parse(path.read_text())
@@ -209,11 +209,11 @@ def test_no_pole_product_per_structure():
 UNIT_ONLY = ("lhs_series", "_twist_recursion")
 
 
-def unit_only_callers():
-    """For each name of UNIT_ONLY, the innermost function or class of the
-    package and the benchmark around each mention of it, once per mention
+def mention_owners(names):
+    """For each of names, the innermost function or class of the package
+    and the benchmark around each mention of it, once per mention
     ("<module>" outside any; its own definition does not mention it)."""
-    out = {name: [] for name in UNIT_ONLY}
+    out = {name: [] for name in names}
 
     def visit(node, owner, label):
         for child in ast.iter_child_nodes(node):
@@ -230,7 +230,19 @@ def unit_only_callers():
 
 def test_the_recursion_runs_only_in_the_unit_builder():
     want = ["src/gcipw/partialwave.py: _unit_tower"]
-    assert unit_only_callers() == {name: want for name in UNIT_ONLY}
+    assert mention_owners(UNIT_ONLY) == {name: want for name in UNIT_ONLY}
+
+
+def test_one_helper_decides_when_a_float_sum_stops():
+    # the quarter-ulp rule lives in `settled` alone, and every float
+    # q-expansion loop asks it
+    owners = mention_owners(("ulp", "settled"))
+    assert set(owners["ulp"]) == {"src/gcipw/exact/qseries.py: settled"}
+    assert sorted(owners["settled"]) == [
+        "src/gcipw/exact/qseries.py: eval",
+        "src/gcipw/thermal.py: _p1_sums",
+        "src/gcipw/thermal.py: gibbs_scalar_modes",
+    ]
 
 
 def private_freefield_imports():

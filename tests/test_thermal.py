@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from gcipw import thermal
-from gcipw.exact import QSeries, Quaternion
+from gcipw.exact import QSeries, Quaternion, lambert_series
 from gcipw.thermal import (
     WEYL_VACUUM_ENERGY,
     bernoulli,
@@ -23,6 +23,7 @@ from gcipw.thermal import (
     gibbs_scalar_2pt,
     gibbs_scalar_modes,
     gibbs_weyl_2pt,
+    harmonic_dimension,
     kms_translate_sum_check,
     modular_check_G,
     p1_lattice,
@@ -90,6 +91,22 @@ class TestEnergyMeans:
         # constants of the G_(2j+2) in the mode weight
         assert energy_mean_scalar(8, 10)[0] == F(289, 3628800)
         assert energy_mean_scalar(10, 10)[0] == F(-317, 22809600)
+
+    @pytest.mark.parametrize("D", [4, 6, 8])
+    def test_weights_are_the_harmonic_dimensions(self, D, monkeypatch):
+        # the running-sum weights against one harmonic_dimension call per n,
+        # through n = 600, and the fresh series against the per-n build
+        d0 = (D - 2) // 2
+        count = 600 - d0 + 1
+        assert thermal._harmonic_dimensions(D, count) == [
+            harmonic_dimension(m, D) for m in range(count)
+        ]
+        assert thermal._harmonic_dimensions(D, 0) == []
+        monkeypatch.setattr(thermal, "_SERIES", {})
+        got = energy_mean_scalar(D, 600)
+        terms = ((2 * n, n * harmonic_dimension(n - d0, D)) for n in range(d0, 601))
+        want = lambert_series(thermal._scalar_vacuum_constant(D), terms, 1, 1200)
+        assert (got.num, got.den, got.max_exp) == (want.num, want.den, want.max_exp)
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -273,6 +290,28 @@ def fraction_eval(series, tau):
     return total, edge * r ** (series.max_exp + 1) / (1 - r)
 
 
+def full_loop_p1(zeta, tau, order):
+    """elliptic_p1's q-expansion summed through every n <= order."""
+    q = cmath.exp(2j * math.pi * tau)
+    total = math.pi * thermal._cot(math.pi * zeta)
+    for n in range(1, order + 1):
+        qn = q**n
+        total += 4 * math.pi * qn / (1 - qn) * cmath.sin(2 * math.pi * n * zeta)
+    return total
+
+
+def full_loop_modes(zeta, alpha, tau, order):
+    """gibbs_scalar_modes summed through every n <= order."""
+    q = cmath.exp(2j * math.pi * tau)
+    sa = math.sin(2 * math.pi * alpha)
+    total = scalar_vacuum_2pt(zeta, alpha)
+    for n in range(1, order + 1):
+        qn = q**n
+        total += 2 * qn / (1 - qn) * math.sin(2 * math.pi * n * alpha) / sa * cmath.cos(
+            2 * math.pi * n * zeta)
+    return total
+
+
 def bits(z: complex) -> tuple:
     """z exactly, with the signs of zeros."""
     return z.real.hex(), z.imag.hex()
@@ -306,13 +345,18 @@ class TestQSeriesEval:
             eisenstein_G(3, 200),
             energy_mean_weyl(401),
             eisenstein_G(2, 200) * 7 * F(1, 7),  # over 1680, not the reduced 240
+            # built directly, with no prefix peaks: the peak is one max,
+            # at the front of the window or late in it
+            QSeries({k: (-1) ** k * 10**12 // (k + 1) ** 2 for k in range(301)}, 7, 300),
+            QSeries({0: 1, 1: -3, 250: 10**20}, 1, 300),
         ],
-        ids=["G2", "G4", "G6", "weyl", "G4_unreduced"],
+        ids=["G2", "G4", "G6", "weyl", "G4_unreduced", "direct_front_peak", "direct_late_peak"],
     )
     def test_floats_equal_the_fraction_evaluation(self, series):
-        """eval stops at the first zero power; the reference sums every key.
-        From Im tau = 2.4 on the stop falls at a key <= 100, where CPython
-        forms qh**k by repeated squaring rather than by pow(|qh|, k)."""
+        """eval stops once the sum is settled or at the first zero power;
+        the reference sums every key.  From Im tau = 2.4 on the zero power
+        falls at a key <= 100, where CPython forms qh**k by repeated
+        squaring rather than by pow(|qh|, k)."""
         assert cmath.exp(-cmath.pi * 2.4) ** 100 == 0  # |qh|^100
         grid = [complex(x, y) for y in GRID_IMAGS for x in GRID_REALS]
         for tau in [*EVAL_TAUS, *grid]:
@@ -341,14 +385,21 @@ class TestQSeriesEval:
                 assert not any(powers[first:]), (x, y, first)
 
     def test_eval_reads_no_coefficient_past_the_stop(self):
-        series = eisenstein_G(2, 400)
-        series.num = CountingDict(series.num)
-        tau = 0.1 + 1.2j
-        series.eval(tau)
-        qh = cmath.exp(1j * cmath.pi * tau)
-        stop = next(k for k in sorted(series.num) if not qh**k)
-        assert 0 < stop < series.max_exp
-        assert series.num.reads == [k for k in sorted(series.num) if k < stop]
+        # the keys read are an ascending prefix that ends before the first
+        # zero power; at 0.1 + 1.2i the sum settles strictly earlier, while at
+        # pure-imaginary tau its imaginary part stays 0.0 and only the zero
+        # power stops it
+        for tau, settles in ((0.1 + 1.2j, True), (0.45 + 0.9j, True), (1.1j, False)):
+            series = eisenstein_G(2, 400)
+            series.num = CountingDict(series.num)
+            series.eval(tau)
+            qh = cmath.exp(1j * cmath.pi * tau)
+            keys = list(series.num)
+            below_zero = keys.index(next(k for k in keys if not qh**k))
+            assert 0 < below_zero < len(keys) - 1
+            reads = series.num.reads
+            assert reads == keys[: len(reads)], tau
+            assert (len(reads) < below_zero) if settles else (len(reads) == below_zero), tau
 
     def test_a_coefficient_past_the_float_range_is_a_value_error(self):
         # not an OverflowError from the integer division, which the CLI would
@@ -363,6 +414,16 @@ class TestQSeriesEval:
         assert g.tail_bound(1j) == math.inf
         with pytest.raises(ValueError):
             modular_check_G(200, 1j, 10)
+
+    def test_a_peak_past_the_float_range_turns_the_settling_stop_off(self):
+        # at tau = 0.3 + i the power at key 40 is about 2.5e-55, far below
+        # the rounding of the sum (1 + q^(1/2)) / 3, both of whose components
+        # are nonzero, under any finite peak; the peak 10**400 / 3 is past the
+        # float range, so the sum still reaches the key and fails
+        series = QSeries({0: 1, 1: 1, 40: 10**400}, 3, 40)
+        for s in (series, series.prefix(40)):
+            with pytest.raises(ValueError, match="key 40 "):
+                s.eval(0.3 + 1j)
 
 
 class TestEllipticP1:
@@ -438,25 +499,81 @@ class TestGibbsScalar:
 
     def test_one_pass_equals_two_p1_loops(self):
         # gibbs_scalar_2pt forms q^n and its weight once for both zeta +- alpha;
-        # the floats are those of one elliptic_p1 loop per zeta, written out here
-        def p1(zeta, tau, order):
-            q = cmath.exp(2j * math.pi * tau)
-            total = math.pi * thermal._cot(math.pi * zeta)
-            for n in range(1, order + 1):
-                qn = q**n
-                total += 4 * math.pi * qn / (1 - qn) * cmath.sin(2 * math.pi * n * zeta)
-            return total
-
+        # the floats are those of one elliptic_p1 loop per zeta, written out
+        # in full_loop_p1.  Draws with |Im zeta| >= Im tau diverge and raise.
         rng = random.Random(20)
         for _ in range(100):
             zeta = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
             alpha = rng.uniform(0.05, 0.45)
             tau = complex(rng.uniform(-1, 1), rng.uniform(0.1, 3))
-            want = (p1(zeta + alpha, tau, 72) - p1(zeta - alpha, tau, 72)) / (
+            if abs(zeta.imag) >= tau.imag:
+                with pytest.raises(ValueError, match="diverges"):
+                    gibbs_scalar_2pt(zeta, alpha, tau, 72)
+                with pytest.raises(ValueError, match="diverges"):
+                    elliptic_p1(zeta, tau, 40)
+                continue
+            want = (full_loop_p1(zeta + alpha, tau, 72) - full_loop_p1(zeta - alpha, tau, 72)) / (
                 4 * math.pi * math.sin(2 * math.pi * alpha)
             )
             assert bits(gibbs_scalar_2pt(zeta, alpha, tau, 72)) == bits(want), (zeta, alpha, tau)
-            assert bits(elliptic_p1(zeta, tau, 40)) == bits(p1(zeta, tau, 40)), (zeta, tau)
+            want = full_loop_p1(zeta, tau, 40)
+            assert bits(elliptic_p1(zeta, tau, 40)) == bits(want), (zeta, tau)
+
+    @pytest.mark.parametrize("re_tau", [0, 0.3, -0.3, 0.5])
+    def test_the_settling_stop_keeps_the_full_loop_bits(self, re_tau):
+        # real and complex zeta, with the zeta +- alpha of the Gibbs function;
+        # at Re tau = 0 and real zeta a component of p1 stays 0.0 and the
+        # loops run to the end
+        zetas = (0.13, 0.5, -0.41, 0.23 + 0.2j, -0.3 - 0.45j, 0.07 + 0.5j)
+        for im_tau in (0.6, 0.9, 1.5, 2.4, 4.0):
+            tau = complex(re_tau, im_tau)
+            for zeta in zetas:
+                for order in (10, 72, 200):
+                    p1 = elliptic_p1(zeta, tau, order)
+                    assert bits(p1) == bits(full_loop_p1(zeta, tau, order)), (zeta, tau, order)
+                    p1p, p1m = thermal._p1_sums((zeta + ALPHA, zeta - ALPHA), tau, order)
+                    assert bits(p1p) == bits(full_loop_p1(zeta + ALPHA, tau, order))
+                    assert bits(p1m) == bits(full_loop_p1(zeta - ALPHA, tau, order))
+                    modes = gibbs_scalar_modes(zeta, ALPHA, tau, order)
+                    assert bits(modes) == bits(full_loop_modes(zeta, ALPHA, tau, order)), (
+                        zeta, tau, order)
+
+
+class TestExpansionDomain:
+    # 2 pi n Im zeta passes the float range of sinh at n = 54, where the
+    # terms themselves are about 1e-100
+    ZETA = 0.37657546235186523 + 2.1132780846426424j
+    TAU = 1.6069992006782932 + 2.7955085256799865j
+
+    def test_large_im_zeta_inside_the_domain(self):
+        want = p1_lattice(self.ZETA, self.TAU, 25)
+        for order in (20, 80, 400):
+            assert abs(elliptic_p1(self.ZETA, self.TAU, order) - want) < 1e-12
+        for order in (60, 400):
+            a = gibbs_scalar_2pt(self.ZETA, ALPHA, self.TAU, order)
+            b = gibbs_scalar_modes(self.ZETA, ALPHA, self.TAU, order)
+            assert abs(a - b) < 1e-12
+
+    def test_a_component_that_never_settles_does_not_overflow(self):
+        # pure-imaginary zeta and tau: the real part of p1 stays 0.0, so the
+        # loop runs to the end, past the n where sin(2 pi n zeta) overflows
+        zeta, tau = 2.1j, 2.8j
+        assert abs(elliptic_p1(zeta, tau, 80) - p1_lattice(zeta, tau, 25)) < 1e-12
+        a = gibbs_scalar_2pt(zeta, ALPHA, tau, 80)
+        b = gibbs_scalar_modes(zeta, ALPHA, tau, 80)
+        assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize(
+        "zeta, tau", [(0.1 + 3j, 2j), (0.1 + 2j, 2j), (0.2 - 0.5j, 0.3 + 0.4j)]
+    )
+    def test_im_zeta_not_below_im_tau_is_a_value_error(self, zeta, tau):
+        for call in (
+            lambda: elliptic_p1(zeta, tau, 40),
+            lambda: gibbs_scalar_2pt(zeta, ALPHA, tau, 40),
+            lambda: gibbs_scalar_modes(zeta, ALPHA, tau, 40),
+        ):
+            with pytest.raises(ValueError, match="diverges"):
+                call()
 
 
 class TestGibbsWeyl:
