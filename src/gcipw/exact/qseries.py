@@ -6,17 +6,21 @@ Weyl-type series q^(n+1/2) coexist with ordinary q-expansions without a
 fraction type in the keys.
 
 Coefficients are integer numerators over one positive denominator: the
-coefficient at key k is num[k] / den, keys ascending; `num` is read-only
-after construction.  The denominator is not reduced, so equal series may
-hold different (num, den) pairs.  All arithmetic stays on integers;
-`coeffs` and `[k]` build Fractions only when asked.
+coefficient at key k is num[k] / den.  A series holds its nonzero keys
+ascending, their numerators and the running peak of |numerator| as
+immutable tuples, and a window length n: the first n keys are its own.
+`prefix` shares the tuples and bisects for its n, so a cut copies nothing;
+`num` and `coeffs` build a fresh dict on each access.  The denominator is
+not reduced, so equal series may hold different (num, den) pairs.  All
+arithmetic stays on integers; `coeffs` and `[k]` build Fractions only
+when asked.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, islice
 from numbers import Rational
@@ -26,43 +30,48 @@ from typing import Dict, Sequence
 class QSeries:
     """Truncated series sum_k (num[k] / den) q^(k/2), with keys in [0, max_exp]."""
 
-    __slots__ = ("num", "den", "max_exp", "_keys", "_peaks")
+    __slots__ = ("den", "max_exp", "_keys", "_nums", "_peaks", "_n")
 
     def __init__(self, num: Dict[int, int], den: int, max_exp: int):
         if den <= 0:
             raise ValueError("need a positive denominator")
-        self.num: Dict[int, int] = {k: n for k, n in sorted(num.items()) if n and 0 <= k <= max_exp}
+        self._keys = tuple(sorted(k for k, n in num.items() if n and 0 <= k <= max_exp))
+        self._nums = tuple(map(num.__getitem__, self._keys))
+        self._peaks = tuple(accumulate(map(abs, self._nums), max))
+        self._n = len(self._keys)
         self.den = den
         self.max_exp = max_exp
-        self._keys = self._peaks = None
 
     def prefix(self, max_exp: int) -> "QSeries":
-        """The keys up to max_exp as a fresh series.  The ascending key list
-        and the largest |num[k]| up to each key are found once per series
-        and cut with it, the peaks for `tail_bound`."""
-        if self._peaks is None:
-            self._keys = list(self.num)
-            self._peaks = list(accumulate(map(abs, self.num.values()), max))
-        n = bisect_right(self._keys, max_exp)
-        cut = QSeries({}, self.den, max_exp)
-        cut.num = dict(islice(self.num.items(), n))
-        cut._keys, cut._peaks = self._keys[:n], self._peaks[:n]
+        """The keys up to max_exp, cut by one bisection and sharing the tuples."""
+        cut = QSeries.__new__(QSeries)
+        cut._keys, cut._nums, cut._peaks, cut.den = self._keys, self._nums, self._peaks, self.den
+        cut._n, cut.max_exp = bisect_right(self._keys, max_exp, 0, self._n), max_exp
         return cut
+
+    def _items(self):  # the window's (key, numerator) pairs, keys ascending
+        return zip(islice(self._keys, self._n), self._nums)
+
+    @property
+    def num(self) -> Dict[int, int]:
+        """The nonzero numerators by key, built on each access."""
+        return dict(self._items())
 
     @property
     def coeffs(self) -> Dict[int, Fraction]:
         """The nonzero coefficients as Fractions, built on each access."""
-        return {k: Fraction(n, self.den) for k, n in self.num.items()}
+        return {k: Fraction(n, self.den) for k, n in self._items()}
 
     def __getitem__(self, k: int) -> Fraction:
-        return Fraction(self.num.get(k, 0), self.den)
+        i = bisect_left(self._keys, k, 0, self._n)
+        return Fraction(self._nums[i] if i < self._n and self._keys[i] == k else 0, self.den)
 
     def _merge(self, other: "QSeries", sign: int) -> "QSeries":
         max_exp = min(self.max_exp, other.max_exp)
         den = math.lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
-        out = {k: n * fa for k, n in self.num.items() if k <= max_exp}
-        for k, n in other.num.items():
+        out = {k: n * fa for k, n in self._items() if k <= max_exp}
+        for k, n in other._items():
             if k <= max_exp:
                 out[k] = out.get(k, 0) + n * fb
         return QSeries(out, den, max_exp)
@@ -74,7 +83,7 @@ class QSeries:
         return self._merge(other, -1)
 
     def __neg__(self) -> "QSeries":
-        return QSeries({k: -n for k, n in self.num.items()}, self.den, self.max_exp)
+        return QSeries({k: -n for k, n in self._items()}, self.den, self.max_exp)
 
     def __mul__(self, other):
         """Scale by an int or Fraction."""
@@ -82,7 +91,7 @@ class QSeries:
             return NotImplemented
         a = other.numerator
         return QSeries(
-            {k: n * a for k, n in self.num.items()}, self.den * other.denominator, self.max_exp
+            {k: n * a for k, n in self._items()}, self.den * other.denominator, self.max_exp
         )
 
     __rmul__ = __mul__
@@ -91,8 +100,8 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         max_exp = min(self.max_exp, other.max_exp)
-        a = {k: n * other.den for k, n in self.num.items() if k <= max_exp}
-        b = {k: n * self.den for k, n in other.num.items() if k <= max_exp}
+        a = {k: n * other.den for k, n in self._items() if k <= max_exp}
+        b = {k: n * self.den for k, n in other._items() if k <= max_exp}
         return a == b
 
     def halfperiod_substitute(self) -> "QSeries":
@@ -101,9 +110,9 @@ class QSeries:
         Requires an integer-exponent input; the image of q^n is
         (-1)^n q^(n/2), so doubled keys 2n map to keys n.
         """
-        if any(k % 2 for k in self.num):
+        if any(k % 2 for k in islice(self._keys, self._n)):
             raise ValueError("q -> -q^(1/2) needs an integer-exponent series")
-        out = {k // 2: -n if k % 4 else n for k, n in self.num.items()}
+        out = {k // 2: -n if k % 4 else n for k, n in self._items()}
         return QSeries(out, self.den, self.max_exp // 2)
 
     def eval(self, tau: complex) -> tuple[complex, float]:
@@ -123,10 +132,10 @@ class QSeries:
           most peak times a power of modulus at most |qh|^k, so none can
           change the sum; the factor 2 covers the rounding of qh**k and of
           the product.  A component that is 0.0 never licenses this stop.
-          A `prefix` cut carries its peak; any other series takes one max
-          over its coefficients.  If the peak is past the float range the
-          majorant is inf and never stops the sum, so the ValueError for
-          the key still fires when the sum reaches it; or
+          The running peaks are found once, with the tuples.  If the peak
+          is past the float range the majorant is inf and never stops the
+          sum, so the ValueError for the key still fires when the sum
+          reaches it; or
 
         * the power qh**k is exactly zero.  Above k = 100, CPython forms
           qh**k as pow(|qh|, k) times a phase, which does not grow with k,
@@ -145,15 +154,15 @@ class QSeries:
         gives, bit for bit.
         """
         qh = _half_nome(tau)
-        num, den = self.num, self.den
+        nums, den = self._nums, self.den
         edge = self._edge()
         total = 0j
         try:
-            for k in num:
+            for i, k in enumerate(islice(self._keys, self._n)):
                 power = qh**k
                 if not power or settled((total,), edge * abs(power)):
                     break
-                total += (num[k] / den) * power
+                total += (nums[i] / den) * power
         except OverflowError:  # only the division can overflow
             raise ValueError(f"the coefficient at key {k} is past the float range") from None
         return total, self._tail(abs(qh), edge)
@@ -170,10 +179,11 @@ class QSeries:
 
     def _edge(self) -> float:
         """The largest |coefficient| in the window (1 if it is empty), inf
-        past the float range; a `prefix` cut carries its peaks."""
-        peaks = self._peaks or [max(map(abs, self.num.values()), default=self.den)]
+        past the float range."""
+        if not self._n:
+            return 1.0
         try:
-            return peaks[-1] / self.den
+            return self._peaks[self._n - 1] / self.den
         except OverflowError:
             return float("inf")
 

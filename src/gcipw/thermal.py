@@ -35,9 +35,10 @@ Lambert term w q^(n2/2) / (1 - sign q^(n2/2)) touches only keys >= n2, so
 the terms a longer build adds leave the shorter window alone; the
 denominator is the vacuum constant's, which does not depend on the order;
 and the derived series keep the smaller window of what they merge.  The
-stored series holds its keys in ascending order, so a window is a prefix
-of it, copied without filtering its entries again.  Each request gets its
-own fresh dict, so callers never share state.
+stored series holds its keys in ascending order in immutable tuples, so a
+window is a prefix of it: it shares those tuples and is cut by index, one
+bisection for its length.  Callers never share mutable state, since `num`
+and `coeffs` build a fresh dict on each access.
 
 Stopping the float sums.  Every float q-expansion loop -- `QSeries.eval`
 (see its docstring), the p1 sums behind `elliptic_p1` and
@@ -95,9 +96,10 @@ _SERIES: Dict[tuple, QSeries] = {}
 
 
 def _window(key: tuple, max_exp: int, build: Callable[[], QSeries]) -> QSeries:
-    """The series build() gives to key max_exp, as a fresh copy cut from the
-    longest one stored under key; build() runs only if that one is shorter,
-    and its series is stored in its place.  The cut is `QSeries.prefix`."""
+    """The series build() gives to key max_exp, cut by index from the
+    longest one stored under key and sharing its immutable storage; build()
+    runs only if that one is shorter, and its series is stored in its
+    place.  The cut is `QSeries.prefix`."""
     s = _SERIES.get(key)
     if s is None or s.max_exp < max_exp:
         s = _SERIES[key] = build()
@@ -378,11 +380,18 @@ def scalar_vacuum_2pt(zeta: complex, alpha: float) -> complex:
     return -0.25 * _csc(math.pi * zp) * _csc(math.pi * zm)
 
 
-def gibbs_scalar_2pt(zeta: complex, alpha: float, tau: complex, order: int) -> complex:
-    """(p1(zeta+) - p1(zeta-)) / (4 pi sin(2 pi alpha))."""
+def _angle_sine(alpha: float) -> float:
+    """sin(2 pi alpha), which the scalar Gibbs functions divide by;
+    ValueError where it vanishes, at alpha a multiple of 1/2."""
     sa = math.sin(TWO_PI * alpha)
     if abs(sa) < 1e-14:
         raise ValueError("sin(2 pi alpha) = 0 is a degenerate angle")
+    return sa
+
+
+def gibbs_scalar_2pt(zeta: complex, alpha: float, tau: complex, order: int) -> complex:
+    """(p1(zeta+) - p1(zeta-)) / (4 pi sin(2 pi alpha))."""
+    sa = _angle_sine(alpha)
     p1p, p1m = _p1_sums((zeta + alpha, zeta - alpha), tau, order)
     return (p1p - p1m) / (4 * math.pi * sa)
 
@@ -390,8 +399,8 @@ def gibbs_scalar_2pt(zeta: complex, alpha: float, tau: complex, order: int) -> c
 def gibbs_scalar_modes(zeta: complex, alpha: float, tau: complex, order: int) -> complex:
     """Mode-sum representation: vacuum + Planck-weighted angular cosines;
     the sum stops once it is `settled` (see the module docstring)."""
+    sa = _angle_sine(alpha)
     q, rho = _decay((zeta,), tau)
-    sa = math.sin(TWO_PI * alpha)
     scale = 2 / ((1 - abs(q)) * abs(sa))
     total = scalar_vacuum_2pt(zeta, alpha)
     for n in range(1, order + 1):

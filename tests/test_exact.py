@@ -721,6 +721,61 @@ class TestQSeries:
                 QSeries({2: 1}, den, 10)
 
 
+WINDOW_TAUS = (0.1 + 1.2j, 0.45 + 0.9j, 1.1j)
+
+
+def assert_same_window(got, want):
+    """got and want hold the same series and window, down to the floats
+    `eval` and `tail_bound` give."""
+    assert (got.num, got.den, got.max_exp) == (want.num, want.den, want.max_exp)
+    assert got.coeffs == want.coeffs
+    assert all(got[k] == want[k] for k in range(-2, want.max_exp + 3))
+    assert got == want and want == got
+    for tau in WINDOW_TAUS:
+        assert repr(got.eval(tau)) == repr(want.eval(tau)), tau
+        assert repr(got.tail_bound(tau)) == repr(want.tail_bound(tau)), tau
+
+
+class TestQSeriesWindows:
+    """A `prefix` cut shares its series' storage and is cut by index; it must
+    be exactly the series a fresh construction over its window gives."""
+
+    SERIES = QSeries({3: 1, 5: -2, 6: 4, 9: -8}, 7, 10)
+
+    def test_a_cut_shares_the_storage(self):
+        s = self.SERIES
+        for m in (-1, 2, 5, 8, 10, 14):
+            cut = s.prefix(m)
+            assert cut._keys is s._keys and cut._nums is s._nums and cut._peaks is s._peaks
+            assert cut.prefix(m - 1)._nums is s._nums
+
+    def test_nested_cuts(self):
+        s = self.SERIES
+        for a in range(-1, 12):
+            for b in range(-1, a + 1):
+                assert_same_window(s.prefix(a).prefix(b), QSeries(s.num, s.den, b))
+
+    def test_cuts_below_the_first_key_and_past_the_window(self):
+        s = self.SERIES
+        for m in (-3, 0, 2):
+            low = s.prefix(m)
+            assert low.num == {} and low.max_exp == m and low.eval(1j)[0] == 0
+            assert_same_window(low, QSeries({}, s.den, m))
+        assert_same_window(s.prefix(10), s)
+        past = s.prefix(13)
+        assert past.num == s.num and past.max_exp == 13
+        assert_same_window(past, QSeries(s.num, s.den, 13))
+
+    @settings(max_examples=60)
+    @given(qseries_refs, st.integers(-2, 16), st.integers(-2, 16))
+    def test_a_cut_is_a_fresh_series(self, a, m, inner):
+        coeffs, max_exp, scale = a
+        s = to_qseries(coeffs, max_exp, scale)
+        assert_same_window(s.prefix(m), QSeries(s.num, s.den, m))
+        inner = min(inner, m)
+        assert_same_window(s.prefix(m).prefix(inner), QSeries(s.num, s.den, inner))
+
+
 class TestQSeriesIntegerForm:
     """Every QSeries operation against a plain {key: Fraction} reference."""
 
