@@ -10,19 +10,12 @@ function, the twist-2 profile, is written in (e1, e2) directly by
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, Tuple
 
 from .series import Series2, common_denominator, unit_row
-
-
-@functools.lru_cache(maxsize=256)
-def _row(m: int, order: int) -> Tuple[int, ...]:
-    """unit_row(m, order) as a tuple, kept for the next call."""
-    return tuple(unit_row(m, order))
 
 
 def chiral_slices(
@@ -51,7 +44,7 @@ def chiral_slices(
     for (a, b), c in zip(terms, scaled):
         if not c:
             continue
-        w, binom = _row(b, top - 1), _row(b + e, b + e)
+        w, binom = unit_row(b, top - 1), unit_row(b + e, b + e)
         c //= g
         for j in range(a, min(top, order - a + 1)):  # u^a fits slice j
             cj = c * w[j - a]

@@ -43,10 +43,12 @@ class QSeries:
         self.max_exp = max_exp
 
     def prefix(self, max_exp: int) -> "QSeries":
-        """The keys up to max_exp, cut by one bisection and sharing the tuples."""
+        """The keys up to max_exp, cut by one bisection and sharing the tuples;
+        never past self.max_exp, beyond which the coefficients are unknown."""
         cut = QSeries.__new__(QSeries)
         cut._keys, cut._nums, cut._peaks, cut.den = self._keys, self._nums, self._peaks, self.den
-        cut._n, cut.max_exp = bisect_right(self._keys, max_exp, 0, self._n), max_exp
+        cut.max_exp = min(max_exp, self.max_exp)
+        cut._n = bisect_right(self._keys, cut.max_exp, 0, self._n)
         return cut
 
     def _items(self):  # the window's (key, numerator) pairs, keys ascending
@@ -241,14 +243,9 @@ def lambert_series(const, terms, sign: int, max_exp: int) -> QSeries:
     for n2, w in terms:
         if n2 <= 0:
             raise ValueError("need a positive leading exponent")
-        if sign > 0:
-            for k in range(n2, max_exp + 1, n2):
-                acc[k] += w
-        else:  # w at the odd multiples of n2, -w at the even ones
-            for k in range(n2, max_exp + 1, 2 * n2):
-                acc[k] += w
-            for k in range(2 * n2, max_exp + 1, 2 * n2):
-                acc[k] -= w
+        for k in range(n2, max_exp + 1, n2):
+            acc[k] += w
+            w *= sign
     den = const.denominator
     acc[0] = const.numerator
     acc[1:] = [c * den for c in acc[1:]]

@@ -49,14 +49,6 @@ class PSeries:
     def order(self) -> int:
         return len(self.num) - 1
 
-    def shift(self, k: int) -> "PSeries":
-        """Multiply by x^k (k may be negative if low coefficients vanish)."""
-        if k >= 0:
-            return PSeries([0] * k + self.num, self.den)
-        if any(self.num[:-k]):
-            raise ValueError("shift would drop nonzero low-order coefficients")
-        return PSeries(self.num[-k:], self.den)
-
     def __repr__(self):
         return f"PSeries({self.num!r}, {self.den!r})"
 

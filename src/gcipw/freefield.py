@@ -332,7 +332,7 @@ def _pole_structure_sum(config: PointConfig, nums, p: int, a: int, b: int) -> Fr
         raise DegenerateConfiguration("coincident points on a pole pair")
     den **= p
     total = 0
-    for num, (_, _, links) in zip(nums, roots):
+    for num, (_, links) in zip(nums, roots):
         total += num * (den // math.prod(map(rho, links)) ** p)
     return Fraction(total * a * config.scale ** len(config), b * den)
 
@@ -386,8 +386,8 @@ def _pfaffian_plan(m: int):
     holds the empty sequence, whose Pfaffian is 1, and node k fills slot
     k + 1 after its children.  That is 24 nodes with 76 terms at n = 3 and
     168 with 836 at n = 4.  Returns the nodes, per cycle its root slot and
-    links (as pairs and as flat indices i * 2n + j of `PointConfig.flat_rho`),
-    and the flat indices of the pairs in different blocks.
+    the flat indices i * 2n + j of its links in `PointConfig.flat_rho`, and
+    the flat indices of the pairs in different blocks.
     """
     if m % 2:
         raise ValueError(f"need an even number of points, not {m}")
@@ -403,13 +403,13 @@ def _pfaffian_plan(m: int):
         return slots[key]
 
     pairs = itertools.combinations(range(m), 2)
-    roots = [(visit(seq), tuple(links_of(seq))) for seq in orbit_enumerate(m // 2)]
-    roots = tuple((slot, links, tuple(i * m + j for i, j in links)) for slot, links in roots)
+    cycles = orbit_enumerate(m // 2)
+    roots = tuple((visit(seq), tuple(i * m + j for i, j in links_of(seq))) for seq in cycles)
     return tuple(nodes), roots, tuple(i * m + j for i, j in pairs if i // 2 != j // 2)
 
 
-def cycle_pfaffians(config: PointConfig) -> List[Tuple[int, tuple]]:
-    """(Pf(A_seq), links) of each `orbit_enumerate(n)` cycle in order, on
+def cycle_pfaffians(config: PointConfig) -> List[int]:
+    """Pf(A_seq) of each `orbit_enumerate(n)` cycle in order, on
     the integer intervals L^2 rho_ij of a configuration of 2n points, so
     the Pfaffian is L^(2n) times the signed pairing sum
     `wick_numerator(n, seq)` at the configuration.  The nodes of
@@ -425,7 +425,7 @@ def cycle_pfaffians(config: PointConfig) -> List[Tuple[int, tuple]]:
             else:
                 value -= flat[k] * values[child]
         values.append(value)
-    return [(values[slot], links) for slot, links, _ in roots]
+    return [values[slot] for slot, _ in roots]
 
 
 def v1_weyl_connected(config: PointConfig) -> Fraction:
@@ -444,9 +444,8 @@ def v1_weyl_connected(config: PointConfig) -> Fraction:
     No quaternion is multiplied: `cycle_trace_2n` keeps the traces as the
     oracle.
     """
-    pfaffians = (pf for pf, _ in cycle_pfaffians(config))
     c = cycle_constant(len(config) // 2)
-    return _pole_structure_sum(config, pfaffians, 2, c.numerator, 2 * c.denominator)
+    return _pole_structure_sum(config, cycle_pfaffians(config), 2, c.numerator, 2 * c.denominator)
 
 
 def v1_weyl_npoint(config: PointConfig) -> Fraction:

@@ -103,8 +103,8 @@ def lhs_series(p: PWParams, order: int, depth: int) -> Series2:
 class TwistTower:
     """The twist sectors k = 1..max_twist that `twist_extract` found.
 
-    g[k] is the profile u f_k(0, 1-u), so g[k].shift(-1) is the boundary
-    value f_k(0, 1-u) that the structure-constant solve reads; its
+    g[k] is the profile u f_k(0, 1-u); the structure-constant solve reads
+    its numerators past the first, the boundary value f_k(0, 1-u).  Its
     denominator is the lcm of its coefficients' reduced denominators.
     f[k] is f_k by its v-slices j <= max_twist - k, the ones the recursion
     reads, formed from g[k] by `_profile_quotient`.  Every list in a tower
@@ -322,8 +322,9 @@ def solve_structure_constants(g: PSeries, kappa: int, max_spin: int) -> List[Fra
         raise ValueError(f"need kappa >= 1 and max_spin >= 0, got {kappa}, {max_spin}")
     if g.order < 2 * max_spin + 1:
         raise ValueError("series too short for the requested spin range")
-    h = g.shift(-1)
-    num, den = h.num[: 2 * max_spin + 2], h.den  # a copy, never padded
+    if g.num[0]:
+        raise ValueError("g has a nonzero constant term, so g/u is not a series")
+    num, den = g.num[1 : 2 * max_spin + 3], g.den  # g/u, a copy, never padded
     top = len(num) - 1
     out: List[Fraction] = []
     for power in range(top + 1):

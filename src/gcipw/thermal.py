@@ -67,7 +67,6 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, islice
 from typing import Callable, Dict, Sequence
 
 from .exact import QSeries, Quaternion, lambert_series, settled, slash
@@ -128,23 +127,6 @@ def harmonic_dimension(m: int, D: int) -> int:
     return math.comb(m + D - 1, D - 1) - math.comb(m + D - 3, D - 1)
 
 
-def _harmonic_dimensions(D: int, count: int) -> list:
-    """[harmonic_dimension(m, D) for m in range(count)], in integers.  The
-    dimension is a polynomial of degree D - 2 in m, so the leading
-    differences of its first D - 1 values fix it, and D - 2 running sums
-    rebuild every later value from them without a binomial per m."""
-    row = [harmonic_dimension(m, D) for m in range(D - 1)]
-    heads = []  # the differences of order 0, 1, ..., D - 2 at m = 0
-    while row:
-        heads.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    values = [heads.pop()] * count  # the constant top difference
-    for head in reversed(heads):
-        values = list(islice(accumulate(values, initial=head), count))
-    return values
-
-
-@lru_cache(maxsize=None)
 def _scalar_vacuum_constant(D: int) -> Fraction:
     """The constant term of sum_j c_j G_{2j+2}, where sum_j c_j n^(2j+1) =
     n harmonic_dimension(n - d0, D) = [2/(2 d0)!] n prod_{i < d0} (n^2 - i^2)."""
@@ -165,8 +147,7 @@ def energy_mean_scalar(D: int, order: int) -> QSeries:
     the series is sum_j c_j G_{2j+2}, so the vacuum constant is
     E(d0) = sum_j c_j (-B_{2j+2} / (4 (j+1))), the zeta-regularized Casimir
     energy on R x S^(D-1): 1/240 at D = 4, -31/60480 at D = 6,
-    289/3628800 at D = 8.  It is derived once per D.  The weights come from
-    `_harmonic_dimensions`, by running sums rather than binomials per n.
+    289/3628800 at D = 8, derived with each build.
     """
     if D % 2 or D < 4:
         raise ValueError("only even D >= 4 is supported")
@@ -175,9 +156,7 @@ def energy_mean_scalar(D: int, order: int) -> QSeries:
     d0 = (D - 2) // 2
 
     def build():
-        ns = range(d0, order + 1)
-        weights = map(operator.mul, ns, _harmonic_dimensions(D, len(ns)))
-        terms = zip(range(2 * d0, 2 * order + 1, 2), weights)
+        terms = ((2 * n, n * harmonic_dimension(n - d0, D)) for n in range(d0, order + 1))
         return lambert_series(_scalar_vacuum_constant(D), terms, 1, 2 * order)
 
     return _window(("energy_mean_scalar", D), 2 * order, build)
@@ -420,14 +399,19 @@ def gibbs_scalar_modes(zeta: complex, alpha: float, tau: complex, order: int) ->
 def solve_isotropic(u1: Sequence[float], u2: Sequence[float], alpha: float):
     """Solve u1 = e^{i pi a} v + e^{-i pi a} vbar, u2 = e^{-i pi a} v + e^{i pi a} vbar.
 
-    For unit vectors with u1.u2 = cos(2 pi alpha) the solutions satisfy
-    v.v = 0 = vbar.vbar and 2 v.vbar = 1.
+    ValueError unless sin(2 pi alpha) != 0 and the frame is two unit
+    vectors with u1.u2 = cos(2 pi alpha), each within 1e-12; the solutions
+    then satisfy v.v = 0 = vbar.vbar and 2 v.vbar = 1.
     """
     ep = cmath.exp(1j * math.pi * alpha)
     em = cmath.exp(-1j * math.pi * alpha)
     det = ep * ep - em * em  # 2i sin(2 pi alpha)
     if abs(det) < 1e-14:
-        raise ValueError("collinear frame vectors")
+        raise ValueError("sin(2 pi alpha) = 0 is a degenerate angle: collinear frame vectors")
+    dot = sum(a * b for a, b in zip(u1, u2))
+    misfits = (math.hypot(*u1) - 1, math.hypot(*u2) - 1, dot - math.cos(TWO_PI * alpha))
+    if not all(abs(x) <= 1e-12 for x in misfits):  # a nan misfits too
+        raise ValueError("the frame needs unit vectors u1, u2 with u1.u2 = cos(2 pi alpha)")
     v = tuple((ep * a - em * b) / det for a, b in zip(u1, u2))
     vbar = tuple((ep * b - em * a) / det for a, b in zip(u1, u2))
     return v, vbar
@@ -459,14 +443,12 @@ def gibbs_weyl_2pt(
     p1^{11}/pi and p2^{11}/pi^2 (see the module docstring for the
     normalization note); the q -> 0 limit is the vacuum matrix.  The
     translate sums converge only for Im tau > 0: ValueError otherwise, as
-    `_nome` raises.
+    `_nome` raises, and on a bad frame or degenerate angle (`solve_isotropic`).
     """
     _nome(tau)
-    sa = math.sin(TWO_PI * alpha)
-    if abs(sa) < 1e-14:
-        raise ValueError("collinear frame vectors")
-    ca = _cot(complex(TWO_PI * alpha))
     v, vbar = solve_isotropic(u1, u2, alpha)
+    sa = math.sin(TWO_PI * alpha)
+    ca = _cot(complex(TWO_PI * alpha))
     zp, zm = zeta + alpha, zeta - alpha
     p1m = elliptic_p1_11(zm, tau, window) / math.pi
     p1p = elliptic_p1_11(zp, tau, window) / math.pi
@@ -496,7 +478,7 @@ def kms_translate_sum_check(
     Returns the max residual against the closed form, the (anti)periodicity
     residuals, and the edge-term bound that should dominate them.  Both
     models raise ValueError, before any evaluation, unless Im tau > 0
-    (`_nome`).
+    (`_nome`); the Weyl model also on a bad frame (`solve_isotropic`).
     """
     q_abs = abs(_nome(tau))
     if model == "scalar":

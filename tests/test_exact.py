@@ -19,6 +19,7 @@ from gcipw.exact import (
 from gcipw.exact.chiral import chiral_slices
 from gcipw.exact.mpoly import MAX_EXP
 from gcipw.exact.series import common_denominator
+from gcipw.thermal import eisenstein_G
 
 rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 9))
 
@@ -406,24 +407,6 @@ class TestPackedKeys:
             p.terms[(0, 0)] = F(1)
 
 
-class TestPSeries:
-    def test_shift(self):
-        s = PSeries([0, 0, 5], 1)
-        assert s.shift(2).coeffs == [0, 0, 0, 0, 5]
-        assert s.shift(-2).coeffs == [5]
-        with pytest.raises(ValueError):
-            s.shift(-3)
-        with pytest.raises(ValueError):
-            PSeries([0, 1, 0], 1).shift(-2)
-
-    def test_results_do_not_share_lists(self):
-        s = PSeries([0, 1, 2], 1)
-        for t in (s.shift(0), s.shift(2), s.shift(-1)):
-            t.num[-1] = 9
-            t.coeffs[0] = F(7)
-        assert s.coeffs == [0, 1, 2]
-
-
 def ref_pseries(coeffs, length):
     """A plain {k: Fraction} reference, kept to x^(length-1) with no zeros."""
     return {k: F(c) for k, c in coeffs.items() if c and 0 <= k < length}
@@ -462,22 +445,9 @@ class TestPSeriesIntegerForm:
         coeffs, length, scale = a
         assert_pseries(to_pseries(coeffs, length, scale), ref_pseries(coeffs, length), length)
 
-    @settings(max_examples=40)
-    @given(pseries_refs, st.integers(-4, 4))
-    def test_shift(self, a, k):
-        coeffs, length, scale = a
-        x = to_pseries(coeffs, length, scale)
-        kept = ref_pseries(coeffs, length)
-        if k < 0 and any(i < -k for i in kept):
-            with pytest.raises(ValueError):
-                x.shift(k)
-            return
-        assert_pseries(x.shift(k), {i + k: c for i, c in kept.items()}, max(length + k, 0))
-
     def test_unreduced_denominator(self):
         half = PSeries([3, -6, 0, 2], 6)  # 1/2 - x + x^3/3, over 6
         assert half.coeffs == [F(1, 2), F(-1), F(0), F(1, 3)]
-        assert half.shift(1).den == 6 and half.shift(1).coeffs == [0, *half.coeffs]
         assert PSeries([0, 0], 35).coeffs == [0, 0]
 
 
@@ -753,7 +723,8 @@ class TestQSeriesWindows:
         s = self.SERIES
         for a in range(-1, 12):
             for b in range(-1, a + 1):
-                assert_same_window(s.prefix(a).prefix(b), QSeries(s.num, s.den, b))
+                want = QSeries(s.num, s.den, min(b, s.max_exp))
+                assert_same_window(s.prefix(a).prefix(b), want)
 
     def test_cuts_below_the_first_key_and_past_the_window(self):
         s = self.SERIES
@@ -761,19 +732,29 @@ class TestQSeriesWindows:
             low = s.prefix(m)
             assert low.num == {} and low.max_exp == m and low.eval(1j)[0] == 0
             assert_same_window(low, QSeries({}, s.den, m))
-        assert_same_window(s.prefix(10), s)
-        past = s.prefix(13)
-        assert past.num == s.num and past.max_exp == 13
-        assert_same_window(past, QSeries(s.num, s.den, 13))
+        # a cut never widens: past max_exp the coefficients are unknown
+        for m in (10, 11, 13, 40):
+            assert_same_window(s.prefix(m), s)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("tau", [0.6j, *WINDOW_TAUS])
+    def test_the_bound_of_a_cut_past_the_window_holds(self, k, tau):
+        # G_2k to q^5, asked for a window to q^40, keeps its own: the bound
+        # is the uncut series', and G_2k to q^40 lies within it
+        short = eisenstein_G(k, 5)
+        value, bound = short.prefix(80).eval(tau)
+        assert (value, bound) == short.eval(tau)
+        assert abs(value - eisenstein_G(k, 40).eval(tau)[0]) <= bound
 
     @settings(max_examples=60)
     @given(qseries_refs, st.integers(-2, 16), st.integers(-2, 16))
     def test_a_cut_is_a_fresh_series(self, a, m, inner):
         coeffs, max_exp, scale = a
         s = to_qseries(coeffs, max_exp, scale)
-        assert_same_window(s.prefix(m), QSeries(s.num, s.den, m))
+        assert_same_window(s.prefix(m), QSeries(s.num, s.den, min(m, max_exp)))
         inner = min(inner, m)
-        assert_same_window(s.prefix(m).prefix(inner), QSeries(s.num, s.den, inner))
+        want = QSeries(s.num, s.den, min(inner, max_exp))
+        assert_same_window(s.prefix(m).prefix(inner), want)
 
 
 class TestQSeriesIntegerForm:

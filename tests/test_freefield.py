@@ -501,10 +501,9 @@ class TestCyclePfaffians:
     def test_each_is_the_signed_pairing_sum_of_its_cycle(self, n):
         cfg = config_over(random.Random(70 + n), 2 * n, (7, 11))
         pfaffians = cycle_pfaffians(cfg)
-        assert all(type(pf) is int for pf, _ in pfaffians)
+        assert all(type(pf) is int for pf in pfaffians)
         scale = cfg.scale ** (2 * n)
-        for seq, (pf, links) in zip(orbit_enumerate(n), pfaffians, strict=True):
-            assert links == tuple(links_of(seq))
+        for seq, pf in zip(orbit_enumerate(n), pfaffians, strict=True):
             assert pf == scale * wick_numerator(n, seq).eval(rho_point(cfg))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -931,7 +930,7 @@ class TestIntegerTraces:
             cfg = config_over(rng, 2 * n, (7, 11))
             cycle_trace_numerator(tuple(range(2 * n)), cfg.points)
             # the Weyl function sums integer Pfaffians: no quaternion product
-            assert all(type(pf) is int for pf, _ in cycle_pfaffians(cfg))
+            assert all(type(pf) is int for pf in cycle_pfaffians(cfg))
             before = len(calls)
             v1_weyl_connected(cfg)
             assert len(calls) == before

@@ -258,9 +258,9 @@ class TestTwistExtract:
     def test_pure_c_profile(self):
         tower = twist_extract(PWParams(c=1), 2, 14)
         assert tower.f[1].coeffs == {}
-        # f2(0, 1-u) = 1/(1-u)
-        boundary = tower.g[2].shift(-1)
-        assert boundary.coeffs == unit_row(-1, boundary.order)
+        # g2 = u f2(0, 1-u) = u/(1-u)
+        g = tower.g[2]
+        assert g.coeffs == [0, *unit_row(-1, g.order - 1)]
 
     def test_f1_matches_rational_route(self):
         # D(uv, (1-u)(1-v)) f1 = N(uv, (1-u)(1-v)) on every retained entry
@@ -501,6 +501,39 @@ class TestSolver:
     def test_pure_c_twist4(self):
         tower = twist_extract(PWParams(c=1), 2, 14)
         assert solve_structure_constants(tower.g[2], 2, 1)[0] == 1
+
+    def test_nonzero_constant_term_rejected(self):
+        # g/u must be a power series: the solve reads g's numerators past the first
+        for g in (PSeries([1] + [0] * 9, 1), PSeries([3, 0, 1] + [0] * 7, 6)):
+            with pytest.raises(ValueError, match="constant term"):
+                solve_structure_constants(g, 1, 3)
+
+    def test_leaves_g_alone(self):
+        # the substitution runs in place on a copy of g's numerators
+        tower = twist_extract(PWParams(a0=1, a2=F(1, 3)), 3, 2 * 6 + 2 * 3 + 8)
+        g = tower.g[3]
+        num = list(g.num)
+        sol = solve_structure_constants(g, 3, 6)
+        assert g.num == num and solve_structure_constants(g, 3, 6) == sol
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(1, 4),
+        st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 12)), min_size=1, max_size=4),
+        st.integers(0, 3),
+        st.integers(1, 4),
+    )
+    def test_recovers_the_coefficients_of_a_built_g(self, kappa, B, extra, scale):
+        # g = u sum_l B_l u^(2l) F(2l+k, 2l+k; 4l+2k; u) to u^(top + 1), over
+        # an unreduced denominator, solves back to the B_l
+        top = 2 * len(B) - 2 + extra
+        over_u = [F(0)] * (top + 1)
+        for ell, b in enumerate(B):
+            for n, c in enumerate(hypergeom_series(2 * ell + kappa, top - 2 * ell).coeffs):
+                over_u[2 * ell + n] += b * c
+        den = math.lcm(*(c.denominator for c in over_u)) * scale
+        g = PSeries([0] + [int(c * den) for c in over_u], den)
+        assert solve_structure_constants(g, kappa, len(B) - 1) == B
 
     def test_inconsistent_odd_power(self):
         g = PSeries([0, 1, 1] + [0] * 8, 1)  # g/u = 1 + u

@@ -95,14 +95,8 @@ class TestEnergyMeans:
 
     @pytest.mark.parametrize("D", [4, 6, 8])
     def test_weights_are_the_harmonic_dimensions(self, D, monkeypatch):
-        # the running-sum weights against one harmonic_dimension call per n,
-        # through n = 600, and the fresh series against the per-n build
+        # a fresh series through n = 600 against the per-n Lambert build
         d0 = (D - 2) // 2
-        count = 600 - d0 + 1
-        assert thermal._harmonic_dimensions(D, count) == [
-            harmonic_dimension(m, D) for m in range(count)
-        ]
-        assert thermal._harmonic_dimensions(D, 0) == []
         monkeypatch.setattr(thermal, "_SERIES", {})
         got = energy_mean_scalar(D, 600)
         terms = ((2 * n, n * harmonic_dimension(n - d0, D)) for n in range(d0, 601))
@@ -600,10 +594,32 @@ class TestGibbsWeyl:
         w0 = weyl_vacuum_2pt(0.13, ALPHA, U1, U2)
         assert max(map(abs, wq - w0)) < 1e-10
 
+    @staticmethod
+    def weyl_calls(alpha, u1, u2):
+        return (
+            lambda: weyl_vacuum_2pt(0.13, alpha, u1, u2),
+            lambda: gibbs_weyl_2pt(0.13, alpha, u1, u2, 1.5j, 20),
+            lambda: kms_translate_sum_check("weyl4", 0.13, alpha, 1.5j, 8, u1, u2),
+        )
+
     def test_collinear_rejected(self):
-        for alpha in (0.5, 0):
-            with pytest.raises(ValueError, match="collinear"):
-                gibbs_weyl_2pt(0.13, alpha, U1, U1, 1.5j, 20)
+        # alpha = 0 and 1/2 are degenerate angles, whatever the frame
+        minus_u1 = tuple(-x for x in U1)
+        for alpha, u2 in ((0, U1), (0, U2), (0.5, minus_u1), (0.5, U2)):
+            for call in self.weyl_calls(alpha, U1, u2):
+                with pytest.raises(ValueError, match="degenerate angle: collinear"):
+                    call()
+
+    @pytest.mark.parametrize(
+        "u2",
+        [(3.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), tuple(2 * x for x in U2)],
+        ids=["long", "wrong-angle", "scaled"],
+    )
+    def test_bad_frame_rejected(self, u2):
+        # u2 must be a unit vector at the angle 2 pi alpha from u1
+        for call in self.weyl_calls(ALPHA, U1, u2):
+            with pytest.raises(ValueError, match="unit vectors"):
+                call()
 
 
 
